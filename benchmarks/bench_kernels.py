@@ -47,7 +47,7 @@ def workloads():
     masks = compat_masks(d4, 6)
     yield "clique_census D4 k=6 (76v)", "clique_census", (masks, len(masks), d4.n)
 
-    filters, subs, full = _chain_data(f4)
+    filters, subs, full = _chain_data(f4, 3)
     args = (filters, subs, f4.sum_triples, 3, full)
     yield "nn_chains F4 k=3", "nn_chains", args
 

@@ -169,6 +169,8 @@ def cmd_dump(args) -> int:
     elif args.what == "regions":
         _emit(_json_bytes(arrangement.regions_json(rs, k)), args.out)
     else:
+        if k < 1:
+            raise UsageError("k must be a positive integer")
         rows = ehrhart.ehrhart_csv_rows(
             rs, range(1, k * ehrhart.simplex_model(rs).h + 2)
         )
@@ -237,3 +239,7 @@ def entry() -> None:
         print(f"fct: internal invariant violated: {exc}", file=sys.stderr)
         code = 3
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    entry()

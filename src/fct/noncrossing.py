@@ -6,11 +6,27 @@ up to l_T(c) = n.  Sequences are ordered slotwise by absolute order on
 the slots 1..k; slot 0 is determined by the others.  The resulting
 graded poset carries the M-triangle through its Moebius function and
 the Fuss-Narayana numbers through its rank sizes.
+
+The interval [1, c] in absolute order is built from its covers, not by
+comparing pairs.  Walking down from c, v covers u = v t (t a
+reflection) when l_T(u) = l_T(v) - 1; this is Bessis's dual braid
+monoid description of the order (Bessis, 2003).  Every such u lies below
+v, because l_T(u) + l_T(u^-1 v) = l_T(u) + l_T(t) = l_T(v).  Conversely,
+if u <= v, write u^-1 v = t_1 ... t_m as a shortest reflection word,
+m = l_T(v) - l_T(u).  The prefixes v_i = u t_1 ... t_i have
+l_T(v_i) = l_T(u) + i exactly, since the length changes by at most one
+per reflection and must reach l_T(v) after m steps.  So v = v_m, ...,
+v_0 = u is a chain of covers, and every v_i lies below v, hence in
+[1, c].  The walk from c therefore reaches every element of [1, c], and
+the reflexive-transitive closure of the covers it finds is exactly
+absolute order on [1, c].
 """
 from __future__ import annotations
 
+import inspect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import weyl
 from .errors import InternalInvariantError, UsageError
@@ -20,35 +36,94 @@ from .rootsys import RootSystem
 Word = tuple
 
 
-@lru_cache(maxsize=None)
+def _cached_per_word(fn):
+    """lru_cache keyed with the Coxeter word spelled out.
+
+    f(rs, k), f(rs, k, None) and f(rs, k, range(n)) all name the same
+    Coxeter element, so they share one cache entry.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        word = bound.arguments["word"]
+        n = bound.arguments["rs"].n
+        bound.arguments["word"] = tuple(range(n) if word is None else word)
+        return cached(*bound.args)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
+@_cached_per_word
+def _cover_walk(rs: RootSystem, word: Word = None) -> dict:
+    """Map from each element of [1, c] to its lower covers.
+
+    Walks down from c one length at a time; u = v t is a lower cover of
+    v when its reflection length is one less (see the module docstring).
+    """
+    c = weyl.coxeter_element(rs, word)
+    refl = weyl.reflections(rs)
+    lower = {c: []}
+    level = [c]
+    for target in range(c.length - 1, -1, -1):
+        found = {}
+        longer = set()  # products met at this level that lengthen
+        for v in level:
+            covers = lower[v]
+            for t in refl:
+                u = weyl.compose(v, t)
+                if u in found:
+                    covers.append(found[u])
+                elif u in longer or u in lower:
+                    continue
+                elif u.length == target:
+                    found[u] = u
+                    lower[u] = []
+                    covers.append(u)
+                else:
+                    longer.add(u)
+        level = list(found)
+    return lower
+
+
+@_cached_per_word
 def absolute_interval(rs: RootSystem, word: Word = None) -> tuple:
     """All group elements below the Coxeter element in absolute order,
     in breadth-first group order (identity first)."""
-    c = weyl.coxeter_element(rs, word)
-    return tuple(w for w in weyl.generate_group(rs) if weyl.absolute_leq(w, c))
+    members = _cover_walk(rs, word)
+    return tuple(w for w in weyl.generate_group(rs) if w in members)
 
 
-@lru_cache(maxsize=None)
+@_cached_per_word
 def _interval_tables(rs: RootSystem, word: Word = None):
-    """Index map, leq bitmask rows, lengths, and left-complement indices.
+    """Index map, leq bitmask rows, lengths, left-complement indices and
+    lower covers.
 
     leq[a] has bit b set iff element a lies below element b; comp[a] is
     the index of inverse(a) * c, the factor completing a to c from the
-    right.
+    right; lower[b] lists the indices of the elements b covers.  The leq
+    rows close the covers in decreasing length, so each row is complete
+    before it is pushed down to the elements its element covers.
     """
     elems = absolute_interval(rs, word)
+    walk = _cover_walk(rs, word)
     c = weyl.coxeter_element(rs, word)
     index = {w: a for a, w in enumerate(elems)}
-    leq = [0] * len(elems)
-    for a, u in enumerate(elems):
-        for b, v in enumerate(elems):
-            if u.length <= v.length and weyl.absolute_leq(u, v):
-                leq[a] |= 1 << b
+    lengths = tuple(u.length for u in elems)
+    lower = tuple(tuple(index[u] for u in walk[v]) for v in elems)
+    leq = [1 << a for a in range(len(elems))]
+    for b in sorted(range(len(elems)), key=lengths.__getitem__, reverse=True):
+        for a in lower[b]:
+            leq[a] |= leq[b]
     comp = tuple(
         index[weyl.compose(weyl.inverse(u), c)] for u in elems
     )
-    lengths = tuple(u.length for u in elems)
-    return elems, index, tuple(leq), lengths, comp
+    return elems, index, tuple(leq), lengths, comp, lower
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +155,7 @@ def _check_sequence(rs: RootSystem, seq: DeltaSequence, word: Word = None) -> No
         raise InternalInvariantError("delta sequence lengths are not additive")
 
 
-@lru_cache(maxsize=None)
+@_cached_per_word
 def enumerate_delta_sequences(rs: RootSystem, k: int, word: Word = None) -> tuple:
     """All delta sequences, via multichains of partial products.
 
@@ -91,7 +166,7 @@ def enumerate_delta_sequences(rs: RootSystem, k: int, word: Word = None) -> tupl
     """
     if k < 1:
         raise UsageError("k must be a positive integer")
-    elems, index, leq, lengths, comp = _interval_tables(rs, word)
+    elems, index, leq, _, _, _ = _interval_tables(rs, word)
     c = weyl.coxeter_element(rs, word)
     out = []
     chain = []
@@ -108,11 +183,13 @@ def enumerate_delta_sequences(rs: RootSystem, k: int, word: Word = None) -> tupl
             seq = DeltaSequence((d0, *parts), tuple(index[p] for p in parts))
             out.append(seq)
             return
-        for v in range(len(elems)):
-            if (leq[low] >> v) & 1:
-                chain.append(v)
-                descend(slot + 1, v)
-                chain.pop()
+        above = leq[low]
+        while above:
+            v = (above & -above).bit_length() - 1
+            above &= above - 1
+            chain.append(v)
+            descend(slot + 1, v)
+            chain.pop()
 
     descend(0, 0)
     return tuple(out)
@@ -148,31 +225,51 @@ class NCPoset:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@_cached_per_word
 def build_nc_poset(rs: RootSystem, k: int, word: Word = None) -> NCPoset:
+    """Delta sequences ordered slotwise, with down and up masks.
+
+    a <= b when every slot of a lies below the same slot of b (which
+    forces rank(a) <= rank(b)).  Per slot s and interval element q, the
+    mask of sequences whose slot-s part lies below q (or above q) comes
+    from closing the interval covers; down[b] is the AND of its slots'
+    masks with the mask of ranks up to rank(b), and up[a] likewise.
+    """
     elems_seq = enumerate_delta_sequences(rs, k, word)
-    _, _, leq, _, _ = _interval_tables(rs, word)
+    _, _, _, lengths, _, lower = _interval_tables(rs, word)
     ranks = tuple(rank(rs, seq) for seq in elems_seq)
     order = sorted(range(len(elems_seq)), key=lambda a: (ranks[a], elems_seq[a].slot_ids))
     elems_seq = tuple(elems_seq[a] for a in order)
     ranks = tuple(ranks[a] for a in order)
     size = len(elems_seq)
+    shortest_first = sorted(range(len(lengths)), key=lengths.__getitem__)
+    slot_down = []
+    slot_up = []
+    for s in range(k):
+        exact = [0] * len(lengths)
+        for a, seq in enumerate(elems_seq):
+            exact[seq.slot_ids[s]] |= 1 << a
+        below = list(exact)
+        for q in shortest_first:
+            for p in lower[q]:
+                below[q] |= below[p]
+        above = list(exact)
+        for q in reversed(shortest_first):
+            for p in lower[q]:
+                above[p] |= above[q]
+        slot_down.append(below)
+        slot_up.append(above)
+    full = (1 << size) - 1
     down = []
-    for b, eb in enumerate(elems_seq):
-        mask = 0
-        for a, ea in enumerate(elems_seq):
-            if ranks[a] <= ranks[b] and all(
-                (leq[p] >> q) & 1 for p, q in zip(ea.slot_ids, eb.slot_ids)
-            ):
-                mask |= 1 << a
-        down.append(mask)
-    up = [0] * size
-    for b, mask in enumerate(down):
-        m = mask
-        while m:
-            a = (m & -m).bit_length() - 1
-            up[a] |= 1 << b
-            m &= m - 1
+    up = []
+    for a, seq in enumerate(elems_seq):
+        d = (1 << bisect_right(ranks, ranks[a])) - 1
+        u = full & ~((1 << bisect_left(ranks, ranks[a])) - 1)
+        for s, q in enumerate(seq.slot_ids):
+            d &= slot_down[s][q]
+            u &= slot_up[s][q]
+        down.append(d)
+        up.append(u)
     poset = NCPoset(rs, k, elems_seq, ranks, tuple(down), tuple(up))
     _check_graded(poset)
     return poset
@@ -236,7 +333,7 @@ def moebius(poset: NCPoset, a: int, b: int) -> int:
     return _moebius_rows(poset)[a][b]
 
 
-@lru_cache(maxsize=None)
+@_cached_per_word
 def m_triangle(rs: RootSystem, k: int, word: Word = None) -> BivarPoly:
     """Moebius sum x^(n - rank of top) y^(n - rank of bottom)."""
     poset = build_nc_poset(rs, k, word)
@@ -259,10 +356,10 @@ def narayana_vector(rs: RootSystem, k: int, word: Word = None) -> tuple:
     return tuple(reversed(hist))
 
 
-@lru_cache(maxsize=None)
+@_cached_per_word
 def _multichain_counts(rs: RootSystem, j: int, word: Word = None) -> tuple:
     """Entry u: number of j-multichains in the interval below element u."""
-    elems, _, leq, _, _ = _interval_tables(rs, word)
+    elems, _, leq, _, _, _ = _interval_tables(rs, word)
     size = len(elems)
     cur = (1,) * size
     for _ in range(j):
@@ -288,7 +385,7 @@ def narayana_number(rs: RootSystem, k: int, i: int, word: Word = None) -> int:
         raise UsageError("index out of range")
     if k < 1:
         raise UsageError("k must be a positive integer")
-    _, _, _, lengths, comp = _interval_tables(rs, word)
+    _, _, _, lengths, comp, _ = _interval_tables(rs, word)
     counts = _multichain_counts(rs, k - 1, word)
     return sum(
         counts[comp[u]] for u in range(len(lengths)) if lengths[u] == i

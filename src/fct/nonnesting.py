@@ -122,12 +122,24 @@ def is_filter(rs: RootSystem, mask: int) -> bool:
     return True
 
 
-def _chain_data(rs: RootSystem):
+@lru_cache(maxsize=None)
+def _subfilters(rs: RootSystem) -> tuple:
+    """Entry f: ascending indices of the filters contained in filter f."""
     filters = enumerate_filters(rs)
-    subs = tuple(
+    return tuple(
         tuple(j for j, g in enumerate(filters) if g & ~f == 0)
         for f in filters
     )
+
+
+def _chain_data(rs: RootSystem, k: int):
+    """Kernel inputs (filters, subfilter lists, full mask) for k-chains.
+
+    A 1-chain is a single filter, so the kernels never descend into the
+    subfilter lists and they are left empty.
+    """
+    filters = enumerate_filters(rs)
+    subs = ((),) * len(filters) if k == 1 else _subfilters(rs)
     full = (1 << len(rs.positive_roots)) - 1
     return filters, subs, full
 
@@ -163,12 +175,12 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
     """All geometric chains, sorted lexicographically by mask tuples."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    filters, subs, full = _chain_data(rs)
-    estimate = len(filters) ** min(k, 3)
+    estimate = len(enumerate_filters(rs)) ** min(k, 3)
     if estimate > CHAIN_LIMIT:
         raise ResourceLimitError(
             f"chain enumeration for {rs.typespec}, k={k} exceeds the bound"
         )
+    filters, subs, full = _chain_data(rs, k)
     raw = kernels.nn_chains(filters, subs, rs.sum_triples, k, full)
     return tuple(FilterChain(rs, masks) for masks in raw)
 
@@ -177,7 +189,7 @@ def chain_statistics(rs: RootSystem, k: int) -> dict:
     """Histogram (top indecomposables, simple ones) -> number of chains."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    filters, subs, full = _chain_data(rs)
+    filters, subs, full = _chain_data(rs, k)
     return kernels.nn_census(
         filters,
         subs,

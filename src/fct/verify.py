@@ -121,7 +121,8 @@ def verify_recip(rs: RootSystem, k: int) -> VerifyResult:
     degree of slack; k = n+3 and n+4 are held-out consistency checks
     before the family is evaluated at negative arguments.
     """
-    _require_positive_k(k)
+    if k != 1:
+        raise UsageError("reciprocity is checked over the whole k-family, at k=1")
     n = rs.n
     samples = {kk: nonnesting.h_triangle(rs, kk) for kk in range(1, n + 5)}
     family = KFamily.fit({kk: samples[kk] for kk in range(1, n + 3)}, n)

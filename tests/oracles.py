@@ -189,3 +189,40 @@ def moebius_by_inversion(leq_pairs, size: int) -> dict:
             if (a, b) in leq_pairs:
                 mu(a, b)
     return out
+
+
+def interval_by_filtering(rs: RootSystem, word=None) -> tuple:
+    """[1, c] as the whole group, in breadth-first order, filtered by
+    the pairwise absolute order test against c."""
+    from fct import weyl
+
+    c = weyl.coxeter_element(rs, word)
+    return tuple(w for w in weyl.generate_group(rs) if weyl.absolute_leq(w, c))
+
+
+def leq_rows_by_pairs(elems) -> tuple:
+    """Row a has bit b set iff elems[a] <= elems[b], by testing every
+    pair with the length-additivity definition of absolute order."""
+    from fct import weyl
+
+    rows = [0] * len(elems)
+    for a, u in enumerate(elems):
+        for b, v in enumerate(elems):
+            if weyl.absolute_leq(u, v):
+                rows[a] |= 1 << b
+    return tuple(rows)
+
+
+def down_masks_by_pairs(elements, ranks, leq) -> tuple:
+    """Entry b: bitmask of the delta sequences below sequence b, by
+    comparing every pair slot by slot in the interval order ``leq``."""
+    out = []
+    for b, eb in enumerate(elements):
+        mask = 0
+        for a, ea in enumerate(elements):
+            if ranks[a] <= ranks[b] and all(
+                (leq[p] >> q) & 1 for p, q in zip(ea.slot_ids, eb.slot_ids)
+            ):
+                mask |= 1 << a
+        out.append(mask)
+    return tuple(out)

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import fct
 from fct import cli
 from fct.errors import InternalInvariantError, ResourceLimitError
 
@@ -77,6 +80,40 @@ def test_verify_usage_errors_exit_2(capsys, monkeypatch):
             cli.entry()
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_readme_usage_rules_exit_2(capsys, monkeypatch):
+    # every k=0 request is a usage error; recip needs k=1
+    for argv in [
+        ["dump", "ehrhart", "--type", "A2", "-k", "0"],
+        ["verify", "recip", "--type", "A2", "-k", "2"],
+    ]:
+        monkeypatch.setattr(sys, "argv", ["fct"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fct: ")
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fct.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+
+    ok = run_module("verify", "counts", "--type", "A2", "-k", "1")
+    assert ok.returncode == 0
+    assert ok.stdout == "counts A2 k=1: ok\n"
+    bad = run_module("verify", "counts", "--type", "A2", "-k", "0")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
 
 
 def test_argparse_rejects_conflicting_flags(capsys):

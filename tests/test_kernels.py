@@ -1,23 +1,17 @@
+"""Kernel tests that need only the pure core; tests/test_kernels_compiled.py
+compares the pure and compiled cores."""
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fct import _purecore, kernels
-from fct.cluster import compat_masks
 from fct.nonnesting import _chain_data
 
 from conftest import rsys
-
-_fast = pytest.importorskip("fct._fastcore")
-
-
-def test_backend_is_compiled_by_default():
-    assert kernels.BACKEND == "compiled"
 
 
 def test_env_forces_pure_backend():
@@ -30,25 +24,7 @@ def test_env_forces_pure_backend():
         assert out.stdout.strip() == "python"
 
 
-def test_weyl_closure_backends_agree():
-    from fct.weyl import simple_reflection
-
-    for name in ["A2", "B2", "A3", "G2", "B3", "D4", "F4"]:
-        rs = rsys(name)
-        gens = tuple(simple_reflection(rs, i).img for i in range(rs.n))
-        pure = _purecore.weyl_closure(gens, 10**7)
-        fast = _fast.weyl_closure(gens, 10**7)
-        assert pure == fast
-        with pytest.raises(_purecore.LimitExceeded):
-            _purecore.weyl_closure(gens, len(pure) - 1)
-        with pytest.raises(_fast.LimitExceeded):
-            _fast.weyl_closure(gens, len(pure) - 1)
-        # the dispatcher translates the compiled exception
-        with pytest.raises(kernels.LimitExceeded):
-            kernels.weyl_closure(gens, len(pure) - 1)
-
-
-def _fraction_rank(mat):
+def fraction_rank(mat):
     rows = [[Fraction(x) for x in row] for row in mat]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -78,9 +54,8 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 @settings(max_examples=150)
 @given(matrices)
 def test_int_rank_matches_fraction_elimination(mat):
-    expected = _fraction_rank(mat)
+    expected = fraction_rank(mat)
     assert _purecore.int_rank(mat) == expected
-    assert _fast.int_rank(mat) == expected
     assert kernels.int_rank(mat) == expected
 
 
@@ -89,61 +64,48 @@ def test_int_rank_degenerate():
     assert kernels.int_rank([[1]]) == 1
 
 
+# path a - b - c with a tagged: cliques {}, a, b, c, ab, bc
+HAND_GRAPH = [0b010, 0b101, 0b010]
+HAND_CENSUS = (
+    {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 1, (2, 0): 1},
+    {2: 2},
+)
+
+
 def test_clique_census_hand_graph():
-    # path a - b - c with a tagged: cliques {}, a, b, c, ab, bc
-    nbrs = [0b010, 0b101, 0b010]
-    counts, max_hist = kernels.clique_census(nbrs, 3, 1)
-    assert counts == {
-        (0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 1, (2, 0): 1,
-    }
-    assert max_hist == {2: 2}
-    assert _purecore.clique_census(nbrs, 3, 1) == (counts, max_hist)
-    assert _fast.clique_census(nbrs, 3, 1) == (counts, max_hist)
+    assert _purecore.clique_census(HAND_GRAPH, 3, 1) == HAND_CENSUS
+    assert kernels.clique_census(HAND_GRAPH, 3, 1) == HAND_CENSUS
     assert kernels.clique_census([], 0, 0) == ({(0, 0): 1}, {0: 1})
-
-
-def test_clique_census_backends_agree():
-    for name, k in [("A3", 2), ("B3", 2), ("G2", 3), ("D4", 2), ("F4", 2)]:
-        rs = rsys(name)
-        masks = compat_masks(rs, k)
-        assert _purecore.clique_census(masks, len(masks), rs.n) == _fast.clique_census(
-            masks, len(masks), rs.n
-        )
-
-
-def test_clique_census_wide_masks():
-    # more than 64 vertices exercises the two-word bitmask path
-    for name, k in [("B3", 7), ("A3", 11), ("D4", 5)]:
-        rs = rsys(name)
-        masks = compat_masks(rs, k)
-        assert len(masks) >= 63
-        assert _purecore.clique_census(masks, len(masks), rs.n) == _fast.clique_census(
-            masks, len(masks), rs.n
-        )
-
-
-def test_nn_backends_agree():
-    for name in ["A2", "B2", "A3", "B3", "G2", "D4", "F4"]:
-        rs = rsys(name)
-        filters, subs, full = _chain_data(rs)
-        triples = rs.sum_triples
-        nroots = len(rs.positive_roots)
-        for k in (1, 2, 3):
-            assert _purecore.nn_chains(filters, subs, triples, k, full) == (
-                _fast.nn_chains(filters, subs, triples, k, full)
-            )
-            assert _purecore.nn_census(
-                filters, subs, triples, rs.pair_lists, k, full, nroots, rs.n
-            ) == _fast.nn_census(
-                filters, subs, triples, rs.pair_lists, k, full, nroots, rs.n
-            )
 
 
 def test_nn_chains_sorted_and_nested():
     rs = rsys("B2")
-    filters, subs, full = _chain_data(rs)
+    filters, subs, full = _chain_data(rs, 3)
     chains = kernels.nn_chains(filters, subs, rs.sum_triples, 3, full)
     assert chains == sorted(chains)
     for masks in chains:
         for a, b in zip(masks, masks[1:]):
             assert b & ~a == 0
+
+
+NN_K1_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "A1xB2", "F4"]
+
+
+def k1_subfilter_lists_unused(core):
+    """nn_chains and nn_census of ``core`` at k=1 give the same result with
+    the empty subfilter lists of _chain_data(rs, 1) as with full ones."""
+    for name in NN_K1_TYPES:
+        rs = rsys(name)
+        filters, empty, full = _chain_data(rs, 1)
+        assert empty == ((),) * len(filters)
+        _, subs, _ = _chain_data(rs, 2)
+        args = (rs.sum_triples, 1, full)
+        assert core.nn_chains(filters, empty, *args) == core.nn_chains(filters, subs, *args)
+        census = (rs.sum_triples, rs.pair_lists, 1, full, len(rs.positive_roots), rs.n)
+        assert core.nn_census(filters, empty, *census) == core.nn_census(
+            filters, subs, *census
+        )
+
+
+def test_k1_chain_data_pure_core():
+    k1_subfilter_lists_unused(_purecore)

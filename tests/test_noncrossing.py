@@ -2,6 +2,7 @@ import pytest
 
 from fct.errors import UsageError
 from fct.noncrossing import (
+    _interval_tables,
     absolute_interval,
     build_nc_poset,
     covers_of,
@@ -17,7 +18,12 @@ from fct.rootsys import fuss_catalan_number
 from fct.weyl import absolute_length, compose, coxeter_element
 
 from conftest import rsys
-from oracles import moebius_by_inversion
+from oracles import (
+    down_masks_by_pairs,
+    interval_by_filtering,
+    leq_rows_by_pairs,
+    moebius_by_inversion,
+)
 
 INTERVAL_SIZES = {"A1": 2, "A2": 5, "B2": 6, "A3": 14, "G2": 8, "B3": 20}
 
@@ -36,6 +42,49 @@ def test_interval_members_split_the_coxeter_length():
         for w in absolute_interval(rs):
             rest = compose(inverse(w), c)
             assert absolute_length(w) + absolute_length(rest) == rs.n
+
+
+ORACLE_CELLS = [
+    ("A1", 3), ("A2", 2), ("A3", 2), ("B2", 2), ("B3", 2),
+    ("G2", 2), ("D4", 1), ("A1xB2", 2),
+]
+
+
+def _words(rs):
+    return [None, tuple(range(1, rs.n)) + (0,)]
+
+
+def test_interval_tables_against_pairwise_oracles():
+    for name, _ in ORACLE_CELLS:
+        rs = rsys(name)
+        for word in _words(rs):
+            elems, _, leq, lengths, _, lower = _interval_tables(rs, word)
+            assert elems == absolute_interval(rs, word) == interval_by_filtering(rs, word)
+            assert leq == leq_rows_by_pairs(elems)
+            assert lengths == tuple(absolute_length(w) for w in elems)
+            for b, covered in enumerate(lower):
+                for a in covered:
+                    assert lengths[a] == lengths[b] - 1 and (leq[a] >> b) & 1
+
+
+def test_poset_masks_against_pairwise_oracle():
+    for name, k in ORACLE_CELLS:
+        rs = rsys(name)
+        for word in _words(rs):
+            leq = leq_rows_by_pairs(absolute_interval(rs, word))
+            poset = build_nc_poset(rs, k, word)
+            down = down_masks_by_pairs(poset.elements, poset.ranks, leq)
+            assert poset.down == down
+            for a, up in enumerate(poset.up):
+                for b in range(len(down)):
+                    assert bool((up >> b) & 1) == bool((down[b] >> a) & 1)
+
+
+def test_default_word_shares_one_cache_entry():
+    rs = rsys("B3")
+    assert enumerate_delta_sequences(rs, 2) is enumerate_delta_sequences(rs, 2, None)
+    assert build_nc_poset(rs, 2) is build_nc_poset(rs, 2, tuple(range(rs.n)))
+    assert m_triangle(rs, 2) is m_triangle(rs, 2, word=None)
 
 
 def test_delta_sequences_counted_by_fuss_catalan():
