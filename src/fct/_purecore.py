@@ -91,38 +91,45 @@ def clique_census(nbrs, nvert, n_neg):
     return counts, max_hist
 
 
-def _sum_contained(x, y, z, triples):
-    """(X + Y) intersected with the roots is contained in Z."""
-    for a, b, c in triples:
-        if not (z >> c) & 1:
-            if ((x >> a) & 1 and (y >> b) & 1) or ((x >> b) & 1 and (y >> a) & 1):
-                return False
-    return True
+def _sum_masks(triples):
+    """Memoised (X, Y) -> mask of (X + Y) intersected with the roots.
+
+    A chain search meets the same pairs of filters (and of their
+    complements) over and over, so each pair's sums are collected once
+    and every later sum condition is one AND.
+    """
+    memo = {}
+
+    def sums(x, y):
+        key = (x, y) if x <= y else (y, x)
+        out = memo.get(key)
+        if out is None:
+            out = 0
+            for a, b, c in triples:
+                if ((x >> a) & 1 and (y >> b) & 1) or ((x >> b) & 1 and (y >> a) & 1):
+                    out |= 1 << c
+            memo[key] = out
+        return out
+
+    return sums
 
 
-def _sum_avoids(x, y, z, triples):
-    """(X + Y) intersected with the roots avoids Z."""
-    for a, b, c in triples:
-        if (z >> c) & 1:
-            if ((x >> a) & 1 and (y >> b) & 1) or ((x >> b) & 1 and (y >> a) & 1):
-                return False
-    return True
-
-
-def _depth_ok(masks, full, m, triples):
-    """Incremental chain conditions that become checkable at depth m."""
+def _depth_ok(masks, full, m, sums):
+    """Incremental chain conditions that become checkable at depth m:
+    (I_i + I_j) lies in I_m and (J_i + J_j) avoids I_m for i + j = m."""
+    z = masks[m]
     for i in range(1, m // 2 + 1):
-        if not _sum_contained(masks[i], masks[m - i], masks[m], triples):
+        if sums(masks[i], masks[m - i]) & ~z:
             return False
-        if not _sum_avoids(full & ~masks[i], full & ~masks[m - i], masks[m], triples):
+        if sums(full & ~masks[i], full & ~masks[m - i]) & z:
             return False
     return True
 
 
-def _leaf_ok(masks, k, triples):
+def _leaf_ok(masks, k, sums):
     """Wrapped sum conditions: indices i + j = k + 1 with 2 <= i <= j < k."""
     for i in range(2, (k + 1) // 2 + 1):
-        if not _sum_contained(masks[i], masks[k + 1 - i], masks[k], triples):
+        if sums(masks[i], masks[k + 1 - i]) & ~masks[k]:
             return False
     return True
 
@@ -136,14 +143,15 @@ def nn_chains(filters, subs, triples, k, full):
     """
     out = []
     masks = [full] + [0] * k
+    sums = _sum_masks(triples)
 
     def descend(depth, cands):
         for f in cands:
             masks[depth] = filters[f]
-            if depth >= 2 and not _depth_ok(masks, full, depth, triples):
+            if depth >= 2 and not _depth_ok(masks, full, depth, sums):
                 continue
             if depth == k:
-                if _leaf_ok(masks, k, triples):
+                if _leaf_ok(masks, k, sums):
                     out.append(tuple(masks[1:]))
             else:
                 descend(depth + 1, subs[f])
@@ -165,6 +173,7 @@ def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
     """
     counts = {}
     masks = [full] + [0] * k
+    sums = _sum_masks(triples)
 
     def leaf():
         levels = [0] * nroots
@@ -190,10 +199,10 @@ def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
     def descend(depth, cands):
         for f in cands:
             masks[depth] = filters[f]
-            if depth >= 2 and not _depth_ok(masks, full, depth, triples):
+            if depth >= 2 and not _depth_ok(masks, full, depth, sums):
                 continue
             if depth == k:
-                if _leaf_ok(masks, k, triples):
+                if _leaf_ok(masks, k, sums):
                     leaf()
             else:
                 descend(depth + 1, subs[f])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import nonnesting
@@ -257,11 +258,20 @@ def regions_of(rs: RootSystem, k: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def wall_reports(rs: RootSystem, k: int) -> tuple:
+    """One WallReport per geometric chain, in `enumerate_chains` order.
+
+    Each region passes `region_from_chain`'s feasibility check before
+    its walls are computed.
+    """
+    return tuple(wall_report(region) for region in regions_of(rs, k))
+
+
 def ceilings_poly(rs: RootSystem, k: int) -> BivarPoly:
     """Sum of x^(number of colour-k ceilings) over bounded dominant regions."""
     coeffs = {}
-    for region in regions_of(rs, k):
-        report = wall_report(region)
+    for report in wall_reports(rs, k):
         if not report.bounded:
             continue
         d = report.coloured_ceiling_count(k)
@@ -275,9 +285,9 @@ def verify_phi(rs: RootSystem, k: int):
     Returns (True, None) or (False, first counterexample) where the
     counterexample records the chain levels and both floor sets.
     """
-    for chain in nonnesting.enumerate_chains(rs, k):
-        region = region_from_chain(chain)
-        floors = set(wall_report(region).floors)
+    chains = nonnesting.enumerate_chains(rs, k)
+    for chain, report in zip(chains, wall_reports(rs, k)):
+        floors = set(report.floors)
         expected = {
             (r, i)
             for i in range(1, k + 1)
@@ -285,7 +295,7 @@ def verify_phi(rs: RootSystem, k: int):
         }
         if floors != expected:
             return False, {
-                "levels": region.levels,
+                "levels": chain.levels(),
                 "floors": sorted(floors),
                 "indecomposables": sorted(expected),
             }
@@ -315,11 +325,11 @@ def verify_disjoint(rs: RootSystem, k: int):
 
 def regions_json(rs: RootSystem, k: int) -> list:
     out = []
-    for region in regions_of(rs, k):
-        report = wall_report(region)
+    chains = nonnesting.enumerate_chains(rs, k)
+    for chain, report in zip(chains, wall_reports(rs, k)):
         out.append(
             {
-                "levels": list(region.levels),
+                "levels": list(chain.levels()),
                 "walls": [list(w) for w in report.walls],
                 "floors": [list(w) for w in report.floors],
                 "ceilings": [list(w) for w in report.ceilings],

@@ -7,6 +7,13 @@ simplex becomes {z >= 0, c.z <= t} with c the highest root coefficient
 vector.  The walls are the n coordinate hyperplanes z_j = 0 and the cap
 c.z = t.  Counting points by the number of incident walls at t = kh+1
 reproduces the rank-k indecomposable census of the geometric chains.
+
+`count_by_walls` counts without listing the points: a dynamic program
+over the coordinates z_0, ..., z_{n-1} keeps, for each partial point,
+only c.z so far, the residue of adj(A^T) z modulo det A and the number
+of zero coordinates, and merges partial points that agree on all three.
+`count_by_faces` enumerates the points one at a time
+(`_lattice_points`), so the two routes check each other.
 """
 from __future__ import annotations
 
@@ -143,12 +150,25 @@ def count_by_walls(rs: RootSystem, t: int) -> WallIncidenceCount:
         raise UsageError("dilation must be nonnegative")
     model = simplex_model(rs)
     n = rs.n
+    det = model.det
+    # (c.z so far, adj(A^T) z mod det, zero coordinates) -> partial points
+    states = {(0, (0,) * n, 0): 1}
+    for j, cj in enumerate(model.c):
+        column = [row[j] for row in model.congruence_rows]
+        nxt = {}
+        for (level, residue, zeros), count in states.items():
+            for v in range((t - level) // cj + 1):
+                key = (
+                    level + v * cj,
+                    tuple((x + a * v) % det for x, a in zip(residue, column)),
+                    zeros + (v == 0),
+                )
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
     counts = [0] * (n + 2 if t == 0 else n + 1)
-    for z in _lattice_points(model, t):
-        hit = sum(1 for v in z if v == 0)
-        if sum(cv * zv for cv, zv in zip(model.c, z)) == t:
-            hit += 1
-        counts[hit] += 1
+    for (level, residue, zeros), count in states.items():
+        if not any(residue):
+            counts[zeros + (level == t)] += count
     return WallIncidenceCount(t, tuple(counts))
 
 

@@ -144,17 +144,6 @@ class DeltaSequence:
         return len(self.parts) - 1
 
 
-def _check_sequence(rs: RootSystem, seq: DeltaSequence, word: Word = None) -> None:
-    c = weyl.coxeter_element(rs, word)
-    prod = weyl.identity(rs)
-    for part in seq.parts:
-        prod = weyl.compose(prod, part)
-    if prod != c:
-        raise InternalInvariantError("delta sequence does not multiply to c")
-    if sum(p.length for p in seq.parts) != c.length:
-        raise InternalInvariantError("delta sequence lengths are not additive")
-
-
 @_cached_per_word
 def enumerate_delta_sequences(rs: RootSystem, k: int, word: Word = None) -> tuple:
     """All delta sequences, via multichains of partial products.
@@ -395,7 +384,13 @@ def narayana_number(rs: RootSystem, k: int, i: int, word: Word = None) -> int:
 def nc_json(rs: RootSystem, k: int) -> list:
     """Elements as reflection words per part, in poset element order."""
     poset = build_nc_poset(rs, k)
-    return [
-        [list(weyl.reflection_word(part)) for part in seq.parts]
-        for seq in poset.elements
-    ]
+    words = {}  # parts repeat across sequences; each word is built once
+    out = []
+    for seq in poset.elements:
+        row = []
+        for part in seq.parts:
+            if part not in words:
+                words[part] = list(weyl.reflection_word(part))
+            row.append(words[part])
+        out.append(row)
+    return out

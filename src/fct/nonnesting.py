@@ -202,25 +202,43 @@ def chain_statistics(rs: RootSystem, k: int) -> dict:
     )
 
 
-def max_decomposition_rank(chain: FilterChain, root_idx: int) -> int:
-    """Largest total of filter indices over decompositions of the root.
+def _decomposition_ranks(rs: RootSystem, levels) -> list:
+    """Entry r: the maximal decomposition rank of root r for the level
+    vector `levels`, for every root at once.
 
     The value is max(k_1 + ... + k_r) over all ways of writing the root
     as a sum of positive roots with the i-th summand in I_{k_i}, indices
-    drawn from {0..k}.  Computed by dynamic programming in height order;
-    the exhaustive search over flat decompositions gives the same value
-    (verified in the tests).
+    drawn from {0..k}.  Computed by dynamic programming in height order:
+    a root either stands alone or splits into two roots of smaller
+    height.
     """
-    rs = chain.rs
-    levels = chain.levels()
-    order = sorted(range(len(rs.positive_roots)), key=lambda r: rs.heights[r])
-    best = {}
-    for r in order:
-        v = levels[r]
+    best = list(levels)
+    for r in sorted(range(len(rs.positive_roots)), key=lambda r: rs.heights[r]):
         for a, b in rs.pair_lists[r]:
-            v = max(v, best[a] + best[b])
-        best[r] = v
-    return best[root_idx]
+            if best[a] + best[b] > best[r]:
+                best[r] = best[a] + best[b]
+    return best
+
+
+def max_decomposition_rank(chain: FilterChain, root_idx: int) -> int:
+    """Largest total of filter indices over decompositions of the root.
+
+    A lookup into the chain's `_decomposition_ranks`; the exhaustive
+    search over flat decompositions gives the same value (verified in
+    the tests).
+    """
+    return _decomposition_ranks(chain.rs, chain.levels())[root_idx]
+
+
+@lru_cache(maxsize=None)
+def _extensions(rs: RootSystem) -> tuple:
+    """Entry r: the pairs (beta, c) with root_r + root_beta = root_c."""
+    out = [[] for _ in rs.positive_roots]
+    for a, b, c in rs.sum_triples:
+        out[a].append((b, c))
+        if a != b:
+            out[b].append((a, c))
+    return tuple(tuple(x) for x in out)
 
 
 def indecomposables(chain: FilterChain, l: int) -> frozenset:
@@ -236,12 +254,10 @@ def indecomposables(chain: FilterChain, l: int) -> frozenset:
     if not 1 <= l <= k:
         raise UsageError("rank must lie in 1..k")
     levels = chain.levels()
-    idx = rs.root_index
+    best = _decomposition_ranks(rs, levels)
     out = []
-    for r, root in enumerate(rs.positive_roots):
-        if levels[r] < l:
-            continue
-        if max_decomposition_rank(chain, r) != l:
+    for r in range(len(rs.positive_roots)):
+        if levels[r] < l or best[r] != l:
             continue
         if any(
             min(levels[a], k) + min(levels[b], k) >= l
@@ -250,17 +266,10 @@ def indecomposables(chain: FilterChain, l: int) -> frozenset:
             # some split root_a + root_b with root_a in I_i, root_b in I_j,
             # i + j = l, indices within 0..k
             continue
-        ok = True
-        for beta_idx, beta in enumerate(rs.positive_roots):
-            total = tuple(x + y for x, y in zip(root, beta))
-            c = idx.get(total)
-            if c is None:
-                continue
-            t = max_decomposition_rank(chain, c)
-            if t <= k and levels[c] >= t and t - l > 0 and levels[beta_idx] < t - l:
-                ok = False
-                break
-        if ok:
+        if not any(
+            best[c] <= k and levels[c] >= best[c] > l and levels[beta] < best[c] - l
+            for beta, c in _extensions(rs)[r]
+        ):
             out.append(r)
     return frozenset(out)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InternalInvariantError, UsageError
 
@@ -349,7 +350,8 @@ class KFamily:
 
     Each coefficient is interpolated as a polynomial in k of degree at
     most ``degree_bound``; the fit must reproduce every supplied sample
-    exactly.
+    exactly.  The fit runs once per family, in ``fit``, and every
+    ``predict`` evaluates the stored coefficient polynomials.
     """
 
     samples: tuple  # tuple of (k, BivarPoly), k strictly increasing
@@ -366,7 +368,7 @@ class KFamily:
         fam.coefficient_polynomials  # force the fit and its verification
         return fam
 
-    @property
+    @cached_property
     def coefficient_polynomials(self) -> dict:
         monomials = set()
         for _, p in self.samples:

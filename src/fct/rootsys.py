@@ -354,18 +354,6 @@ class RootSystem:
             out[c].append((a, b))
         return tuple(tuple(x) for x in out)
 
-    @cached_property
-    def root_lengths(self) -> tuple:
-        """Squared length of each positive root, in the symmetrized form."""
-        G = [
-            [self.symmetrizer[i] * self.cartan[i][j] for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        out = []
-        for r in self.positive_roots:
-            out.append(sum(r[i] * G[i][j] * r[j] for i in range(self.n) for j in range(self.n)))
-        return tuple(out)
-
     def coroot_pairing(self, beta: Root, gamma: Root) -> int:
         """<gamma, coroot(beta)> = 2 (gamma, beta) / (beta, beta), an integer."""
         G = self.symmetrizer

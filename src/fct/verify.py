@@ -260,6 +260,8 @@ def verify_bij(rs: RootSystem, k: int) -> VerifyResult:
     parabolic chains with exact indecomposable bookkeeping."""
     _require_positive_k(k)
     chains = nonnesting.enumerate_chains(rs, k)
+    ranks = range(1, k + 1)
+    indec = {}  # chain -> its indecomposables of each rank, built once
     for a in range(rs.n):
         sub = parabolic(rs, a)
         embed = parabolic_root_embedding(rs, a)
@@ -282,9 +284,11 @@ def verify_bij(rs: RootSystem, k: int) -> VerifyResult:
                     {"simple": a, "reason": "round trip failed",
                      "levels": chain.levels()},
                 )
-            for l in range(1, k + 1):
+            if chain not in indec:
+                indec[chain] = [nonnesting.indecomposables(chain, l) for l in ranks]
+            for l, want in zip(ranks, indec[chain]):
                 got = {embed[r] for r in nonnesting.indecomposables(image, l)}
-                want = set(nonnesting.indecomposables(chain, l))
+                want = set(want)
                 if l == k:
                     want.discard(a)
                 if got != want:

@@ -226,3 +226,56 @@ def down_masks_by_pairs(elements, ranks, leq) -> tuple:
                 mask |= 1 << a
         out.append(mask)
     return tuple(out)
+
+
+def indecomposables_per_root(chain, l: int) -> frozenset:
+    """Rank-l indecomposables of a chain, rerunning the height-order
+    decomposition-rank program from scratch for every root it asks
+    about and finding each extension root_r + beta by vector lookup."""
+    rs = chain.rs
+    k = chain.k
+    levels = chain.levels()
+
+    def decomposition_rank(root_idx):
+        order = sorted(range(len(rs.positive_roots)), key=lambda r: rs.heights[r])
+        best = {}
+        for r in order:
+            v = levels[r]
+            for a, b in rs.pair_lists[r]:
+                v = max(v, best[a] + best[b])
+            best[r] = v
+        return best[root_idx]
+
+    out = []
+    for r, root in enumerate(rs.positive_roots):
+        if levels[r] < l or decomposition_rank(r) != l:
+            continue
+        if any(min(levels[a], k) + min(levels[b], k) >= l for a, b in rs.pair_lists[r]):
+            continue
+        ok = True
+        for beta_idx, beta in enumerate(rs.positive_roots):
+            c = rs.root_index.get(tuple(x + y for x, y in zip(root, beta)))
+            if c is None:
+                continue
+            t = decomposition_rank(c)
+            if t <= k and levels[c] >= t and t - l > 0 and levels[beta_idx] < t - l:
+                ok = False
+                break
+        if ok:
+            out.append(r)
+    return frozenset(out)
+
+
+def walls_by_enumeration(rs: RootSystem, t: int) -> tuple:
+    """Wall-incidence histogram of the t-dilated simplex, by listing
+    every lattice point and counting its zero coordinates and the cap."""
+    from fct.ehrhart import _lattice_points, simplex_model
+
+    model = simplex_model(rs)
+    counts = [0] * (rs.n + 2 if t == 0 else rs.n + 1)
+    for z in _lattice_points(model, t):
+        hit = sum(1 for v in z if v == 0)
+        if sum(cv * zv for cv, zv in zip(model.c, z)) == t:
+            hit += 1
+        counts[hit] += 1
+    return tuple(counts)

@@ -14,6 +14,7 @@ from fct.arrangement import (
     verify_disjoint,
     verify_phi,
     wall_report,
+    wall_reports,
 )
 from fct.errors import UsageError
 from fct.nonnesting import enumerate_chains, h_triangle, indecomposables
@@ -144,3 +145,38 @@ def test_floors_literally_match_indecomposables():
             expected = {(r, i) for r in indecomposables(ch, i)}
             got = {(r, c) for r, c in rep.floors if c == i}
             assert got == expected
+
+
+def test_wall_reports_built_once_per_cell(monkeypatch):
+    import fct.arrangement
+    from fct.verify import verify_ceil, verify_phi as run_phi, verify_pos
+
+    calls = [0]
+    fm = fct.arrangement.feasible
+
+    def counting_feasible(rows, n):
+        calls[0] += 1
+        return fm(rows, n)
+
+    monkeypatch.setattr(fct.arrangement, "feasible", counting_feasible)
+    rs = rsys("B3")
+    wall_reports.cache_clear()
+    wall_reports(rs, 2)
+    one_build = calls[0]
+    assert one_build > 0
+    wall_reports.cache_clear()
+    calls[0] = 0
+    for check in (verify_pos, verify_ceil, run_phi):
+        assert check(rs, 2).ok
+    assert calls[0] == one_build
+    wall_reports.cache_clear()
+
+
+def test_wall_reports_follow_chain_order():
+    for name, k in SMALL:
+        rs = rsys(name)
+        chains = enumerate_chains(rs, k)
+        reports = wall_reports(rs, k)
+        assert len(reports) == len(chains)
+        for ch, rep in zip(chains, reports):
+            assert rep == wall_report(region_from_chain(ch))

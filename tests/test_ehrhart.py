@@ -17,7 +17,7 @@ from fct.nonnesting import indecomposable_histogram
 from fct.rootsys import fuss_catalan_number
 
 from conftest import rsys
-from oracles import yspace_wall_histogram
+from oracles import walls_by_enumeration, yspace_wall_histogram
 
 PERIODS = {"A1": 2, "A2": 3, "B2": 2, "A3": 4, "B3": 4, "G2": 6, "F4": 12}
 QUASI_PERIODS = {"A1": 1, "A2": 1, "B2": 1, "A3": 1, "B3": 2, "G2": 1, "F4": 1}
@@ -50,6 +50,17 @@ def test_dilation_zero_origin_on_all_walls():
         assert wc.counts[rs.n + 1] == 1
     with pytest.raises(UsageError):
         count_by_walls(rsys("A2"), -1)
+
+
+def test_walls_dp_matches_point_enumeration():
+    # residue groups: A3 Z/4, D4 Z/2 x Z/2, B3 Z/2, A4 Z/5; G2, F4 trivial
+    for name in ["A3", "D4", "B3", "A4", "G2", "F4"]:
+        rs = rsys(name)
+        for t in range(2 * rs.coxeter_number + 2):
+            assert count_by_walls(rs, t).counts == walls_by_enumeration(rs, t), (
+                name,
+                t,
+            )
 
 
 def test_against_coweight_space_enumeration():

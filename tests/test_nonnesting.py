@@ -25,6 +25,7 @@ from oracles import (
     brute_filters,
     chain_root_sets,
     flat_decomposition_rank,
+    indecomposables_per_root,
 )
 
 CHAIN_COUNTS = {
@@ -113,6 +114,17 @@ def test_max_decomposition_rank_against_flat_search():
                 assert max_decomposition_rank(ch, r) == flat_decomposition_rank(
                     rs, levels, r
                 ), (name, k, r)
+
+
+def test_indecomposables_match_per_root_oracle():
+    for name in ["A3", "B3", "D4"]:
+        rs = rsys(name)
+        for k in (1, 2, 3):
+            for ch in enumerate_chains(rs, k):
+                for l in range(1, k + 1):
+                    assert indecomposables(ch, l) == indecomposables_per_root(ch, l), (
+                        name, k, ch.masks, l,
+                    )
 
 
 def test_census_matches_literal_indecomposables():

@@ -149,6 +149,27 @@ def test_kfamily_fit_and_predict():
     assert fam.predict(0) == BivarPoly({(1, 1): 1})
 
 
+def test_kfamily_fits_once(monkeypatch):
+    import fct.poly
+
+    calls = []
+    fit = fct.poly._lagrange_fit
+
+    def counting_fit(points):
+        calls.append(points)
+        return fit(points)
+
+    monkeypatch.setattr(fct.poly, "_lagrange_fit", counting_fit)
+    fam = KFamily.fit(
+        {k: BivarPoly({(0, 0): k * k, (1, 1): 2 * k + 1}) for k in (1, 2, 3, 4)},
+        degree_bound=2,
+    )
+    assert len(calls) == 2  # one fit per monomial
+    for k in range(-4, 10):
+        fam.predict(k)
+    assert len(calls) == 2
+
+
 def test_kfamily_rejects_bad_fits():
     with pytest.raises(UsageError):
         KFamily.fit({1: BivarPoly.one()}, degree_bound=1)
