@@ -1,22 +1,13 @@
 """Build script.
 
-The compiled core is optional: when Cython and a C compiler are available
-the extension fct._fastcore is built, otherwise the package falls back to
-the pure Python kernels in fct._purecore at import time.
+The compiled core fct._fastcore is built from the shipped C source
+src/fct/_fastcore.c, so Cython is not needed to install.  The extension
+is optional: without a C compiler the install still succeeds and the
+package falls back to the pure Python kernels in fct._purecore at import
+time.  After editing src/fct/_fastcore.pyx, regenerate the C source with
+`cythonize -3 src/fct/_fastcore.pyx`; tests/test_kernels.py checks that
+the two files agree.
 """
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    if os.path.exists("src/fct/_fastcore.pyx"):
-        ext = Extension("fct._fastcore", ["src/fct/_fastcore.pyx"], optional=True)
-        ext_modules = cythonize([ext], language_level="3")
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("fct._fastcore", ["src/fct/_fastcore.c"], optional=True)])

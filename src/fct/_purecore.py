@@ -37,29 +37,39 @@ def weyl_closure(gens, limit):
     return order
 
 
-def int_rank(mat):
-    """Rank of an integer matrix, by fraction-free Bareiss elimination."""
+def bareiss(mat):
+    """(rank, det) of an integer matrix, by fraction-free Bareiss elimination.
+
+    det is the determinant of a square matrix (1 for the empty one), with
+    the sign of the row swaps, and 0 for any other shape.
+    """
     m = [list(row) for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     rank = 0
+    sign = 1
     prev = 1
-    r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        pivot = next((i for i in range(rank, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        for i in range(rank + 1, rows):
             for j in range(c + 1, cols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
+                m[i][j] = (m[i][j] * m[rank][c] - m[i][c] * m[rank][j]) // prev
             m[i][c] = 0
-        prev = m[r][c]
-        r += 1
+        prev = m[rank][c]
         rank += 1
-        if r == rows:
+        if rank == rows:
             break
-    return rank
+    return rank, sign * prev if rank == rows == cols else 0
+
+
+def int_rank(mat):
+    """Rank of an integer matrix."""
+    return bareiss(mat)[0]
 
 
 def clique_census(nbrs, nvert, n_neg):
@@ -134,14 +144,14 @@ def _leaf_ok(masks, k, sums):
     return True
 
 
-def nn_chains(filters, subs, triples, k, full):
-    """All geometric chains of k nested filters, as tuples of bitmasks,
-    in lexicographic order of the mask tuples.
+def _walk_chains(filters, subs, triples, k, full, leaf):
+    """Depth-first descent through the nested chains of k >= 1 filters;
+    calls ``leaf(masks)`` on every geometric one, in lexicographic order
+    of the mask tuples, with masks[0] = full and masks[i] = I_i.
 
     ``filters`` must be sorted ascending; ``subs[f]`` lists the indices of
     the filters contained in filters[f], ascending.
     """
-    out = []
     masks = [full] + [0] * k
     sums = _sum_masks(triples)
 
@@ -152,14 +162,20 @@ def nn_chains(filters, subs, triples, k, full):
                 continue
             if depth == k:
                 if _leaf_ok(masks, k, sums):
-                    out.append(tuple(masks[1:]))
+                    leaf(masks)
             else:
                 descend(depth + 1, subs[f])
 
-    if k >= 1:
-        descend(1, range(len(filters)))
-    else:
-        out.append(())
+    descend(1, range(len(filters)))
+
+
+def nn_chains(filters, subs, triples, k, full):
+    """All geometric chains of k nested filters, as tuples of bitmasks,
+    in lexicographic order of the mask tuples."""
+    if k < 1:
+        return [()]
+    out = []
+    _walk_chains(filters, subs, triples, k, full, lambda masks: out.append(tuple(masks[1:])))
     return out
 
 
@@ -171,11 +187,11 @@ def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
     rank reduces to: the root lies in the last filter and no two-root
     decomposition root_a + root_b of it has level(a) + level(b) >= k.
     """
+    if k < 1:
+        return {(0, 0): 1}
     counts = {}
-    masks = [full] + [0] * k
-    sums = _sum_masks(triples)
 
-    def leaf():
+    def leaf(masks):
         levels = [0] * nroots
         for i in range(1, k + 1):
             m = masks[i]
@@ -196,19 +212,5 @@ def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
         key = (icnt, scnt)
         counts[key] = counts.get(key, 0) + 1
 
-    def descend(depth, cands):
-        for f in cands:
-            masks[depth] = filters[f]
-            if depth >= 2 and not _depth_ok(masks, full, depth, sums):
-                continue
-            if depth == k:
-                if _leaf_ok(masks, k, sums):
-                    leaf()
-            else:
-                descend(depth + 1, subs[f])
-
-    if k >= 1:
-        descend(1, range(len(filters)))
-    else:
-        counts[(0, 0)] = 1
+    _walk_chains(filters, subs, triples, k, full, leaf)
     return counts

@@ -94,9 +94,7 @@ def cmd_verify(args) -> int:
 def _applicable(identity: str, rs: RootSystem, k: int) -> bool:
     name = str(rs.typespec)
     small = rs.n <= 3 and k <= 2
-    if identity in ("k1", "dual"):
-        return k == 1
-    if identity == "recip":
+    if identity in ("k1", "dual", "recip"):
         return k == 1
     if identity == "lattice-nar":
         return name in LATTICE_TYPES and k <= 2

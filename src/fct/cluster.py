@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import kernels, weyl
 from .errors import InternalInvariantError, UsageError
-from .poly import BivarPoly, require_f_support
+from .poly import BivarPoly, h_from_f, require_f_support
 from .rootsys import RootSystem, support
 
 
@@ -69,13 +69,6 @@ def vertex_count(rs: RootSystem, k: int) -> int:
     return rs.n + k * len(rs.positive_roots)
 
 
-def vertex_name(rs: RootSystem, k: int, v: int) -> str:
-    if v < rs.n:
-        return f"-s{v}"
-    r, c = divmod(v - rs.n, k)
-    return f"r{r}({c + 1})"
-
-
 @lru_cache(maxsize=None)
 def colored_rotation(rs: RootSystem, k: int, flip: bool = False) -> tuple:
     """Permutation table of the rotation on all coloured vertices.
@@ -107,13 +100,6 @@ def colored_rotation(rs: RootSystem, k: int, flip: bool = False) -> tuple:
     if image != list(range(len(out))):
         raise InternalInvariantError("coloured rotation is not a bijection")
     return tuple(out)
-
-
-def _vertex_root(rs: RootSystem, k: int, v: int) -> int:
-    """Signed encoding of a vertex's underlying almost positive root."""
-    if v < rs.n:
-        return -(v + 1)
-    return (v - rs.n) // k
 
 
 def compatible(rs: RootSystem, k: int, u: int, v: int, flip: bool = False) -> bool:
@@ -182,22 +168,6 @@ def build_complex(rs: RootSystem, k: int, flip: bool = False) -> ClusterComplex:
     return ClusterComplex(rs, k, counts, max_hist)
 
 
-def enumerate_faces(rs: RootSystem, k: int) -> tuple:
-    """All faces as sorted vertex tuples, lexicographically ordered."""
-    masks = compat_masks(rs, k)
-    nv = len(masks)
-    out = []
-
-    def visit(face, ext, start):
-        out.append(face)
-        for v in range(start, nv):
-            if (ext >> v) & 1:
-                visit(face + (v,), ext & masks[v], v + 1)
-
-    visit((), (1 << nv) - 1 if nv else 0, 0)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def f_triangle(rs: RootSystem, k: int, flip: bool = False) -> BivarPoly:
     """Face counts by (coloured positive roots, negative simple roots)."""
@@ -208,47 +178,24 @@ def f_triangle(rs: RootSystem, k: int, flip: bool = False) -> BivarPoly:
 
 
 def h_vector(rs: RootSystem, k: int) -> tuple:
-    """Coefficients h_0..h_n with sum h_i x^(n-i) = sum f_lm (x-1)^(n-l-m)."""
+    """Coefficients h_0..h_n with sum h_i x^(n-i) = H(x, 1) = sum f_lm (x-1)^(n-l-m)."""
     n = rs.n
-    f = f_triangle(rs, k)
-    acc = [0] * (n + 1)
-    for (l, m), c in f.coeffs.items():
-        shifted = _x_minus_one_power(n - l - m)
-        for d, b in enumerate(shifted):
-            acc[d] += c * b
-    return tuple(acc[n - i] for i in range(n + 1))
+    h = h_from_f(f_triangle(rs, k), n).substitute_y(1)
+    return tuple(h.coeff(n - i, 0) for i in range(n + 1))
 
 
 def positive_h_vector(rs: RootSystem, k: int) -> tuple:
     """Same expansion restricted to faces without negative simple roots."""
     n = rs.n
-    f = f_triangle(rs, k)
-    acc = [0] * (n + 1)
-    for (l, m), c in f.coeffs.items():
-        if m:
-            continue
-        shifted = _x_minus_one_power(n - l)
-        for d, b in enumerate(shifted):
-            acc[d] += c * b
-    return tuple(acc[n - i] for i in range(n + 1))
+    hp = positive_h_poly(rs, k)
+    return tuple(hp.coeff(n - i, 0) for i in range(n + 1))
 
 
 def positive_h_poly(rs: RootSystem, k: int) -> BivarPoly:
     """The polynomial sum_i h+_i x^(n-i), carried in the x variable."""
-    hp = positive_h_vector(rs, k)
-    n = rs.n
-    return BivarPoly({(n - i, 0): hi for i, hi in enumerate(hp) if hi})
-
-
-def _x_minus_one_power(e: int) -> list:
-    """Ascending coefficients of (x-1)^e."""
-    out = [1]
-    for _ in range(e):
-        out = [
-            (out[d - 1] if d else 0) - (out[d] if d < len(out) else 0)
-            for d in range(len(out) + 1)
-        ]
-    return out
+    f = f_triangle(rs, k)
+    positive = BivarPoly({(l, m): c for (l, m), c in f.coeffs.items() if not m})
+    return h_from_f(positive, rs.n).substitute_y(1)
 
 
 def fnumbers_json(rs: RootSystem, k: int) -> dict:

@@ -22,33 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from ._purecore import bareiss
 from .errors import UsageError
 from .poly import _lagrange_fit, _poly_eval
 from .rootsys import RootSystem
-
-
-def _int_det(mat) -> int:
-    """Determinant of a small integer matrix, by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            for s in range(col + 1, n):
-                a[r][s] = (a[r][s] * pivot - a[r][col] * a[col][s]) // prev
-            a[r][col] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def _adjugate(mat) -> list:
@@ -62,7 +39,7 @@ def _adjugate(mat) -> list:
                 for r in range(n)
                 if r != j
             ]
-            out[i][j] = (-1) ** (i + j) * _int_det(minor)
+            out[i][j] = (-1) ** (i + j) * bareiss(minor)[1]
     return out
 
 
@@ -93,7 +70,7 @@ def simplex_model(rs: RootSystem) -> SimplexModel:
     n = rs.n
     at = tuple(tuple(rs.cartan[j][i] for j in range(n)) for i in range(n))
     c = rs.positive_roots[rs.highest_roots[0]]
-    det = _int_det(at)
+    det = bareiss(at)[1]
     if det <= 0:
         raise UsageError("Cartan matrix must have positive determinant")
     adj = _adjugate(at)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
-from .errors import InternalInvariantError, ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError
 from .poly import BivarPoly, require_h_support
 from .rootsys import (
     RootSystem,
-    build_root_system,
     filter_mask,
     parabolic,
     parabolic_root_embedding,
@@ -52,18 +51,6 @@ class FilterChain:
         if i <= 0:
             return (1 << len(self.rs.positive_roots)) - 1
         return self.masks[min(i, self.k) - 1]
-
-    def filter_at(self, i: int) -> frozenset:
-        m = self.mask_at(i)
-        return frozenset(
-            r for idx, r in enumerate(self.rs.positive_roots) if (m >> idx) & 1
-        )
-
-    def complement_at(self, i: int) -> frozenset:
-        m = self.mask_at(i)
-        return frozenset(
-            r for idx, r in enumerate(self.rs.positive_roots) if not (m >> idx) & 1
-        )
 
     def levels(self) -> tuple:
         """For each root index, the largest i <= k with the root in I_i."""
@@ -112,16 +99,6 @@ def enumerate_filters(rs: RootSystem) -> tuple:
     return tuple(sorted(out))
 
 
-def is_filter(rs: RootSystem, mask: int) -> bool:
-    for r_idx, r in enumerate(rs.positive_roots):
-        if (mask >> r_idx) & 1:
-            continue
-        for s_idx, s in enumerate(rs.positive_roots):
-            if (mask >> s_idx) & 1 and all(x <= y for x, y in zip(s, r)):
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _subfilters(rs: RootSystem) -> tuple:
     """Entry f: ascending indices of the filters contained in filter f."""
@@ -142,32 +119,6 @@ def _chain_data(rs: RootSystem, k: int):
     subs = ((),) * len(filters) if k == 1 else _subfilters(rs)
     full = (1 << len(rs.positive_roots)) - 1
     return filters, subs, full
-
-
-def is_geometric(chain: FilterChain) -> bool:
-    """Literal evaluation of both displayed conditions on all index pairs."""
-    rs = chain.rs
-    k = chain.k
-    triples = rs.sum_triples
-    full = (1 << len(rs.positive_roots)) - 1
-    for i in range(0, k + 1):
-        for j in range(0, k + 1):
-            x, y = chain.mask_at(i), chain.mask_at(j)
-            z = chain.mask_at(min(i + j, k))
-            for a, b, c in triples:
-                if not (z >> c) & 1:
-                    if ((x >> a) & 1 and (y >> b) & 1) or ((x >> b) & 1 and (y >> a) & 1):
-                        return False
-            if i + j <= k:
-                jx, jy = full & ~x, full & ~y
-                jz = chain.mask_at(i + j)
-                for a, b, c in triples:
-                    if (jz >> c) & 1:
-                        if ((jx >> a) & 1 and (jy >> b) & 1) or (
-                            (jx >> b) & 1 and (jy >> a) & 1
-                        ):
-                            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -218,16 +169,6 @@ def _decomposition_ranks(rs: RootSystem, levels) -> list:
             if best[a] + best[b] > best[r]:
                 best[r] = best[a] + best[b]
     return best
-
-
-def max_decomposition_rank(chain: FilterChain, root_idx: int) -> int:
-    """Largest total of filter indices over decompositions of the root.
-
-    A lookup into the chain's `_decomposition_ranks`; the exhaustive
-    search over flat decompositions gives the same value (verified in
-    the tests).
-    """
-    return _decomposition_ranks(chain.rs, chain.levels())[root_idx]
 
 
 @lru_cache(maxsize=None)

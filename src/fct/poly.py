@@ -95,24 +95,7 @@ class BivarPoly:
         return f"BivarPoly({self.coeffs!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
-            mono = ("" if i == 0 else "x" if i == 1 else f"x^{i}") + (
-                "" if j == 0 else "y" if j == 1 else f"y^{j}"
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append(f"{c}{mono}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return self._format("x", "y", "{}^{}")
 
     def coeff(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)
@@ -132,9 +115,6 @@ class BivarPoly:
         """Partial derivative with respect to y."""
         return BivarPoly({(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j})
 
-    def xdeg(self) -> int:
-        return max((i for i, _ in self.coeffs), default=0)
-
     def monomial_list(self) -> list:
         """Sorted [xdeg, ydeg, coefficient] rows, the canonical wire form."""
         return [[i, j, self.coeffs[(i, j)]] for (i, j) in sorted(self.coeffs)]
@@ -144,16 +124,19 @@ class BivarPoly:
         return cls({(int(i), int(j)): int(c) for i, j, c in rows})
 
     def latex(self, var1: str = "x", var2: str = "y") -> str:
+        return self._format(var1, var2, "{}^{{{}}}")
+
+    def _format(self, var1: str, var2: str, power: str) -> str:
+        """Terms in ascending monomial order; ``power`` spells v^e for e >= 2."""
         if not self.coeffs:
             return "0"
         parts = []
         for (i, j) in sorted(self.coeffs):
             c = self.coeffs[(i, j)]
-            mono = ""
-            if i:
-                mono += var1 if i == 1 else f"{var1}^{{{i}}}"
-            if j:
-                mono += var2 if j == 1 else f"{var2}^{{{j}}}"
+            mono = "".join(
+                "" if e == 0 else v if e == 1 else power.format(v, e)
+                for v, e in ((var1, i), (var2, j))
+            )
             if not mono:
                 parts.append(str(c))
             elif c == 1:
@@ -191,129 +174,106 @@ _ONEMX = _ONE - _X  # 1 - x
 _U = _ONE + (_Y - _ONE) * _X  # 1 + (y - 1) x
 
 
+def _substitute(p: BivarPoly, image) -> BivarPoly:
+    """Sum of c * image(i, j) over the monomials c x^i y^j of p."""
+    out = {}
+    for (i, j), c in p.coeffs.items():
+        for key, v in image(i, j).coeffs.items():
+            out[key] = out.get(key, 0) + c * v
+    return BivarPoly(out)
+
+
+def _require_degree(p: BivarPoly, n: int, degree: int, name: str) -> None:
+    """Exponent number ``degree`` (0 for x, 1 for y) is at most n throughout."""
+    if any(mono[degree] > n for mono in p.coeffs):
+        raise UsageError(f"{name}-triangle degree exceeds rank")
+
+
 def h_from_f(f: BivarPoly, n: int) -> BivarPoly:
     """H(x, y) = (x-1)^n F(1/(x-1), (1 + (y-1)x)/(x-1))."""
     require_f_support(f, n)
-    out = BivarPoly.zero()
-    for (l, m), c in f.coeffs.items():
-        out = out + c * (_U**m) * (_XM1 ** (n - l - m))
-    return out
+    return _substitute(f, lambda l, m: _U**m * _XM1 ** (n - l - m))
 
 
 def h_from_m(m: BivarPoly, n: int) -> BivarPoly:
     """H(x, y) = (1 + (y-1)x)^n M(y/(y-1), (y-1)x/(1 + (y-1)x))."""
     require_m_support(m)
-    out = BivarPoly.zero()
-    for (a, b), c in m.coeffs.items():
-        if b > n:
-            raise UsageError("M-triangle degree exceeds rank")
-        out = out + c * (_Y**a) * ((_Y - _ONE) ** (b - a)) * (_X**b) * (_U ** (n - b))
-    return out
+    _require_degree(m, n, 1, "M")
+    return _substitute(
+        m, lambda a, b: _Y**a * (_Y - _ONE) ** (b - a) * _X**b * _U ** (n - b)
+    )
 
 
 def f_from_m(m: BivarPoly, n: int) -> BivarPoly:
     """F(x, y) = y^n M((1+y)/(y-x), (y-x)/y)."""
     require_m_support(m)
-    out = BivarPoly.zero()
-    for (a, b), c in m.coeffs.items():
-        if b > n:
-            raise UsageError("M-triangle degree exceeds rank")
-        out = out + c * ((_ONE + _Y) ** a) * ((_Y - _X) ** (b - a)) * (_Y ** (n - b))
-    return out
+    _require_degree(m, n, 1, "M")
+    return _substitute(
+        m, lambda a, b: (_ONE + _Y) ** a * (_Y - _X) ** (b - a) * _Y ** (n - b)
+    )
 
 
 def m_from_h(h: BivarPoly, n: int) -> BivarPoly:
     """M(x, y) = (1-y)^n H(y(x-1)/(1-y), x/(x-1)); inverse of h_from_m."""
     require_h_support(h)
-    one_my = _ONE - _Y
-    out = BivarPoly.zero()
-    for (i, j), c in h.coeffs.items():
-        if i > n:
-            raise UsageError("H-triangle degree exceeds rank")
-        out = out + c * (_Y**i) * (_X**j) * (_XM1 ** (i - j)) * (one_my ** (n - i))
-    return out
+    _require_degree(h, n, 0, "H")
+    return _substitute(
+        h, lambda i, j: _Y**i * _X**j * _XM1 ** (i - j) * (_ONE - _Y) ** (n - i)
+    )
 
 
 def h_from_f_k1(f: BivarPoly, n: int) -> BivarPoly:
     """The k = 1 alternative form H(x, y) = (1-x)^n F(x/(1-x), xy/(1-x))."""
     require_f_support(f, n)
-    out = BivarPoly.zero()
-    for (l, m), c in f.coeffs.items():
-        out = out + c * (_X ** (l + m)) * (_Y**m) * (_ONEMX ** (n - l - m))
-    return out
+    return _substitute(f, lambda l, m: _X ** (l + m) * _Y**m * _ONEMX ** (n - l - m))
 
 
 def f_self_dual_image(f: BivarPoly, n: int) -> BivarPoly:
     """(-1)^n F(-1-x, -1-y), which equals F at k = 1."""
-    mxm1 = -_ONE - _X
-    mym1 = -_ONE - _Y
-    out = BivarPoly.zero()
-    for (l, m), c in f.coeffs.items():
-        out = out + c * (mxm1**l) * (mym1**m)
-    return out * (-1) ** n
+    return _substitute(f, lambda l, m: (-_ONE - _X) ** l * (-_ONE - _Y) ** m) * (-1) ** n
 
 
 def h_reciprocal_image(h: BivarPoly, n: int) -> BivarPoly:
     """(-1)^n H(1-x, -xy/(1-x)); maps H at -k onto H at k."""
     require_h_support(h)
-    out = BivarPoly.zero()
-    for (i, j), c in h.coeffs.items():
-        out = out + c * (_ONEMX ** (i - j)) * ((-_X * _Y) ** j)
-    return out * (-1) ** n
+    return _substitute(h, lambda i, j: _ONEMX ** (i - j) * (-_X * _Y) ** j) * (-1) ** n
 
 
 def m_reciprocal_image(m: BivarPoly, n: int) -> BivarPoly:
     """y^n M(xy, 1/y); maps M at -k onto M at k."""
     require_m_support(m)
-    out = BivarPoly.zero()
-    for (a, b), c in m.coeffs.items():
-        if b > n:
-            raise UsageError("M-triangle degree exceeds rank")
-        out = out + c * (_X**a) * (_Y ** (n + a - b))
-    return out
+    _require_degree(m, n, 1, "M")
+    return _substitute(m, lambda a, b: BivarPoly.monomial(a, n + a - b))
 
 
 def h_dual_image(h: BivarPoly, n: int) -> BivarPoly:
     """x^n H(1/x, 1 + (y-1)x); equals H at k = 1."""
     require_h_support(h)
-    out = BivarPoly.zero()
-    for (i, j), c in h.coeffs.items():
-        if i > n:
-            raise UsageError("H-triangle degree exceeds rank")
-        out = out + c * (_X ** (n - i)) * (_U**j)
-    return out
+    _require_degree(h, n, 0, "H")
+    return _substitute(h, lambda i, j: _X ** (n - i) * _U**j)
 
 
 def f_from_h_k1(h: BivarPoly, n: int) -> BivarPoly:
     """F(x, y) = x^n H((x+1)/x, (y+1)/(x+1)) at k = 1."""
     require_h_support(h)
-    out = BivarPoly.zero()
-    for (i, j), c in h.coeffs.items():
-        if i > n:
-            raise UsageError("H-triangle degree exceeds rank")
-        out = out + c * ((_X + _ONE) ** (i - j)) * ((_Y + _ONE) ** j) * (_X ** (n - i))
-    return out
+    _require_degree(h, n, 0, "H")
+    return _substitute(
+        h, lambda i, j: (_X + _ONE) ** (i - j) * (_Y + _ONE) ** j * _X ** (n - i)
+    )
 
 
 def ceiling_specialization(h: BivarPoly) -> BivarPoly:
     """H(x, 1 - 1/x), a polynomial in x thanks to the support condition."""
     require_h_support(h)
-    out = BivarPoly.zero()
-    for (i, j), c in h.coeffs.items():
-        out = out + c * (_X ** (i - j)) * (_XM1**j)
-    return out
+    return _substitute(h, lambda i, j: _X ** (i - j) * _XM1**j)
 
 
 def bottom_specialization(h: BivarPoly, n: int) -> BivarPoly:
     """x^n H(1/x, 0), a polynomial in x."""
     require_h_support(h)
-    out = BivarPoly.zero()
-    for (i, j), c in h.coeffs.items():
-        if j == 0:
-            if i > n:
-                raise UsageError("H-triangle degree exceeds rank")
-            out = out + c * (_X ** (n - i))
-    return out
+    bottom = BivarPoly({(i, j): c for (i, j), c in h.coeffs.items() if j == 0})
+    _require_degree(bottom, n, 0, "H")
+    return _substitute(bottom, lambda i, j: BivarPoly.monomial(n - i, 0))
 
 
 def _lagrange_fit(points) -> tuple:

@@ -17,7 +17,6 @@ frozenset({0, 1})
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -385,14 +384,6 @@ def filter_mask(rs: RootSystem, a: int) -> int:
         if root_leq(rs, alpha, r):
             m |= 1 << i
     return m
-
-
-def filter_generated(rs: RootSystem, a: int) -> frozenset:
-    """The set of roots above the a-th simple root in the root poset."""
-    if not 0 <= a < rs.n:
-        raise UsageError(f"simple root index {a} out of range")
-    alpha = rs.positive_roots[a]
-    return frozenset(r for r in rs.positive_roots if root_leq(rs, alpha, r))
 
 
 def _classify_component(sub) -> tuple:

@@ -56,10 +56,6 @@ class GroupElement:
         ]
         return kernels.int_rank(m)
 
-    def apply_signed(self, s: int) -> int:
-        """Image of a signed 1-based root index."""
-        return self.img[s - 1] if s > 0 else -self.img[-s - 1]
-
     def apply_root(self, root) -> tuple:
         """Image of a coefficient vector (any integer combination of roots)."""
         n = self.rs.n

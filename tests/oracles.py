@@ -279,3 +279,70 @@ def walls_by_enumeration(rs: RootSystem, t: int) -> tuple:
             hit += 1
         counts[hit] += 1
     return tuple(counts)
+
+
+def is_filter(rs: RootSystem, mask: int) -> bool:
+    """Upward closure of a root-index bitmask, by testing every pair."""
+    for r_idx, r in enumerate(rs.positive_roots):
+        if (mask >> r_idx) & 1:
+            continue
+        for s_idx, s in enumerate(rs.positive_roots):
+            if (mask >> s_idx) & 1 and all(x <= y for x, y in zip(s, r)):
+                return False
+    return True
+
+
+def is_geometric(chain) -> bool:
+    """Literal evaluation of both chain conditions on all index pairs,
+    with the bitmasks of the chain's filters."""
+    rs = chain.rs
+    k = chain.k
+    triples = rs.sum_triples
+    full = (1 << len(rs.positive_roots)) - 1
+    for i in range(0, k + 1):
+        for j in range(0, k + 1):
+            x, y = chain.mask_at(i), chain.mask_at(j)
+            z = chain.mask_at(min(i + j, k))
+            for a, b, c in triples:
+                if not (z >> c) & 1:
+                    if ((x >> a) & 1 and (y >> b) & 1) or ((x >> b) & 1 and (y >> a) & 1):
+                        return False
+            if i + j <= k:
+                jx, jy = full & ~x, full & ~y
+                jz = chain.mask_at(i + j)
+                for a, b, c in triples:
+                    if (jz >> c) & 1:
+                        if ((jx >> a) & 1 and (jy >> b) & 1) or (
+                            (jx >> b) & 1 and (jy >> a) & 1
+                        ):
+                            return False
+    return True
+
+
+def enumerate_faces(rs: RootSystem, k: int) -> tuple:
+    """All cliques of the compatibility graph as sorted vertex tuples,
+    lexicographically ordered, by a walk that lists every face."""
+    from fct.cluster import compat_masks
+
+    masks = compat_masks(rs, k)
+    nv = len(masks)
+    out = []
+
+    def visit(face, ext, start):
+        out.append(face)
+        for v in range(start, nv):
+            if (ext >> v) & 1:
+                visit(face + (v,), ext & masks[v], v + 1)
+
+    visit((), (1 << nv) - 1 if nv else 0, 0)
+    return tuple(out)
+
+
+def filter_generated(rs: RootSystem, a: int) -> frozenset:
+    """The set of roots r above the a-th simple root alpha in the root
+    poset, as the roots whose difference r - alpha has no negative
+    coordinate."""
+    alpha = rs.positive_roots[a]
+    return frozenset(
+        r for r in rs.positive_roots if min(y - x for x, y in zip(alpha, r)) >= 0
+    )

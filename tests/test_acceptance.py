@@ -7,6 +7,7 @@ reads as a checklist.
 import itertools
 
 from conftest import rsys
+from oracles import enumerate_faces, is_filter, is_geometric
 
 from fct import arrangement, cluster, ehrhart, nonnesting, noncrossing, verify
 from fct.poly import (
@@ -122,10 +123,10 @@ def test_acceptance_8_structural_suites():
     for name, k in ARRANGEMENT_GRID + [("D4", 1), ("F4", 1)]:
         rs = rsys(name)
         for chain in nonnesting.enumerate_chains(rs, k):
-            assert nonnesting.is_geometric(chain)
+            assert is_geometric(chain)
             masks = (chain.mask_at(0),) + chain.masks
             assert all(a | b == a for a, b in zip(masks, masks[1:]))
-            assert all(nonnesting.is_filter(rs, m) for m in chain.masks)
+            assert all(is_filter(rs, m) for m in chain.masks)
 
     for name, k in GRID:
         rs = rsys(name)
@@ -137,7 +138,7 @@ def test_acceptance_8_structural_suites():
     # flag-ness: every pairwise compatible set is a face
     for name, k in (("A1", 3), ("A2", 2), ("B2", 2)):
         rs = rsys(name)
-        faces = set(cluster.enumerate_faces(rs, k))
+        faces = set(enumerate_faces(rs, k))
         masks = cluster.compat_masks(rs, k)
         nv = cluster.vertex_count(rs, k)
         for size in range(rs.n + 1):

@@ -5,7 +5,6 @@ from fct.cluster import (
     colored_rotation,
     compat_masks,
     compatible,
-    enumerate_faces,
     f_triangle,
     full_rotation,
     h_vector,
@@ -19,6 +18,7 @@ from fct.poly import BivarPoly
 from fct.rootsys import fuss_catalan_number
 
 from conftest import rsys
+from oracles import enumerate_faces
 
 GRID = [("A1", 3), ("A2", 1), ("A2", 2), ("B2", 2), ("A3", 2), ("G2", 2), ("B3", 1)]
 

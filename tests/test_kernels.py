@@ -1,9 +1,11 @@
 """Kernel tests that need only the pure core; tests/test_kernels_compiled.py
 compares the pure and compiled cores."""
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,49 @@ def test_int_rank_matches_fraction_elimination(mat):
     assert kernels.int_rank(mat) == expected
 
 
+def fraction_det(mat):
+    rows = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+square_matrices = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=150)
+@given(square_matrices)
+def test_bareiss_det_matches_fraction_elimination(mat):
+    rank, det = _purecore.bareiss(mat)
+    assert det == fraction_det(mat)
+    assert rank == fraction_rank(mat)
+
+
+def test_bareiss_det_row_swaps():
+    assert _purecore.bareiss([[0, 1], [1, 0]]) == (2, -1)
+    assert _purecore.bareiss([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == (3, -30)
+    assert _purecore.bareiss([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == (3, 1)
+    assert _purecore.bareiss([]) == (0, 1)
+    assert _purecore.bareiss([[1, 2], [2, 4]]) == (1, 0)
+    assert _purecore.bareiss([[1, 2, 3], [4, 5, 6]]) == (2, 0)
+
+
 def test_int_rank_degenerate():
     assert kernels.int_rank([[0, 0], [0, 0]]) == 0
     assert kernels.int_rank([[1]]) == 1
@@ -109,3 +154,27 @@ def k1_subfilter_lists_unused(core):
 
 def test_k1_chain_data_pure_core():
     k1_subfilter_lists_unused(_purecore)
+
+
+def test_shipped_c_matches_pyx():
+    """Every source line the generated _fastcore.c quotes from
+    _fastcore.pyx (the line Cython marks with "# <<<<<<<<<<<<<<" under a
+    '/* "fct/_fastcore.pyx":N' header) equals line N of the .pyx."""
+    src = Path(__file__).resolve().parents[1] / "src" / "fct"
+    c_lines = (src / "_fastcore.c").read_text().splitlines()
+    pyx_lines = (src / "_fastcore.pyx").read_text().splitlines()
+    marker = "# <<<<<<<<<<<<<<"
+    quoted = 0
+    for at, line in enumerate(c_lines):
+        header = re.fullmatch(r'\s*/\* "fct/_fastcore\.pyx":(\d+)', line)
+        if header is None:
+            continue
+        n = int(header.group(1))
+        body = at + 1
+        while marker not in c_lines[body]:
+            assert c_lines[body].startswith(" * "), (at, c_lines[body])
+            body += 1
+        text = c_lines[body][3:].split(marker)[0].rstrip()
+        assert text == pyx_lines[n - 1].rstrip(), (n, text)
+        quoted += 1
+    assert quoted > 300

@@ -8,10 +8,13 @@ from fct.poly import (
     KFamily,
     bottom_specialization,
     ceiling_specialization,
+    f_from_h_k1,
     f_from_m,
+    h_dual_image,
     h_from_f,
     h_from_m,
     m_from_h,
+    m_reciprocal_image,
     require_f_support,
     require_h_support,
     require_m_support,
@@ -93,6 +96,31 @@ def test_latex_format():
     assert "x^{2}" in text and "-" in text and "4" in text
 
 
+MIXED = BivarPoly({
+    (0, 0): -2, (0, 1): -1, (0, 3): 5, (1, 0): 1,
+    (1, 1): -3, (2, 0): -1, (2, 3): 7, (3, 2): 1,
+})
+
+
+def test_str_bytes():
+    assert str(MIXED) == "-2 - y + 5y^3 + x - 3xy - x^2 + 7x^2y^3 + x^3y^2"
+    assert str(BivarPoly({(0, 0): -1, (1, 0): -1})) == "-1 - x"
+    assert str(BivarPoly({(0, 0): 1, (0, 2): 1})) == "1 + y^2"
+    assert str(BivarPoly({(4, 0): -12})) == "-12x^4"
+
+
+def test_latex_bytes():
+    assert MIXED.latex() == (
+        "-2 - y + 5y^{3} + x - 3xy - x^{2} + 7x^{2}y^{3} + x^{3}y^{2}"
+    )
+    assert MIXED.latex("q", "t") == (
+        "-2 - t + 5t^{3} + q - 3qt - q^{2} + 7q^{2}t^{3} + q^{3}t^{2}"
+    )
+    assert BivarPoly({(0, 0): -1, (0, 1): -1}).latex("q", "t") == "-1 - t"
+    assert BivarPoly({(12, 0): 1}).latex() == "x^{12}"
+    assert BivarPoly.zero().latex("q", "t") == "0"
+
+
 def test_support_validators():
     require_h_support(BivarPoly({(2, 1): 1}))
     with pytest.raises(UsageError):
@@ -129,6 +157,39 @@ def test_transform_triangle_commutes(h):
     f = f_from_m(m, 3)
     require_f_support(f, 3)
     assert h_from_f(f, 3) == h
+
+
+@pytest.mark.parametrize(
+    "transform, support, too_high",
+    [
+        (h_from_m, "M", BivarPoly({(0, 3): 1})),
+        (f_from_m, "M", BivarPoly({(1, 3): 1})),
+        (m_reciprocal_image, "M", BivarPoly({(2, 3): 1})),
+        (m_from_h, "H", BivarPoly({(3, 0): 1})),
+        (h_dual_image, "H", BivarPoly({(3, 1): 1})),
+        (f_from_h_k1, "H", BivarPoly({(3, 3): 1})),
+    ],
+)
+def test_transform_rank_check(transform, support, too_high):
+    with pytest.raises(UsageError, match=f"^{support}-triangle degree exceeds rank$"):
+        transform(too_high + BivarPoly.one(), 2)
+    transform(too_high, 3)  # degree equal to the rank is allowed
+
+
+def m_polys(n):
+    """Random polynomials with the M support condition and ydeg <= n."""
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=n), st.integers(min_value=0, max_value=n)
+    ).map(lambda t: (min(t), max(t)))
+    return st.dictionaries(pairs, coeff, max_size=5).map(BivarPoly)
+
+
+@settings(max_examples=60)
+@given(m_polys(3))
+def test_m_reciprocal_image_is_involution(m):
+    image = m_reciprocal_image(m, 3)
+    require_m_support(image)
+    assert m_reciprocal_image(image, 3) == m
 
 
 def test_specializations_micro():

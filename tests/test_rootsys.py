@@ -5,7 +5,6 @@ from fct.rootsys import (
     TypeSpec,
     build_root_system,
     degrees,
-    filter_generated,
     filter_mask,
     fuss_catalan_number,
     irreducible_factors,
@@ -16,6 +15,7 @@ from fct.rootsys import (
 )
 
 from conftest import rsys
+from oracles import filter_generated
 
 POSITIVE_COUNTS = {
     "A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9,
