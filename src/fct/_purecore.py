@@ -1,10 +1,10 @@
 """Pure Python compute kernels.
 
 These are the reference implementations of the hot loops; fct._fastcore
-provides compiled equivalents with identical observable behaviour.  The
-pure versions accept arbitrary sizes (bitmasks are plain integers), the
-compiled ones are limited to machine words and are selected per call in
-fct.kernels.
+provides compiled equivalents with identical observable behaviour for
+every kernel but nn_census_family (see fct.kernels).  The pure versions
+accept arbitrary sizes (bitmasks are plain integers), the compiled ones
+are limited to machine words and are selected per call in fct.kernels.
 """
 from __future__ import annotations
 
@@ -101,72 +101,109 @@ def clique_census(nbrs, nvert, n_neg):
     return counts, max_hist
 
 
-def _sum_masks(triples):
-    """Memoised (X, Y) -> mask of (X + Y) intersected with the roots.
+def _walk(filters, subs, triples, k, full, leaf=None):
+    """Depth-first descent through the geometric chains of at most k filters.
 
-    A chain search meets the same pairs of filters (and of their
-    complements) over and over, so each pair's sums are collected once
-    and every later sum condition is one AND.
+    ``filters`` must be sorted ascending (so filters[-1] = full) and
+    ``subs[f]`` lists the indices of the filters contained in filters[f],
+    ascending; with k = 1 the walk never reads ``subs``.
+
+    The children of a chain I_1 >= ... >= I_{m-1} (m <= k, I_0 = full)
+    are the filters g in I_{m-1} with L <= g and g disjoint from U, where
+    L and U are the unions of (I_i + I_j) and of (J_i + J_j), i + j = m,
+    i, j >= 1, intersected with the roots: the chain conditions that
+    become checkable at depth m (the nonnesting docstring shows that the
+    wrapped ones, i + j > k, never reject).  Packed as one int,
+    bounds = L | U << R with R roots, the children form the group
+
+        key = (bounds & (full | I_{m-1} << R)) * len(filters) + index of I_{m-1},
+
+    which the key alone determines (``group``).  A node builds its
+    children's bounds once: only the (I_1, child) term of their
+    children's bounds depends on the child.
+
+    Returns (tally, groups, group).  tally[m] maps the key of each group
+    of chains of m filters to the number of chains of m - 1 filters whose
+    children it holds; groups memoises the candidate tuple of each group
+    the walk descends into.  With ``leaf``, calls leaf(idx, cands) for
+    every chain of k - 1 filters, in lexicographic order: idx[1:k] are
+    its filter indices and cands its children.
     """
-    memo = {}
+    nf = len(filters)
+    width = full.bit_length()
+    bits = [(1 << a, 1 << b, 1 << c) for a, b, c in triples]
+    keep = [full | f << width for f in filters]
+    viol = [(full & ~f) | f << width for f in filters]
 
-    def sums(x, y):
-        key = (x, y) if x <= y else (y, x)
-        out = memo.get(key)
-        if out is None:
-            out = 0
-            for a, b, c in triples:
-                if ((x >> a) & 1 and (y >> b) & 1) or ((x >> b) & 1 and (y >> a) & 1):
-                    out |= 1 << c
-            memo[key] = out
-        return out
+    class Row(dict):
+        """Row x of the pair sums: row[y] = (I_x + I_y) | (J_x + J_y) << R,
+        computed on first use."""
 
-    return sums
+        __slots__ = ("fx", "jx")
 
+        def __missing__(self, y):
+            fx, jx = self.fx, self.jx
+            fy = filters[y]
+            jy = full & ~fy
+            s = t = 0
+            for ba, bb, bc in bits:
+                if (fx & ba and fy & bb) or (fx & bb and fy & ba):
+                    s |= bc
+                if (jx & ba and jy & bb) or (jx & bb and jy & ba):
+                    t |= bc
+            out = self[y] = s | t << width
+            return out
 
-def _depth_ok(masks, full, m, sums):
-    """Incremental chain conditions that become checkable at depth m:
-    (I_i + I_j) lies in I_m and (J_i + J_j) avoids I_m for i + j = m."""
-    z = masks[m]
-    for i in range(1, m // 2 + 1):
-        if sums(masks[i], masks[m - i]) & ~z:
-            return False
-        if sums(full & ~masks[i], full & ~masks[m - i]) & z:
-            return False
-    return True
+    rows = []
+    for f in filters:
+        row = Row()
+        row.fx, row.jx = f, full & ~f
+        rows.append(row)
 
+    def group(key):
+        bounds = key // nf
+        return tuple(g for g in subs[key % nf] if not bounds & viol[g])
 
-def _leaf_ok(masks, k, sums):
-    """Wrapped sum conditions: indices i + j = k + 1 with 2 <= i <= j < k."""
-    for i in range(2, (k + 1) // 2 + 1):
-        if sums(masks[i], masks[k + 1 - i]) & ~masks[k]:
-            return False
-    return True
+    root = nf - 1
+    groups = {root: tuple(range(nf))}
+    tally = [{} for _ in range(k + 1)]
+    tally[1][root] = 1
+    idx = [root] * (k + 1)
 
+    def visit(m, key):
+        # idx[1:m] is a geometric chain; its children are group(key)
+        cands = groups.get(key)
+        if cands is None:
+            cands = groups[key] = group(key)
+        part = 0
+        for i in range(2, (m + 1) // 2 + 1):
+            part |= rows[idx[i]][idx[m + 1 - i]]
+        first = idx[1]
+        counts = tally[m + 1]
+        deeper = m + 1 < k
+        for g in cands:
+            idx[m] = g
+            # I_1 + I_m is the only term of the children's bounds that involves g
+            sums = rows[first if m > 1 else g][g]
+            child = ((part | sums) & keep[g]) * nf + g
+            counts[child] = counts.get(child, 0) + 1
+            if deeper:
+                visit(m + 1, child)
+            elif leaf is not None:
+                cands_k = groups.get(child)
+                if cands_k is None:
+                    cands_k = groups[child] = group(child)
+                leaf(idx, cands_k)
 
-def _walk_chains(filters, subs, triples, k, full, leaf):
-    """Depth-first descent through the nested chains of k >= 1 filters;
-    calls ``leaf(masks)`` on every geometric one, in lexicographic order
-    of the mask tuples, with masks[0] = full and masks[i] = I_i.
-
-    ``filters`` must be sorted ascending; ``subs[f]`` lists the indices of
-    the filters contained in filters[f], ascending.
-    """
-    masks = [full] + [0] * k
-    sums = _sum_masks(triples)
-
-    def descend(depth, cands):
-        for f in cands:
-            masks[depth] = filters[f]
-            if depth >= 2 and not _depth_ok(masks, full, depth, sums):
-                continue
-            if depth == k:
-                if _leaf_ok(masks, k, sums):
-                    leaf(masks)
-            else:
-                descend(depth + 1, subs[f])
-
-    descend(1, range(len(filters)))
+    try:
+        if k == 1:
+            if leaf is not None:
+                leaf(idx, groups[root])
+        else:
+            visit(1, root)
+    finally:
+        visit = None  # the closure refers to itself; free the memo on return
+    return tally, groups, group
 
 
 def nn_chains(filters, subs, triples, k, full):
@@ -175,42 +212,72 @@ def nn_chains(filters, subs, triples, k, full):
     if k < 1:
         return [()]
     out = []
-    _walk_chains(filters, subs, triples, k, full, lambda masks: out.append(tuple(masks[1:])))
+
+    def leaf(idx, cands):
+        head = tuple(filters[f] for f in idx[1:k])
+        out.extend(head + (filters[g],) for g in cands)
+
+    _walk(filters, subs, triples, k, full, leaf)
     return out
 
 
-def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
-    """Histogram of geometric chains by their top-rank statistics.
+def nn_census_family(filters, subs, triples, k, full, n_simple):
+    """Histograms of the geometric chains of k' filters by their top-rank
+    statistics, for every k' = 1..k, from one depth-k descent.
 
-    Returns a mapping (i, s) -> number of chains with i indecomposable
-    elements of rank k, s of them simple.  Indecomposability at the top
-    rank reduces to: the root lies in the last filter and no two-root
-    decomposition root_a + root_b of it has level(a) + level(b) >= k.
+    Entry k' - 1 maps (i, s) to the number of chains of k' filters with
+    i indecomposable elements of rank k', s of them simple.  A root of
+    I_{k'} is decomposable at the top rank when it lies in Phi+ + I_{k'}
+    or in some I_i + I_j with i + j = k', i, j >= 1; the latter union is
+    the L of the chain's group.  So the statistic is read from the group
+    key: free[g] & ~L with free[g] = g minus (Phi+ + g), the same for
+    every chain with that key, and each group is counted once.
+    """
+    if k < 1:
+        return ()
+    tally, groups, group = _walk(filters, subs, triples, k, full)
+    up = [0] * full.bit_length()
+    for a, b, c in triples:
+        up[a] |= 1 << c
+        up[b] |= 1 << c
+    free = []
+    for f in filters:
+        above = 0
+        m = f
+        while m:
+            low = m & -m
+            above |= up[low.bit_length() - 1]
+            m ^= low
+        free.append(f & ~above)
+    simple = (1 << n_simple) - 1
+    nf = len(filters)
+    hists = {}
+    out = []
+    for level in tally[1:]:
+        counts = {}
+        for key, mult in level.items():
+            hist = hists.get(key)
+            if hist is None:
+                low = key // nf & full
+                hist = hists[key] = {}
+                cands = groups.get(key)
+                for g in group(key) if cands is None else cands:
+                    x = free[g] & ~low
+                    stat = (x.bit_count(), (x & simple).bit_count())
+                    hist[stat] = hist.get(stat, 0) + 1
+            for stat, c in hist.items():
+                counts[stat] = counts.get(stat, 0) + c * mult
+        out.append(counts)
+    return tuple(out)
+
+
+def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
+    """Histogram of geometric chains of k filters by their top-rank
+    statistics: nn_census_family's entry for k.
+
+    ``pair_lists`` and ``nroots`` are the compiled kernel's inputs and
+    are not read here.
     """
     if k < 1:
         return {(0, 0): 1}
-    counts = {}
-
-    def leaf(masks):
-        levels = [0] * nroots
-        for i in range(1, k + 1):
-            m = masks[i]
-            while m:
-                low = m & -m
-                levels[low.bit_length() - 1] = i
-                m ^= low
-        icnt = scnt = 0
-        m = masks[k]
-        while m:
-            low = m & -m
-            r = low.bit_length() - 1
-            m ^= low
-            if all(levels[a] + levels[b] < k for a, b in pair_lists[r]):
-                icnt += 1
-                if r < n_simple:
-                    scnt += 1
-        key = (icnt, scnt)
-        counts[key] = counts.get(key, 0) + 1
-
-    _walk_chains(filters, subs, triples, k, full, leaf)
-    return counts
+    return nn_census_family(filters, subs, triples, k, full, n_simple)[k - 1]

@@ -57,3 +57,13 @@ def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
     if _fast is not None and full < 2**64 and k <= 64:
         return _fast.nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple)
     return _purecore.nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple)
+
+
+# No compiled counterpart: the family census memoises its groups in
+# dicts keyed by wide ints and counts each group once, so its cost is
+# the walk to depth k-1, not the leaves; the pure walk to depth n+4
+# already beats the compiled per-k kernels summed over k = 1..n+4 (F4:
+# 0.21 s against 0.57-0.85 s on a 2-core host).  A single k stays
+# compiled (E7 k=1: 1.0-1.4 ms compiled, 35 ms pure): there the walk
+# has no other k to share with.
+nn_census_family = _purecore.nn_census_family

@@ -10,6 +10,18 @@ The chain is geometric when for all i, j in {0..k}
 where J_i is the complement of I_i.  The geometric chains are the
 k-divisible nonnesting partitions of the root system; their top-rank
 indecomposable elements drive the H-triangle.
+
+Only the pairs with 1 <= i <= j and i + j <= k need checking, one depth
+at a time as a walk adds I_{i+j}.  Pairs with i = 0 hold for any filter
+(J_0 is empty, and Phi+ + I_j lies in I_j because I_j is upward closed),
+and so do the wrapped ones, i + j > k, whose target is I_k.  For those,
+let j' = k + 1 - i, so 1 <= j' <= j; as the chain is nested, I_i + I_j
+lies in I_i + I_{j'}, and that in I_i + I_{j'-1}, which lies in I_k by
+the condition for the pair (i, j' - 1), since i + j' - 1 = k (by upward
+closure if j' = 1).  Hence the chains of m filters that a walk to depth
+K >= m accepts at depth m are exactly the geometric m-chains, and one
+walk to depth K visits every chain of every k <= K
+(``h_triangles``).
 """
 from __future__ import annotations
 
@@ -22,6 +34,7 @@ from .poly import BivarPoly, require_h_support
 from .rootsys import (
     RootSystem,
     filter_mask,
+    fuss_catalan_number,
     parabolic,
     parabolic_root_embedding,
 )
@@ -74,7 +87,7 @@ class FilterChain:
 def enumerate_filters(rs: RootSystem) -> tuple:
     """All order filters of the root poset, as ascending bitmasks."""
     n_roots = len(rs.positive_roots)
-    # covers[r] = roots immediately above r; membership of r requires them
+    # above[r] = every root above r; membership of r requires them all
     above = []
     for r_idx, r in enumerate(rs.positive_roots):
         ups = [
@@ -219,13 +232,38 @@ def simple_indecomposables(chain: FilterChain, l: int) -> frozenset:
     return frozenset(r for r in indecomposables(chain, l) if r < chain.rs.n)
 
 
+def _h_poly(stats: dict) -> BivarPoly:
+    out = BivarPoly(stats)
+    require_h_support(out)
+    return out
+
+
 @lru_cache(maxsize=None)
 def h_triangle(rs: RootSystem, k: int) -> BivarPoly:
     """Sum of x^(top indecomposables) y^(simple ones) over geometric chains."""
-    stats = chain_statistics(rs, k)
-    out = BivarPoly({(i, s): c for (i, s), c in stats.items()})
-    require_h_support(out)
-    return out
+    return _h_poly(chain_statistics(rs, k))
+
+
+@lru_cache(maxsize=None)
+def h_triangles(rs: RootSystem, k: int) -> tuple:
+    """Entry k' - 1: the H-triangle at k', for k' = 1..k, from one census
+    walk to depth k.
+
+    The walk visits every geometric chain of at most k filters once, so
+    it is bounded by their exact number, the sum of the Fuss-Catalan
+    numbers, before it starts.
+    """
+    if k < 1:
+        raise UsageError("k must be a positive integer")
+    predicted = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
+    if predicted > CHAIN_LIMIT:
+        raise ResourceLimitError(
+            f"chain census for {rs.typespec}, k=1..{k} visits {predicted} chains, "
+            f"more than the bound {CHAIN_LIMIT}"
+        )
+    filters, subs, full = _chain_data(rs, k)
+    hists = kernels.nn_census_family(filters, subs, rs.sum_triples, k, full, rs.n)
+    return tuple(_h_poly(stats) for stats in hists)
 
 
 def restrict_chain(chain: FilterChain, a: int):

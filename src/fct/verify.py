@@ -119,21 +119,24 @@ def verify_recip(rs: RootSystem, k: int) -> VerifyResult:
     The coefficients of the H-triangle are polynomials in k of degree
     at most n, so samples at k = 1..n+2 pin the family down with one
     degree of slack; k = n+3 and n+4 are held-out consistency checks
-    before the family is evaluated at negative arguments.
+    before the family is evaluated at negative arguments.  All n+4
+    samples come from one chain census walk (``nonnesting.h_triangles``),
+    which exits on the resource bound before it starts when the chains
+    of k = 1..n+4 are too many.
     """
     if k != 1:
         raise UsageError("reciprocity is checked over the whole k-family, at k=1")
     n = rs.n
-    samples = {kk: nonnesting.h_triangle(rs, kk) for kk in range(1, n + 5)}
-    family = KFamily.fit({kk: samples[kk] for kk in range(1, n + 3)}, n)
+    samples = nonnesting.h_triangles(rs, n + 4)
+    family = KFamily.fit({kk: samples[kk - 1] for kk in range(1, n + 3)}, n)
     for kk in (n + 3, n + 4):
-        detail = _poly_detail(family.predict(kk), samples[kk])
+        detail = _poly_detail(family.predict(kk), samples[kk - 1])
         if detail is not None:
             detail["held_out_k"] = kk
             return VerifyResult("recip", str(rs.typespec), k, False, detail)
     for kk in range(1, n + 3):
         lhs = h_reciprocal_image(family.predict(-kk), n)
-        detail = _poly_detail(lhs, samples[kk])
+        detail = _poly_detail(lhs, samples[kk - 1])
         if detail is not None:
             detail["at_k"] = kk
             return VerifyResult("recip", str(rs.typespec), k, False, detail)

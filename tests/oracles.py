@@ -266,6 +266,32 @@ def indecomposables_per_root(chain, l: int) -> frozenset:
     return frozenset(out)
 
 
+def top_statistics(chain) -> tuple:
+    """(top indecomposables, simple ones) of a chain, one leaf at a time:
+    a root of I_k counts unless some split root_a + root_b of it has
+    level(a) + level(b) >= k."""
+    rs = chain.rs
+    k = chain.k
+    levels = chain.levels()
+    icnt = scnt = 0
+    for r in range(len(rs.positive_roots)):
+        if levels[r] < k:
+            continue
+        if all(levels[a] + levels[b] < k for a, b in rs.pair_lists[r]):
+            icnt += 1
+            scnt += r < rs.n
+    return icnt, scnt
+
+
+def census_per_leaf(chains) -> dict:
+    """Histogram of top_statistics over the given chains."""
+    out = {}
+    for chain in chains:
+        key = top_statistics(chain)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
 def walls_by_enumeration(rs: RootSystem, t: int) -> tuple:
     """Wall-incidence histogram of the t-dilated simplex, by listing
     every lattice point and counting its zero coordinates and the cap."""

@@ -133,6 +133,17 @@ def test_resource_bound_exits_4(capsys, monkeypatch):
     assert "resource bound" in capsys.readouterr().err
 
 
+def test_recip_past_chain_bound_exits_4(capsys, monkeypatch):
+    # the census of k = 1..10 would visit 166 255 385 chains of E6
+    monkeypatch.setattr(
+        sys, "argv", ["fct", "verify", "recip", "--type", "E6", "-k", "1"]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 4
+    assert "166255385 chains" in capsys.readouterr().err
+
+
 def test_internal_invariant_exits_3(capsys, monkeypatch):
     def boom(argv=None):
         raise InternalInvariantError("wedged")

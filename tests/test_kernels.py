@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fct import _purecore, kernels
-from fct.nonnesting import _chain_data
+from fct.nonnesting import FilterChain, _chain_data
 
 from conftest import rsys
+from oracles import census_per_leaf
 
 
 def test_env_forces_pure_backend():
@@ -154,6 +155,30 @@ def k1_subfilter_lists_unused(core):
 
 def test_k1_chain_data_pure_core():
     k1_subfilter_lists_unused(_purecore)
+
+
+FAMILY_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "A1xB2"]
+
+
+def test_family_census_matches_per_leaf_oracle():
+    """One walk to depth n+4 gives, at every k <= n+4, the histogram of
+    the per-leaf statistic over the chains of k filters; nn_census at k
+    is that entry."""
+    for name in FAMILY_TYPES:
+        rs = rsys(name)
+        top = rs.n + 4
+        filters, subs, full = _chain_data(rs, top)
+        family = kernels.nn_census_family(filters, subs, rs.sum_triples, top, full, rs.n)
+        assert len(family) == top
+        for k in range(1, top + 1):
+            chains = _purecore.nn_chains(filters, subs, rs.sum_triples, k, full)
+            expected = census_per_leaf(FilterChain(rs, masks) for masks in chains)
+            assert family[k - 1] == expected, (name, k)
+            assert _purecore.nn_census(
+                filters, subs, rs.sum_triples, rs.pair_lists, k, full,
+                len(rs.positive_roots), rs.n,
+            ) == expected, (name, k)
+    assert kernels.nn_census_family(filters, subs, rs.sum_triples, 0, full, rs.n) == ()
 
 
 def test_shipped_c_matches_pyx():

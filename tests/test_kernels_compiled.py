@@ -94,3 +94,16 @@ def test_nn_backends_agree():
 
 def test_k1_chain_data_compiled_core():
     k1_subfilter_lists_unused(_fast)
+
+
+def test_family_census_matches_compiled_per_k():
+    for name in ["D4", "F4"]:
+        rs = rsys(name)
+        top = rs.n + 4
+        filters, subs, full = _chain_data(rs, top)
+        family = _purecore.nn_census_family(filters, subs, rs.sum_triples, top, full, rs.n)
+        for k in range(1, top + 1):
+            assert family[k - 1] == _fast.nn_census(
+                filters, subs, rs.sum_triples, rs.pair_lists, k, full,
+                len(rs.positive_roots), rs.n,
+            ), (name, k)

@@ -1,7 +1,9 @@
 import pytest
 
+from fct import kernels, nonnesting
 from fct.errors import ResourceLimitError, UsageError
 from fct.nonnesting import (
+    CHAIN_LIMIT,
     FilterChain,
     _decomposition_ranks,
     chain_statistics,
@@ -9,6 +11,7 @@ from fct.nonnesting import (
     enumerate_filters,
     extend_chain,
     h_triangle,
+    h_triangles,
     indecomposable_histogram,
     indecomposables,
     restrict_chain,
@@ -92,6 +95,68 @@ def test_chains_are_geometric_and_sorted():
         for ch in chains:
             assert is_geometric(ch)
             assert ch.mask_at(0) == (1 << len(rs.positive_roots)) - 1
+
+
+def nested_chains(rs, k):
+    """Every nested tuple of k filters, no chain condition checked."""
+    filters = enumerate_filters(rs)
+    out = [()]
+    for _ in range(k):
+        out = [ch + (f,) for ch in out for f in filters if not ch or f & ~ch[-1] == 0]
+    return out
+
+
+def test_wrapped_condition_is_redundant():
+    """The chain walk checks the pairs i + j <= k only.  The literal
+    check of every pair (is_geometric, wrapped pairs included) accepts
+    each chain it returns, they are all the geometric chains, and the
+    prefixes of length m of the k-chains are exactly the m-chains."""
+    for name in ["A3", "B3", "G2", "D4", "A1xB2"]:
+        rs = rsys(name)
+        chains = {k: enumerate_chains(rs, k) for k in range(1, 5)}
+        for k, found in chains.items():
+            masks = {ch.masks for ch in found}
+            assert len(masks) == fuss_catalan_number(rs, k), (name, k)
+            assert all(is_geometric(ch) for ch in found), (name, k)
+            if len(enumerate_filters(rs)) <= 20:
+                brute = {
+                    ch for ch in nested_chains(rs, k) if is_geometric(FilterChain(rs, ch))
+                }
+                assert masks == brute, (name, k)
+            for m in range(1, k):
+                assert {ch[:m] for ch in masks} == {ch.masks for ch in chains[m]}, (
+                    name, k, m,
+                )
+
+
+def test_h_triangles_match_per_k():
+    for name in ["A2", "B3", "G2", "D4", "A1xB2"]:
+        rs = rsys(name)
+        top = rs.n + 4
+        family = h_triangles(rs, top)
+        assert len(family) == top
+        for k in range(1, top + 1):
+            assert family[k - 1] == h_triangle(rs, k), (name, k)
+
+
+def test_h_triangles_resource_bound(monkeypatch):
+    """The family census is bounded by the exact number of chains it
+    visits, before any work: E6 at k = 1..10 exits, F4 and D4 at
+    k = 1..n+4 stay in bounds."""
+
+    def no_work(*args):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr(nonnesting, "_chain_data", no_work)
+    monkeypatch.setattr(kernels, "nn_census_family", no_work)
+    with pytest.raises(ResourceLimitError, match="166255385 chains"):
+        h_triangles(rsys("E6"), 10)
+    for name, visited in [("F4", 219548), ("D4", 86318)]:
+        rs = rsys(name)
+        assert sum(fuss_catalan_number(rs, m) for m in range(1, rs.n + 5)) == visited
+        assert visited <= CHAIN_LIMIT
+    with pytest.raises(UsageError):
+        h_triangles(rsys("A2"), 0)
 
 
 def test_chain_levels():
