@@ -18,7 +18,6 @@ colour, split by whether the origin sits on the far or near side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -100,50 +99,6 @@ def feasible(rows, n: int) -> bool:
     return all(_zero_row_ok(r) for r in rows)
 
 
-def interior_point(rows, n: int):
-    """A rational point satisfying every row, or None.
-
-    Back-substitutes through the elimination tower, taking midpoints of
-    the surviving open intervals so strict rows end up strictly
-    satisfied.
-    """
-    tower = []
-    cur = _dominate(_normalize(r) for r in rows)
-    for j in range(n - 1, -1, -1):
-        tower.append(cur)
-        cur = _eliminate(cur, j)
-        if cur is None:
-            return None
-    if not all(_zero_row_ok(r) for r in cur):
-        return None
-    point = [Fraction(0)] * n
-    for j in range(n):
-        system = tower.pop()
-        lo = hi = None
-        for coeffs, rhs, strict in system:
-            cj = coeffs[j]
-            if cj == 0:
-                continue
-            rest = sum(c * point[s] for s, c in enumerate(coeffs) if s != j)
-            bound = (Fraction(rhs) - rest) / cj
-            if cj > 0 and (lo is None or (bound, strict) > lo):
-                lo = (bound, strict)
-            if cj < 0 and (hi is None or (bound, not strict) < hi):
-                hi = (bound, not strict)
-        if lo is None and hi is None:
-            val = Fraction(0)
-        elif hi is None:
-            val = lo[0] + 1
-        elif lo is None:
-            val = hi[0] - 1
-        else:
-            if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or not hi[1])):
-                raise InternalInvariantError("empty interval after feasibility")
-            val = (lo[0] + hi[0]) / 2 if lo[0] < hi[0] else lo[0]
-        point[j] = val
-    return tuple(point)
-
-
 @dataclass(frozen=True, eq=False)
 class Region:
     """Open dominant cell determined by the level of every positive root."""
@@ -176,17 +131,6 @@ def region_from_chain(chain: FilterChain) -> Region:
     if not feasible(region.system(), chain.rs.n):
         raise InternalInvariantError("chain produced an empty region")
     return region
-
-
-def levels_of_point(rs: RootSystem, k: int, point) -> tuple:
-    """Level vector of a point meeting no hyperplane of the arrangement."""
-    out = []
-    for root in rs.positive_roots:
-        v = sum((c * x for c, x in zip(root, point)), Fraction(0))
-        if v.denominator == 1 and 0 <= v <= k:
-            raise UsageError("point lies on an arrangement hyperplane")
-        out.append(min(k, v.numerator // v.denominator))
-    return tuple(out)
 
 
 def is_wall(region: Region, r: int, colour: int) -> bool:
@@ -299,27 +243,6 @@ def verify_phi(rs: RootSystem, k: int):
                 "floors": sorted(floors),
                 "indecomposables": sorted(expected),
             }
-    return True, None
-
-
-def verify_disjoint(rs: RootSystem, k: int):
-    """Feasibility, interior-point level recovery, and pairwise disjointness."""
-    regions = regions_of(rs, k)
-    for region in regions:
-        point = interior_point(region.system(), rs.n)
-        if point is None:
-            return False, {"levels": region.levels, "reason": "empty region"}
-        if levels_of_point(rs, k, point) != region.levels:
-            return False, {"levels": region.levels, "reason": "level mismatch"}
-    for a in range(len(regions)):
-        for b in range(a + 1, len(regions)):
-            joint = regions[a].system() + regions[b].system()
-            if feasible(joint, rs.n):
-                return False, {
-                    "levels": regions[a].levels,
-                    "other": regions[b].levels,
-                    "reason": "overlap",
-                }
     return True, None
 
 

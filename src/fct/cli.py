@@ -110,7 +110,8 @@ def _grid_cells(suite: str):
         return [(name, k, None) for name, k in ACCEPTANCE_GRID]
     if suite == "extended":
         return [(name, k, None) for name, k in ACCEPTANCE_GRID] + [
-            ("E6", 1, ["counts"])
+            ("E6", 1, ["counts"]),
+            ("E6", 2, ["h=m", "m=f"]),
         ]
     raise UsageError(f"unknown suite {suite!r}")
 

@@ -3,9 +3,46 @@
 A delta sequence is a tuple (d_0, d_1, ..., d_k) of group elements whose
 product is the chosen Coxeter element c with reflection lengths adding
 up to l_T(c) = n.  Sequences are ordered slotwise by absolute order on
-the slots 1..k; slot 0 is determined by the others.  The resulting
-graded poset carries the M-triangle through its Moebius function and
-the Fuss-Narayana numbers through its rank sizes.
+the slots 1..k; slot 0 is determined by the others.  The rank of a
+sequence is n - l_T(d_0).  The rank sizes are the Fuss-Narayana numbers;
+the M-triangle is the sum of mu(a, b) x^l_T(d_0(b)) y^l_T(d_0(a)) over
+a <= b.  Both are read off [1, c], without the order on sequences.  Let
+mc_j(x) count the j-multichains 1 <= z_1 <= ... <= z_j <= x, g(1) = 1
+and g(x) = -sum over 1 < v <= x of mc_{k-1}(v) g(v^-1 x).  Then
+
+    M(x, y) = sum over w <= u <= c of
+              mc_{k-1}(u^-1 c) g(w^-1 u) x^l_T(w) y^l_T(u).
+
+Proof.  Absolute order is suffix order as well as prefix order (u^-1 v
+and v u^-1 are conjugate).  For w <= u, v -> w^-1 v maps [w, u] onto
+[1, w^-1 u]: given l_T(w^-1 u) = l_T(u) - l_T(w), both memberships say
+l_T(w) + l_T(w^-1 v) + l_T(v^-1 u) = l_T(u).  A factor of c in a
+factorisation with adding lengths lies in [1, c].
+(1) Partial products turn the k-part factorisations of x with adding
+lengths into the (k-1)-multichains below x; so mc_{k-1}(u^-1 c)
+sequences have zeroth part u, and there are mc_k(c) in all.
+(2) Fix b = (w; b_1..b_k) and x.  The e = (x; e_1..e_k) above b number
+[x <= w] mc_{k-1}(x^-1 w).  By suffix order e_i = f_i b_i with lengths
+adding.  With p_i = b_1...b_i and f'_i = p_{i-1} f_i p_{i-1}^-1,
+x f'_1...f'_k p_k = c = w p_k, so x^-1 w = f'_1...f'_k, with lengths
+summing to l_T(w) - l_T(x).  The triangle inequality puts l_T(x^-1 w)
+between the two, so x <= w and the f'_i factor x^-1 w, lengths adding.
+Conversely, conjugating such a factorisation back gives e_i = f_i b_i
+with product c and lengths summing to at most n - l_T(x), so every
+inequality is tight and e is a sequence above b.
+(3) Call that count K(w, x).  Summing sum_b mu(a, b) zeta(b, e) =
+[a = e] over the e with zeroth part x gives sum_w R_a(w) K(w, x) =
+[x = d_0(a)], where R_a(w) sums mu(a, b) over the b with d_0(b) = w.
+K is unitriangular, so R_a is row d_0(a) of its inverse.
+(4) That inverse is [w <= u] g(w^-1 u): with y = x^-1 u, the interval
+map turns sum over x <= w <= u of g(w^-1 u) K(w, x) into sum over
+1 <= v <= y of mc_{k-1}(v) g(v^-1 y) = [y = 1].
+Grouping the Moebius sum by d_0(a) with (1) and by d_0(b) with (3) and
+(4) gives the formula.  At k = 1, g(w^-1 u) = mu(w, u) on [1, c].  The
+minimum (c; 1, ..., 1) makes M(1, 1) = sum_b sum_{a <= b} mu(a, b) = 1,
+which ``m_triangle`` checks.  Armstrong generalised Chapoton's M = H = F
+to k >= 1 (Mem. AMS 202, 2009); Krattenthaler computed the E7 and E8
+M-triangles along parabolics (Sem. Lothar. Combin. 54, 2006).
 
 The interval [1, c] in absolute order is built from its covers, not by
 comparing pairs.  Walking down from c, v covers u = v t (t a
@@ -24,7 +61,6 @@ absolute order on [1, c].
 from __future__ import annotations
 
 import inspect
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -139,10 +175,6 @@ class DeltaSequence:
     def __hash__(self) -> int:
         return hash(self.slot_ids)
 
-    @property
-    def k(self) -> int:
-        return len(self.parts) - 1
-
 
 @_cached_per_word
 def enumerate_delta_sequences(rs: RootSystem, k: int, word: Word = None) -> tuple:
@@ -191,176 +223,87 @@ def rank(rs: RootSystem, seq: DeltaSequence) -> int:
 
 @dataclass(frozen=True, eq=False)
 class NCPoset:
-    """The poset of delta sequences with slotwise absolute order.
-
-    Elements are listed in rank order, so indices form a linear
-    extension; down[b] and up[a] are membership bitmasks (reflexive).
-    """
+    """The delta sequences sorted by (rank, slot ids): a linear
+    extension of the slotwise order, which is never built."""
 
     rs: RootSystem
     k: int
     elements: tuple
     ranks: tuple
-    down: tuple
-    up: tuple
-
-    def leq(self, a: int, b: int) -> bool:
-        return bool((self.down[b] >> a) & 1)
-
-    def rank_histogram(self) -> tuple:
-        out = [0] * (self.rs.n + 1)
-        for r in self.ranks:
-            out[r] += 1
-        return tuple(out)
 
 
 @_cached_per_word
 def build_nc_poset(rs: RootSystem, k: int, word: Word = None) -> NCPoset:
-    """Delta sequences ordered slotwise, with down and up masks.
-
-    a <= b when every slot of a lies below the same slot of b (which
-    forces rank(a) <= rank(b)).  Per slot s and interval element q, the
-    mask of sequences whose slot-s part lies below q (or above q) comes
-    from closing the interval covers; down[b] is the AND of its slots'
-    masks with the mask of ranks up to rank(b), and up[a] likewise.
-    """
-    elems_seq = enumerate_delta_sequences(rs, k, word)
-    _, _, _, lengths, _, lower = _interval_tables(rs, word)
-    ranks = tuple(rank(rs, seq) for seq in elems_seq)
-    order = sorted(range(len(elems_seq)), key=lambda a: (ranks[a], elems_seq[a].slot_ids))
-    elems_seq = tuple(elems_seq[a] for a in order)
-    ranks = tuple(ranks[a] for a in order)
-    size = len(elems_seq)
-    shortest_first = sorted(range(len(lengths)), key=lengths.__getitem__)
-    slot_down = []
-    slot_up = []
-    for s in range(k):
-        exact = [0] * len(lengths)
-        for a, seq in enumerate(elems_seq):
-            exact[seq.slot_ids[s]] |= 1 << a
-        below = list(exact)
-        for q in shortest_first:
-            for p in lower[q]:
-                below[q] |= below[p]
-        above = list(exact)
-        for q in reversed(shortest_first):
-            for p in lower[q]:
-                above[p] |= above[q]
-        slot_down.append(below)
-        slot_up.append(above)
-    full = (1 << size) - 1
-    down = []
-    up = []
-    for a, seq in enumerate(elems_seq):
-        d = (1 << bisect_right(ranks, ranks[a])) - 1
-        u = full & ~((1 << bisect_left(ranks, ranks[a])) - 1)
-        for s, q in enumerate(seq.slot_ids):
-            d &= slot_down[s][q]
-            u &= slot_up[s][q]
-        down.append(d)
-        up.append(u)
-    poset = NCPoset(rs, k, elems_seq, ranks, tuple(down), tuple(up))
-    _check_graded(poset)
-    return poset
-
-
-def covers_of(poset: NCPoset, b: int) -> int:
-    """Bitmask of the elements covered by b."""
-    below = poset.down[b] & ~(1 << b)
-    shadowed = 0
-    m = below
-    while m:
-        z = (m & -m).bit_length() - 1
-        shadowed |= poset.down[z] & ~(1 << z)
-        m &= m - 1
-    return below & ~shadowed
-
-
-def _check_graded(poset: NCPoset) -> None:
-    """Unique minimum of rank 0, covers raise rank by one, maxima at rank n."""
-    n = poset.rs.n
-    mins = [a for a, m in enumerate(poset.down) if m == (1 << a)]
-    if len(mins) != 1 or poset.ranks[mins[0]] != 0:
-        raise InternalInvariantError("poset does not have a unique bottom of rank 0")
-    for b in range(len(poset.elements)):
-        m = covers_of(poset, b)
-        while m:
-            a = (m & -m).bit_length() - 1
-            if poset.ranks[b] != poset.ranks[a] + 1:
-                raise InternalInvariantError("cover relation does not raise rank by 1")
-            m &= m - 1
-        if poset.up[b] == (1 << b) and poset.ranks[b] != n:
-            raise InternalInvariantError("maximal element below rank n")
-
-
-@lru_cache(maxsize=None)
-def _moebius_rows(poset: NCPoset) -> tuple:
-    """Row d maps element index e (with d <= e) to mu(d, e)."""
-    size = len(poset.elements)
-    rows = []
-    for d in range(size):
-        row = {d: 1}
-        m = poset.up[d] & ~(1 << d)
-        while m:
-            e = (m & -m).bit_length() - 1
-            interval = poset.down[e] & poset.up[d] & ~(1 << e)
-            total = 0
-            z_mask = interval
-            while z_mask:
-                z = (z_mask & -z_mask).bit_length() - 1
-                total += row[z]
-                z_mask &= z_mask - 1
-            row[e] = -total
-            m &= m - 1
-        rows.append(row)
-    return tuple(rows)
-
-
-def moebius(poset: NCPoset, a: int, b: int) -> int:
-    if not poset.leq(a, b):
-        raise UsageError("moebius is only defined on comparable pairs")
-    return _moebius_rows(poset)[a][b]
+    """The delta sequences in the order of ``NCPoset``."""
+    seqs = sorted(
+        enumerate_delta_sequences(rs, k, word),
+        key=lambda seq: (rank(rs, seq), seq.slot_ids),
+    )
+    return NCPoset(rs, k, tuple(seqs), tuple(rank(rs, seq) for seq in seqs))
 
 
 @_cached_per_word
-def m_triangle(rs: RootSystem, k: int, word: Word = None) -> BivarPoly:
-    """Moebius sum x^(n - rank of top) y^(n - rank of bottom)."""
-    poset = build_nc_poset(rs, k, word)
-    n = rs.n
-    rows = _moebius_rows(poset)
-    acc = {}
-    for d, row in enumerate(rows):
-        yd = n - poset.ranks[d]
-        for e, mu in row.items():
-            key = (n - poset.ranks[e], yd)
-            acc[key] = acc.get(key, 0) + mu
-    out = BivarPoly(acc)
-    require_m_support(out)
-    return out
+def _pair_table(rs: RootSystem, word: Word = None) -> tuple:
+    """Entry u: the pairs (w, index of w^-1 u) over the w <= u in [1, c].
 
-
-def narayana_vector(rs: RootSystem, k: int, word: Word = None) -> tuple:
-    """Entry i: number of delta sequences of rank n - i."""
-    hist = build_nc_poset(rs, k, word).rank_histogram()
-    return tuple(reversed(hist))
+    Walks the set bits of each leq row, one composition per comparable
+    pair; there are FC(W, 2) of them.
+    """
+    elems, index, leq, _, _, _ = _interval_tables(rs, word)
+    pairs = [[] for _ in elems]
+    for w, above in enumerate(leq):
+        w_inv = weyl.inverse(elems[w])
+        while above:
+            u = (above & -above).bit_length() - 1
+            above &= above - 1
+            pairs[u].append((w, index[weyl.compose(w_inv, elems[u])]))
+    return tuple(map(tuple, pairs))
 
 
 @_cached_per_word
 def _multichain_counts(rs: RootSystem, j: int, word: Word = None) -> tuple:
     """Entry u: number of j-multichains in the interval below element u."""
-    elems, _, leq, _, _, _ = _interval_tables(rs, word)
-    size = len(elems)
-    cur = (1,) * size
+    pairs = _pair_table(rs, word)
+    cur = (1,) * len(pairs)
     for _ in range(j):
-        nxt = []
-        for u in range(size):
-            total = 0
-            for v in range(size):
-                if (leq[v] >> u) & 1:
-                    total += cur[v]
-            nxt.append(total)
-        cur = tuple(nxt)
+        cur = tuple(sum(cur[w] for w, _ in below) for below in pairs)
     return cur
+
+
+@_cached_per_word
+def _moebius_rows(rs: RootSystem, k: int, word: Word = None) -> tuple:
+    """Entry x: g(x) of the module docstring, by increasing length; the
+    term v = 1 of its sum is the pair with v^-1 x = x."""
+    _, _, _, lengths, _, _ = _interval_tables(rs, word)
+    pairs = _pair_table(rs, word)
+    mc = _multichain_counts(rs, k - 1, word)
+    g = [1] * len(pairs)
+    for x in sorted(range(len(pairs)), key=lengths.__getitem__):
+        if lengths[x]:
+            g[x] = -sum(mc[v] * g[q] for v, q in pairs[x] if q != x)
+    return tuple(g)
+
+
+@_cached_per_word
+def m_triangle(rs: RootSystem, k: int, word: Word = None) -> BivarPoly:
+    """The Moebius sum, from [1, c] (module docstring); checks M(1, 1) = 1."""
+    if k < 1:
+        raise UsageError("k must be a positive integer")
+    _, _, _, lengths, comp, _ = _interval_tables(rs, word)
+    mc = _multichain_counts(rs, k - 1, word)
+    g = _moebius_rows(rs, k, word)
+    acc = {}
+    for u, below in enumerate(_pair_table(rs, word)):
+        bottoms = mc[comp[u]]
+        for w, q in below:
+            key = (lengths[w], lengths[u])
+            acc[key] = acc.get(key, 0) + bottoms * g[q]
+    out = BivarPoly(acc)
+    total = out.evaluate(1, 1)
+    if total != 1:
+        raise InternalInvariantError(f"M(1, 1) = {total}, not 1")
+    require_m_support(out)
+    return out
 
 
 def narayana_number(rs: RootSystem, k: int, i: int, word: Word = None) -> int:

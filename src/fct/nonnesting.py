@@ -136,13 +136,21 @@ def _chain_data(rs: RootSystem, k: int):
 
 @lru_cache(maxsize=None)
 def enumerate_chains(rs: RootSystem, k: int) -> tuple:
-    """All geometric chains, sorted lexicographically by mask tuples."""
+    """All geometric chains, sorted lexicographically by mask tuples.
+
+    Bounded before any work by the larger of the exact chain count (the
+    Fuss-Catalan number) and the number of filter pairs that the
+    subfilter table for k >= 2 may hold.
+    """
     if k < 1:
         raise UsageError("k must be a positive integer")
-    estimate = len(enumerate_filters(rs)) ** min(k, 3)
-    if estimate > CHAIN_LIMIT:
+    predicted = max(
+        fuss_catalan_number(rs, k), len(enumerate_filters(rs)) ** min(k, 2)
+    )
+    if predicted > CHAIN_LIMIT:
         raise ResourceLimitError(
-            f"chain enumeration for {rs.typespec}, k={k} exceeds the bound"
+            f"chain enumeration for {rs.typespec}, k={k} predicts {predicted} "
+            f"chains or filter pairs, more than the bound {CHAIN_LIMIT}"
         )
     filters, subs, full = _chain_data(rs, k)
     raw = kernels.nn_chains(filters, subs, rs.sum_triples, k, full)

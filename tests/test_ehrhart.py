@@ -12,12 +12,11 @@ from fct.ehrhart import (
     simplex_period,
 )
 from fct.errors import UsageError
-from fct.noncrossing import narayana_vector
 from fct.nonnesting import indecomposable_histogram
 from fct.rootsys import fuss_catalan_number
 
 from conftest import rsys
-from oracles import walls_by_enumeration, yspace_wall_histogram
+from oracles import narayana_vector, walls_by_enumeration, yspace_wall_histogram
 
 PERIODS = {"A1": 2, "A2": 3, "B2": 2, "A3": 4, "B3": 4, "G2": 6, "F4": 12}
 QUASI_PERIODS = {"A1": 1, "A2": 1, "B2": 1, "A3": 1, "B3": 2, "G2": 1, "F4": 1}

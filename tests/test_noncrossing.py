@@ -1,28 +1,37 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fct.errors import UsageError
+from fct import noncrossing
+from fct.errors import InternalInvariantError, UsageError
 from fct.noncrossing import (
     _interval_tables,
+    _moebius_rows,
+    _multichain_counts,
+    _pair_table,
     absolute_interval,
     build_nc_poset,
-    covers_of,
     enumerate_delta_sequences,
     m_triangle,
-    moebius,
     narayana_number,
-    narayana_vector,
     rank,
 )
 from fct.poly import BivarPoly
 from fct.rootsys import fuss_catalan_number
-from fct.weyl import absolute_length, compose, coxeter_element
+from fct.weyl import absolute_length, compose, coxeter_element, inverse
 
 from conftest import rsys
 from oracles import (
+    covers_of,
     down_masks_by_pairs,
     interval_by_filtering,
     leq_rows_by_pairs,
+    m_triangle_by_moebius,
+    masked_nc_poset,
+    moebius,
     moebius_by_inversion,
+    multichain_counts_by_pairs,
+    narayana_vector,
 )
 
 INTERVAL_SIZES = {"A1": 2, "A2": 5, "B2": 6, "A3": 14, "G2": 8, "B3": 20}
@@ -34,8 +43,6 @@ def test_absolute_interval_sizes():
 
 
 def test_interval_members_split_the_coxeter_length():
-    from fct.weyl import inverse
-
     for name in ["A2", "B2", "A3", "G2"]:
         rs = rsys(name)
         c = coxeter_element(rs)
@@ -72,7 +79,12 @@ def test_poset_masks_against_pairwise_oracle():
         rs = rsys(name)
         for word in _words(rs):
             leq = leq_rows_by_pairs(absolute_interval(rs, word))
-            poset = build_nc_poset(rs, k, word)
+            poset = masked_nc_poset(rs, k, word)
+            seqs = build_nc_poset(rs, k, word).elements
+            assert set(seqs) == set(enumerate_delta_sequences(rs, k, word))
+            assert [(rank(rs, s), s.slot_ids) for s in seqs] == sorted(
+                (rank(rs, s), s.slot_ids) for s in seqs
+            )
             down = down_masks_by_pairs(poset.elements, poset.ranks, leq)
             assert poset.down == down
             for a, up in enumerate(poset.up):
@@ -85,6 +97,9 @@ def test_default_word_shares_one_cache_entry():
     assert enumerate_delta_sequences(rs, 2) is enumerate_delta_sequences(rs, 2, None)
     assert build_nc_poset(rs, 2) is build_nc_poset(rs, 2, tuple(range(rs.n)))
     assert m_triangle(rs, 2) is m_triangle(rs, 2, word=None)
+    assert _pair_table(rs) is _pair_table(rs, None) is _pair_table(rs, range(rs.n))
+    assert _moebius_rows(rs, 2) is _moebius_rows(rs, 2, None)
+    assert _moebius_rows(rs, 2) is _moebius_rows(rs, k=2, word=tuple(range(rs.n)))
 
 
 def test_delta_sequences_counted_by_fuss_catalan():
@@ -113,7 +128,7 @@ def test_rank_via_first_part():
 def test_poset_is_graded_with_unique_bottom():
     for name, k in [("A2", 2), ("B2", 2), ("A3", 1), ("G2", 3)]:
         rs = rsys(name)
-        poset = build_nc_poset(rs, k)
+        poset = masked_nc_poset(rs, k)
         mins = [a for a, m in enumerate(poset.down) if m == (1 << a)]
         assert len(mins) == 1
         assert poset.ranks[mins[0]] == 0
@@ -128,7 +143,7 @@ def test_poset_is_graded_with_unique_bottom():
 def test_moebius_against_recursive_oracle():
     for name, k in [("A2", 1), ("A2", 2), ("B2", 1), ("B2", 2), ("A3", 1)]:
         rs = rsys(name)
-        poset = build_nc_poset(rs, k)
+        poset = masked_nc_poset(rs, k)
         size = len(poset.elements)
         leq_pairs = {
             (a, b) for a in range(size) for b in range(size) if poset.leq(a, b)
@@ -151,7 +166,7 @@ def test_narayana_vector_matches_rank_histogram():
         rs = rsys(name)
         vec = narayana_vector(rs, k)
         assert sum(vec) == fuss_catalan_number(rs, k)
-        hist = build_nc_poset(rs, k).rank_histogram()
+        hist = masked_nc_poset(rs, k).rank_histogram()
         assert vec == tuple(reversed(hist))
         for i, v in enumerate(vec):
             assert narayana_number(rs, k, i) == v
@@ -187,3 +202,94 @@ def test_m_triangle_word_independent():
 def test_k_validation():
     with pytest.raises(UsageError):
         enumerate_delta_sequences(rsys("A2"), 0)
+    with pytest.raises(UsageError):
+        m_triangle(rsys("A2"), 0)
+
+
+def test_m_triangle_matches_moebius_sum_oracle():
+    cells = ORACLE_CELLS + [("B4", 2), ("D4", 3), ("F4", 2)]
+    for name, k in cells:
+        rs = rsys(name)
+        for word in _words(rs):
+            assert m_triangle(rs, k, word) == m_triangle_by_moebius(rs, k, word), (
+                name, k, word,
+            )
+
+
+def test_pair_table_lists_every_comparable_pair():
+    for name in ["A3", "B3", "G2", "A1xB2", "D4"]:
+        rs = rsys(name)
+        for word in _words(rs):
+            elems, index, leq, _, _, _ = _interval_tables(rs, word)
+            for u, below in enumerate(_pair_table(rs, word)):
+                assert [w for w, _ in below] == [
+                    w for w in range(len(elems)) if (leq[w] >> u) & 1
+                ]
+                for w, q in below:
+                    assert elems[q] == compose(inverse(elems[w]), elems[u])
+
+
+def test_g_at_k1_is_moebius_of_the_interval():
+    for name in ["A2", "A3", "B3", "G2", "A1xB2", "D4"]:
+        rs = rsys(name)
+        for word in _words(rs):
+            elems, _, leq, _, _, _ = _interval_tables(rs, word)
+            size = len(elems)
+            leq_pairs = {
+                (a, b) for a in range(size) for b in range(size) if (leq[a] >> b) & 1
+            }
+            mu = moebius_by_inversion(leq_pairs, size)
+            g = _moebius_rows(rs, 1, word)
+            for u, below in enumerate(_pair_table(rs, word)):
+                for w, q in below:
+                    assert g[q] == mu[(w, u)]
+
+
+def test_multichain_counts_match_pairwise_oracle():
+    for name in ["A1", "A3", "B3", "G2", "A1xB2", "D4"]:
+        rs = rsys(name)
+        for word in _words(rs):
+            for j in range(4):
+                assert _multichain_counts(rs, j, word) == multichain_counts_by_pairs(
+                    rs, j, word
+                )
+
+
+def test_m_triangle_checks_its_total(monkeypatch):
+    """A wrong g makes M(1, 1) differ from 1, and the build refuses it."""
+    rs = rsys("B3")
+    wrong = _moebius_rows(rs, 3)
+    m_triangle.cache_clear()
+    monkeypatch.setattr(noncrossing, "_moebius_rows", lambda rs, k, word: wrong)
+    try:
+        with pytest.raises(InternalInvariantError, match=r"M\(1, 1\)"):
+            m_triangle(rs, 2)
+    finally:
+        monkeypatch.undo()
+        m_triangle.cache_clear()
+    assert m_triangle(rs, 2).evaluate(1, 1) == 1
+
+
+SMALL_FACTORS = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "G2": 2}
+
+
+@st.composite
+def small_products(draw):
+    factors = draw(
+        st.lists(st.sampled_from(sorted(SMALL_FACTORS)), min_size=1, max_size=4)
+    )
+    keep = []
+    for f in factors:
+        if sum(SMALL_FACTORS[g] for g in keep) + SMALL_FACTORS[f] <= 4:
+            keep.append(f)
+    return "x".join(keep)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_products(), st.integers(1, 3))
+def test_m_triangle_and_count_on_random_products(name, k):
+    rs = rsys(name)
+    assert m_triangle(rs, k) == m_triangle_by_moebius(rs, k)
+    _, index, _, _, _, _ = _interval_tables(rs)
+    c = coxeter_element(rs)
+    assert _multichain_counts(rs, k)[index[c]] == len(enumerate_delta_sequences(rs, k))

@@ -234,10 +234,26 @@ def test_extend_chain_validates_parent():
         extend_chain(rs, ch, 0)  # chain must live in the parabolic
 
 
-def test_chain_enumeration_resource_bound():
+def test_chain_enumeration_resource_bound(monkeypatch):
+    """The bound is the larger of the exact chain count and the filter
+    pairs: F4 at k = 40 exits before any work, E6 at k = 3 starts."""
+
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(nonnesting, "_chain_data", started)
+    with pytest.raises(ResourceLimitError, match="48822021 chains"):
+        enumerate_chains.__wrapped__(rsys("F4"), 40)
     rs = rsys("E6")
-    with pytest.raises(ResourceLimitError):
-        enumerate_chains(rs, 3)
+    assert fuss_catalan_number(rs, 3) == 119966
+    assert len(enumerate_filters(rs)) ** 2 == 693889 <= CHAIN_LIMIT
+    with pytest.raises(Started):
+        enumerate_chains.__wrapped__(rs, 3)
+    with pytest.raises(ResourceLimitError, match="10914604 chains"):
+        enumerate_chains.__wrapped__(rs, 7)
 
 
 def test_k_validation():
