@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import nonnesting
-from .errors import InternalInvariantError, UsageError
+from .errors import InternalInvariantError
 from .nonnesting import FilterChain
 from .poly import BivarPoly
 from .rootsys import RootSystem
@@ -117,14 +117,6 @@ class Region:
                 rows.append((neg, -(m + 1), True))
         return rows
 
-    def constraint_for(self, r: int, colour: int) -> Row:
-        root = self.rs.positive_roots[r]
-        if colour == self.levels[r]:
-            return (root, colour, True)
-        if colour == self.levels[r] + 1 and colour <= self.k:
-            return (tuple(-c for c in root), -colour, True)
-        raise UsageError("hyperplane does not bound this region's strip")
-
 
 def region_from_chain(chain: FilterChain) -> Region:
     region = Region(chain.rs, chain.k, chain.levels())
@@ -133,36 +125,15 @@ def region_from_chain(chain: FilterChain) -> Region:
     return region
 
 
-def is_wall(region: Region, r: int, colour: int) -> bool:
-    """Whether the closure of the region meets the hyperplane in a facet.
-
-    The candidate's own strip constraint is replaced by the equality
-    and every other constraint stays strict; a point of the resulting
-    system is a relative-interior facet point, so existence is exactly
-    the affine-dimension n-1 condition.
-    """
-    own = region.constraint_for(r, colour)
-    root = region.rs.positive_roots[r]
-    rows = [row for row in region.system() if row != own]
-    rows.append((root, colour, False))
-    rows.append((tuple(-c for c in root), -colour, False))
-    return feasible(rows, region.rs.n)
-
-
 def is_bounded(region: Region) -> bool:
-    """Triviality of the recession cone, tested one direction at a time."""
-    rs, k = region.rs, region.k
-    cone = []
-    for r, root in enumerate(rs.positive_roots):
-        cone.append((root, 0, False))
-        if region.levels[r] < k:
-            cone.append((tuple(-c for c in root), 0, False))
-    for j in range(rs.n):
-        for sign in (1, -1):
-            probe = tuple(sign if s == j else 0 for s in range(rs.n))
-            if feasible(cone + [(probe, 1, False)], rs.n):
-                return False
-    return True
+    """Whether no simple root is at level k.
+
+    The recession cone is d >= 0 with root . d = 0 for every root below
+    level k, so it is trivial exactly when every simple root lies in the
+    support of such a root.  A root whose support holds j lies above
+    alpha_j, so it is at level k whenever alpha_j is.
+    """
+    return all(m < region.k for m in region.levels[: region.rs.n])
 
 
 @dataclass(frozen=True)
@@ -177,20 +148,29 @@ class WallReport:
 
 
 def wall_report(region: Region) -> WallReport:
+    """Walls, floors and ceilings of a region.
+
+    Each row of the system is one side of a strip: c.t > m with colour
+    m, or -c.t > -(m + 1) with colour m + 1.  It lies on a wall when the
+    system with that row made an equality, every other row staying
+    strict, is feasible: such a point is a relative-interior facet
+    point, so existence is exactly the affine-dimension n-1 condition.
+    """
+    rs = region.rs
+    rows = region.system()
     walls, floors, ceilings = [], [], []
-    for r in range(len(region.rs.positive_roots)):
-        m = region.levels[r]
-        candidates = [m] if m == region.k else [m, m + 1]
-        for colour in candidates:
-            if not is_wall(region, r, colour):
-                continue
-            walls.append((r, colour))
-            if colour == 0:
-                continue
-            if colour == m:
-                floors.append((r, colour))
-            else:
-                ceilings.append((r, colour))
+    for pos, (coeffs, rhs, _) in enumerate(rows):
+        neg = tuple(-c for c in coeffs)
+        face = rows[:pos] + rows[pos + 1:]
+        face += [(coeffs, rhs, False), (neg, -rhs, False)]
+        if not feasible(face, rs.n):
+            continue
+        lower = rhs >= 0
+        wall = (rs.root_index[coeffs if lower else neg], abs(rhs))
+        walls.append(wall)
+        if rhs == 0:
+            continue
+        (floors if lower else ceilings).append(wall)
     return WallReport(
         tuple(walls), tuple(floors), tuple(ceilings), is_bounded(region)
     )

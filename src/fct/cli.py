@@ -125,7 +125,7 @@ def cmd_grid(args) -> int:
         rs = build_root_system(TypeSpec.parse(name))
         nn = len(nonnesting.enumerate_chains(rs, k))
         facets = cluster.build_complex(rs, k).facet_count
-        nc = len(noncrossing.enumerate_delta_sequences(rs, k))
+        nc = noncrossing.sequence_count(rs, k)
         row = [name, str(k), str(nn), str(facets), str(nc)]
         for identity in GRID_COLUMNS:
             run_it = identity in only if only is not None else _applicable(

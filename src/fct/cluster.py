@@ -42,22 +42,22 @@ def half_rotation(rs: RootSystem, sign: int, v: int, flip: bool = False) -> int:
     """
     if sign not in (1, -1):
         raise UsageError("sign must be +1 or -1")
-    w = _part_product(rs, sign, flip)
+    # img holds signed 1-based root indices, so a negative entry -(i+1)
+    # is -alpha_i's own vertex code
+    img = _part_product(rs, sign, flip).img
     if v < 0:
         i = -v - 1
         side = -rs.bipartition[i] if flip else rs.bipartition[i]
         if side != sign:
             return v
-        image = tuple(-x for x in w.apply_root(rs.positive_roots[i]))
+        image = -img[i]
     else:
-        image = w.apply_root(rs.positive_roots[v])
-    if image in rs.root_index:
-        return rs.root_index[image]
-    neg = tuple(-x for x in image)
-    idx = rs.root_index.get(neg)
-    if idx is None or idx >= rs.n:
+        image = img[v]
+    if image > 0:
+        return image - 1
+    if -image > rs.n:
         raise InternalInvariantError("rotation left the almost positive roots")
-    return -(idx + 1)
+    return image
 
 
 def full_rotation(rs: RootSystem, v: int, flip: bool = False) -> int:

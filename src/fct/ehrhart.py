@@ -233,11 +233,12 @@ def quasi_period(rs: RootSystem) -> int:
     return lcm(simplex_period(rs), h) // h
 
 
-def fit_quasipolynomial(rs: RootSystem, i: int, kmax: int = None) -> QuasiPolynomialFit:
+def fit_quasipolynomial(rs: RootSystem, i: int) -> QuasiPolynomialFit:
     """Interpolate N^(k)(i) per residue class of k and verify all samples.
 
-    Uses the first n+1 samples of each residue class for the fit and
-    treats every remaining sample as a held-out check; a mismatch means
+    Samples k = 1..(n+1)p+2, p the quasi-period.  Uses the first n+1
+    samples of each residue class for the fit and treats every
+    remaining sample as a held-out check; a mismatch means
     the counts are not the expected quasipolynomial and raises a
     ValueError carrying the offending k.
     """
@@ -245,10 +246,7 @@ def fit_quasipolynomial(rs: RootSystem, i: int, kmax: int = None) -> QuasiPolyno
     if not 0 <= i <= n:
         raise UsageError("wall count index out of range")
     period = quasi_period(rs)
-    if kmax is None:
-        kmax = (n + 1) * period + 2
-    if kmax < (n + 1) * period + 2:
-        raise UsageError("kmax leaves no held-out samples")
+    kmax = (n + 1) * period + 2
     samples = tuple(n_k_i(rs, k)[i] for k in range(1, kmax + 1))
     coeffs = []
     for r in range(period):

@@ -65,11 +65,15 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 from . import weyl
-from .errors import InternalInvariantError, UsageError
+from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, require_m_support
-from .rootsys import RootSystem
+from .rootsys import RootSystem, fuss_catalan_number
 
 Word = tuple
+
+# Bound on the comparable pairs w <= u of [1, c], FC(W, 2) of them: the
+# pair table holds one entry each (E7: 144 210; E8: 1 520 922).
+PAIR_LIMIT = 10**6
 
 
 def _cached_per_word(fn):
@@ -101,7 +105,14 @@ def _cover_walk(rs: RootSystem, word: Word = None) -> dict:
 
     Walks down from c one length at a time; u = v t is a lower cover of
     v when its reflection length is one less (see the module docstring).
+    Exits on ``PAIR_LIMIT`` before it starts.
     """
+    pairs = fuss_catalan_number(rs, 2)
+    if pairs > PAIR_LIMIT:
+        raise ResourceLimitError(
+            f"[1, c] of {rs.typespec} has {pairs} comparable pairs, "
+            f"more than the bound {PAIR_LIMIT}"
+        )
     c = weyl.coxeter_element(rs, word)
     refl = weyl.reflections(rs)
     lower = {c: []}
@@ -130,9 +141,9 @@ def _cover_walk(rs: RootSystem, word: Word = None) -> dict:
 @_cached_per_word
 def absolute_interval(rs: RootSystem, word: Word = None) -> tuple:
     """All group elements below the Coxeter element in absolute order,
-    in breadth-first group order (identity first)."""
-    members = _cover_walk(rs, word)
-    return tuple(w for w in weyl.generate_group(rs) if w in members)
+    identity first, in the breadth-first order of the whole group
+    (``weyl.breadth_first_key``), which is never generated."""
+    return tuple(sorted(_cover_walk(rs, word), key=weyl.breadth_first_key))
 
 
 @_cached_per_word
@@ -304,6 +315,15 @@ def m_triangle(rs: RootSystem, k: int, word: Word = None) -> BivarPoly:
         raise InternalInvariantError(f"M(1, 1) = {total}, not 1")
     require_m_support(out)
     return out
+
+
+def sequence_count(rs: RootSystem, k: int, word: Word = None) -> int:
+    """Number of delta sequences, mc_k(c), without listing them."""
+    if k < 1:
+        raise UsageError("k must be a positive integer")
+    _, index, _, _, _, _ = _interval_tables(rs, word)
+    c = weyl.coxeter_element(rs, word)
+    return _multichain_counts(rs, k, word)[index[c]]
 
 
 def narayana_number(rs: RootSystem, k: int, i: int, word: Word = None) -> int:

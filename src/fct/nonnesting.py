@@ -66,21 +66,30 @@ class FilterChain:
         return self.masks[min(i, self.k) - 1]
 
     def levels(self) -> tuple:
-        """For each root index, the largest i <= k with the root in I_i."""
-        n_roots = len(self.rs.positive_roots)
-        out = [0] * n_roots
-        for i, m in enumerate(self.masks, start=1):
-            for r in range(n_roots):
-                if (m >> r) & 1:
-                    out[r] = i
+        """For each root index, the largest i <= k with the root in I_i.
+
+        The filters are nested, so the roots at level i are the set bits
+        of I_i minus I_(i+1): each root of I_1 is visited once.
+        """
+        out = [0] * len(self.rs.positive_roots)
+        above = 0
+        for i in range(self.k, 0, -1):
+            m = self.masks[i - 1]
+            rest = m & ~above
+            above = m
+            while rest:  # inline: a generator here costs a third more
+                low = rest & -rest
+                out[low.bit_length() - 1] = i
+                rest ^= low
         return tuple(out)
 
-    def root_indices(self) -> list:
-        """JSON form: one sorted root-index list per filter."""
-        return [
-            [r for r in range(len(self.rs.positive_roots)) if (m >> r) & 1]
-            for m in self.masks
-        ]
+
+def _set_bits(m: int):
+    """The indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 @lru_cache(maxsize=None)
@@ -330,4 +339,8 @@ def indecomposable_histogram(rs: RootSystem, k: int) -> tuple:
 
 
 def chains_to_json(chains) -> list:
-    return [chain.root_indices() for chain in chains]
+    """One sorted root-index list per filter of each chain; chains share
+    their filters, so each distinct filter's list is built once."""
+    masks = {m for chain in chains for m in chain.masks}
+    lists = {m: list(_set_bits(m)) for m in masks}
+    return [[lists[m] for m in chain.masks] for chain in chains]

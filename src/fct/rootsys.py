@@ -18,9 +18,7 @@ frozenset({0, 1})
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
 
 from .errors import InternalInvariantError, UsageError
 
@@ -213,33 +211,6 @@ def _bipartition(cartan, components) -> tuple:
     return tuple(colour)
 
 
-def _symmetrizer(cartan, components) -> tuple:
-    """Positive integers d with d_i * a_ij = d_j * a_ji, least per component."""
-    n = len(cartan)
-    d = [Fraction(0)] * n
-    for comp in components:
-        d[comp[0]] = Fraction(1)
-        queue = [comp[0]]
-        seen = {comp[0]}
-        while queue:
-            i = queue.pop()
-            for j in comp:
-                if j not in seen and cartan[i][j] != 0:
-                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                    seen.add(j)
-                    queue.append(j)
-        denom = 1
-        for j in comp:
-            denom = denom * d[j].denominator // gcd(denom, d[j].denominator)
-        num = 0
-        for j in comp:
-            d[j] = d[j] * denom
-            num = gcd(num, int(d[j]))
-        for j in comp:
-            d[j] = int(d[j]) // num
-    return tuple(int(x) for x in d)
-
-
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """A crystallographic root system with all derived combinatorial data.
@@ -271,10 +242,6 @@ class RootSystem:
     @cached_property
     def bipartition(self) -> tuple:
         return _bipartition(self.cartan, self.components)
-
-    @cached_property
-    def symmetrizer(self) -> tuple:
-        return _symmetrizer(self.cartan, self.components)
 
     @cached_property
     def component_of_node(self) -> tuple:
@@ -352,18 +319,6 @@ class RootSystem:
         for a, b, c in self.sum_triples:
             out[c].append((a, b))
         return tuple(tuple(x) for x in out)
-
-    def coroot_pairing(self, beta: Root, gamma: Root) -> int:
-        """<gamma, coroot(beta)> = 2 (gamma, beta) / (beta, beta), an integer."""
-        G = self.symmetrizer
-        A = self.cartan
-        n = self.n
-        gb = sum(gamma[i] * G[i] * A[i][j] * beta[j] for i in range(n) for j in range(n))
-        bb = sum(beta[i] * G[i] * A[i][j] * beta[j] for i in range(n) for j in range(n))
-        num = 2 * gb
-        if num % bb:
-            raise InternalInvariantError("coroot pairing is not integral")
-        return num // bb
 
 
 def root_leq(rs: RootSystem, a: Root, b: Root) -> bool:

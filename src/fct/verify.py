@@ -79,7 +79,7 @@ def verify_counts(rs: RootSystem, k: int) -> VerifyResult:
     _require_positive_k(k)
     nn = len(nonnesting.enumerate_chains(rs, k))
     facets = cluster.build_complex(rs, k).facet_count
-    nc = len(noncrossing.enumerate_delta_sequences(rs, k))
+    nc = noncrossing.sequence_count(rs, k)
     formula = fuss_catalan_number(rs, k)
     ok = nn == facets == nc == formula
     detail = None if ok else {

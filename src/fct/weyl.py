@@ -2,8 +2,11 @@
 
 An element is stored by its action on the positive roots: entry i of
 ``img`` is the signed 1-based index of the image of positive root i.
-The integer matrix of the action on simple-root coordinates is derived
-from the images of the simple roots.
+This is the only model of the group.  A simple reflection comes from its
+Cartan row, s_i(beta) = beta - (row_i(A) . beta) alpha_i; every other
+reflection by conjugation, s_beta = s_i s_gamma s_i with gamma = s_i(beta)
+of lower height.  The integer matrix of the action on simple-root
+coordinates is read off the images of the simple roots.
 
 Absolute length is computed from the fixed space, l_T(w) = rank(M - I),
 which agrees with the distance from the identity in the Cayley graph of
@@ -35,6 +38,12 @@ class GroupElement:
         return hash(self.img)
 
     @cached_property
+    def signed_img(self) -> tuple:
+        """Entry s is the image of signed root s, for s = 1..N and, read
+        from the end, for s = -1..-N."""
+        return (0,) + self.img + tuple(-s for s in reversed(self.img))
+
+    @cached_property
     def matrix(self) -> tuple:
         """Integer matrix acting on simple-root coefficient columns."""
         n = self.rs.n
@@ -48,20 +57,14 @@ class GroupElement:
 
     @cached_property
     def length(self) -> int:
-        """Absolute length: codimension of the fixed space."""
-        n = self.rs.n
-        m = [
-            [self.matrix[i][j] - (i == j) for j in range(n)]
-            for i in range(n)
-        ]
-        return kernels.int_rank(m)
-
-    def apply_root(self, root) -> tuple:
-        """Image of a coefficient vector (any integer combination of roots)."""
-        n = self.rs.n
-        return tuple(
-            sum(self.matrix[i][j] * root[j] for j in range(n)) for i in range(n)
-        )
+        """Absolute length: codimension of the fixed space, the rank of
+        the rows w(alpha_j) - alpha_j (the columns of M - I)."""
+        rows = []
+        for j, s in enumerate(self.img[: self.rs.n]):
+            row = [c if s > 0 else -c for c in self.rs.positive_roots[abs(s) - 1]]
+            row[j] -= 1
+            rows.append(row)
+        return kernels.int_rank(rows)
 
 
 def identity(rs: RootSystem) -> GroupElement:
@@ -70,10 +73,7 @@ def identity(rs: RootSystem) -> GroupElement:
 
 def compose(u: GroupElement, v: GroupElement) -> GroupElement:
     """The element acting as first v, then u."""
-    uimg = u.img
-    return GroupElement(
-        u.rs, tuple(uimg[s - 1] if s > 0 else -uimg[-s - 1] for s in v.img)
-    )
+    return GroupElement(u.rs, tuple(map(u.signed_img.__getitem__, v.img)))
 
 
 def inverse(w: GroupElement) -> GroupElement:
@@ -86,31 +86,33 @@ def inverse(w: GroupElement) -> GroupElement:
     return GroupElement(w.rs, tuple(out))
 
 
-def _reflection_img(rs: RootSystem, beta_idx: int) -> tuple:
-    beta = rs.positive_roots[beta_idx]
-    img = []
-    for r in rs.positive_roots:
-        pairing = rs.coroot_pairing(beta, r)
-        image = tuple(c - pairing * b for c, b in zip(r, beta))
-        if image in rs.root_index:
-            img.append(rs.root_index[image] + 1)
-        else:
-            neg = tuple(-c for c in image)
-            img.append(-(rs.root_index[neg] + 1))
-    return tuple(img)
-
-
 @lru_cache(maxsize=None)
 def simple_reflection(rs: RootSystem, i: int) -> GroupElement:
+    """s_i(beta) = beta - (row_i(A) . beta) alpha_i, which permutes the
+    positive roots other than alpha_i."""
     if not 0 <= i < rs.n:
         raise UsageError(f"simple root index {i} out of range")
-    return GroupElement(rs, _reflection_img(rs, i))
+    img = []
+    for b, beta in enumerate(rs.positive_roots):
+        image = list(beta)
+        image[i] -= sum(a * x for a, x in zip(rs.cartan[i], beta))
+        img.append(rs.root_index[tuple(image)] + 1 if b != i else -(i + 1))
+    return GroupElement(rs, tuple(img))
 
 
 @lru_cache(maxsize=None)
 def reflections(rs: RootSystem) -> tuple:
-    """All reflections, indexed like the positive roots."""
-    return tuple(GroupElement(rs, _reflection_img(rs, b)) for b in range(len(rs.positive_roots)))
+    """All reflections, indexed like the positive roots.
+
+    The roots come in height order, so for a non-simple beta some s_i
+    lowers it to a root gamma = s_i(beta) met before, and s_beta is
+    s_i s_gamma s_i.
+    """
+    out = [simple_reflection(rs, i) for i in range(rs.n)]
+    for b in range(rs.n, len(rs.positive_roots)):
+        s = next(s for s in out[: rs.n] if s.img[b] - 1 < b)
+        out.append(compose(s, compose(out[s.img[b] - 1], s)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +120,9 @@ def generate_group(rs: RootSystem, limit: int = GROUP_ORDER_LIMIT) -> tuple:
     """The whole Weyl group, identity first, in breadth-first order.
 
     Raises ResourceLimitError when the group has more than ``limit``
-    elements (the default excludes E7 and E8).
+    elements (the default excludes E7 and E8).  No library path calls
+    it: the tests use it as an oracle, and perfbench's tracer and kernel
+    probe name it.
     """
     gens = tuple(simple_reflection(rs, i).img for i in range(rs.n))
     if not gens:
@@ -130,6 +134,27 @@ def generate_group(rs: RootSystem, limit: int = GROUP_ORDER_LIMIT) -> tuple:
             f"Weyl group of {rs.typespec} exceeds the element bound {limit}"
         ) from None
     return tuple(GroupElement(rs, img) for img in imgs)
+
+
+def breadth_first_key(w: GroupElement) -> tuple:
+    """(Coxeter length, lexicographically least reduced word) of w.
+
+    Sorting by this key gives the order of ``generate_group``: its
+    breadth-first search multiplies on the right, so x is first met from
+    the least of its lower neighbours x s_i, by their own order and then
+    by i, which by induction on length is its least reduced word.  That
+    word starts with the least left descent, and s_i is a left descent
+    of w exactly when w maps some positive root to -alpha_i.
+    """
+    rs = w.rs
+    img = w.img
+    word = []
+    while True:
+        i = next((i for i in range(rs.n) if -(i + 1) in img), None)
+        if i is None:
+            return (len(word), tuple(word))
+        word.append(i)
+        img = tuple(map(simple_reflection(rs, i).signed_img.__getitem__, img))
 
 
 def absolute_length(w: GroupElement) -> int:

@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import product
 
 from fct.arrangement import (
+    WallReport,
     _dominate,
     _eliminate,
     _normalize,
@@ -461,6 +462,62 @@ def verify_disjoint(rs: RootSystem, k: int):
                     "reason": "overlap",
                 }
     return True, None
+
+
+def constraint_for(region, r: int, colour: int):
+    """The row of the region's system bounding root r's strip at colour."""
+    root = region.rs.positive_roots[r]
+    if colour == region.levels[r]:
+        return (root, colour, True)
+    if colour == region.levels[r] + 1 and colour <= region.k:
+        return (tuple(-c for c in root), -colour, True)
+    raise UsageError("hyperplane does not bound this region's strip")
+
+
+def is_wall_by_fm(region, r: int, colour: int) -> bool:
+    """Whether the hyperplane of (r, colour) meets the closure of the
+    region in a facet: its strip row becomes an equality, every other
+    row stays strict."""
+    own = constraint_for(region, r, colour)
+    root = region.rs.positive_roots[r]
+    rows = [row for row in region.system() if row != own]
+    rows.append((root, colour, False))
+    rows.append((tuple(-c for c in root), -colour, False))
+    return feasible(rows, region.rs.n)
+
+
+def is_bounded_by_fm(region) -> bool:
+    """Triviality of the recession cone, one coordinate direction at a
+    time, by Fourier-Motzkin."""
+    rs, k = region.rs, region.k
+    cone = []
+    for r, root in enumerate(rs.positive_roots):
+        cone.append((root, 0, False))
+        if region.levels[r] < k:
+            cone.append((tuple(-c for c in root), 0, False))
+    for j in range(rs.n):
+        for sign in (1, -1):
+            probe = tuple(sign if s == j else 0 for s in range(rs.n))
+            if feasible(cone + [(probe, 1, False)], rs.n):
+                return False
+    return True
+
+
+def wall_report_by_fm(region) -> WallReport:
+    """The wall report from one FM wall test per (root, colour) candidate
+    and the FM cone test."""
+    walls, floors, ceilings = [], [], []
+    for r in range(len(region.rs.positive_roots)):
+        m = region.levels[r]
+        for colour in [m] if m == region.k else [m, m + 1]:
+            if not is_wall_by_fm(region, r, colour):
+                continue
+            walls.append((r, colour))
+            if colour:
+                (floors if colour == m else ceilings).append((r, colour))
+    return WallReport(
+        tuple(walls), tuple(floors), tuple(ceilings), is_bounded_by_fm(region)
+    )
 
 
 @dataclass(frozen=True, eq=False)

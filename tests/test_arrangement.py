@@ -6,7 +6,6 @@ from fct.arrangement import (
     ceilings_poly,
     feasible,
     is_bounded,
-    is_wall,
     region_from_chain,
     regions_of,
     verify_phi,
@@ -19,7 +18,14 @@ from fct.poly import BivarPoly, ceiling_specialization
 from fct.cluster import positive_h_poly
 
 from conftest import rsys
-from oracles import interior_point, levels_of_point, verify_disjoint
+from oracles import (
+    interior_point,
+    is_bounded_by_fm,
+    is_wall_by_fm,
+    levels_of_point,
+    verify_disjoint,
+    wall_report_by_fm,
+)
 
 SMALL = [("A1", 1), ("A1", 2), ("A2", 1), ("A2", 2), ("B2", 1), ("B2", 2), ("G2", 1)]
 
@@ -98,9 +104,10 @@ def test_wall_detection_a2():
     rs = rsys("A2")
     # the region of the full filter chain has both simple walls at colour 1
     full = [r for r in regions_of(rs, 1) if r.levels == (1, 1, 1)][0]
-    assert is_wall(full, 0, 1)
-    assert is_wall(full, 1, 1)
-    assert not is_wall(full, 2, 1)  # the highest root hyperplane is implied
+    assert is_wall_by_fm(full, 0, 1)
+    assert is_wall_by_fm(full, 1, 1)
+    assert not is_wall_by_fm(full, 2, 1)  # the highest root hyperplane is implied
+    assert wall_report(full).floors == ((0, 1), (1, 1))
 
 
 def test_colour_zero_walls_are_neither_floor_nor_ceiling():
@@ -178,3 +185,12 @@ def test_wall_reports_follow_chain_order():
         assert len(reports) == len(chains)
         for ch, rep in zip(chains, reports):
             assert rep == wall_report(region_from_chain(ch))
+
+
+def test_wall_reports_match_fm_oracle():
+    # every cell where the grid runs pos, ceil or phi, plus D4 and F4
+    cells = [(name, k) for name in ("A1", "A2", "A3", "B2", "B3", "G2") for k in (1, 2)]
+    for name, k in cells + [("D4", 1), ("F4", 1)]:
+        rs = rsys(name)
+        for region, report in zip(regions_of(rs, k), wall_reports(rs, k)):
+            assert report == wall_report_by_fm(region), (name, k)

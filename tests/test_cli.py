@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import fct
-from fct import cli
+from fct import cli, noncrossing, weyl
 from fct.errors import InternalInvariantError, ResourceLimitError
 
 GOLDEN_H_A2_K1 = {
@@ -143,6 +143,47 @@ def test_recip_past_chain_bound_exits_4(capsys, monkeypatch):
         cli.entry()
     assert exc.value.code == 4
     assert "166255385 chains" in capsys.readouterr().err
+
+
+def test_noncrossing_needs_no_group(capsys, monkeypatch):
+    def no_group(*args):
+        raise AssertionError("the Weyl group was generated")
+
+    def clear():
+        for fn in vars(noncrossing).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+    clear()
+    monkeypatch.setattr(weyl, "generate_group", no_group)
+    try:
+        for argv in (
+            ["triangle", "M", "--type", "B3", "-k", "2"],
+            ["dump", "nc", "--type", "B3", "-k", "2"],
+            ["verify", "counts", "--type", "B3", "-k", "2"],
+        ):
+            code, out, _ = run(capsys, argv)
+            assert code == 0, argv
+            assert out
+        assert out.strip().endswith("ok")
+    finally:
+        clear()
+
+
+def test_noncrossing_past_pair_bound_exits_4(capsys, monkeypatch):
+    # [1, c] of E8 has FC(E8, 2) = 1 520 922 comparable pairs
+    def no_walk(*args):
+        raise AssertionError("the cover walk started")
+
+    monkeypatch.setattr(weyl, "coxeter_element", no_walk)
+    monkeypatch.setattr(weyl, "reflections", no_walk)
+    monkeypatch.setattr(
+        sys, "argv", ["fct", "triangle", "M", "--type", "E8", "-k", "1"]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 4
+    assert "1520922 comparable pairs" in capsys.readouterr().err
 
 
 def test_internal_invariant_exits_3(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from fct.noncrossing import (
     m_triangle,
     narayana_number,
     rank,
+    sequence_count,
 )
 from fct.poly import BivarPoly
 from fct.rootsys import fuss_catalan_number
@@ -204,6 +205,8 @@ def test_k_validation():
         enumerate_delta_sequences(rsys("A2"), 0)
     with pytest.raises(UsageError):
         m_triangle(rsys("A2"), 0)
+    with pytest.raises(UsageError):
+        sequence_count(rsys("A2"), 0)
 
 
 def test_m_triangle_matches_moebius_sum_oracle():
@@ -290,6 +293,4 @@ def small_products(draw):
 def test_m_triangle_and_count_on_random_products(name, k):
     rs = rsys(name)
     assert m_triangle(rs, k) == m_triangle_by_moebius(rs, k)
-    _, index, _, _, _, _ = _interval_tables(rs)
-    c = coxeter_element(rs)
-    assert _multichain_counts(rs, k)[index[c]] == len(enumerate_delta_sequences(rs, k))
+    assert sequence_count(rs, k) == len(enumerate_delta_sequences(rs, k))

@@ -7,6 +7,7 @@ from fct.nonnesting import (
     FilterChain,
     _decomposition_ranks,
     chain_statistics,
+    chains_to_json,
     enumerate_chains,
     enumerate_filters,
     extend_chain,
@@ -160,14 +161,19 @@ def test_h_triangles_resource_bound(monkeypatch):
 
 
 def test_chain_levels():
-    rs = rsys("A2")
-    for ch in enumerate_chains(rs, 2):
-        levels = ch.levels()
-        for r in range(len(rs.positive_roots)):
-            expected = max(
-                [i for i in range(1, 3) if (ch.mask_at(i) >> r) & 1], default=0
-            )
-            assert levels[r] == expected
+    for name, k in [("A2", 2), ("B3", 3), ("G2", 3)]:
+        rs = rsys(name)
+        roots = range(len(rs.positive_roots))
+        chains = enumerate_chains(rs, k)
+        for ch, row in zip(chains, chains_to_json(chains)):
+            levels = ch.levels()
+            for r in roots:
+                expected = max(
+                    [i for i in range(1, k + 1) if (ch.mask_at(i) >> r) & 1],
+                    default=0,
+                )
+                assert levels[r] == expected
+            assert row == [[r for r in roots if (m >> r) & 1] for m in ch.masks]
 
 
 def test_max_decomposition_rank_against_flat_search():

@@ -4,6 +4,7 @@ from fct.errors import ResourceLimitError, UsageError
 from fct.weyl import (
     absolute_length,
     absolute_leq,
+    breadth_first_key,
     compose,
     coxeter_element,
     element_order,
@@ -59,15 +60,22 @@ def test_simple_reflections_are_involutions():
 
 
 def test_reflections_match_positive_roots():
-    for name in ["A2", "B2", "B3", "G2"]:
+    # an involution of absolute length 1 is a reflection, and the one
+    # sending beta to -beta is s_beta
+    for name in ["A2", "B2", "B3", "G2", "F4", "E6", "B2xG2"]:
         rs = rsys(name)
         refl = reflections(rs)
         assert len(refl) == len(rs.positive_roots)
         for b, t in enumerate(refl):
-            beta = rs.positive_roots[b]
-            # t fixes nothing of beta: image is -beta
-            assert t.apply_root(beta) == tuple(-c for c in beta)
+            assert t.img[b] == -(b + 1)
+            assert t.length == 1
             assert element_order(t) == 2
+
+
+def test_breadth_first_key_sorts_the_group():
+    for name in ["A3", "B3", "G2", "D4", "F4", "A1xB2"]:
+        group = generate_group(rsys(name))
+        assert sorted(group, key=breadth_first_key) == list(group), name
 
 
 def test_absolute_length_against_cayley_bfs():
