@@ -203,29 +203,6 @@ def ceilings_poly(rs: RootSystem, k: int) -> BivarPoly:
     return BivarPoly(coeffs)
 
 
-def verify_phi(rs: RootSystem, k: int):
-    """Check floors = rank-wise indecomposables for every chain.
-
-    Returns (True, None) or (False, first counterexample) where the
-    counterexample records the chain levels and both floor sets.
-    """
-    chains = nonnesting.enumerate_chains(rs, k)
-    for chain, report in zip(chains, wall_reports(rs, k)):
-        floors = set(report.floors)
-        expected = {
-            (r, i)
-            for i in range(1, k + 1)
-            for r in nonnesting.indecomposables(chain, i)
-        }
-        if floors != expected:
-            return False, {
-                "levels": chain.levels(),
-                "floors": sorted(floors),
-                "indecomposables": sorted(expected),
-            }
-    return True, None
-
-
 def regions_json(rs: RootSystem, k: int) -> list:
     out = []
     chains = nonnesting.enumerate_chains(rs, k)

@@ -92,16 +92,12 @@ def cmd_verify(args) -> int:
 
 
 def _applicable(identity: str, rs: RootSystem, k: int) -> bool:
-    name = str(rs.typespec)
-    small = rs.n <= 3 and k <= 2
-    if identity in ("k1", "dual", "recip"):
-        return k == 1
+    if identity in verify.K1_ONLY and k != 1:
+        return False
     if identity == "lattice-nar":
-        return name in LATTICE_TYPES and k <= 2
-    if identity in ("pos", "ceil", "phi"):
-        return small
-    if identity == "final":
-        return k == 1 and rs.n <= 3
+        return str(rs.typespec) in LATTICE_TYPES and k <= 2
+    if identity in ("pos", "ceil", "final", "phi"):
+        return rs.n <= 3 and k <= 2
     return True
 
 

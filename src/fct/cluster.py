@@ -12,12 +12,16 @@ compatibility graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import kernels, weyl
 from .errors import InternalInvariantError, UsageError
 from .poly import BivarPoly, h_from_f, require_f_support
-from .rootsys import RootSystem, support
+from .rootsys import RootSystem, cache_by_value, support
+
+# Keyed on (rs, k, flip) however flip is spelled, so the grid's
+# build_complex(rs, k) and f_triangle's build_complex(rs, k, False)
+# share one clique census.
+_cached_per_flip = cache_by_value(flip=lambda a: bool(a["flip"]))
 
 
 def _part_product(rs: RootSystem, sign: int, flip: bool) -> "weyl.GroupElement":
@@ -69,7 +73,7 @@ def vertex_count(rs: RootSystem, k: int) -> int:
     return rs.n + k * len(rs.positive_roots)
 
 
-@lru_cache(maxsize=None)
+@_cached_per_flip
 def colored_rotation(rs: RootSystem, k: int, flip: bool = False) -> tuple:
     """Permutation table of the rotation on all coloured vertices.
 
@@ -103,15 +107,17 @@ def colored_rotation(rs: RootSystem, k: int, flip: bool = False) -> tuple:
 
 
 def compatible(rs: RootSystem, k: int, u: int, v: int, flip: bool = False) -> bool:
-    """Compatibility of two distinct vertices.
-
-    Rotates both vertices together until either becomes a negative
-    simple root, then applies the support rule.  The orbit bound
-    k(h+2)+k guards against a wrong rotation table.
-    """
+    """Compatibility of two distinct vertices."""
     if u == v:
         raise UsageError("compatibility is only defined for distinct vertices")
-    rot = colored_rotation(rs, k, flip)
+    return _compatible(rs, k, colored_rotation(rs, k, flip), u, v)
+
+
+def _compatible(rs: RootSystem, k: int, rot: tuple, u: int, v: int) -> bool:
+    """Rotates both vertices together by ``rot`` until either becomes a
+    negative simple root, then applies the support rule.  The orbit
+    bound k(h+2)+k guards against a wrong rotation table.
+    """
     bound = k * (rs.coxeter_number + 2) + k + 1
     for _ in range(bound):
         if u < rs.n or v < rs.n:
@@ -124,14 +130,15 @@ def compatible(rs: RootSystem, k: int, u: int, v: int, flip: bool = False) -> bo
     raise InternalInvariantError("rotation orbit never reached a negative simple root")
 
 
-@lru_cache(maxsize=None)
+@_cached_per_flip
 def compat_masks(rs: RootSystem, k: int, flip: bool = False) -> tuple:
     """Adjacency bitmasks of the compatibility graph."""
+    rot = colored_rotation(rs, k, flip)
     nv = vertex_count(rs, k)
     masks = [0] * nv
     for u in range(nv):
         for v in range(u + 1, nv):
-            if compatible(rs, k, u, v, flip):
+            if _compatible(rs, k, rot, u, v):
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
     return tuple(masks)
@@ -154,7 +161,7 @@ class ClusterComplex:
         return sum(self.counts.values())
 
 
-@lru_cache(maxsize=None)
+@_cached_per_flip
 def build_complex(rs: RootSystem, k: int, flip: bool = False) -> ClusterComplex:
     """Census of all faces, grouped by (coloured positives, negatives)."""
     if k < 1:
@@ -168,7 +175,7 @@ def build_complex(rs: RootSystem, k: int, flip: bool = False) -> ClusterComplex:
     return ClusterComplex(rs, k, counts, max_hist)
 
 
-@lru_cache(maxsize=None)
+@_cached_per_flip
 def f_triangle(rs: RootSystem, k: int, flip: bool = False) -> BivarPoly:
     """Face counts by (coloured positive roots, negative simple roots)."""
     cx = build_complex(rs, k, flip)

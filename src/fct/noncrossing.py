@@ -60,14 +60,12 @@ absolute order on [1, c].
 """
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from functools import lru_cache, wraps
 
 from . import weyl
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, require_m_support
-from .rootsys import RootSystem, fuss_catalan_number
+from .rootsys import RootSystem, cache_by_value, fuss_catalan_number
 
 Word = tuple
 
@@ -76,27 +74,11 @@ Word = tuple
 PAIR_LIMIT = 10**6
 
 
-def _cached_per_word(fn):
-    """lru_cache keyed with the Coxeter word spelled out.
-
-    f(rs, k), f(rs, k, None) and f(rs, k, range(n)) all name the same
-    Coxeter element, so they share one cache entry.
-    """
-    cached = lru_cache(maxsize=None)(fn)
-    signature = inspect.signature(fn)
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        word = bound.arguments["word"]
-        n = bound.arguments["rs"].n
-        bound.arguments["word"] = tuple(range(n) if word is None else word)
-        return cached(*bound.args)
-
-    wrapper.cache_info = cached.cache_info
-    wrapper.cache_clear = cached.cache_clear
-    return wrapper
+# f(rs, k), f(rs, k, None) and f(rs, k, range(n)) all name the same
+# Coxeter element, so they share one cache entry.
+_cached_per_word = cache_by_value(
+    word=lambda a: tuple(range(a["rs"].n) if a["word"] is None else a["word"])
+)
 
 
 @_cached_per_word

@@ -96,15 +96,14 @@ def _set_bits(m: int):
 def enumerate_filters(rs: RootSystem) -> tuple:
     """All order filters of the root poset, as ascending bitmasks."""
     n_roots = len(rs.positive_roots)
-    # above[r] = every root above r; membership of r requires them all
-    above = []
-    for r_idx, r in enumerate(rs.positive_roots):
-        ups = [
-            s_idx
-            for s_idx, s in enumerate(rs.positive_roots)
-            if s_idx != r_idx and all(x <= y for x, y in zip(r, s))
-        ]
-        above.append(ups)
+    # up[r] = the upper covers r + alpha_i of r; r may join a filter
+    # that holds them all, since every cover adds one simple root
+    up = [0] * n_roots
+    for a, b, c in rs.sum_triples:
+        if a < rs.n:
+            up[b] |= 1 << c
+        if b < rs.n:
+            up[a] |= 1 << c
     order = sorted(range(n_roots), key=lambda r: -rs.heights[r])
     out = []
 
@@ -114,7 +113,7 @@ def enumerate_filters(rs: RootSystem) -> tuple:
             return
         r = order[pos]
         descend(pos + 1, mask)
-        if all((mask >> s) & 1 for s in above[r]):
+        if mask & up[r] == up[r]:
             descend(pos + 1, mask | (1 << r))
 
     descend(0, 0)

@@ -17,8 +17,9 @@ frozenset({0, 1})
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .errors import InternalInvariantError, UsageError
 
@@ -422,6 +423,34 @@ def _build_from_cartan(cartan, typespec: TypeSpec) -> RootSystem:
                 f"Coxeter number of {family}{rank} disagrees with its degrees"
             )
     return rs
+
+
+def cache_by_value(**spell):
+    """lru_cache keyed on the arguments bound to the signature.
+
+    Defaults are applied, and each argument named in ``spell`` is
+    replaced by ``spell[name](arguments)``, so f(rs, k), f(rs, k, False)
+    and f(rs, k, flip=0) share one cache entry.  The wrapper keeps
+    ``cache_info`` and ``cache_clear``.
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=None)(fn)
+        signature = inspect.signature(fn)
+
+        @wraps(fn)
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            for name, canonical in spell.items():
+                bound.arguments[name] = canonical(bound.arguments)
+            return cached(*bound.args)
+
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+
+    return decorate
 
 
 @lru_cache(maxsize=None)

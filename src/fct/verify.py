@@ -1,11 +1,13 @@
 """Exact machine checks for the identities tying the three families together.
 
-Every public function takes a root system and a level k, recomputes
+Every identity function takes a root system and a level k, recomputes
 both sides of one identity from scratch through independent code
-paths, and returns a VerifyResult carrying either success or a
-counterexample payload (differing monomial, offending chain, or
-mismatching count vector).  Nothing here is approximate: all
-comparisons are on integer polynomial coefficients or integer counts.
+paths, and returns None when the identity holds or a counterexample
+dict (differing monomial, offending chain, or mismatching count
+vector).  `run_identity` is the one entry point: it checks the request
+against the identity's domain and wraps the answer in a VerifyResult.
+Nothing here is approximate: all comparisons are on integer polynomial
+coefficients or integer counts.
 """
 from __future__ import annotations
 
@@ -35,19 +37,27 @@ from .rootsys import (
     parabolic_root_embedding,
 )
 
+# Identities that are statements about k = 1 only, and identities whose
+# route needs an irreducible root system.
+K1_ONLY = frozenset({"k1", "recip", "dual", "final"})
+IRREDUCIBLE_ONLY = frozenset({"lattice-nar"})
+
 
 @dataclass(frozen=True)
 class VerifyResult:
     identity: str
     type_name: str
     k: int
-    ok: bool
     detail: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.detail is None
 
     def line(self) -> str:
         verdict = "ok" if self.ok else "FAIL"
         msg = f"{self.identity} {self.type_name} k={self.k}: {verdict}"
-        if not self.ok and self.detail is not None:
+        if not self.ok:
             msg += " " + repr(self.detail)
         return msg
 
@@ -64,106 +74,90 @@ def _poly_detail(lhs: BivarPoly, rhs: BivarPoly) -> dict | None:
     }
 
 
-def _poly_result(identity, rs, k, lhs, rhs) -> VerifyResult:
-    detail = _poly_detail(lhs, rhs)
-    return VerifyResult(identity, str(rs.typespec), k, detail is None, detail)
+def _first_miss(tag: str, cases) -> dict | None:
+    """The detail of the first (label, lhs, rhs) whose sides differ,
+    with the label stored under ``tag``."""
+    for label, lhs, rhs in cases:
+        detail = _poly_detail(lhs, rhs)
+        if detail is not None:
+            detail[tag] = label
+            return detail
+    return None
 
 
-def _require_positive_k(k: int) -> None:
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+def _fit_held_out(samples: dict, ks, degree: int):
+    """A KFamily fitted on the first degree+1 of the sample points ks,
+    and the detail of the first remaining point it misses (or None)."""
+    family = KFamily.fit({kk: samples[kk] for kk in ks[: degree + 1]}, degree)
+    held_out = ((kk, family.predict(kk), samples[kk]) for kk in ks[degree + 1:])
+    return family, _first_miss("held_out_k", held_out)
 
 
-def verify_counts(rs: RootSystem, k: int) -> VerifyResult:
+def verify_counts(rs: RootSystem, k: int) -> dict | None:
     """Same cardinality for chains, cluster facets, and delta sequences."""
-    _require_positive_k(k)
-    nn = len(nonnesting.enumerate_chains(rs, k))
-    facets = cluster.build_complex(rs, k).facet_count
-    nc = noncrossing.sequence_count(rs, k)
-    formula = fuss_catalan_number(rs, k)
-    ok = nn == facets == nc == formula
-    detail = None if ok else {
-        "chains": nn, "facets": facets, "sequences": nc, "formula": formula,
+    counts = {
+        "chains": len(nonnesting.enumerate_chains(rs, k)),
+        "facets": cluster.build_complex(rs, k).facet_count,
+        "sequences": noncrossing.sequence_count(rs, k),
+        "formula": fuss_catalan_number(rs, k),
     }
-    return VerifyResult("counts", str(rs.typespec), k, ok, detail)
+    return None if len(set(counts.values())) == 1 else counts
 
 
-def verify_h_eq_f(rs: RootSystem, k: int) -> VerifyResult:
-    _require_positive_k(k)
+def verify_h_eq_f(rs: RootSystem, k: int) -> dict | None:
     lhs = h_from_f(cluster.f_triangle(rs, k), rs.n)
-    return _poly_result("h=f", rs, k, lhs, nonnesting.h_triangle(rs, k))
+    return _poly_detail(lhs, nonnesting.h_triangle(rs, k))
 
 
-def verify_h_eq_m(rs: RootSystem, k: int) -> VerifyResult:
-    _require_positive_k(k)
+def verify_h_eq_m(rs: RootSystem, k: int) -> dict | None:
     lhs = h_from_m(noncrossing.m_triangle(rs, k), rs.n)
-    return _poly_result("h=m", rs, k, lhs, nonnesting.h_triangle(rs, k))
+    return _poly_detail(lhs, nonnesting.h_triangle(rs, k))
 
 
-def verify_m_eq_f(rs: RootSystem, k: int) -> VerifyResult:
-    _require_positive_k(k)
+def verify_m_eq_f(rs: RootSystem, k: int) -> dict | None:
     lhs = f_from_m(noncrossing.m_triangle(rs, k), rs.n)
-    return _poly_result("m=f", rs, k, lhs, cluster.f_triangle(rs, k))
+    return _poly_detail(lhs, cluster.f_triangle(rs, k))
 
 
-def verify_k1(rs: RootSystem, k: int) -> VerifyResult:
-    if k != 1:
-        raise UsageError("the closed substitution form only holds at k=1")
-    lhs = h_from_f_k1(cluster.f_triangle(rs, 1), rs.n)
-    return _poly_result("k1", rs, 1, lhs, nonnesting.h_triangle(rs, 1))
+def verify_k1(rs: RootSystem, k: int) -> dict | None:
+    """The closed substitution form of H = F, which holds at k = 1."""
+    lhs = h_from_f_k1(cluster.f_triangle(rs, k), rs.n)
+    return _poly_detail(lhs, nonnesting.h_triangle(rs, k))
 
 
-def verify_recip(rs: RootSystem, k: int) -> VerifyResult:
+def verify_recip(rs: RootSystem, k: int) -> dict | None:
     """Coefficientwise interpolation in k, then the sign-flipped identity.
 
     The coefficients of the H-triangle are polynomials in k of degree
-    at most n, so samples at k = 1..n+2 pin the family down with one
-    degree of slack; k = n+3 and n+4 are held-out consistency checks
-    before the family is evaluated at negative arguments.  All n+4
-    samples come from one chain census walk (``nonnesting.h_triangles``),
-    which exits on the resource bound before it starts when the chains
-    of k = 1..n+4 are too many.
+    at most n, so samples at k = 1..n+1 pin the family down and
+    k = n+2..n+4 are held-out consistency checks before the family is
+    evaluated at negative arguments.  All n+4 samples come from one
+    chain census walk (``nonnesting.h_triangles``), which exits on the
+    resource bound before it starts when the chains of k = 1..n+4 are
+    too many.
     """
-    if k != 1:
-        raise UsageError("reciprocity is checked over the whole k-family, at k=1")
     n = rs.n
-    samples = nonnesting.h_triangles(rs, n + 4)
-    family = KFamily.fit({kk: samples[kk - 1] for kk in range(1, n + 3)}, n)
-    for kk in (n + 3, n + 4):
-        detail = _poly_detail(family.predict(kk), samples[kk - 1])
-        if detail is not None:
-            detail["held_out_k"] = kk
-            return VerifyResult("recip", str(rs.typespec), k, False, detail)
-    for kk in range(1, n + 3):
-        lhs = h_reciprocal_image(family.predict(-kk), n)
-        detail = _poly_detail(lhs, samples[kk - 1])
-        if detail is not None:
-            detail["at_k"] = kk
-            return VerifyResult("recip", str(rs.typespec), k, False, detail)
-    return VerifyResult("recip", str(rs.typespec), k, True)
+    samples = dict(enumerate(nonnesting.h_triangles(rs, n + 4), start=1))
+    family, detail = _fit_held_out(samples, range(1, n + 5), n)
+    return detail or _first_miss("at_k", (
+        (kk, h_reciprocal_image(family.predict(-kk), n), samples[kk])
+        for kk in range(1, n + 3)
+    ))
 
 
-def verify_dual(rs: RootSystem, k: int) -> VerifyResult:
-    if k != 1:
-        raise UsageError("duality is a k=1 statement")
-    h = nonnesting.h_triangle(rs, 1)
-    f = cluster.f_triangle(rs, 1)
-    for name, lhs, rhs in (
+def verify_dual(rs: RootSystem, k: int) -> dict | None:
+    h = nonnesting.h_triangle(rs, k)
+    f = cluster.f_triangle(rs, k)
+    return _first_miss("relation", (
         ("h-dual", h_dual_image(h, rs.n), h),
         ("f-dual", f_self_dual_image(f, rs.n), f),
         ("f-from-h", f_from_h_k1(h, rs.n), f),
-    ):
-        detail = _poly_detail(lhs, rhs)
-        if detail is not None:
-            detail["relation"] = name
-            return VerifyResult("dual", str(rs.typespec), 1, False, detail)
-    return VerifyResult("dual", str(rs.typespec), 1, True)
+    ))
 
 
-def verify_y1_nar(rs: RootSystem, k: int) -> VerifyResult:
+def verify_y1_nar(rs: RootSystem, k: int) -> dict | None:
     """H(x,1) lists the rank-k indecomposable counts, which must match
     the lattice-theoretic numbers from the delta-sequence order."""
-    _require_positive_k(k)
     lhs = nonnesting.h_triangle(rs, k).substitute_y(1)
     rhs = BivarPoly(
         {
@@ -171,64 +165,52 @@ def verify_y1_nar(rs: RootSystem, k: int) -> VerifyResult:
             for i in range(rs.n + 1)
         }
     )
-    return _poly_result("y1-nar", rs, k, lhs, rhs)
+    return _poly_detail(lhs, rhs)
 
 
-def verify_lattice_nar(rs: RootSystem, k: int) -> VerifyResult:
+def verify_lattice_nar(rs: RootSystem, k: int) -> dict | None:
     """Simplex wall counts at t = kh+1 against both other families, plus
-    the per-residue polynomial fit with its held-out samples."""
-    _require_positive_k(k)
-    if len(rs.components) != 1:
-        raise UsageError("the lattice route needs an irreducible root system")
+    their fit as a quasipolynomial in k.
+
+    Per residue class of k modulo the quasi-period p, the counts
+    N^(k)(i) are polynomials in k of degree at most n.  Of the samples
+    k = 1..(n+1)p+2, and k itself, one KFamily per class is fitted on
+    the first n+1 and every other sample of the class is held out.
+    """
     counts = ehrhart.n_k_i(rs, k)
     nn = nonnesting.indecomposable_histogram(rs, k)
     nar = tuple(noncrossing.narayana_number(rs, k, i) for i in range(rs.n + 1))
     if not counts == nn == nar:
-        return VerifyResult(
-            "lattice-nar", str(rs.typespec), k, False,
-            {"lattice": counts, "chains": nn, "sequences": nar},
-        )
+        return {"lattice": counts, "chains": nn, "sequences": nar}
     period = ehrhart.quasi_period(rs)
     if period not in (1, 2):
-        return VerifyResult(
-            "lattice-nar", str(rs.typespec), k, False, {"period": period}
-        )
-    for i in range(rs.n + 1):
-        try:
-            fit = ehrhart.fit_quasipolynomial(rs, i)
-        except ValueError as exc:
-            return VerifyResult(
-                "lattice-nar", str(rs.typespec), k, False,
-                {"fit_index": i, "reason": str(exc)},
-            )
-        if fit.predict(k) != counts[i]:
-            return VerifyResult(
-                "lattice-nar", str(rs.typespec), k, False,
-                {"fit_index": i, "predicted": str(fit.predict(k)),
-                 "counted": counts[i]},
-            )
-    return VerifyResult("lattice-nar", str(rs.typespec), k, True)
+        return {"period": period}
+    samples = {
+        kk: BivarPoly({(i, 0): v for i, v in enumerate(ehrhart.n_k_i(rs, kk))})
+        for kk in sorted({k, *range(1, (rs.n + 1) * period + 3)})
+    }
+    for r in range(period):
+        ks = [kk for kk in samples if kk % period == r]
+        detail = _fit_held_out(samples, ks, rs.n)[1]
+        if detail is not None:
+            return detail
+    return None
 
 
-def verify_pos(rs: RootSystem, k: int) -> VerifyResult:
-    _require_positive_k(k)
+def verify_pos(rs: RootSystem, k: int) -> dict | None:
     lhs = arrangement.ceilings_poly(rs, k)
-    return _poly_result("pos", rs, k, lhs, cluster.positive_h_poly(rs, k))
+    return _poly_detail(lhs, cluster.positive_h_poly(rs, k))
 
 
-def verify_ceil(rs: RootSystem, k: int) -> VerifyResult:
-    _require_positive_k(k)
+def verify_ceil(rs: RootSystem, k: int) -> dict | None:
     lhs = arrangement.ceilings_poly(rs, k)
-    rhs = ceiling_specialization(nonnesting.h_triangle(rs, k))
-    return _poly_result("ceil", rs, k, lhs, rhs)
+    return _poly_detail(lhs, ceiling_specialization(nonnesting.h_triangle(rs, k)))
 
 
-def verify_final(rs: RootSystem, k: int) -> VerifyResult:
-    if k != 1:
-        raise UsageError("the bottom-row ceiling count is a k=1 statement")
-    lhs = arrangement.ceilings_poly(rs, 1)
-    rhs = bottom_specialization(nonnesting.h_triangle(rs, 1), rs.n)
-    return _poly_result("final", rs, 1, lhs, rhs)
+def verify_final(rs: RootSystem, k: int) -> dict | None:
+    """The bottom-row ceiling count, a k = 1 statement."""
+    lhs = arrangement.ceilings_poly(rs, k)
+    return _poly_detail(lhs, bottom_specialization(nonnesting.h_triangle(rs, k), rs.n))
 
 
 def _parabolic_triangle(rs: RootSystem, remove: int, k: int, triangle) -> BivarPoly:
@@ -239,29 +221,25 @@ def _parabolic_triangle(rs: RootSystem, remove: int, k: int, triangle) -> BivarP
     return out
 
 
-def verify_dh(rs: RootSystem, k: int) -> VerifyResult:
-    _require_positive_k(k)
+def verify_dh(rs: RootSystem, k: int) -> dict | None:
     lhs = nonnesting.h_triangle(rs, k).dy()
     rhs = BivarPoly.zero()
     for a in range(rs.n):
         rhs = rhs + _parabolic_triangle(rs, a, k, nonnesting.h_triangle)
-    rhs = BivarPoly.monomial(1, 0) * rhs
-    return _poly_result("dh", rs, k, lhs, rhs)
+    return _poly_detail(lhs, BivarPoly.monomial(1, 0) * rhs)
 
 
-def verify_df(rs: RootSystem, k: int) -> VerifyResult:
-    _require_positive_k(k)
+def verify_df(rs: RootSystem, k: int) -> dict | None:
     lhs = cluster.f_triangle(rs, k).dy()
     rhs = BivarPoly.zero()
     for a in range(rs.n):
         rhs = rhs + _parabolic_triangle(rs, a, k, cluster.f_triangle)
-    return _poly_result("df", rs, k, lhs, rhs)
+    return _poly_detail(lhs, rhs)
 
 
-def verify_bij(rs: RootSystem, k: int) -> VerifyResult:
+def verify_bij(rs: RootSystem, k: int) -> dict | None:
     """Chain restriction at each simple root: bijection onto the
     parabolic chains with exact indecomposable bookkeeping."""
-    _require_positive_k(k)
     chains = nonnesting.enumerate_chains(rs, k)
     ranks = range(1, k + 1)
     indec = {}  # chain -> its indecomposables of each rank, built once
@@ -275,18 +253,11 @@ def verify_bij(rs: RootSystem, k: int) -> VerifyResult:
                 continue
             image = nonnesting.restrict_chain(chain, a)
             if image in images:
-                return VerifyResult(
-                    "bij", str(rs.typespec), k, False,
-                    {"simple": a, "reason": "not injective",
-                     "levels": chain.levels()},
-                )
+                return {"simple": a, "reason": "not injective", "levels": chain.levels()}
             images[image] = chain
             if nonnesting.extend_chain(rs, image, a) != chain:
-                return VerifyResult(
-                    "bij", str(rs.typespec), k, False,
-                    {"simple": a, "reason": "round trip failed",
-                     "levels": chain.levels()},
-                )
+                return {"simple": a, "reason": "round trip failed",
+                        "levels": chain.levels()}
             if chain not in indec:
                 indec[chain] = [nonnesting.indecomposables(chain, l) for l in ranks]
             for l, want in zip(ranks, indec[chain]):
@@ -295,24 +266,28 @@ def verify_bij(rs: RootSystem, k: int) -> VerifyResult:
                 if l == k:
                     want.discard(a)
                 if got != want:
-                    return VerifyResult(
-                        "bij", str(rs.typespec), k, False,
-                        {"simple": a, "rank": l, "levels": chain.levels(),
-                         "image": sorted(got), "expected": sorted(want)},
-                    )
+                    return {"simple": a, "rank": l, "levels": chain.levels(),
+                            "image": sorted(got), "expected": sorted(want)}
         if set(images) != targets:
-            return VerifyResult(
-                "bij", str(rs.typespec), k, False,
-                {"simple": a, "reason": "not onto",
-                 "missing": len(targets - set(images))},
-            )
-    return VerifyResult("bij", str(rs.typespec), k, True)
+            return {"simple": a, "reason": "not onto",
+                    "missing": len(targets - set(images))}
+    return None
 
 
-def verify_phi(rs: RootSystem, k: int) -> VerifyResult:
-    _require_positive_k(k)
-    ok, detail = arrangement.verify_phi(rs, k)
-    return VerifyResult("phi", str(rs.typespec), k, ok, detail)
+def verify_phi(rs: RootSystem, k: int) -> dict | None:
+    """Floors of each chain's region = its indecomposables, rank by rank."""
+    chains = nonnesting.enumerate_chains(rs, k)
+    for chain, report in zip(chains, arrangement.wall_reports(rs, k)):
+        floors = set(report.floors)
+        expected = {
+            (r, i)
+            for i in range(1, k + 1)
+            for r in nonnesting.indecomposables(chain, i)
+        }
+        if floors != expected:
+            return {"levels": chain.levels(), "floors": sorted(floors),
+                    "indecomposables": sorted(expected)}
+    return None
 
 
 IDENTITIES = {
@@ -336,6 +311,17 @@ IDENTITIES = {
 
 
 def run_identity(name: str, rs: RootSystem, k: int) -> VerifyResult:
+    """Check the request against the identity's domain, then run it.
+
+    The function is looked up in ``IDENTITIES`` at call time, so a
+    wrapper installed there sees every run.
+    """
     if name not in IDENTITIES:
         raise UsageError(f"unknown identity {name!r}")
-    return IDENTITIES[name](rs, k)
+    if k < 1:
+        raise UsageError("k must be a positive integer")
+    if name in K1_ONLY and k != 1:
+        raise UsageError(f"{name} is a k=1 statement")
+    if name in IRREDUCIBLE_ONLY and len(rs.components) != 1:
+        raise UsageError(f"{name} needs an irreducible root system")
+    return VerifyResult(name, str(rs.typespec), k, IDENTITIES[name](rs, k))

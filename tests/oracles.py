@@ -306,18 +306,97 @@ def census_per_leaf(chains) -> dict:
     return out
 
 
+def lattice_ok(model, z) -> bool:
+    """Whether z lies in the coroot lattice: adj(A^T) z = 0 mod det A."""
+    return model.det == 1 or all(
+        sum(r * x for r, x in zip(row, z)) % model.det == 0
+        for row in model.congruence_rows
+    )
+
+
+def lattice_points(model, t: int, zeros=frozenset(), cap: bool = False):
+    """Yield lattice z >= 0 with c.z <= t, z_j = 0 on `zeros`, and
+    c.z = t exactly when `cap` is set, one point at a time."""
+    n = len(model.c)
+    z = [0] * n
+
+    def rec(j: int, budget: int):
+        if j == n:
+            if cap and budget != 0:
+                return
+            if lattice_ok(model, z):
+                yield tuple(z)
+            return
+        if j in zeros:
+            z[j] = 0
+            yield from rec(j + 1, budget)
+            return
+        for v in range(budget // model.c[j] + 1):
+            z[j] = v
+            yield from rec(j + 1, budget - v * model.c[j])
+        z[j] = 0
+
+    yield from rec(0, t)
+
+
 def walls_by_enumeration(rs: RootSystem, t: int) -> tuple:
     """Wall-incidence histogram of the t-dilated simplex, by listing
     every lattice point and counting its zero coordinates and the cap."""
-    from fct.ehrhart import _lattice_points, simplex_model
+    from fct.ehrhart import simplex_model
 
     model = simplex_model(rs)
     counts = [0] * (rs.n + 2 if t == 0 else rs.n + 1)
-    for z in _lattice_points(model, t):
+    for z in lattice_points(model, t):
         hit = sum(1 for v in z if v == 0)
         if sum(cv * zv for cv, zv in zip(model.c, z)) == t:
             hit += 1
         counts[hit] += 1
+    return tuple(counts)
+
+
+def count_by_faces(rs: RootSystem, t: int) -> dict:
+    """Per wall-set counts (f, g): points on all walls of the set, and
+    points on exactly those walls via inclusion-exclusion.
+
+    Wall-sets are frozensets over {0..n}, where 0..n-1 are the
+    coordinate walls and n is the cap c.z = t; the full set is the
+    empty face and is excluded.
+    """
+    from fct.ehrhart import simplex_model
+
+    if t < 1:
+        raise UsageError("face counts need a positive dilation")
+    model = simplex_model(rs)
+    n = rs.n
+    walls = range(n + 1)
+    subsets = []
+    f = {}
+    for bits in range(1 << (n + 1)):
+        s = frozenset(j for j in walls if (bits >> j) & 1)
+        if len(s) == n + 1:
+            continue
+        subsets.append(s)
+        f[s] = sum(
+            1
+            for _ in lattice_points(
+                model, t, zeros=frozenset(j for j in s if j < n), cap=n in s
+            )
+        )
+    out = {}
+    for s in subsets:
+        g = 0
+        for s2 in subsets:
+            if s <= s2:
+                g += (-1) ** (len(s2) - len(s)) * f[s2]
+        out[s] = (f[s], g)
+    return out
+
+
+def faces_to_incidence(rs: RootSystem, t: int) -> tuple:
+    """The wall histogram recomputed from the face decomposition."""
+    counts = [0] * (rs.n + 1)
+    for s, (_, g) in count_by_faces(rs, t).items():
+        counts[len(s)] += g
     return tuple(counts)
 
 

@@ -10,6 +10,7 @@ from conftest import rsys
 from oracles import (
     covers_of,
     enumerate_faces,
+    faces_to_incidence,
     is_filter,
     is_geometric,
     masked_nc_poset,
@@ -173,7 +174,7 @@ def test_acceptance_8_structural_suites():
         rs = rsys(name)
         h = ehrhart.simplex_model(rs).h
         for t in (1, h + 1):
-            assert ehrhart.faces_to_incidence(rs, t) == ehrhart.count_by_walls(rs, t).counts
+            assert faces_to_incidence(rs, t) == ehrhart.count_by_walls(rs, t).counts
 
     for name, k in ARRANGEMENT_GRID:
         rs = rsys(name)

@@ -8,11 +8,11 @@ from fct.arrangement import (
     is_bounded,
     region_from_chain,
     regions_of,
-    verify_phi,
     wall_report,
     wall_reports,
 )
 from fct.errors import UsageError
+from fct.verify import run_identity
 from fct.nonnesting import enumerate_chains, h_triangle, indecomposables
 from fct.poly import BivarPoly, ceiling_specialization
 from fct.cluster import positive_h_poly
@@ -137,8 +137,8 @@ def test_ceilings_poly_equals_h_specialization():
 def test_floor_correspondence():
     for name, k in SMALL + [("A3", 1), ("B3", 1)]:
         rs = rsys(name)
-        ok, detail = verify_phi(rs, k)
-        assert ok, detail
+        result = run_identity("phi", rs, k)
+        assert result.ok, result.line()
 
 
 def test_floors_literally_match_indecomposables():
@@ -154,7 +154,6 @@ def test_floors_literally_match_indecomposables():
 
 def test_wall_reports_built_once_per_cell(monkeypatch):
     import fct.arrangement
-    from fct.verify import verify_ceil, verify_phi as run_phi, verify_pos
 
     calls = [0]
     fm = fct.arrangement.feasible
@@ -171,8 +170,8 @@ def test_wall_reports_built_once_per_cell(monkeypatch):
     assert one_build > 0
     wall_reports.cache_clear()
     calls[0] = 0
-    for check in (verify_pos, verify_ceil, run_phi):
-        assert check(rs, 2).ok
+    for identity in ("pos", "ceil", "phi"):
+        assert run_identity(identity, rs, 2).ok
     assert calls[0] == one_build
     wall_reports.cache_clear()
 

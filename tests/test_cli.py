@@ -1,13 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import fct
-from fct import cli, noncrossing, weyl
+from fct import cli, cluster, ehrhart, kernels, noncrossing, nonnesting, verify, weyl
 from fct.errors import InternalInvariantError, ResourceLimitError
+from fct.poly import BivarPoly
 
 GOLDEN_H_A2_K1 = {
     "triangle": "H",
@@ -68,18 +71,73 @@ def test_verify_ok(capsys):
 
 
 def test_verify_usage_errors_exit_2(capsys, monkeypatch):
-    for argv in [
-        ["verify", "dual", "--type", "A2", "-k", "2"],
+    requests = [
+        ["verify", name, "--type", "B2", "-k", "2"] for name in sorted(verify.K1_ONLY)
+    ] + [
+        ["verify", name, "--type", "A1xA1", "-k", "1"]
+        for name in sorted(verify.IRREDUCIBLE_ONLY)
+    ] + [
         ["verify", "final", "--type", "B2", "-k", "3"],
-        ["verify", "lattice-nar", "--type", "A1xA1", "-k", "1"],
         ["triangle", "H", "--type", "Z9", "-k", "1"],
         ["verify", "nonsense", "--type", "A2", "-k", "1"],
-    ]:
+    ]
+    for argv in requests:
         monkeypatch.setattr(sys, "argv", ["fct"] + argv)
         with pytest.raises(SystemExit) as exc:
             cli.entry()
-        assert exc.value.code == 2
+        assert exc.value.code == 2, argv
         capsys.readouterr()
+    # the grid skips the k=1 statements at every other k
+    assert cli.main(["grid", "acceptance"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split()
+    for line in lines[1:-1]:
+        row = dict(zip(header, line.split()))
+        if row["k"] != "1":
+            assert {row[name] for name in verify.K1_ONLY} == {"-"}, line
+
+
+def test_readme_states_the_identity_domains():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = " ".join(readme.split("\nIdentities: ", 1)[1].split("\n\n")[0].split())
+
+    def names(pattern):
+        return sorted(re.search(pattern, paragraph).group(1).split(", "))
+
+    assert names(r"^(.*?)\. ") == sorted(verify.IDENTITIES)
+    assert names(r"These need k=1: (.*?)\.") == sorted(verify.K1_ONLY)
+    assert names(r"These need an irreducible type: (.*?)\.") == sorted(
+        verify.IRREDUCIBLE_ONLY
+    )
+
+
+def test_held_out_miss_fails_with_its_k(capsys, monkeypatch):
+    g2 = fct.build_root_system(fct.TypeSpec.parse("G2"))
+    # G2 has quasi-period 1: the fit takes k = 1..3, and k = 4, 5 are held out
+    n_k_i = ehrhart.n_k_i
+
+    def off_at_5(rs, k):
+        counts = n_k_i(rs, k)
+        return counts[:1] + (counts[1] + 1,) + counts[2:] if k == 5 else counts
+
+    monkeypatch.setattr(ehrhart, "n_k_i", off_at_5)
+    line = verify.run_identity("lattice-nar", g2, 1).line()
+    assert line.startswith("lattice-nar G2 k=1: FAIL") and "'held_out_k': 5" in line
+    code, out, _ = run(capsys, ["verify", "lattice-nar", "--type", "G2", "-k", "1"])
+    assert code == 1
+    assert json.loads(out)["detail"]["held_out_k"] == 5
+
+    # A2: the fit takes k = 1..3, and k = 4..6 are held out
+    h_triangles = nonnesting.h_triangles
+
+    def off_at_last(rs, k):
+        samples = h_triangles(rs, k)
+        return samples[:-1] + (samples[-1] + BivarPoly.one(),)
+
+    monkeypatch.setattr(nonnesting, "h_triangles", off_at_last)
+    code, out, _ = run(capsys, ["verify", "recip", "--type", "A2", "-k", "1"])
+    assert code == 1
+    assert json.loads(out)["detail"]["held_out_k"] == 6
 
 
 def test_readme_usage_rules_exit_2(capsys, monkeypatch):
@@ -259,9 +317,22 @@ def test_grid_unknown_suite(capsys):
     capsys.readouterr()
 
 
-def test_grid_acceptance_quiet(capsys):
+def test_grid_acceptance_quiet(capsys, monkeypatch):
+    # one clique census per distinct complex, however flip is spelled
+    calls = []
+    census = kernels.clique_census
+
+    def counting_census(*args):
+        calls.append(args)
+        return census(*args)
+
+    monkeypatch.setattr(kernels, "clique_census", counting_census)
+    for fn in (cluster.colored_rotation, cluster.compat_masks,
+               cluster.build_complex, cluster.f_triangle):
+        fn.cache_clear()
     assert cli.main(["grid", "acceptance", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+    assert len(calls) == 24
 
 
 def test_grid_table_shape(capsys):

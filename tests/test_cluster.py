@@ -132,6 +132,13 @@ def test_flip_leaves_f_triangle_unchanged():
         assert f_triangle(rs, k, flip=True) == f_triangle(rs, k)
 
 
+def test_caches_do_not_split_on_flip():
+    rs = rsys("B2")
+    for fn in (colored_rotation, compat_masks, build_complex, f_triangle):
+        assert fn(rs, 2) is fn(rs, 2, False) is fn(rs, 2, flip=0), fn.__name__
+    assert build_complex(rs, 2, True) is build_complex(rs, 2, flip=1)
+
+
 def test_h_vector_anchor():
     assert h_vector(rsys("A2"), 1) == (1, 3, 1)
     assert sum(h_vector(rsys("B3"), 2)) == fuss_catalan_number(rsys("B3"), 2)

@@ -57,6 +57,12 @@ def test_enumerate_filters_against_brute_force():
         assert got == brute_filters(rs)
         for m in filters:
             assert is_filter(rs, m)
+    # past brute force: every mask is a filter, and there are Cat(W) of them
+    for name in ["D4", "F4", "B2xG2", "E6"]:
+        rs = rsys(name)
+        filters = enumerate_filters(rs)
+        assert len(set(filters)) == fuss_catalan_number(rs, 1), name
+        assert all(is_filter(rs, m) for m in filters), name
 
 
 def test_is_filter_rejects_non_filters():
