@@ -17,7 +17,6 @@ colour, split by whether the origin sits on the far or near side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -99,13 +98,15 @@ def feasible(rows, n: int) -> bool:
     return all(_zero_row_ok(r) for r in rows)
 
 
-@dataclass(frozen=True, eq=False)
 class Region:
     """Open dominant cell determined by the level of every positive root."""
 
-    rs: RootSystem
-    k: int
-    levels: tuple
+    __slots__ = ("rs", "k", "levels")
+
+    def __init__(self, rs: RootSystem, k: int, levels: tuple):
+        self.rs = rs
+        self.k = k
+        self.levels = levels
 
     def system(self) -> list:
         rows = []
@@ -136,12 +137,24 @@ def is_bounded(region: Region) -> bool:
     return all(m < region.k for m in region.levels[: region.rs.n])
 
 
-@dataclass(frozen=True)
 class WallReport:
-    walls: tuple
-    floors: tuple
-    ceilings: tuple
-    bounded: bool
+    __slots__ = ("walls", "floors", "ceilings", "bounded")
+
+    def __init__(self, walls: tuple, floors: tuple, ceilings: tuple, bounded: bool):
+        self.walls = walls
+        self.floors = floors
+        self.ceilings = ceilings
+        self.bounded = bounded
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.walls, self.floors, self.ceilings, self.bounded) == (
+            other.walls, other.floors, other.ceilings, other.bounded
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.walls, self.floors, self.ceilings, self.bounded))
 
     def coloured_ceiling_count(self, colour: int) -> int:
         return sum(1 for _, i in self.ceilings if i == colour)

@@ -8,21 +8,31 @@ is byte-deterministic for fixed arguments.
 
 Exit codes: 0 verified/success, 1 identity violated, 2 usage error,
 3 internal invariant failure, 4 resource bound exceeded.
+
+Every command runs in a fresh process, so start-up is part of its cost.
+This module imports no layer at the top: each command loads the layers
+it runs when it runs, so ``triangle M`` never loads the nonnesting,
+cluster, Ehrhart or arrangement code.  ``verify`` and ``grid`` load
+``fct.verify``, which imports every layer at module level, because its
+identities span all of them; a caller that needs the whole package
+loaded (the perfbench tracer patches the layers it finds in
+``sys.modules``) imports ``fct.verify``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from . import arrangement, cluster, ehrhart, nonnesting, noncrossing, verify
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .rootsys import RootSystem, TypeSpec, build_root_system
 
+# Triangle letter -> (layer module, function), imported on use.
 TRIANGLES = {
-    "H": nonnesting.h_triangle,
-    "F": cluster.f_triangle,
-    "M": noncrossing.m_triangle,
+    "H": ("nonnesting", "h_triangle"),
+    "F": ("cluster", "f_triangle"),
+    "M": ("noncrossing", "m_triangle"),
 }
 
 ACCEPTANCE_GRID = [
@@ -53,7 +63,8 @@ def _json_bytes(obj) -> str:
 
 def cmd_triangle(args) -> int:
     rs = build_root_system(TypeSpec.parse(args.type))
-    poly = TRIANGLES[args.triangle](rs, args.k)
+    module, function = TRIANGLES[args.triangle]
+    poly = getattr(import_module(f"{__package__}.{module}"), function)(rs, args.k)
     if args.json:
         payload = {
             "triangle": args.triangle,
@@ -71,6 +82,8 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     rs = build_root_system(TypeSpec.parse(args.type))
     result = verify.run_identity(args.identity, rs, args.k)
     if result.ok:
@@ -92,6 +105,8 @@ def cmd_verify(args) -> int:
 
 
 def _applicable(identity: str, rs: RootSystem, k: int) -> bool:
+    from . import verify
+
     if identity in verify.K1_ONLY and k != 1:
         return False
     if identity == "lattice-nar":
@@ -113,6 +128,8 @@ def _grid_cells(suite: str):
 
 
 def cmd_grid(args) -> int:
+    from . import cluster, noncrossing, nonnesting, verify
+
     cells = _grid_cells(args.suite)
     header = ["type", "k", "|NN|", "facets", "|NC|"] + GRID_COLUMNS
     rows = []
@@ -155,15 +172,25 @@ def cmd_dump(args) -> int:
     rs = build_root_system(TypeSpec.parse(args.type))
     k = args.k
     if args.what == "nn":
+        from . import nonnesting
+
         payload = nonnesting.chains_to_json(nonnesting.enumerate_chains(rs, k))
         _emit(_json_bytes(payload), args.out)
     elif args.what == "fnumbers":
+        from . import cluster
+
         _emit(_json_bytes(cluster.fnumbers_json(rs, k)), args.out)
     elif args.what == "nc":
+        from . import noncrossing
+
         _emit(_json_bytes(noncrossing.nc_json(rs, k)), args.out)
     elif args.what == "regions":
+        from . import arrangement
+
         _emit(_json_bytes(arrangement.regions_json(rs, k)), args.out)
     else:
+        from . import ehrhart
+
         if k < 1:
             raise UsageError("k must be a positive integer")
         rows = ehrhart.ehrhart_csv_rows(
@@ -193,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tri.set_defaults(func=cmd_triangle)
 
     p_ver = sub.add_parser("verify", help="check one identity exactly")
-    p_ver.add_argument("identity", choices=sorted(verify.IDENTITIES))
+    p_ver.add_argument("identity", choices=sorted(GRID_COLUMNS))
     p_ver.add_argument("--type", required=True)
     p_ver.add_argument("-k", type=int, required=True)
     p_ver.add_argument("--quiet", action="store_true")

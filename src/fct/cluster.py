@@ -11,8 +11,6 @@ compatibility graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernels, weyl
 from .errors import InternalInvariantError, UsageError
 from .poly import BivarPoly, h_from_f, require_f_support
@@ -144,14 +142,16 @@ def compat_masks(rs: RootSystem, k: int, flip: bool = False) -> tuple:
     return tuple(masks)
 
 
-@dataclass(frozen=True, eq=False)
 class ClusterComplex:
     """Face census of the complex, with vertices kept as indices."""
 
-    rs: RootSystem
-    k: int
-    counts: dict
-    maximal_sizes: dict
+    __slots__ = ("rs", "k", "counts", "maximal_sizes")
+
+    def __init__(self, rs: RootSystem, k: int, counts: dict, maximal_sizes: dict):
+        self.rs = rs
+        self.k = k
+        self.counts = counts
+        self.maximal_sizes = maximal_sizes
 
     @property
     def facet_count(self) -> int:

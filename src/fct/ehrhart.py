@@ -15,7 +15,6 @@ of zero coordinates, and merges partial points that agree on all three.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -39,16 +38,17 @@ def _adjugate(mat) -> list:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class SimplexModel:
     """Exact data of the fundamental simplex in z-coordinates."""
 
-    rs: RootSystem
-    cartan_t: tuple
-    c: tuple
-    h: int
-    det: int
-    congruence_rows: tuple
+    __slots__ = ("rs", "c", "h", "det", "congruence_rows")
+
+    def __init__(self, rs: RootSystem, c: tuple, h: int, det: int, congruence_rows: tuple):
+        self.rs = rs
+        self.c = c
+        self.h = h
+        self.det = det
+        self.congruence_rows = congruence_rows
 
 
 @lru_cache(maxsize=None)
@@ -62,16 +62,26 @@ def simplex_model(rs: RootSystem) -> SimplexModel:
     if det <= 0:
         raise UsageError("Cartan matrix must have positive determinant")
     adj = _adjugate(at)
-    model = SimplexModel(rs, at, c, rs.coxeter_number, det, tuple(map(tuple, adj)))
+    model = SimplexModel(rs, c, rs.coxeter_number, det, tuple(map(tuple, adj)))
     if min(c) < 1 or model.h != 1 + sum(c):
         raise UsageError("highest root data inconsistent with the Coxeter number")
     return model
 
 
-@dataclass(frozen=True)
 class WallIncidenceCount:
-    t: int
-    counts: tuple
+    __slots__ = ("t", "counts")
+
+    def __init__(self, t: int, counts: tuple):
+        self.t = t
+        self.counts = counts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t, self.counts) == (other.t, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.t, self.counts))
 
     @property
     def total(self) -> int:

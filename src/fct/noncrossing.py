@@ -60,8 +60,6 @@ absolute order on [1, c].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import weyl
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, require_m_support
@@ -155,12 +153,14 @@ def _interval_tables(rs: RootSystem, word: Word = None):
     return elems, index, tuple(leq), lengths, comp, lower
 
 
-@dataclass(frozen=True, eq=False)
 class DeltaSequence:
     """Parts (d_0..d_k); slot_ids index parts 1..k in the ambient interval."""
 
-    parts: tuple
-    slot_ids: tuple
+    __slots__ = ("parts", "slot_ids")
+
+    def __init__(self, parts: tuple, slot_ids: tuple):
+        self.parts = parts
+        self.slot_ids = slot_ids
 
     def __eq__(self, other) -> bool:
         return self.slot_ids == other.slot_ids
@@ -214,15 +214,17 @@ def rank(rs: RootSystem, seq: DeltaSequence) -> int:
     return rs.n - seq.parts[0].length
 
 
-@dataclass(frozen=True, eq=False)
 class NCPoset:
     """The delta sequences sorted by (rank, slot ids): a linear
     extension of the slotwise order, which is never built."""
 
-    rs: RootSystem
-    k: int
-    elements: tuple
-    ranks: tuple
+    __slots__ = ("rs", "k", "elements", "ranks")
+
+    def __init__(self, rs: RootSystem, k: int, elements: tuple, ranks: tuple):
+        self.rs = rs
+        self.k = k
+        self.elements = elements
+        self.ranks = ranks
 
 
 @_cached_per_word

@@ -25,7 +25,6 @@ walk to depth K visits every chain of every k <= K
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
@@ -42,12 +41,14 @@ from .rootsys import (
 CHAIN_LIMIT = 5 * 10**6
 
 
-@dataclass(frozen=True, eq=False)
 class FilterChain:
     """A nested chain of k order filters, stored as root-index bitmasks."""
 
-    rs: RootSystem
-    masks: tuple
+    __slots__ = ("rs", "masks")
+
+    def __init__(self, rs: RootSystem, masks: tuple):
+        self.rs = rs
+        self.masks = masks
 
     def __eq__(self, other) -> bool:
         return self.rs is other.rs and self.masks == other.masks

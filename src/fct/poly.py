@@ -16,8 +16,6 @@ True
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import InternalInvariantError, UsageError
@@ -278,6 +276,8 @@ def bottom_specialization(h: BivarPoly, n: int) -> BivarPoly:
 
 def _lagrange_fit(points) -> tuple:
     """Coefficients (ascending) of the polynomial through the given points."""
+    from fractions import Fraction  # loaded only by the k-family fits
+
     coeffs = [Fraction(0)] * len(points)
     for xi, yi in points:
         num = [Fraction(1)]  # running product of (x - xj), ascending coefficients
@@ -298,13 +298,14 @@ def _lagrange_fit(points) -> tuple:
 
 
 def _poly_eval(coeffs, x) -> Fraction:
+    from fractions import Fraction
+
     out = Fraction(0)
     for c in reversed(coeffs):
         out = out * x + c
     return out
 
 
-@dataclass(frozen=True)
 class KFamily:
     """A family of triangles indexed by the positive integer parameter k.
 
@@ -314,8 +315,19 @@ class KFamily:
     ``predict`` evaluates the stored coefficient polynomials.
     """
 
-    samples: tuple  # tuple of (k, BivarPoly), k strictly increasing
-    degree_bound: int
+    __slots__ = ("samples", "degree_bound", "__dict__")
+
+    def __init__(self, samples: tuple, degree_bound: int):
+        self.samples = samples  # tuple of (k, BivarPoly), k strictly increasing
+        self.degree_bound = degree_bound
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.samples, self.degree_bound) == (other.samples, other.degree_bound)
+
+    def __hash__(self) -> int:
+        return hash((self.samples, self.degree_bound))
 
     @classmethod
     def fit(cls, samples: dict, degree_bound: int) -> "KFamily":

@@ -17,8 +17,6 @@ frozenset({0, 1})
 """
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 
 from .errors import InternalInvariantError, UsageError
@@ -44,7 +42,6 @@ def _valid_rank(family: str, n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class TypeSpec:
     """A finite crystallographic type, possibly reducible.
 
@@ -56,7 +53,18 @@ class TypeSpec:
     'B3xA1'
     """
 
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @classmethod
     def parse(cls, text: str) -> "TypeSpec":
@@ -212,7 +220,6 @@ def _bipartition(cartan, components) -> tuple:
     return tuple(colour)
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystem:
     """A crystallographic root system with all derived combinatorial data.
 
@@ -220,9 +227,12 @@ class RootSystem:
     so equal inputs give the same object within a session.
     """
 
-    typespec: TypeSpec
-    cartan: tuple
-    positive_roots: tuple
+    __slots__ = ("typespec", "cartan", "positive_roots", "__dict__")
+
+    def __init__(self, typespec: TypeSpec, cartan: tuple, positive_roots: tuple):
+        self.typespec = typespec
+        self.cartan = cartan
+        self.positive_roots = positive_roots
 
     @property
     def n(self) -> int:
@@ -426,25 +436,39 @@ def _build_from_cartan(cartan, typespec: TypeSpec) -> RootSystem:
 
 
 def cache_by_value(**spell):
-    """lru_cache keyed on the arguments bound to the signature.
+    """lru_cache keyed on the arguments bound to the parameters.
 
     Defaults are applied, and each argument named in ``spell`` is
     replaced by ``spell[name](arguments)``, so f(rs, k), f(rs, k, False)
-    and f(rs, k, flip=0) share one cache entry.  The wrapper keeps
+    and f(rs, k, flip=0) share one cache entry.  Parameters are read
+    from ``fn.__code__`` and ``fn.__defaults__``, so ``fn`` takes
+    positional-or-keyword parameters only.  The wrapper keeps
     ``cache_info`` and ``cache_clear``.
     """
 
     def decorate(fn):
         cached = lru_cache(maxsize=None)(fn)
-        signature = inspect.signature(fn)
+        names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        given = fn.__defaults__ or ()
+        defaults = dict(zip(names[len(names) - len(given):], given))
 
         @wraps(fn)
         def wrapper(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
+            if len(args) > len(names):
+                raise TypeError(f"{fn.__name__}() takes {len(names)} arguments")
+            arguments = dict(zip(names, args))
+            for name in names[len(args):]:
+                if name in kwargs:
+                    arguments[name] = kwargs.pop(name)
+                elif name in defaults:
+                    arguments[name] = defaults[name]
+                else:
+                    raise TypeError(f"{fn.__name__}() missing argument {name!r}")
+            if kwargs:
+                raise TypeError(f"{fn.__name__}() got unexpected arguments {sorted(kwargs)}")
             for name, canonical in spell.items():
-                bound.arguments[name] = canonical(bound.arguments)
-            return cached(*bound.args)
+                arguments[name] = canonical(arguments)
+            return cached(*arguments.values())
 
         wrapper.cache_info = cached.cache_info
         wrapper.cache_clear = cached.cache_clear

@@ -11,8 +11,6 @@ coefficients or integer counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import arrangement, cluster, ehrhart, nonnesting, noncrossing
 from .errors import UsageError
 from .poly import (
@@ -43,12 +41,26 @@ K1_ONLY = frozenset({"k1", "recip", "dual", "final"})
 IRREDUCIBLE_ONLY = frozenset({"lattice-nar"})
 
 
-@dataclass(frozen=True)
 class VerifyResult:
-    identity: str
-    type_name: str
-    k: int
-    detail: dict | None = None
+    __slots__ = ("identity", "type_name", "k", "detail")
+
+    def __init__(
+        self, identity: str, type_name: str, k: int, detail: dict | None = None
+    ):
+        self.identity = identity
+        self.type_name = type_name
+        self.k = k
+        self.detail = detail
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.identity, self.type_name, self.k, self.detail) == (
+            other.identity, other.type_name, other.k, other.detail
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.identity, self.type_name, self.k, self.detail))
 
     @property
     def ok(self) -> bool:

@@ -14,22 +14,23 @@ the full reflection set (checked exhaustively in the test suite).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import kernels
 from .errors import ResourceLimitError, UsageError
-from .rootsys import RootSystem
+from .rootsys import RootSystem, cache_by_value
 
 GROUP_ORDER_LIMIT = 10**6
 
 
-@dataclass(frozen=True, eq=False)
 class GroupElement:
     """A Weyl group element, canonicalised by its action on positive roots."""
 
-    rs: RootSystem
-    img: tuple
+    __slots__ = ("rs", "img", "__dict__")
+
+    def __init__(self, rs: RootSystem, img: tuple):
+        self.rs = rs
+        self.img = img
 
     def __eq__(self, other) -> bool:
         return self.rs is other.rs and self.img == other.img
@@ -115,7 +116,7 @@ def reflections(rs: RootSystem) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cache_by_value()
 def generate_group(rs: RootSystem, limit: int = GROUP_ORDER_LIMIT) -> tuple:
     """The whole Weyl group, identity first, in breadth-first order.
 

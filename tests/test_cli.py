@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -172,6 +173,56 @@ def test_module_entry_point():
     bad = run_module("verify", "counts", "--type", "A2", "-k", "0")
     assert bad.returncode == 2
     assert bad.stdout == ""
+
+
+# Run in a fresh interpreter: prints the fct modules and the heavy
+# standard library modules loaded after each step, and the modules the
+# perfbench tracer patches (argv[1] is the perfbench directory).
+LOAD_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    return sorted(m for m in sys.modules if m.startswith("fct.") or m in heavy)
+
+steps = {}
+import fct.cli
+steps["import"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    fct.cli.main(["triangle", "M", "--type", "B3", "-k", "1"])
+steps["triangle"] = loaded()
+import fct.verify
+steps["verify"] = loaded()
+sys.path.insert(0, sys.argv[1])
+import tracer
+steps["traced"] = sorted({"fct." + m for m, *_ in tracer.SPANS + tracer.COUNTERS})
+print(json.dumps(steps))
+"""
+
+
+def test_commands_load_only_their_layers():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, str(perfbench)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    steps = json.loads(done.stdout)
+    assert steps["import"] == ["fct.cli", "fct.errors", "fct.rootsys"]
+    unused = {"fct.arrangement", "fct.cluster", "fct.ehrhart", "fct.nonnesting", "fct.verify"}
+    assert not unused & set(steps["triangle"])
+    assert set(steps["traced"]) <= set(steps["verify"])
+
+
+def test_verify_choices_are_the_identities_and_grid_columns():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    identity = next(a for a in commands.choices["verify"]._actions if a.dest == "identity")
+    # IDENTITIES is a dict, so equal sorted lists also rule out a
+    # column named twice
+    assert list(identity.choices) == sorted(verify.IDENTITIES) == sorted(cli.GRID_COLUMNS)
 
 
 def test_argparse_rejects_conflicting_flags(capsys):

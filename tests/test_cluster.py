@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fct.cluster import (
     build_complex,
@@ -15,9 +17,10 @@ from fct.cluster import (
 )
 from fct.errors import UsageError
 from fct.poly import BivarPoly
-from fct.rootsys import fuss_catalan_number
+from fct.nonnesting import enumerate_chains
+from fct.rootsys import fuss_catalan_number, parabolic
 
-from conftest import rsys
+from conftest import rsys, small_products
 from oracles import enumerate_faces
 
 GRID = [("A1", 3), ("A2", 1), ("A2", 2), ("B2", 2), ("A3", 2), ("G2", 2), ("B3", 1)]
@@ -158,3 +161,15 @@ def test_positive_h_poly():
 def test_k_validation():
     with pytest.raises(UsageError):
         colored_rotation(rsys("A2"), 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(small_products().map(rsys), st.builds(lambda: parabolic(rsys("A1"), 0))),
+    st.integers(1, 3),
+)
+def test_chain_and_facet_counts_on_random_products(rs, k):
+    """Both families number FC(W, k), on products and on the rank-0 type."""
+    expected = fuss_catalan_number(rs, k)
+    assert len(enumerate_chains(rs, k)) == expected
+    assert build_complex(rs, k).facet_count == expected

@@ -21,7 +21,7 @@ from fct.poly import BivarPoly
 from fct.rootsys import fuss_catalan_number
 from fct.weyl import absolute_length, compose, coxeter_element, inverse
 
-from conftest import rsys
+from conftest import rsys, small_products
 from oracles import (
     covers_of,
     down_masks_by_pairs,
@@ -271,21 +271,6 @@ def test_m_triangle_checks_its_total(monkeypatch):
         monkeypatch.undo()
         m_triangle.cache_clear()
     assert m_triangle(rs, 2).evaluate(1, 1) == 1
-
-
-SMALL_FACTORS = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "G2": 2}
-
-
-@st.composite
-def small_products(draw):
-    factors = draw(
-        st.lists(st.sampled_from(sorted(SMALL_FACTORS)), min_size=1, max_size=4)
-    )
-    keep = []
-    for f in factors:
-        if sum(SMALL_FACTORS[g] for g in keep) + SMALL_FACTORS[f] <= 4:
-            keep.append(f)
-    return "x".join(keep)
 
 
 @settings(max_examples=25, deadline=None)

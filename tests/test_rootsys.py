@@ -1,9 +1,14 @@
 import pytest
 
+from fct.arrangement import WallReport
+from fct.ehrhart import WallIncidenceCount
 from fct.errors import UsageError
+from fct.poly import BivarPoly, KFamily
 from fct.rootsys import (
+    RootSystem,
     TypeSpec,
     build_root_system,
+    cache_by_value,
     degrees,
     filter_mask,
     fuss_catalan_number,
@@ -13,6 +18,7 @@ from fct.rootsys import (
     root_leq,
     support,
 )
+from fct.verify import VerifyResult
 
 from conftest import rsys
 from oracles import filter_generated
@@ -182,3 +188,38 @@ def test_irreducible_factors():
 def test_root_system_identity_cache():
     assert rsys("B3") is rsys("B3")
     assert parabolic(rsys("B3"), 2) is parabolic(rsys("B3"), 2)
+
+
+def test_cache_by_value_binds_like_a_call():
+    @cache_by_value(b=lambda a: int(a["b"]))
+    def pair(a, b=2):
+        return (a, b)
+
+    assert pair(1) is pair(1, 2) is pair(a=1, b=2) is pair(1, b=2.0)
+    assert pair.cache_info().currsize == 1
+    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"c": 3}), ((1, 2), {"b": 2})]:
+        with pytest.raises(TypeError):
+            pair(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (TypeSpec, ((("A", 2),),)),
+        (WallReport, ((1,), (), ((0, 1),), True)),
+        (WallIncidenceCount, (3, (1, 2))),
+        (KFamily, (((1, BivarPoly.one()),), 0)),
+        (VerifyResult, ("counts", "A2", 1)),
+    ],
+)
+def test_value_records_compare_and_hash_by_fields(cls, fields):
+    a, b = cls(*fields), cls(*fields)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != fields
+
+
+def test_root_systems_compare_by_identity():
+    rs = rsys("A2")
+    twin = RootSystem(rs.typespec, rs.cartan, rs.positive_roots)
+    assert twin != rs and rs == rs

@@ -2,6 +2,7 @@ import pytest
 
 from fct.errors import ResourceLimitError, UsageError
 from fct.weyl import (
+    GROUP_ORDER_LIMIT,
     absolute_length,
     absolute_leq,
     breadth_first_key,
@@ -37,6 +38,13 @@ def test_group_orders():
 def test_group_limit():
     with pytest.raises(ResourceLimitError):
         generate_group.__wrapped__(rsys("A3"), 5)
+
+
+def test_group_cache_does_not_split_on_limit():
+    rs = rsys("B2")
+    group = generate_group(rs)
+    assert generate_group(rs, GROUP_ORDER_LIMIT) is group
+    assert generate_group(rs, limit=GROUP_ORDER_LIMIT) is group
 
 
 def test_compose_inverse_identity():
