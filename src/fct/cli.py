@@ -51,8 +51,11 @@ GRID_COLUMNS = [
 
 def _emit(text: str, out) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -11,29 +11,25 @@ compatibility graph.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import kernels, weyl
 from .errors import InternalInvariantError, UsageError
 from .poly import BivarPoly, h_from_f, require_f_support
-from .rootsys import RootSystem, cache_by_value, support
-
-# Keyed on (rs, k, flip) however flip is spelled, so the grid's
-# build_complex(rs, k) and f_triangle's build_complex(rs, k, False)
-# share one clique census.
-_cached_per_flip = cache_by_value(flip=lambda a: bool(a["flip"]))
+from .rootsys import RootSystem, support
 
 
-def _part_product(rs: RootSystem, sign: int, flip: bool) -> "weyl.GroupElement":
+def _part_product(rs: RootSystem, sign: int) -> "weyl.GroupElement":
     """Product of the commuting simple reflections on one side of the
     diagram bipartition."""
-    want = -sign if flip else sign
     w = weyl.identity(rs)
     for i in range(rs.n):
-        if rs.bipartition[i] == want:
+        if rs.bipartition[i] == sign:
             w = weyl.compose(w, weyl.simple_reflection(rs, i))
     return w
 
 
-def half_rotation(rs: RootSystem, sign: int, v: int, flip: bool = False) -> int:
+def half_rotation(rs: RootSystem, sign: int, v: int) -> int:
     """One involution of the almost positive roots.
 
     Vertices are encoded as signed integers: a nonnegative value is a
@@ -46,11 +42,10 @@ def half_rotation(rs: RootSystem, sign: int, v: int, flip: bool = False) -> int:
         raise UsageError("sign must be +1 or -1")
     # img holds signed 1-based root indices, so a negative entry -(i+1)
     # is -alpha_i's own vertex code
-    img = _part_product(rs, sign, flip).img
+    img = _part_product(rs, sign).img
     if v < 0:
         i = -v - 1
-        side = -rs.bipartition[i] if flip else rs.bipartition[i]
-        if side != sign:
+        if rs.bipartition[i] != sign:
             return v
         image = -img[i]
     else:
@@ -62,17 +57,17 @@ def half_rotation(rs: RootSystem, sign: int, v: int, flip: bool = False) -> int:
     return image
 
 
-def full_rotation(rs: RootSystem, v: int, flip: bool = False) -> int:
+def full_rotation(rs: RootSystem, v: int) -> int:
     """The composite of both half rotations, negatives-first order."""
-    return half_rotation(rs, -1, half_rotation(rs, 1, v, flip), flip)
+    return half_rotation(rs, -1, half_rotation(rs, 1, v))
 
 
 def vertex_count(rs: RootSystem, k: int) -> int:
     return rs.n + k * len(rs.positive_roots)
 
 
-@_cached_per_flip
-def colored_rotation(rs: RootSystem, k: int, flip: bool = False) -> tuple:
+@lru_cache(maxsize=None)
+def colored_rotation(rs: RootSystem, k: int) -> tuple:
     """Permutation table of the rotation on all coloured vertices.
 
     Vertex layout: 0..n-1 are the negative simple roots, then each
@@ -91,24 +86,24 @@ def colored_rotation(rs: RootSystem, k: int, flip: bool = False) -> tuple:
     out = []
     for v in range(vertex_count(rs, k)):
         if v < n:
-            out.append(lift(full_rotation(rs, -(v + 1), flip)))
+            out.append(lift(full_rotation(rs, -(v + 1))))
         else:
             r, c = divmod(v - n, k)
             if c + 1 < k:
                 out.append(v + 1)
             else:
-                out.append(lift(full_rotation(rs, r, flip)))
+                out.append(lift(full_rotation(rs, r)))
     image = sorted(out)
     if image != list(range(len(out))):
         raise InternalInvariantError("coloured rotation is not a bijection")
     return tuple(out)
 
 
-def compatible(rs: RootSystem, k: int, u: int, v: int, flip: bool = False) -> bool:
+def compatible(rs: RootSystem, k: int, u: int, v: int) -> bool:
     """Compatibility of two distinct vertices."""
     if u == v:
         raise UsageError("compatibility is only defined for distinct vertices")
-    return _compatible(rs, k, colored_rotation(rs, k, flip), u, v)
+    return _compatible(rs, k, colored_rotation(rs, k), u, v)
 
 
 def _compatible(rs: RootSystem, k: int, rot: tuple, u: int, v: int) -> bool:
@@ -128,10 +123,10 @@ def _compatible(rs: RootSystem, k: int, rot: tuple, u: int, v: int) -> bool:
     raise InternalInvariantError("rotation orbit never reached a negative simple root")
 
 
-@_cached_per_flip
-def compat_masks(rs: RootSystem, k: int, flip: bool = False) -> tuple:
+@lru_cache(maxsize=None)
+def compat_masks(rs: RootSystem, k: int) -> tuple:
     """Adjacency bitmasks of the compatibility graph."""
-    rot = colored_rotation(rs, k, flip)
+    rot = colored_rotation(rs, k)
     nv = vertex_count(rs, k)
     masks = [0] * nv
     for u in range(nv):
@@ -161,12 +156,12 @@ class ClusterComplex:
         return sum(self.counts.values())
 
 
-@_cached_per_flip
-def build_complex(rs: RootSystem, k: int, flip: bool = False) -> ClusterComplex:
+@lru_cache(maxsize=None)
+def build_complex(rs: RootSystem, k: int) -> ClusterComplex:
     """Census of all faces, grouped by (coloured positives, negatives)."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    masks = compat_masks(rs, k, flip)
+    masks = compat_masks(rs, k)
     counts, max_hist = kernels.clique_census(masks, len(masks), rs.n)
     if set(max_hist) - {rs.n}:
         raise InternalInvariantError(
@@ -175,27 +170,13 @@ def build_complex(rs: RootSystem, k: int, flip: bool = False) -> ClusterComplex:
     return ClusterComplex(rs, k, counts, max_hist)
 
 
-@_cached_per_flip
-def f_triangle(rs: RootSystem, k: int, flip: bool = False) -> BivarPoly:
+@lru_cache(maxsize=None)
+def f_triangle(rs: RootSystem, k: int) -> BivarPoly:
     """Face counts by (coloured positive roots, negative simple roots)."""
-    cx = build_complex(rs, k, flip)
+    cx = build_complex(rs, k)
     out = BivarPoly({(l, m): c for (l, m), c in cx.counts.items()})
     require_f_support(out, rs.n)
     return out
-
-
-def h_vector(rs: RootSystem, k: int) -> tuple:
-    """Coefficients h_0..h_n with sum h_i x^(n-i) = H(x, 1) = sum f_lm (x-1)^(n-l-m)."""
-    n = rs.n
-    h = h_from_f(f_triangle(rs, k), n).substitute_y(1)
-    return tuple(h.coeff(n - i, 0) for i in range(n + 1))
-
-
-def positive_h_vector(rs: RootSystem, k: int) -> tuple:
-    """Same expansion restricted to faces without negative simple roots."""
-    n = rs.n
-    hp = positive_h_poly(rs, k)
-    return tuple(hp.coeff(n - i, 0) for i in range(n + 1))
 
 
 def positive_h_poly(rs: RootSystem, k: int) -> BivarPoly:

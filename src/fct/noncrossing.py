@@ -1,9 +1,9 @@
 """Divisible noncrossing partitions from factorisations of a Coxeter element.
 
 A delta sequence is a tuple (d_0, d_1, ..., d_k) of group elements whose
-product is the chosen Coxeter element c with reflection lengths adding
-up to l_T(c) = n.  Sequences are ordered slotwise by absolute order on
-the slots 1..k; slot 0 is determined by the others.  The rank of a
+product is the Coxeter element c = s_0 s_1 ... s_{n-1} with reflection
+lengths adding up to l_T(c) = n.  Sequences are ordered slotwise by
+absolute order on the slots 1..k; slot 0 is determined by the others.  The rank of a
 sequence is n - l_T(d_0).  The rank sizes are the Fuss-Narayana numbers;
 the M-triangle is the sum of mu(a, b) x^l_T(d_0(b)) y^l_T(d_0(a)) over
 a <= b.  Both are read off [1, c], without the order on sequences.  Let
@@ -60,27 +60,20 @@ absolute order on [1, c].
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import weyl
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, require_m_support
-from .rootsys import RootSystem, cache_by_value, fuss_catalan_number
-
-Word = tuple
+from .rootsys import ENUMERATION_LIMIT, RootSystem, fuss_catalan_number
 
 # Bound on the comparable pairs w <= u of [1, c], FC(W, 2) of them: the
 # pair table holds one entry each (E7: 144 210; E8: 1 520 922).
 PAIR_LIMIT = 10**6
 
 
-# f(rs, k), f(rs, k, None) and f(rs, k, range(n)) all name the same
-# Coxeter element, so they share one cache entry.
-_cached_per_word = cache_by_value(
-    word=lambda a: tuple(range(a["rs"].n) if a["word"] is None else a["word"])
-)
-
-
-@_cached_per_word
-def _cover_walk(rs: RootSystem, word: Word = None) -> dict:
+@lru_cache(maxsize=None)
+def _cover_walk(rs: RootSystem) -> dict:
     """Map from each element of [1, c] to its lower covers.
 
     Walks down from c one length at a time; u = v t is a lower cover of
@@ -93,7 +86,7 @@ def _cover_walk(rs: RootSystem, word: Word = None) -> dict:
             f"[1, c] of {rs.typespec} has {pairs} comparable pairs, "
             f"more than the bound {PAIR_LIMIT}"
         )
-    c = weyl.coxeter_element(rs, word)
+    c = weyl.coxeter_element(rs)
     refl = weyl.reflections(rs)
     lower = {c: []}
     level = [c]
@@ -118,16 +111,16 @@ def _cover_walk(rs: RootSystem, word: Word = None) -> dict:
     return lower
 
 
-@_cached_per_word
-def absolute_interval(rs: RootSystem, word: Word = None) -> tuple:
+@lru_cache(maxsize=None)
+def absolute_interval(rs: RootSystem) -> tuple:
     """All group elements below the Coxeter element in absolute order,
     identity first, in the breadth-first order of the whole group
     (``weyl.breadth_first_key``), which is never generated."""
-    return tuple(sorted(_cover_walk(rs, word), key=weyl.breadth_first_key))
+    return tuple(sorted(_cover_walk(rs), key=weyl.breadth_first_key))
 
 
-@_cached_per_word
-def _interval_tables(rs: RootSystem, word: Word = None):
+@lru_cache(maxsize=None)
+def _interval_tables(rs: RootSystem):
     """Index map, leq bitmask rows, lengths, left-complement indices and
     lower covers.
 
@@ -137,9 +130,9 @@ def _interval_tables(rs: RootSystem, word: Word = None):
     rows close the covers in decreasing length, so each row is complete
     before it is pushed down to the elements its element covers.
     """
-    elems = absolute_interval(rs, word)
-    walk = _cover_walk(rs, word)
-    c = weyl.coxeter_element(rs, word)
+    elems = absolute_interval(rs)
+    walk = _cover_walk(rs)
+    c = weyl.coxeter_element(rs)
     index = {w: a for a, w in enumerate(elems)}
     lengths = tuple(u.length for u in elems)
     lower = tuple(tuple(index[u] for u in walk[v]) for v in elems)
@@ -169,19 +162,26 @@ class DeltaSequence:
         return hash(self.slot_ids)
 
 
-@_cached_per_word
-def enumerate_delta_sequences(rs: RootSystem, k: int, word: Word = None) -> tuple:
+@lru_cache(maxsize=None)
+def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
     """All delta sequences, via multichains of partial products.
 
     The partial products v_i = d_1 d_2 ... d_i form a multichain
     v_1 <= v_2 <= ... <= v_k below c, and any such multichain yields a
     delta sequence, so the enumeration walks multichains of interval
-    indices in lexicographic order.
+    indices in lexicographic order.  Their exact number, the
+    Fuss-Catalan number, is bounded before any work.
     """
     if k < 1:
         raise UsageError("k must be a positive integer")
-    elems, index, leq, _, _, _ = _interval_tables(rs, word)
-    c = weyl.coxeter_element(rs, word)
+    count = fuss_catalan_number(rs, k)
+    if count > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"delta sequence enumeration for {rs.typespec}, k={k} lists {count} "
+            f"sequences, more than the bound {ENUMERATION_LIMIT}"
+        )
+    elems, index, leq, _, _, _ = _interval_tables(rs)
+    c = weyl.coxeter_element(rs)
     out = []
     chain = []
 
@@ -227,24 +227,24 @@ class NCPoset:
         self.ranks = ranks
 
 
-@_cached_per_word
-def build_nc_poset(rs: RootSystem, k: int, word: Word = None) -> NCPoset:
+@lru_cache(maxsize=None)
+def build_nc_poset(rs: RootSystem, k: int) -> NCPoset:
     """The delta sequences in the order of ``NCPoset``."""
     seqs = sorted(
-        enumerate_delta_sequences(rs, k, word),
+        enumerate_delta_sequences(rs, k),
         key=lambda seq: (rank(rs, seq), seq.slot_ids),
     )
     return NCPoset(rs, k, tuple(seqs), tuple(rank(rs, seq) for seq in seqs))
 
 
-@_cached_per_word
-def _pair_table(rs: RootSystem, word: Word = None) -> tuple:
+@lru_cache(maxsize=None)
+def _pair_table(rs: RootSystem) -> tuple:
     """Entry u: the pairs (w, index of w^-1 u) over the w <= u in [1, c].
 
     Walks the set bits of each leq row, one composition per comparable
     pair; there are FC(W, 2) of them.
     """
-    elems, index, leq, _, _, _ = _interval_tables(rs, word)
+    elems, index, leq, _, _, _ = _interval_tables(rs)
     pairs = [[] for _ in elems]
     for w, above in enumerate(leq):
         w_inv = weyl.inverse(elems[w])
@@ -255,23 +255,23 @@ def _pair_table(rs: RootSystem, word: Word = None) -> tuple:
     return tuple(map(tuple, pairs))
 
 
-@_cached_per_word
-def _multichain_counts(rs: RootSystem, j: int, word: Word = None) -> tuple:
+@lru_cache(maxsize=None)
+def _multichain_counts(rs: RootSystem, j: int) -> tuple:
     """Entry u: number of j-multichains in the interval below element u."""
-    pairs = _pair_table(rs, word)
+    pairs = _pair_table(rs)
     cur = (1,) * len(pairs)
     for _ in range(j):
         cur = tuple(sum(cur[w] for w, _ in below) for below in pairs)
     return cur
 
 
-@_cached_per_word
-def _moebius_rows(rs: RootSystem, k: int, word: Word = None) -> tuple:
+@lru_cache(maxsize=None)
+def _moebius_rows(rs: RootSystem, k: int) -> tuple:
     """Entry x: g(x) of the module docstring, by increasing length; the
     term v = 1 of its sum is the pair with v^-1 x = x."""
-    _, _, _, lengths, _, _ = _interval_tables(rs, word)
-    pairs = _pair_table(rs, word)
-    mc = _multichain_counts(rs, k - 1, word)
+    _, _, _, lengths, _, _ = _interval_tables(rs)
+    pairs = _pair_table(rs)
+    mc = _multichain_counts(rs, k - 1)
     g = [1] * len(pairs)
     for x in sorted(range(len(pairs)), key=lengths.__getitem__):
         if lengths[x]:
@@ -279,16 +279,16 @@ def _moebius_rows(rs: RootSystem, k: int, word: Word = None) -> tuple:
     return tuple(g)
 
 
-@_cached_per_word
-def m_triangle(rs: RootSystem, k: int, word: Word = None) -> BivarPoly:
+@lru_cache(maxsize=None)
+def m_triangle(rs: RootSystem, k: int) -> BivarPoly:
     """The Moebius sum, from [1, c] (module docstring); checks M(1, 1) = 1."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    _, _, _, lengths, comp, _ = _interval_tables(rs, word)
-    mc = _multichain_counts(rs, k - 1, word)
-    g = _moebius_rows(rs, k, word)
+    _, _, _, lengths, comp, _ = _interval_tables(rs)
+    mc = _multichain_counts(rs, k - 1)
+    g = _moebius_rows(rs, k)
     acc = {}
-    for u, below in enumerate(_pair_table(rs, word)):
+    for u, below in enumerate(_pair_table(rs)):
         bottoms = mc[comp[u]]
         for w, q in below:
             key = (lengths[w], lengths[u])
@@ -301,16 +301,16 @@ def m_triangle(rs: RootSystem, k: int, word: Word = None) -> BivarPoly:
     return out
 
 
-def sequence_count(rs: RootSystem, k: int, word: Word = None) -> int:
+def sequence_count(rs: RootSystem, k: int) -> int:
     """Number of delta sequences, mc_k(c), without listing them."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    _, index, _, _, _, _ = _interval_tables(rs, word)
-    c = weyl.coxeter_element(rs, word)
-    return _multichain_counts(rs, k, word)[index[c]]
+    _, index, _, _, _, _ = _interval_tables(rs)
+    c = weyl.coxeter_element(rs)
+    return _multichain_counts(rs, k)[index[c]]
 
 
-def narayana_number(rs: RootSystem, k: int, i: int, word: Word = None) -> int:
+def narayana_number(rs: RootSystem, k: int, i: int) -> int:
     """Fuss-Narayana count by factorisation counting, no poset needed.
 
     Splits off the zeroth part d_0 of length i and counts the additive
@@ -321,8 +321,8 @@ def narayana_number(rs: RootSystem, k: int, i: int, word: Word = None) -> int:
         raise UsageError("index out of range")
     if k < 1:
         raise UsageError("k must be a positive integer")
-    _, _, _, lengths, comp, _ = _interval_tables(rs, word)
-    counts = _multichain_counts(rs, k - 1, word)
+    _, _, _, lengths, comp, _ = _interval_tables(rs)
+    counts = _multichain_counts(rs, k - 1)
     return sum(
         counts[comp[u]] for u in range(len(lengths)) if lengths[u] == i
     )

@@ -31,14 +31,13 @@ from . import kernels
 from .errors import ResourceLimitError, UsageError
 from .poly import BivarPoly, require_h_support
 from .rootsys import (
+    ENUMERATION_LIMIT,
     RootSystem,
     filter_mask,
     fuss_catalan_number,
     parabolic,
     parabolic_root_embedding,
 )
-
-CHAIN_LIMIT = 5 * 10**6
 
 
 class FilterChain:
@@ -156,10 +155,10 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
     predicted = max(
         fuss_catalan_number(rs, k), len(enumerate_filters(rs)) ** min(k, 2)
     )
-    if predicted > CHAIN_LIMIT:
+    if predicted > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"chain enumeration for {rs.typespec}, k={k} predicts {predicted} "
-            f"chains or filter pairs, more than the bound {CHAIN_LIMIT}"
+            f"chains or filter pairs, more than the bound {ENUMERATION_LIMIT}"
         )
     filters, subs, full = _chain_data(rs, k)
     raw = kernels.nn_chains(filters, subs, rs.sum_triples, k, full)
@@ -245,10 +244,6 @@ def indecomposables(chain: FilterChain, l: int) -> frozenset:
     return frozenset(out)
 
 
-def simple_indecomposables(chain: FilterChain, l: int) -> frozenset:
-    return frozenset(r for r in indecomposables(chain, l) if r < chain.rs.n)
-
-
 def _h_poly(stats: dict) -> BivarPoly:
     out = BivarPoly(stats)
     require_h_support(out)
@@ -273,10 +268,10 @@ def h_triangles(rs: RootSystem, k: int) -> tuple:
     if k < 1:
         raise UsageError("k must be a positive integer")
     predicted = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
-    if predicted > CHAIN_LIMIT:
+    if predicted > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"chain census for {rs.typespec}, k=1..{k} visits {predicted} chains, "
-            f"more than the bound {CHAIN_LIMIT}"
+            f"more than the bound {ENUMERATION_LIMIT}"
         )
     filters, subs, full = _chain_data(rs, k)
     hists = kernels.nn_census_family(filters, subs, rs.sum_triples, k, full, rs.n)

@@ -17,7 +17,7 @@ frozenset({0, 1})
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 
 from .errors import InternalInvariantError, UsageError
 
@@ -355,8 +355,8 @@ def filter_mask(rs: RootSystem, a: int) -> int:
 def _classify_component(sub) -> tuple:
     """Identify the irreducible type of a connected Cartan matrix.
 
-    Returns (family, rank, perm) where perm maps local node positions to
-    Bourbaki positions: sub[i][j] == canonical[perm[i]][perm[j]].
+    Returns (family, rank) of the first Bourbaki matrix it matches under
+    some node permutation perm: sub[i][j] == canonical[perm[i]][perm[j]].
     """
     r = len(sub)
     candidates = [f for f in _FAMILIES if _valid_rank(f, r)]
@@ -394,31 +394,19 @@ def _classify_component(sub) -> tuple:
             return False
 
         if place(0):
-            return family, r, tuple(perm)
+            return family, r
     raise UsageError("matrix is not a finite-type Cartan matrix")
 
 
-def classify_cartan(cartan) -> tuple:
-    """TypeSpec of a (possibly reducible) Cartan matrix, plus node maps.
-
-    Returns (typespec, maps) where maps[f] is a tuple giving, for each
-    Bourbaki position of factor f, the corresponding node index of cartan.
-    B2 is preferred over the isomorphic C2 for rank two double bonds.
+def classify_cartan(cartan) -> TypeSpec:
+    """TypeSpec of a (possibly reducible) Cartan matrix, one factor per
+    component in the order of their lowest nodes.  A rank two double
+    bond reads B2: B is tried before the isomorphic C2.
     """
-    comps = _components(cartan)
-    factors = []
-    maps = []
-    for comp in comps:
-        sub = [[cartan[i][j] for j in comp] for i in comp]
-        family, r, perm = _classify_component(sub)
-        if family == "C" and r == 2:
-            family, r, perm = "B", 2, (perm[1], perm[0])
-        inverse = [0] * r
-        for local, p in enumerate(perm):
-            inverse[p] = comp[local]
-        factors.append((family, r))
-        maps.append(tuple(inverse))
-    return TypeSpec(tuple(factors)), tuple(maps)
+    return TypeSpec(tuple(
+        _classify_component([[cartan[i][j] for j in comp] for i in comp])
+        for comp in _components(cartan)
+    ))
 
 
 def _build_from_cartan(cartan, typespec: TypeSpec) -> RootSystem:
@@ -433,48 +421,6 @@ def _build_from_cartan(cartan, typespec: TypeSpec) -> RootSystem:
                 f"Coxeter number of {family}{rank} disagrees with its degrees"
             )
     return rs
-
-
-def cache_by_value(**spell):
-    """lru_cache keyed on the arguments bound to the parameters.
-
-    Defaults are applied, and each argument named in ``spell`` is
-    replaced by ``spell[name](arguments)``, so f(rs, k), f(rs, k, False)
-    and f(rs, k, flip=0) share one cache entry.  Parameters are read
-    from ``fn.__code__`` and ``fn.__defaults__``, so ``fn`` takes
-    positional-or-keyword parameters only.  The wrapper keeps
-    ``cache_info`` and ``cache_clear``.
-    """
-
-    def decorate(fn):
-        cached = lru_cache(maxsize=None)(fn)
-        names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        given = fn.__defaults__ or ()
-        defaults = dict(zip(names[len(names) - len(given):], given))
-
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            if len(args) > len(names):
-                raise TypeError(f"{fn.__name__}() takes {len(names)} arguments")
-            arguments = dict(zip(names, args))
-            for name in names[len(args):]:
-                if name in kwargs:
-                    arguments[name] = kwargs.pop(name)
-                elif name in defaults:
-                    arguments[name] = defaults[name]
-                else:
-                    raise TypeError(f"{fn.__name__}() missing argument {name!r}")
-            if kwargs:
-                raise TypeError(f"{fn.__name__}() got unexpected arguments {sorted(kwargs)}")
-            for name, canonical in spell.items():
-                arguments[name] = canonical(arguments)
-            return cached(*arguments.values())
-
-        wrapper.cache_info = cached.cache_info
-        wrapper.cache_clear = cached.cache_clear
-        return wrapper
-
-    return decorate
 
 
 @lru_cache(maxsize=None)
@@ -504,7 +450,7 @@ def parabolic(rs: RootSystem, remove: int) -> RootSystem:
         raise UsageError(f"simple root index {remove} out of range")
     keep = [i for i in range(rs.n) if i != remove]
     sub = [[rs.cartan[i][j] for j in keep] for i in keep]
-    typespec, _ = classify_cartan(sub) if keep else (TypeSpec(()), ())
+    typespec = classify_cartan(sub) if keep else TypeSpec(())
     out = _build_from_cartan(sub, typespec)
     expected = sorted(
         tuple(r[i] for i in keep) for r in rs.positive_roots if r[remove] == 0
@@ -530,6 +476,11 @@ def parabolic_root_embedding(rs: RootSystem, remove: int) -> tuple:
 def irreducible_factors(rs: RootSystem) -> tuple:
     """The canonical root systems of the irreducible components of rs."""
     return tuple(build_root_system(TypeSpec((f,))) for f in rs.typespec.factors)
+
+
+# Bound on the objects one enumeration visits: geometric chains, the
+# filter pairs of a subfilter table, delta sequences.
+ENUMERATION_LIMIT = 5 * 10**6
 
 
 def fuss_catalan_number(rs: RootSystem, k: int) -> int:

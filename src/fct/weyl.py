@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 from . import kernels
 from .errors import ResourceLimitError, UsageError
-from .rootsys import RootSystem, cache_by_value
+from .rootsys import RootSystem
 
 GROUP_ORDER_LIMIT = 10**6
 
@@ -116,23 +116,24 @@ def reflections(rs: RootSystem) -> tuple:
     return tuple(out)
 
 
-@cache_by_value()
-def generate_group(rs: RootSystem, limit: int = GROUP_ORDER_LIMIT) -> tuple:
+@lru_cache(maxsize=None)
+def generate_group(rs: RootSystem) -> tuple:
     """The whole Weyl group, identity first, in breadth-first order.
 
-    Raises ResourceLimitError when the group has more than ``limit``
-    elements (the default excludes E7 and E8).  No library path calls
-    it: the tests use it as an oracle, and perfbench's tracer and kernel
-    probe name it.
+    Raises ResourceLimitError when the group has more than
+    ``GROUP_ORDER_LIMIT`` elements (which excludes E7 and E8).  No
+    library path calls it: the tests use it as an oracle, and perfbench's
+    tracer and kernel probe name it.
     """
     gens = tuple(simple_reflection(rs, i).img for i in range(rs.n))
     if not gens:
         return (identity(rs),)
     try:
-        imgs = kernels.weyl_closure(gens, limit)
+        imgs = kernels.weyl_closure(gens, GROUP_ORDER_LIMIT)
     except kernels.LimitExceeded:
         raise ResourceLimitError(
-            f"Weyl group of {rs.typespec} exceeds the element bound {limit}"
+            f"Weyl group of {rs.typespec} exceeds the element bound "
+            f"{GROUP_ORDER_LIMIT}"
         ) from None
     return tuple(GroupElement(rs, img) for img in imgs)
 
@@ -158,40 +159,19 @@ def breadth_first_key(w: GroupElement) -> tuple:
         img = tuple(map(simple_reflection(rs, i).signed_img.__getitem__, img))
 
 
-def absolute_length(w: GroupElement) -> int:
-    return w.length
-
-
 def absolute_leq(u: GroupElement, v: GroupElement) -> bool:
     """Absolute order: lengths add along u, then u^-1 v."""
     return u.length + compose(inverse(u), v).length == v.length
 
 
-def coxeter_element(rs: RootSystem, word=None) -> GroupElement:
-    """Product of the simple reflections, by default in index order.
-
-    ``word`` may give another ordering of 0..n-1 to produce an
-    alternative Coxeter element.
-    """
-    if word is None:
-        word = range(rs.n)
-    word = list(word)
-    if sorted(word) != list(range(rs.n)):
-        raise UsageError("word must order each simple reflection exactly once")
+@lru_cache(maxsize=None)
+def coxeter_element(rs: RootSystem) -> GroupElement:
+    """Product of the simple reflections in index order.  Every Coxeter
+    element is this one for some numbering of the diagram's nodes."""
     c = identity(rs)
-    for i in word:
+    for i in range(rs.n):
         c = compose(c, simple_reflection(rs, i))
     return c
-
-
-def element_order(w: GroupElement) -> int:
-    k = 1
-    x = w
-    e = identity(w.rs)
-    while x != e:
-        x = compose(x, w)
-        k += 1
-    return k
 
 
 def reflection_word(w: GroupElement) -> tuple:

@@ -24,7 +24,7 @@ from fct.arrangement import (
 )
 from fct.errors import InternalInvariantError, UsageError
 from fct.poly import BivarPoly
-from fct.rootsys import RootSystem
+from fct.rootsys import RootSystem, _build_from_cartan, classify_cartan
 
 
 def brute_filters(rs: RootSystem) -> set:
@@ -139,6 +139,31 @@ def bfs_absolute_length(rs: RootSystem) -> dict:
     return dist
 
 
+def element_order(w) -> int:
+    """Least m >= 1 with w^m = 1, by repeated composition."""
+    from fct import weyl
+
+    m, x, e = 1, w, weyl.identity(w.rs)
+    while x != e:
+        x = weyl.compose(x, w)
+        m += 1
+    return m
+
+
+@lru_cache(maxsize=None)
+def relabelled(rs: RootSystem, perm: tuple) -> RootSystem:
+    """The root system of rs's Cartan matrix with node perm[j] renamed j.
+
+    Every choice the library fixes by node order is reached this way.
+    Its Coxeter element s_0 s_1 ... s_{n-1} is the product of the simple
+    reflections of rs in the order perm.  Its bipartition gives the
+    lowest node of each component the + side, so putting a node of the
+    other colour first flips the bipartition of a connected diagram.
+    """
+    cartan = [[rs.cartan[p][q] for q in perm] for p in perm]
+    return _build_from_cartan(cartan, classify_cartan(cartan))
+
+
 def _invert(mat):
     n = len(mat)
     a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)] for i in range(n)]
@@ -205,12 +230,12 @@ def moebius_by_inversion(leq_pairs, size: int) -> dict:
     return out
 
 
-def interval_by_filtering(rs: RootSystem, word=None) -> tuple:
+def interval_by_filtering(rs: RootSystem) -> tuple:
     """[1, c] as the whole group, in breadth-first order, filtered by
     the pairwise absolute order test against c."""
     from fct import weyl
 
-    c = weyl.coxeter_element(rs, word)
+    c = weyl.coxeter_element(rs)
     return tuple(w for w in weyl.generate_group(rs) if weyl.absolute_leq(w, c))
 
 
@@ -625,7 +650,7 @@ class MaskedPoset:
 
 
 @lru_cache(maxsize=None)
-def masked_nc_poset(rs: RootSystem, k: int, word=None) -> MaskedPoset:
+def masked_nc_poset(rs: RootSystem, k: int) -> MaskedPoset:
     """The sequences of ``build_nc_poset`` with down and up masks.
 
     a <= b when every slot of a lies below the same slot of b (which
@@ -636,9 +661,9 @@ def masked_nc_poset(rs: RootSystem, k: int, word=None) -> MaskedPoset:
     """
     from fct.noncrossing import _interval_tables, build_nc_poset
 
-    base = build_nc_poset(rs, k, word)
+    base = build_nc_poset(rs, k)
     elems_seq, ranks = base.elements, base.ranks
-    _, _, _, lengths, _, lower = _interval_tables(rs, word)
+    _, _, _, lengths, _, lower = _interval_tables(rs)
     size = len(elems_seq)
     shortest_first = sorted(range(len(lengths)), key=lengths.__getitem__)
     slot_down = []
@@ -731,10 +756,10 @@ def moebius(poset: MaskedPoset, a: int, b: int) -> int:
     return moebius_rows(poset)[a][b]
 
 
-def m_triangle_by_moebius(rs: RootSystem, k: int, word=None) -> BivarPoly:
+def m_triangle_by_moebius(rs: RootSystem, k: int) -> BivarPoly:
     """Moebius sum x^(n - rank of top) y^(n - rank of bottom) over every
     comparable pair of the masked delta-sequence poset."""
-    poset = masked_nc_poset(rs, k, word)
+    poset = masked_nc_poset(rs, k)
     n = rs.n
     acc = {}
     for d, row in enumerate(moebius_rows(poset)):
@@ -745,17 +770,17 @@ def m_triangle_by_moebius(rs: RootSystem, k: int, word=None) -> BivarPoly:
     return BivarPoly(acc)
 
 
-def narayana_vector(rs: RootSystem, k: int, word=None) -> tuple:
+def narayana_vector(rs: RootSystem, k: int) -> tuple:
     """Entry i: number of delta sequences of rank n - i."""
-    return tuple(reversed(masked_nc_poset(rs, k, word).rank_histogram()))
+    return tuple(reversed(masked_nc_poset(rs, k).rank_histogram()))
 
 
-def multichain_counts_by_pairs(rs: RootSystem, j: int, word=None) -> tuple:
+def multichain_counts_by_pairs(rs: RootSystem, j: int) -> tuple:
     """Entry u: number of j-multichains below element u of [1, c], by
     summing over every pair (v, u) of the interval and testing v <= u."""
     from fct.noncrossing import _interval_tables
 
-    elems, _, leq, _, _, _ = _interval_tables(rs, word)
+    elems, _, leq, _, _, _ = _interval_tables(rs)
     size = len(elems)
     cur = (1,) * size
     for _ in range(j):
@@ -768,3 +793,28 @@ def multichain_counts_by_pairs(rs: RootSystem, j: int, word=None) -> tuple:
             nxt.append(total)
         cur = tuple(nxt)
     return cur
+
+
+def simple_indecomposables(chain, l: int) -> frozenset:
+    """The rank-l indecomposables of a chain that are simple roots."""
+    from fct.nonnesting import indecomposables
+
+    return frozenset(r for r in indecomposables(chain, l) if r < chain.rs.n)
+
+
+def h_vector(rs: RootSystem, k: int) -> tuple:
+    """Coefficients h_0..h_n with sum h_i x^(n-i) = H(x, 1) = sum f_lm (x-1)^(n-l-m)."""
+    from fct.cluster import f_triangle
+    from fct.poly import h_from_f
+
+    n = rs.n
+    h = h_from_f(f_triangle(rs, k), n).substitute_y(1)
+    return tuple(h.coeff(n - i, 0) for i in range(n + 1))
+
+
+def positive_h_vector(rs: RootSystem, k: int) -> tuple:
+    """Same expansion restricted to faces without negative simple roots."""
+    from fct.cluster import positive_h_poly
+
+    hp = positive_h_poly(rs, k)
+    return tuple(hp.coeff(rs.n - i, 0) for i in range(rs.n + 1))

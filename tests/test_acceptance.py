@@ -11,6 +11,7 @@ from oracles import (
     covers_of,
     enumerate_faces,
     faces_to_incidence,
+    h_vector,
     is_filter,
     is_geometric,
     masked_nc_poset,
@@ -68,7 +69,7 @@ def test_acceptance_2_narayana_three_ways():
         nar = tuple(
             noncrossing.narayana_number(rs, k, i) for i in range(rs.n + 1)
         )
-        h = cluster.h_vector(rs, k)
+        h = h_vector(rs, k)
         assert hist == nar, (name, k, hist, nar)
         assert all(h[rs.n - i] == nar[i] for i in range(rs.n + 1)), (name, k, h, nar)
     print("ACCEPTANCE 2: PASS - indecomposable histogram, rank-refined "

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -60,6 +61,17 @@ def test_triangle_writes_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text()) == GOLDEN_H_A2_K1
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "no" / "such" / "dir" / "h.txt"
+    monkeypatch.setattr(
+        sys, "argv", ["fct", "triangle", "H", "--type", "A2", "-k", "1", "--out", str(target)]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"fct: cannot write {target}: No such file or directory\n"
 
 
 def test_verify_ok(capsys):
@@ -295,6 +307,27 @@ def test_noncrossing_past_pair_bound_exits_4(capsys, monkeypatch):
     assert "1520922 comparable pairs" in capsys.readouterr().err
 
 
+def test_dump_nc_past_sequence_bound_exits_4(capsys, monkeypatch):
+    # F4 at k = 40 has 48 822 021 delta sequences
+    def no_tables(*args):
+        raise AssertionError("the interval tables were built")
+
+    monkeypatch.setattr(noncrossing, "_interval_tables", no_tables)
+    monkeypatch.setattr(sys, "argv", ["fct", "dump", "nc", "--type", "F4", "-k", "40"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 4
+    assert "48822021 sequences" in capsys.readouterr().err
+
+
+def test_dump_nc_b4_bytes_match_the_reference(capsys):
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    digest = json.loads(reference.read_text())["cold"]["dump nc --type B4 -k 2"]
+    code, out, _ = run(capsys, ["dump", "nc", "--type", "B4", "-k", "2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_internal_invariant_exits_3(capsys, monkeypatch):
     def boom(argv=None):
         raise InternalInvariantError("wedged")
@@ -369,7 +402,7 @@ def test_grid_unknown_suite(capsys):
 
 
 def test_grid_acceptance_quiet(capsys, monkeypatch):
-    # one clique census per distinct complex, however flip is spelled
+    # one clique census per distinct complex
     calls = []
     census = kernels.clique_census
 

@@ -9,10 +9,8 @@ from fct.cluster import (
     compatible,
     f_triangle,
     full_rotation,
-    h_vector,
     half_rotation,
     positive_h_poly,
-    positive_h_vector,
     vertex_count,
 )
 from fct.errors import UsageError
@@ -21,7 +19,7 @@ from fct.nonnesting import enumerate_chains
 from fct.rootsys import fuss_catalan_number, parabolic
 
 from conftest import rsys, small_products
-from oracles import enumerate_faces
+from oracles import enumerate_faces, h_vector, positive_h_vector, relabelled
 
 GRID = [("A1", 3), ("A2", 1), ("A2", 2), ("B2", 2), ("A3", 2), ("G2", 2), ("B3", 1)]
 
@@ -129,17 +127,31 @@ def test_f_triangle_anchor_rank_one():
     assert f_triangle(rsys("A1"), 3) == BivarPoly({(0, 0): 1, (0, 1): 1, (1, 0): 3})
 
 
+def _cycle_type(perm) -> list:
+    seen, out = set(), []
+    for start in range(len(perm)):
+        size, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v = perm[v]
+            size += 1
+        if size:
+            out.append(size)
+    return sorted(out)
+
+
 def test_flip_leaves_f_triangle_unchanged():
+    """Node 1 is a neighbour of node 0 in these connected diagrams, so
+    putting it first gives every node the other side."""
     for name, k in [("A2", 2), ("B2", 2), ("G2", 1), ("B3", 1)]:
         rs = rsys(name)
-        assert f_triangle(rs, k, flip=True) == f_triangle(rs, k)
-
-
-def test_caches_do_not_split_on_flip():
-    rs = rsys("B2")
-    for fn in (colored_rotation, compat_masks, build_complex, f_triangle):
-        assert fn(rs, 2) is fn(rs, 2, False) is fn(rs, 2, flip=0), fn.__name__
-    assert build_complex(rs, 2, True) is build_complex(rs, 2, flip=1)
+        perm = (1, 0) + tuple(range(2, rs.n))
+        flipped = relabelled(rs, perm)
+        assert flipped.bipartition == tuple(-rs.bipartition[p] for p in perm)
+        assert f_triangle(flipped, k) == f_triangle(rs, k)
+        assert _cycle_type(colored_rotation(flipped, k)) == _cycle_type(
+            colored_rotation(rs, k)
+        )
 
 
 def test_h_vector_anchor():

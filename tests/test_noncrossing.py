@@ -19,7 +19,7 @@ from fct.noncrossing import (
 )
 from fct.poly import BivarPoly
 from fct.rootsys import fuss_catalan_number
-from fct.weyl import absolute_length, compose, coxeter_element, inverse
+from fct.weyl import compose, coxeter_element, inverse
 
 from conftest import rsys, small_products
 from oracles import (
@@ -33,6 +33,7 @@ from oracles import (
     moebius_by_inversion,
     multichain_counts_by_pairs,
     narayana_vector,
+    relabelled,
 )
 
 INTERVAL_SIZES = {"A1": 2, "A2": 5, "B2": 6, "A3": 14, "G2": 8, "B3": 20}
@@ -49,7 +50,7 @@ def test_interval_members_split_the_coxeter_length():
         c = coxeter_element(rs)
         for w in absolute_interval(rs):
             rest = compose(inverse(w), c)
-            assert absolute_length(w) + absolute_length(rest) == rs.n
+            assert w.length + rest.length == rs.n
 
 
 ORACLE_CELLS = [
@@ -58,18 +59,19 @@ ORACLE_CELLS = [
 ]
 
 
-def _words(rs):
-    return [None, tuple(range(1, rs.n)) + (0,)]
+def _rotated(rs):
+    """rs, and rs relabelled so that its Coxeter element is
+    s_1 ... s_{n-1} s_0 of rs."""
+    return [rs, relabelled(rs, tuple(range(1, rs.n)) + (0,))]
 
 
 def test_interval_tables_against_pairwise_oracles():
     for name, _ in ORACLE_CELLS:
-        rs = rsys(name)
-        for word in _words(rs):
-            elems, _, leq, lengths, _, lower = _interval_tables(rs, word)
-            assert elems == absolute_interval(rs, word) == interval_by_filtering(rs, word)
+        for rs in _rotated(rsys(name)):
+            elems, _, leq, lengths, _, lower = _interval_tables(rs)
+            assert elems == absolute_interval(rs) == interval_by_filtering(rs)
             assert leq == leq_rows_by_pairs(elems)
-            assert lengths == tuple(absolute_length(w) for w in elems)
+            assert lengths == tuple(w.length for w in elems)
             for b, covered in enumerate(lower):
                 for a in covered:
                     assert lengths[a] == lengths[b] - 1 and (leq[a] >> b) & 1
@@ -77,12 +79,11 @@ def test_interval_tables_against_pairwise_oracles():
 
 def test_poset_masks_against_pairwise_oracle():
     for name, k in ORACLE_CELLS:
-        rs = rsys(name)
-        for word in _words(rs):
-            leq = leq_rows_by_pairs(absolute_interval(rs, word))
-            poset = masked_nc_poset(rs, k, word)
-            seqs = build_nc_poset(rs, k, word).elements
-            assert set(seqs) == set(enumerate_delta_sequences(rs, k, word))
+        for rs in _rotated(rsys(name)):
+            leq = leq_rows_by_pairs(absolute_interval(rs))
+            poset = masked_nc_poset(rs, k)
+            seqs = build_nc_poset(rs, k).elements
+            assert set(seqs) == set(enumerate_delta_sequences(rs, k))
             assert [(rank(rs, s), s.slot_ids) for s in seqs] == sorted(
                 (rank(rs, s), s.slot_ids) for s in seqs
             )
@@ -91,16 +92,6 @@ def test_poset_masks_against_pairwise_oracle():
             for a, up in enumerate(poset.up):
                 for b in range(len(down)):
                     assert bool((up >> b) & 1) == bool((down[b] >> a) & 1)
-
-
-def test_default_word_shares_one_cache_entry():
-    rs = rsys("B3")
-    assert enumerate_delta_sequences(rs, 2) is enumerate_delta_sequences(rs, 2, None)
-    assert build_nc_poset(rs, 2) is build_nc_poset(rs, 2, tuple(range(rs.n)))
-    assert m_triangle(rs, 2) is m_triangle(rs, 2, word=None)
-    assert _pair_table(rs) is _pair_table(rs, None) is _pair_table(rs, range(rs.n))
-    assert _moebius_rows(rs, 2) is _moebius_rows(rs, 2, None)
-    assert _moebius_rows(rs, 2) is _moebius_rows(rs, k=2, word=tuple(range(rs.n)))
 
 
 def test_delta_sequences_counted_by_fuss_catalan():
@@ -117,13 +108,13 @@ def test_delta_sequences_counted_by_fuss_catalan():
             for part in seq.parts[1:]:
                 acc = compose(acc, part)
             assert acc == c
-            assert sum(absolute_length(p) for p in seq.parts) == rs.n
+            assert sum(p.length for p in seq.parts) == rs.n
 
 
 def test_rank_via_first_part():
     rs = rsys("B2")
     for seq in enumerate_delta_sequences(rs, 2):
-        assert rank(rs, seq) == rs.n - absolute_length(seq.parts[0])
+        assert rank(rs, seq) == rs.n - seq.parts[0].length
 
 
 def test_poset_is_graded_with_unique_bottom():
@@ -191,13 +182,10 @@ def test_m_triangle_anchors():
 
 
 def test_m_triangle_word_independent():
-    from fct.weyl import simple_reflection
-
     for name in ["A2", "B2", "A3"]:
-        rs = rsys(name)
-        rotated = tuple(range(1, rs.n)) + (0,)
-        assert m_triangle(rs, 2, rotated) == m_triangle(rs, 2)
-        assert narayana_vector(rs, 2, rotated) == narayana_vector(rs, 2)
+        rs, rotated = _rotated(rsys(name))
+        assert m_triangle(rotated, 2) == m_triangle(rs, 2)
+        assert narayana_vector(rotated, 2) == narayana_vector(rs, 2)
 
 
 def test_k_validation():
@@ -212,19 +200,15 @@ def test_k_validation():
 def test_m_triangle_matches_moebius_sum_oracle():
     cells = ORACLE_CELLS + [("B4", 2), ("D4", 3), ("F4", 2)]
     for name, k in cells:
-        rs = rsys(name)
-        for word in _words(rs):
-            assert m_triangle(rs, k, word) == m_triangle_by_moebius(rs, k, word), (
-                name, k, word,
-            )
+        for rs in _rotated(rsys(name)):
+            assert m_triangle(rs, k) == m_triangle_by_moebius(rs, k), (name, k)
 
 
 def test_pair_table_lists_every_comparable_pair():
     for name in ["A3", "B3", "G2", "A1xB2", "D4"]:
-        rs = rsys(name)
-        for word in _words(rs):
-            elems, index, leq, _, _, _ = _interval_tables(rs, word)
-            for u, below in enumerate(_pair_table(rs, word)):
+        for rs in _rotated(rsys(name)):
+            elems, index, leq, _, _, _ = _interval_tables(rs)
+            for u, below in enumerate(_pair_table(rs)):
                 assert [w for w, _ in below] == [
                     w for w in range(len(elems)) if (leq[w] >> u) & 1
                 ]
@@ -234,28 +218,24 @@ def test_pair_table_lists_every_comparable_pair():
 
 def test_g_at_k1_is_moebius_of_the_interval():
     for name in ["A2", "A3", "B3", "G2", "A1xB2", "D4"]:
-        rs = rsys(name)
-        for word in _words(rs):
-            elems, _, leq, _, _, _ = _interval_tables(rs, word)
+        for rs in _rotated(rsys(name)):
+            elems, _, leq, _, _, _ = _interval_tables(rs)
             size = len(elems)
             leq_pairs = {
                 (a, b) for a in range(size) for b in range(size) if (leq[a] >> b) & 1
             }
             mu = moebius_by_inversion(leq_pairs, size)
-            g = _moebius_rows(rs, 1, word)
-            for u, below in enumerate(_pair_table(rs, word)):
+            g = _moebius_rows(rs, 1)
+            for u, below in enumerate(_pair_table(rs)):
                 for w, q in below:
                     assert g[q] == mu[(w, u)]
 
 
 def test_multichain_counts_match_pairwise_oracle():
     for name in ["A1", "A3", "B3", "G2", "A1xB2", "D4"]:
-        rs = rsys(name)
-        for word in _words(rs):
+        for rs in _rotated(rsys(name)):
             for j in range(4):
-                assert _multichain_counts(rs, j, word) == multichain_counts_by_pairs(
-                    rs, j, word
-                )
+                assert _multichain_counts(rs, j) == multichain_counts_by_pairs(rs, j)
 
 
 def test_m_triangle_checks_its_total(monkeypatch):
@@ -263,7 +243,7 @@ def test_m_triangle_checks_its_total(monkeypatch):
     rs = rsys("B3")
     wrong = _moebius_rows(rs, 3)
     m_triangle.cache_clear()
-    monkeypatch.setattr(noncrossing, "_moebius_rows", lambda rs, k, word: wrong)
+    monkeypatch.setattr(noncrossing, "_moebius_rows", lambda rs, k: wrong)
     try:
         with pytest.raises(InternalInvariantError, match=r"M\(1, 1\)"):
             m_triangle(rs, 2)

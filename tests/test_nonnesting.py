@@ -3,7 +3,6 @@ import pytest
 from fct import kernels, nonnesting
 from fct.errors import ResourceLimitError, UsageError
 from fct.nonnesting import (
-    CHAIN_LIMIT,
     FilterChain,
     _decomposition_ranks,
     chain_statistics,
@@ -16,10 +15,9 @@ from fct.nonnesting import (
     indecomposable_histogram,
     indecomposables,
     restrict_chain,
-    simple_indecomposables,
 )
 from fct.poly import BivarPoly
-from fct.rootsys import fuss_catalan_number, parabolic
+from fct.rootsys import ENUMERATION_LIMIT, fuss_catalan_number, parabolic
 
 from conftest import rsys
 from oracles import (
@@ -30,6 +28,7 @@ from oracles import (
     indecomposables_per_root,
     is_filter,
     is_geometric,
+    simple_indecomposables,
 )
 
 CHAIN_COUNTS = {
@@ -161,7 +160,7 @@ def test_h_triangles_resource_bound(monkeypatch):
     for name, visited in [("F4", 219548), ("D4", 86318)]:
         rs = rsys(name)
         assert sum(fuss_catalan_number(rs, m) for m in range(1, rs.n + 5)) == visited
-        assert visited <= CHAIN_LIMIT
+        assert visited <= ENUMERATION_LIMIT
     with pytest.raises(UsageError):
         h_triangles(rsys("A2"), 0)
 
@@ -261,7 +260,7 @@ def test_chain_enumeration_resource_bound(monkeypatch):
         enumerate_chains.__wrapped__(rsys("F4"), 40)
     rs = rsys("E6")
     assert fuss_catalan_number(rs, 3) == 119966
-    assert len(enumerate_filters(rs)) ** 2 == 693889 <= CHAIN_LIMIT
+    assert len(enumerate_filters(rs)) ** 2 == 693889 <= ENUMERATION_LIMIT
     with pytest.raises(Started):
         enumerate_chains.__wrapped__(rs, 3)
     with pytest.raises(ResourceLimitError, match="10914604 chains"):

@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fct.arrangement import WallReport
+from fct.cluster import build_complex, f_triangle
 from fct.ehrhart import WallIncidenceCount
 from fct.errors import UsageError
+from fct.noncrossing import enumerate_delta_sequences, m_triangle
+from fct.nonnesting import enumerate_chains, h_triangle
 from fct.poly import BivarPoly, KFamily
 from fct.rootsys import (
     RootSystem,
     TypeSpec,
     build_root_system,
-    cache_by_value,
     degrees,
     filter_mask,
     fuss_catalan_number,
@@ -20,8 +24,8 @@ from fct.rootsys import (
 )
 from fct.verify import VerifyResult
 
-from conftest import rsys
-from oracles import filter_generated
+from conftest import rsys, small_products
+from oracles import filter_generated, relabelled
 
 POSITIVE_COUNTS = {
     "A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9,
@@ -190,16 +194,26 @@ def test_root_system_identity_cache():
     assert parabolic(rsys("B3"), 2) is parabolic(rsys("B3"), 2)
 
 
-def test_cache_by_value_binds_like_a_call():
-    @cache_by_value(b=lambda a: int(a["b"]))
-    def pair(a, b=2):
-        return (a, b)
+def test_caches_take_no_defaulted_parameter():
+    """A cache keys on the arguments as spelled, so f(x) and f(x, d)
+    with d the default would build twice; no cached function has a
+    default to spell."""
+    import inspect
+    import sys
 
-    assert pair(1) is pair(1, 2) is pair(a=1, b=2) is pair(1, b=2.0)
-    assert pair.cache_info().currsize == 1
-    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"c": 3}), ((1, 2), {"b": 2})]:
-        with pytest.raises(TypeError):
-            pair(*args, **kwargs)
+    import fct.verify  # loads every layer
+
+    cached = {
+        f"{name}.{attr}": fn
+        for name, mod in list(sys.modules.items())
+        if name.startswith("fct.")
+        for attr, fn in vars(mod).items()
+        if hasattr(fn, "cache_info")
+    }
+    assert len(cached) > 20
+    for where, fn in cached.items():
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is p.empty for p in params), where
 
 
 @pytest.mark.parametrize(
@@ -223,3 +237,26 @@ def test_root_systems_compare_by_identity():
     rs = rsys("A2")
     twin = RootSystem(rs.typespec, rs.cartan, rs.positive_roots)
     assert twin != rs and rs == rs
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    small_products().flatmap(
+        lambda name: st.tuples(st.just(name), st.permutations(range(rsys(name).n)))
+    ),
+    st.integers(1, 3),
+)
+def test_triangles_and_counts_ignore_the_labelling(case, k):
+    """Renumbering the nodes changes the Coxeter element c and may flip
+    the bipartition; the triangles and the three counts stay put."""
+    name, perm = case
+    rs = rsys(name)
+    other = relabelled(rs, tuple(perm))
+    assert h_triangle(other, k) == h_triangle(rs, k)
+    assert f_triangle(other, k) == f_triangle(rs, k)
+    assert m_triangle(other, k) == m_triangle(rs, k)
+    assert len(enumerate_chains(other, k)) == len(enumerate_chains(rs, k))
+    assert build_complex(other, k).facet_count == build_complex(rs, k).facet_count
+    assert len(enumerate_delta_sequences(other, k)) == len(
+        enumerate_delta_sequences(rs, k)
+    )

@@ -1,14 +1,12 @@
 import pytest
 
+from fct import weyl
 from fct.errors import ResourceLimitError, UsageError
 from fct.weyl import (
-    GROUP_ORDER_LIMIT,
-    absolute_length,
     absolute_leq,
     breadth_first_key,
     compose,
     coxeter_element,
-    element_order,
     generate_group,
     identity,
     inverse,
@@ -18,7 +16,7 @@ from fct.weyl import (
 )
 
 from conftest import rsys
-from oracles import bfs_absolute_length
+from oracles import bfs_absolute_length, element_order, relabelled
 
 GROUP_ORDERS = {
     "A1": 2, "A2": 6, "B2": 8, "G2": 12,
@@ -35,16 +33,10 @@ def test_group_orders():
         assert len({w.img for w in group}) == order
 
 
-def test_group_limit():
-    with pytest.raises(ResourceLimitError):
-        generate_group.__wrapped__(rsys("A3"), 5)
-
-
-def test_group_cache_does_not_split_on_limit():
-    rs = rsys("B2")
-    group = generate_group(rs)
-    assert generate_group(rs, GROUP_ORDER_LIMIT) is group
-    assert generate_group(rs, limit=GROUP_ORDER_LIMIT) is group
+def test_group_limit(monkeypatch):
+    monkeypatch.setattr(weyl, "GROUP_ORDER_LIMIT", 5)
+    with pytest.raises(ResourceLimitError, match="bound 5"):
+        generate_group.__wrapped__(rsys("A3"))
 
 
 def test_compose_inverse_identity():
@@ -91,7 +83,7 @@ def test_absolute_length_against_cayley_bfs():
         rs = rsys(name)
         dist = bfs_absolute_length(rs)
         for w in generate_group(rs):
-            assert absolute_length(w) == dist[w.img], (name, w.img)
+            assert w.length == dist[w.img], (name, w.img)
 
 
 def test_reflection_word_composes_back():
@@ -100,7 +92,7 @@ def test_reflection_word_composes_back():
         refl = reflections(rs)
         for w in generate_group(rs):
             word = reflection_word(w)
-            assert len(word) == absolute_length(w)
+            assert len(word) == w.length
             acc = identity(rs)
             for t_idx in word:
                 acc = compose(acc, refl[t_idx])
@@ -112,9 +104,7 @@ def test_absolute_order_via_lengths():
     group = generate_group(rs)
     for u in group:
         for v in group:
-            expected = absolute_length(u) + absolute_length(
-                compose(inverse(u), v)
-            ) == absolute_length(v)
+            expected = u.length + compose(inverse(u), v).length == v.length
             assert absolute_leq(u, v) == expected
 
 
@@ -123,7 +113,22 @@ def test_coxeter_element():
         rs = rsys(name)
         c = coxeter_element(rs)
         assert element_order(c) == rs.coxeter_number
-        assert absolute_length(c) == rs.n
+        assert c.length == rs.n
+
+
+def test_relabelling_reorders_the_coxeter_element():
+    """The Coxeter element of relabelled(rs, perm) is s_perm[0] ...
+    s_perm[n-1] of rs, acting on the renamed coordinates."""
+    for name, perm in [("A3", (1, 2, 0)), ("B3", (2, 0, 1)), ("G2", (1, 0)),
+                       ("D4", (3, 1, 0, 2)), ("A1xB2", (2, 0, 1))]:
+        rs = rsys(name)
+        product = identity(rs)
+        for i in perm:
+            product = compose(product, simple_reflection(rs, i))
+        image = coxeter_element(relabelled(rs, perm)).matrix
+        assert image == tuple(
+            tuple(product.matrix[p][q] for q in perm) for p in perm
+        ), name
 
 
 def test_matrix_order_matches_element_order():
