@@ -14,6 +14,27 @@ Each geometric chain determines one region: a root at level m lies in
 the open strip between heights m and m+1, or beyond height k when
 m = k.  Floors and ceilings of a region are its walls of positive
 colour, split by whether the origin sits on the far or near side.
+
+Many rows of a region's system follow from two others.  With
+alpha = beta + gamma for positive roots at levels m, m_beta, m_gamma:
+
+* the lower row alpha.t > m follows from beta.t > m_beta and
+  gamma.t > m_gamma when m_beta + m_gamma >= m;
+* the upper row alpha.t < m + 1 follows from beta.t < m_beta + 1 and
+  gamma.t < m_gamma + 1 when beta and gamma lie below level k (so that
+  both rows exist) and m_beta + m_gamma + 1 <= m.
+
+`Region.irredundant_system` drops every such row.  That keeps every
+face.  Make one row of the full system an equality and keep the others
+strict; the claim is that each dropped row other than the equality
+still holds strictly on the kept rows plus the equality.  By induction
+on the height of its root: its two implying rows belong to beta and
+gamma, which are lower than alpha and distinct.  Each is the equality,
+which holds with >=, or a row that holds strictly (kept, or dropped and
+strict by induction).  At most one of them is the equality, so their
+sum is strict.  Hence a face of the full system is nonempty exactly when
+the same face of the irredundant system is, and a dropped row is never
+a wall: with it as the equality, its implying rows force it strict.
 """
 from __future__ import annotations
 
@@ -32,10 +53,7 @@ Row = tuple
 
 def _normalize(row: Row) -> Row:
     coeffs, rhs, strict = row
-    g = 0
-    for v in coeffs:
-        g = gcd(g, v)
-    g = gcd(g, rhs)
+    g = gcd(*coeffs, rhs)
     if g > 1:
         coeffs = tuple(v // g for v in coeffs)
         rhs = rhs // g
@@ -118,10 +136,27 @@ class Region:
                 rows.append((neg, -(m + 1), True))
         return rows
 
+    def irredundant_system(self) -> list:
+        """The rows of `system` that no two other rows strictly imply
+        (module docstring), in the same order."""
+        k, levels = self.k, self.levels
+        rows = []
+        for r, root in enumerate(self.rs.positive_roots):
+            m = levels[r]
+            pairs = self.rs.pair_lists[r]
+            if not any(levels[a] + levels[b] >= m for a, b in pairs):
+                rows.append((root, m, True))
+            if m < k and not any(
+                levels[a] < k and levels[b] < k and levels[a] + levels[b] + 1 <= m
+                for a, b in pairs
+            ):
+                rows.append((tuple(-c for c in root), -(m + 1), True))
+        return rows
+
 
 def region_from_chain(chain: FilterChain) -> Region:
     region = Region(chain.rs, chain.k, chain.levels())
-    if not feasible(region.system(), chain.rs.n):
+    if not feasible(region.irredundant_system(), chain.rs.n):
         raise InternalInvariantError("chain produced an empty region")
     return region
 
@@ -160,6 +195,30 @@ class WallReport:
         return sum(1 for _, i in self.ceilings if i == colour)
 
 
+def _on_hyperplane(rows, equality: Row) -> list:
+    """The rows other than ``equality`` restricted to its hyperplane
+    e.t = b, in one variable fewer.
+
+    The variable j with the least nonzero |e_j| is substituted away:
+    t_j = (b - sum_{i != j} e_i t_i) / e_j, with each row scaled by
+    |e_j| > 0 so that it stays integral and keeps its direction.
+    """
+    e, b, _ = equality
+    j = min((i for i, v in enumerate(e) if v), key=lambda i: abs(e[i]))
+    scale = abs(e[j])
+    sign = 1 if e[j] > 0 else -1
+    out = []
+    for row in rows:
+        if row == equality:
+            continue
+        a, rhs, strict = row
+        f = sign * a[j]
+        coeffs = [scale * ai - f * ei for ai, ei in zip(a, e)]
+        del coeffs[j]
+        out.append((tuple(coeffs), scale * rhs - f * b, strict))
+    return out
+
+
 def wall_report(region: Region) -> WallReport:
     """Walls, floors and ceilings of a region.
 
@@ -168,18 +227,20 @@ def wall_report(region: Region) -> WallReport:
     system with that row made an equality, every other row staying
     strict, is feasible: such a point is a relative-interior facet
     point, so existence is exactly the affine-dimension n-1 condition.
+    Every row is tested that way, by Fourier-Motzkin on the irredundant
+    system restricted to the row's hyperplane (n-1 variables), which has
+    the same faces as the full system (module docstring).
     """
     rs = region.rs
-    rows = region.system()
+    kept = region.irredundant_system()
     walls, floors, ceilings = [], [], []
-    for pos, (coeffs, rhs, _) in enumerate(rows):
-        neg = tuple(-c for c in coeffs)
-        face = rows[:pos] + rows[pos + 1:]
-        face += [(coeffs, rhs, False), (neg, -rhs, False)]
-        if not feasible(face, rs.n):
+    for row in region.system():
+        if not feasible(_on_hyperplane(kept, row), rs.n - 1):
             continue
+        coeffs, rhs, _ = row
         lower = rhs >= 0
-        wall = (rs.root_index[coeffs if lower else neg], abs(rhs))
+        root = coeffs if lower else tuple(-c for c in coeffs)
+        wall = (rs.root_index[root], abs(rhs))
         walls.append(wall)
         if rhs == 0:
             continue

@@ -8,10 +8,17 @@ vector.  The walls are the n coordinate hyperplanes z_j = 0 and the cap
 c.z = t.  Counting points by the number of incident walls at t = kh+1
 reproduces the rank-k indecomposable census of the geometric chains.
 
-`count_by_walls` counts without listing the points: a dynamic program
+`wall_histograms` counts without listing the points: a dynamic program
 over the coordinates z_0, ..., z_{n-1} keeps, for each partial point,
-only c.z so far, the residue of adj(A^T) z modulo det A and the number
+only c.z so far, the class of adj(A^T) z modulo det A and the number
 of zero coordinates, and merges partial points that agree on all three.
+One run at the largest dilation T serves every t <= T: its final
+states already hold c.z, so the points of the t-dilated simplex are the
+lattice points with c.z <= t, and those with c.z = t lie on one more
+wall, the cap.  `count_by_walls`, `n_k_i`, `ehrhart_csv_rows` and the
+`lattice-nar` identity all read their histograms from that one run.
+The run keeps at most (T+1) * det A * (n+1) states, which is bounded
+before it starts.
 """
 from __future__ import annotations
 
@@ -19,8 +26,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from ._purecore import bareiss
-from .errors import UsageError
-from .rootsys import RootSystem
+from .errors import ResourceLimitError, UsageError
+from .rootsys import ENUMERATION_LIMIT, RootSystem
 
 
 def _adjugate(mat) -> list:
@@ -88,38 +95,86 @@ class WallIncidenceCount:
         return sum(self.counts)
 
 
+def _residue_steps(model: SimplexModel) -> list:
+    """Entry j, row r: the classes of adj(A^T) z mod det reached from
+    class r by adding v to z_j, indexed by v mod det.
+
+    The classes are the residue vectors reachable from zero by adding
+    columns of adj(A^T), numbered in the order found, zero first; they
+    form a group of order det.
+    """
+    det = model.det
+    columns = list(zip(*model.congruence_rows))
+    vectors = [(0,) * len(columns)]
+    index = {vectors[0]: 0}
+
+    def add(vec, col, times):
+        return tuple((x + a * times) % det for x, a in zip(vec, col))
+
+    for vec in vectors:  # grows while it is read: a breadth-first closure
+        for col in columns:
+            found = add(vec, col, 1)
+            if found not in index:
+                index[found] = len(vectors)
+                vectors.append(found)
+    return [
+        [tuple(index[add(vec, col, u)] for u in range(det)) for vec in vectors]
+        for col in columns
+    ]
+
+
 @lru_cache(maxsize=None)
-def count_by_walls(rs: RootSystem, t: int) -> WallIncidenceCount:
-    """Histogram of lattice points of the t-dilated simplex by the
-    number of walls through them.
+def wall_histograms(rs: RootSystem, top: int) -> tuple:
+    """Entry t: the histogram of lattice points of the t-dilated simplex
+    by the number of walls through them, for every t = 0..top, from one
+    dynamic program at t = top.
 
     At t = 0 the single point is the origin, which lies on all n+1
     walls; the histogram is padded to index n+1 in that case only.
     """
-    if t < 0:
+    if top < 0:
         raise UsageError("dilation must be nonnegative")
     model = simplex_model(rs)
     n = rs.n
     det = model.det
-    # (c.z so far, adj(A^T) z mod det, zero coordinates) -> partial points
-    states = {(0, (0,) * n, 0): 1}
-    for j, cj in enumerate(model.c):
-        column = [row[j] for row in model.congruence_rows]
+    bound = (top + 1) * det * (n + 1)
+    if bound > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"lattice point count for {rs.typespec} up to t={top} keeps up to "
+            f"{bound} states, more than the bound {ENUMERATION_LIMIT}"
+        )
+    # (c.z so far, class of adj(A^T) z mod det, zero coordinates) -> partial points
+    states = {(0, 0, 0): 1}
+    for cj, step in zip(model.c, _residue_steps(model)):
         nxt = {}
         for (level, residue, zeros), count in states.items():
-            for v in range((t - level) // cj + 1):
-                key = (
-                    level + v * cj,
-                    tuple((x + a * v) % det for x, a in zip(residue, column)),
-                    zeros + (v == 0),
-                )
+            key = (level, residue, zeros + 1)
+            nxt[key] = nxt.get(key, 0) + count
+            shifted = step[residue]
+            for v in range(1, (top - level) // cj + 1):
+                key = (level + v * cj, shifted[v % det], zeros)
                 nxt[key] = nxt.get(key, 0) + count
         states = nxt
-    counts = [0] * (n + 2 if t == 0 else n + 1)
+    # on_level[l][z]: lattice points with c.z = l and z zero coordinates
+    on_level = [[0] * (n + 1) for _ in range(top + 1)]
     for (level, residue, zeros), count in states.items():
-        if not any(residue):
-            counts[zeros + (level == t)] += count
-    return WallIncidenceCount(t, tuple(counts))
+        if residue == 0:
+            on_level[level][zeros] += count
+    out = []
+    below = [0] * (n + 2)  # points with c.z < t, by zero coordinates
+    for t, cap in enumerate(on_level):
+        counts = below.copy()
+        for zeros, count in enumerate(cap):
+            counts[zeros + 1] += count
+            below[zeros] += count
+        out.append(tuple(counts if t == 0 else counts[: n + 1]))
+    return tuple(out)
+
+
+def count_by_walls(rs: RootSystem, t: int) -> WallIncidenceCount:
+    """Histogram of lattice points of the t-dilated simplex by the
+    number of walls through them (`wall_histograms`)."""
+    return WallIncidenceCount(t, wall_histograms(rs, t)[t])
 
 
 def n_k_i(rs: RootSystem, k: int) -> tuple:
@@ -148,10 +203,15 @@ def quasi_period(rs: RootSystem) -> int:
 
 
 def ehrhart_csv_rows(rs: RootSystem, ts) -> list:
-    """Rows (t, i, N_i) over the requested dilations."""
+    """Rows (t, i, N_i) over the dilations ts, an ascending sequence,
+    all read from one `wall_histograms` run at its last entry."""
+    if not ts:
+        return []
+    if ts[0] < 0:
+        raise UsageError("dilation must be nonnegative")
+    histograms = wall_histograms(rs, ts[-1])
     rows = []
     for t in ts:
-        counts = count_by_walls(rs, t).counts
-        for i, v in enumerate(counts):
+        for i, v in enumerate(histograms[t]):
             rows.append((t, i, v))
     return rows

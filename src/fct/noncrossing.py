@@ -210,8 +210,14 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
 
 
 def rank(rs: RootSystem, seq: DeltaSequence) -> int:
-    """Corank of the zeroth part: n minus its reflection length."""
-    return rs.n - seq.parts[0].length
+    """Corank of the zeroth part: n minus its reflection length.
+
+    Lengths add along d_0 d_1 ... d_k = c, so this is the length of
+    v_k = d_1 ... d_k, the sum of the parts' lengths read from the
+    interval tables; no rank is computed.
+    """
+    _, _, _, lengths, _, _ = _interval_tables(rs)
+    return sum(lengths[s] for s in seq.slot_ids)
 
 
 class NCPoset:

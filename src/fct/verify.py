@@ -188,22 +188,27 @@ def verify_lattice_nar(rs: RootSystem, k: int) -> dict | None:
     N^(k)(i) are polynomials in k of degree at most n.  Of the samples
     k = 1..(n+1)p+2, and k itself, one KFamily per class is fitted on
     the first n+1 and every other sample of the class is held out.
+    Every sample, k included, is read from one lattice point count at
+    the largest dilation.
     """
-    counts = ehrhart.n_k_i(rs, k)
+    period = ehrhart.quasi_period(rs)
+    ks = sorted({k, *range(1, (rs.n + 1) * period + 3)})
+    h = ehrhart.simplex_model(rs).h
+    histograms = ehrhart.wall_histograms(rs, ks[-1] * h + 1)
+    counts = histograms[k * h + 1]
     nn = nonnesting.indecomposable_histogram(rs, k)
     nar = tuple(noncrossing.narayana_number(rs, k, i) for i in range(rs.n + 1))
     if not counts == nn == nar:
         return {"lattice": counts, "chains": nn, "sequences": nar}
-    period = ehrhart.quasi_period(rs)
     if period not in (1, 2):
         return {"period": period}
     samples = {
-        kk: BivarPoly({(i, 0): v for i, v in enumerate(ehrhart.n_k_i(rs, kk))})
-        for kk in sorted({k, *range(1, (rs.n + 1) * period + 3)})
+        kk: BivarPoly({(i, 0): v for i, v in enumerate(histograms[kk * h + 1])})
+        for kk in ks
     }
     for r in range(period):
-        ks = [kk for kk in samples if kk % period == r]
-        detail = _fit_held_out(samples, ks, rs.n)[1]
+        ks_r = [kk for kk in ks if kk % period == r]
+        detail = _fit_held_out(samples, ks_r, rs.n)[1]
         if detail is not None:
             return detail
     return None

@@ -379,6 +379,35 @@ def walls_by_enumeration(rs: RootSystem, t: int) -> tuple:
     return tuple(counts)
 
 
+def walls_by_dp_at(rs: RootSystem, t: int) -> tuple:
+    """Wall-incidence histogram of the t-dilated simplex from a dynamic
+    program run at t alone: coordinate by coordinate, states (c.z so
+    far, adj(A^T) z mod det A, zero coordinates), the cap counted from
+    the final c.z."""
+    from fct.ehrhart import simplex_model
+
+    model = simplex_model(rs)
+    n, det = rs.n, model.det
+    states = {(0, (0,) * n, 0): 1}
+    for j, cj in enumerate(model.c):
+        column = [row[j] for row in model.congruence_rows]
+        nxt = {}
+        for (level, residue, zeros), count in states.items():
+            for v in range((t - level) // cj + 1):
+                key = (
+                    level + v * cj,
+                    tuple((x + a * v) % det for x, a in zip(residue, column)),
+                    zeros + (v == 0),
+                )
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    counts = [0] * (n + 2 if t == 0 else n + 1)
+    for (level, residue, zeros), count in states.items():
+        if not any(residue):
+            counts[zeros + (level == t)] += count
+    return tuple(counts)
+
+
 def count_by_faces(rs: RootSystem, t: int) -> dict:
     """Per wall-set counts (f, g): points on all walls of the set, and
     points on exactly those walls via inclusion-exclusion.

@@ -23,6 +23,7 @@ from oracles import (
     is_bounded_by_fm,
     is_wall_by_fm,
     levels_of_point,
+    relabelled,
     verify_disjoint,
     wall_report_by_fm,
 )
@@ -189,7 +190,43 @@ def test_wall_reports_follow_chain_order():
 def test_wall_reports_match_fm_oracle():
     # every cell where the grid runs pos, ceil or phi, plus D4 and F4
     cells = [(name, k) for name in ("A1", "A2", "A3", "B2", "B3", "G2") for k in (1, 2)]
-    for name, k in cells + [("D4", 1), ("F4", 1)]:
-        rs = rsys(name)
+    systems = [(rsys(name), k) for name, k in cells + [("D4", 1), ("D4", 2), ("F4", 1)]]
+    systems.append((relabelled(rsys("B3"), (1, 0, 2)), 2))
+    for rs, k in systems:
         for region, report in zip(regions_of(rs, k), wall_reports(rs, k)):
-            assert report == wall_report_by_fm(region), (name, k)
+            assert report == wall_report_by_fm(region), (str(rs.typespec), k)
+
+
+def test_every_row_is_tested_by_fm(monkeypatch):
+    import fct.arrangement
+
+    calls = [0]
+    fm = fct.arrangement.feasible
+
+    def counting_feasible(rows, n):
+        calls[0] += 1
+        return fm(rows, n)
+
+    monkeypatch.setattr(fct.arrangement, "feasible", counting_feasible)
+    for name, k in [("A3", 2), ("B3", 2), ("G2", 2)]:
+        rs = rsys(name)
+        for region in regions_of(rs, k):
+            calls[0] = 0
+            wall_report(region)
+            assert calls[0] >= len(region.system()), (name, k, region.levels)
+
+
+def test_irredundant_rows_are_rows_of_the_system():
+    for name, k in [("A3", 2), ("B3", 2), ("G2", 3)]:
+        rs = rsys(name)
+        for region in regions_of(rs, k):
+            full = region.system()
+            kept = region.irredundant_system()
+            assert [row for row in full if row in kept] == kept
+            # the full system's walls all survive the cut
+            for wall in wall_report(region).walls:
+                r, colour = wall
+                root = rs.positive_roots[r]
+                assert (root, colour, True) in kept or (
+                    tuple(-c for c in root), -colour, True
+                ) in kept

@@ -126,14 +126,17 @@ def test_readme_states_the_identity_domains():
 
 def test_held_out_miss_fails_with_its_k(capsys, monkeypatch):
     g2 = fct.build_root_system(fct.TypeSpec.parse("G2"))
-    # G2 has quasi-period 1: the fit takes k = 1..3, and k = 4, 5 are held out
-    n_k_i = ehrhart.n_k_i
+    # G2 has quasi-period 1: the fit takes k = 1..3, and k = 4, 5 are held out;
+    # every sample k is read from one lattice point count, at t = 6k + 1
+    wall_histograms = ehrhart.wall_histograms
 
-    def off_at_5(rs, k):
-        counts = n_k_i(rs, k)
-        return counts[:1] + (counts[1] + 1,) + counts[2:] if k == 5 else counts
+    def off_at_5(rs, top):
+        histograms = list(wall_histograms(rs, top))
+        counts = histograms[31]
+        histograms[31] = counts[:1] + (counts[1] + 1,) + counts[2:]
+        return tuple(histograms)
 
-    monkeypatch.setattr(ehrhart, "n_k_i", off_at_5)
+    monkeypatch.setattr(ehrhart, "wall_histograms", off_at_5)
     line = verify.run_identity("lattice-nar", g2, 1).line()
     assert line.startswith("lattice-nar G2 k=1: FAIL") and "'held_out_k': 5" in line
     code, out, _ = run(capsys, ["verify", "lattice-nar", "--type", "G2", "-k", "1"])
@@ -185,6 +188,21 @@ def test_module_entry_point():
     bad = run_module("verify", "counts", "--type", "A2", "-k", "0")
     assert bad.returncode == 2
     assert bad.stdout == ""
+
+
+def test_dump_ehrhart_past_state_bound_exits_4():
+    # 2 * 10**8 dilations of A1: the lattice DP is bounded before it starts
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "fct.cli", "dump", "ehrhart", "--type", "A1",
+         "-k", "100000000"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "800000008 states" in done.stderr
 
 
 # Run in a fresh interpreter: prints the fct modules and the heavy

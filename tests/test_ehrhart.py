@@ -8,8 +8,9 @@ from fct.ehrhart import (
     quasi_period,
     simplex_model,
     simplex_period,
+    wall_histograms,
 )
-from fct.errors import UsageError
+from fct.errors import ResourceLimitError, UsageError
 from fct.nonnesting import indecomposable_histogram
 from fct.rootsys import fuss_catalan_number
 
@@ -18,6 +19,7 @@ from oracles import (
     count_by_faces,
     faces_to_incidence,
     narayana_vector,
+    walls_by_dp_at,
     walls_by_enumeration,
     yspace_wall_histogram,
 )
@@ -53,6 +55,28 @@ def test_dilation_zero_origin_on_all_walls():
         assert wc.counts[rs.n + 1] == 1
     with pytest.raises(UsageError):
         count_by_walls(rsys("A2"), -1)
+
+
+def test_one_dp_serves_every_smaller_dilation():
+    for name in ["A1", "A2", "A3", "B2", "B3", "G2", "F4"]:
+        rs = rsys(name)
+        top = 2 * rs.coxeter_number + 1
+        histograms = wall_histograms(rs, top)
+        assert len(histograms) == top + 1
+        assert len(histograms[0]) == rs.n + 2
+        for t in range(top + 1):
+            assert histograms[t] == walls_by_dp_at(rs, t), (name, t)
+
+
+def test_lattice_dp_is_bounded_before_it_starts():
+    rs = rsys("A1")
+    with pytest.raises(ResourceLimitError, match="800000008 states"):
+        wall_histograms(rs, 2 * 10**8 + 1)
+    with pytest.raises(ResourceLimitError):
+        n_k_i(rs, 10**8)
+    with pytest.raises(UsageError):
+        ehrhart_csv_rows(rs, [-1, 0])
+    assert ehrhart_csv_rows(rs, []) == []
 
 
 def test_walls_dp_matches_point_enumeration():
