@@ -3509,7 +3509,7 @@ static PyObject *__pyx_pf_3fct_9_fastcore_weyl_closure(CYTHON_UNUSED PyObject *_
  * 
  * 
  * def int_rank(mat):             # <<<<<<<<<<<<<<
- *     """Fraction-free Bareiss rank; exact within the word-size limits
+ *     """Bareiss rank, fraction-free; exact within the word-size limits
  *     enforced by the dispatcher."""
 */
 
@@ -3521,7 +3521,7 @@ PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
 PyObject *__pyx_args, PyObject *__pyx_kwds
 #endif
 ); /*proto*/
-PyDoc_STRVAR(__pyx_doc_3fct_9_fastcore_2int_rank, "Fraction-free Bareiss rank; exact within the word-size limits\n    enforced by the dispatcher.");
+PyDoc_STRVAR(__pyx_doc_3fct_9_fastcore_2int_rank, "Bareiss rank, fraction-free; exact within the word-size limits\n    enforced by the dispatcher.");
 static PyMethodDef __pyx_mdef_3fct_9_fastcore_3int_rank = {"int_rank", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_3fct_9_fastcore_3int_rank, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_3fct_9_fastcore_2int_rank};
 static PyObject *__pyx_pw_3fct_9_fastcore_3int_rank(PyObject *__pyx_self, 
 #if CYTHON_METH_FASTCALL
@@ -3643,7 +3643,7 @@ static PyObject *__pyx_pf_3fct_9_fastcore_2int_rank(CYTHON_UNUSED PyObject *__py
   __Pyx_RefNannySetupContext("int_rank", 0);
 
   /* "fct/_fastcore.pyx":77
- *     """Fraction-free Bareiss rank; exact within the word-size limits
+ *     """Bareiss rank, fraction-free; exact within the word-size limits
  *     enforced by the dispatcher."""
  *     cdef int rows = len(mat)             # <<<<<<<<<<<<<<
  *     cdef int cols = len(mat[0]) if rows else 0
@@ -4087,7 +4087,7 @@ static PyObject *__pyx_pf_3fct_9_fastcore_2int_rank(CYTHON_UNUSED PyObject *__py
  * 
  * 
  * def int_rank(mat):             # <<<<<<<<<<<<<<
- *     """Fraction-free Bareiss rank; exact within the word-size limits
+ *     """Bareiss rank, fraction-free; exact within the word-size limits
  *     enforced by the dispatcher."""
 */
 
@@ -8573,7 +8573,7 @@ __Pyx_RefNannySetupContext("PyInit__fastcore", 0);
  * 
  * 
  * def int_rank(mat):             # <<<<<<<<<<<<<<
- *     """Fraction-free Bareiss rank; exact within the word-size limits
+ *     """Bareiss rank, fraction-free; exact within the word-size limits
  *     enforced by the dispatcher."""
 */
   __pyx_t_3 = __Pyx_CyFunction_New(&__pyx_mdef_3fct_9_fastcore_3int_rank, 0, __pyx_mstate_global->__pyx_n_u_int_rank, NULL, __pyx_mstate_global->__pyx_n_u_fct__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 74, __pyx_L1_error)

@@ -72,7 +72,7 @@ def weyl_closure(gens, limit):
 
 
 def int_rank(mat):
-    """Fraction-free Bareiss rank; exact within the word-size limits
+    """Bareiss rank, fraction-free; exact within the word-size limits
     enforced by the dispatcher."""
     cdef int rows = len(mat)
     cdef int cols = len(mat[0]) if rows else 0

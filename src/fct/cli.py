@@ -48,6 +48,9 @@ GRID_COLUMNS = [
     "k1", "dual", "recip", "lattice-nar", "pos", "ceil", "final", "phi",
 ]
 
+# The largest rank at which each suite runs the arrangement identities.
+GEOMETRIC_RANK = {"acceptance": 3, "extended": 4}
+
 
 def _emit(text: str, out) -> None:
     if out:
@@ -107,7 +110,7 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _applicable(identity: str, rs: RootSystem, k: int) -> bool:
+def _applicable(identity: str, rs: RootSystem, k: int, suite: str) -> bool:
     from . import verify
 
     if identity in verify.K1_ONLY and k != 1:
@@ -115,7 +118,7 @@ def _applicable(identity: str, rs: RootSystem, k: int) -> bool:
     if identity == "lattice-nar":
         return str(rs.typespec) in LATTICE_TYPES and k <= 2
     if identity in ("pos", "ceil", "final", "phi"):
-        return rs.n <= 3 and k <= 2
+        return rs.n <= GEOMETRIC_RANK[suite] and k <= 2
     return True
 
 
@@ -145,7 +148,7 @@ def cmd_grid(args) -> int:
         row = [name, str(k), str(nn), str(facets), str(nc)]
         for identity in GRID_COLUMNS:
             run_it = identity in only if only is not None else _applicable(
-                identity, rs, k
+                identity, rs, k, args.suite
             )
             if not run_it:
                 row.append("-")

@@ -165,10 +165,23 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
     return tuple(FilterChain(rs, masks) for masks in raw)
 
 
-def chain_statistics(rs: RootSystem, k: int) -> dict:
-    """Histogram (top indecomposables, simple ones) -> number of chains."""
+def _require_census_bound(rs: RootSystem, k: int) -> None:
+    """A census walk to depth k visits every geometric chain of at most
+    k filters; their exact number, the sum of the Fuss-Catalan numbers,
+    bounds it before it starts."""
     if k < 1:
         raise UsageError("k must be a positive integer")
+    predicted = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
+    if predicted > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"chain census for {rs.typespec}, k=1..{k} visits {predicted} chains, "
+            f"more than the bound {ENUMERATION_LIMIT}"
+        )
+
+
+def chain_statistics(rs: RootSystem, k: int) -> dict:
+    """Histogram (top indecomposables, simple ones) -> number of chains."""
+    _require_census_bound(rs, k)
     filters, subs, full = _chain_data(rs, k)
     return kernels.nn_census(
         filters,
@@ -262,17 +275,9 @@ def h_triangles(rs: RootSystem, k: int) -> tuple:
     walk to depth k.
 
     The walk visits every geometric chain of at most k filters once, so
-    it is bounded by their exact number, the sum of the Fuss-Catalan
-    numbers, before it starts.
+    it is bounded by their exact number before it starts.
     """
-    if k < 1:
-        raise UsageError("k must be a positive integer")
-    predicted = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
-    if predicted > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"chain census for {rs.typespec}, k=1..{k} visits {predicted} chains, "
-            f"more than the bound {ENUMERATION_LIMIT}"
-        )
+    _require_census_bound(rs, k)
     filters, subs, full = _chain_data(rs, k)
     hists = kernels.nn_census_family(filters, subs, rs.sum_triples, k, full, rs.n)
     return tuple(_h_poly(stats) for stats in hists)

@@ -16,7 +16,7 @@ True
 """
 from __future__ import annotations
 
-from functools import cached_property
+from math import lcm, prod
 
 from .errors import InternalInvariantError, UsageError
 
@@ -274,48 +274,15 @@ def bottom_specialization(h: BivarPoly, n: int) -> BivarPoly:
     return _substitute(bottom, lambda i, j: BivarPoly.monomial(n - i, 0))
 
 
-def _lagrange_fit(points) -> tuple:
-    """Coefficients (ascending) of the polynomial through the given points."""
-    from fractions import Fraction  # loaded only by the k-family fits
-
-    coeffs = [Fraction(0)] * len(points)
-    for xi, yi in points:
-        num = [Fraction(1)]  # running product of (x - xj), ascending coefficients
-        den = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            num = [
-                (num[p - 1] if p else Fraction(0)) - xj * (num[p] if p < len(num) else Fraction(0))
-                for p in range(len(num) + 1)
-            ]
-            den *= Fraction(xi - xj)
-        for p, c in enumerate(num):
-            coeffs[p] += Fraction(yi) * c / den
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_eval(coeffs, x) -> Fraction:
-    from fractions import Fraction
-
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 class KFamily:
     """A family of triangles indexed by the positive integer parameter k.
 
-    Each coefficient is interpolated as a polynomial in k of degree at
-    most ``degree_bound``; the fit must reproduce every supplied sample
-    exactly.  The fit runs once per family, in ``fit``, and every
-    ``predict`` evaluates the stored coefficient polynomials.
+    Each coefficient is a polynomial in k of degree at most
+    ``degree_bound``, so the first degree_bound + 1 samples fix the
+    family; ``fit`` checks every further sample against it.
     """
 
-    __slots__ = ("samples", "degree_bound", "__dict__")
+    __slots__ = ("samples", "degree_bound")
 
     def __init__(self, samples: tuple, degree_bound: int):
         self.samples = samples  # tuple of (k, BivarPoly), k strictly increasing
@@ -337,37 +304,38 @@ class KFamily:
                 f"need at least {degree_bound + 1} samples, got {len(ordered)}"
             )
         fam = cls(samples=ordered, degree_bound=degree_bound)
-        fam.coefficient_polynomials  # force the fit and its verification
+        for k, p in ordered[degree_bound + 1:]:
+            if fam.predict(k) != p:
+                raise InternalInvariantError(
+                    f"the sample at k={k} is not polynomial of degree "
+                    f"<= {degree_bound} in k"
+                )
         return fam
 
-    @cached_property
-    def coefficient_polynomials(self) -> dict:
-        monomials = set()
-        for _, p in self.samples:
-            monomials |= set(p.coeffs)
-        fit_points = self.samples[: self.degree_bound + 1]
-        out = {}
-        for key in sorted(monomials):
-            pts = [(k, p.coeff(*key)) for k, p in fit_points]
-            coeffs = _lagrange_fit(pts)
-            if len(coeffs) > self.degree_bound + 1:
-                raise InternalInvariantError("interpolation degree bound exceeded")
-            for k, p in self.samples:
-                if _poly_eval(coeffs, k) != p.coeff(*key):
-                    raise InternalInvariantError(
-                        f"coefficient {key} is not polynomial of degree "
-                        f"<= {self.degree_bound} in k"
-                    )
-            out[key] = coeffs
-        return out
-
     def predict(self, k: int) -> BivarPoly:
-        """Evaluate the family at any integer k (negative values allowed)."""
+        """Evaluate the family at any integer k (negative values allowed).
+
+        Lagrange's formula through the fit points (x_i, y_i), i = 0..d:
+        with P_i the product of x_i - x_j over j != i and D the lcm of
+        the P_i, each weight w_i = (D / P_i) prod_{j != i} (k - x_j) is
+        an integer, and the value is sum_i w_i y_i / D, one dot product
+        and one exact division per coefficient.
+        """
+        points = self.samples[: self.degree_bound + 1]
+        xs = [x for x, _ in points]
+        dens = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+        common = lcm(*dens)
+        weights = [
+            prod(k - xj for xj in xs if xj != xi) * (common // den)
+            for xi, den in zip(xs, dens)
+        ]
         out = {}
-        for key, coeffs in self.coefficient_polynomials.items():
-            v = _poly_eval(coeffs, k)
-            if v.denominator != 1:
+        for key in set().union(*(p.coeffs for _, p in points)):
+            value, rest = divmod(
+                sum(w * p.coeffs.get(key, 0) for w, (_, p) in zip(weights, points)),
+                common,
+            )
+            if rest:
                 raise InternalInvariantError("interpolated value is not an integer")
-            if v:
-                out[key] = int(v)
+            out[key] = value
         return BivarPoly(out)

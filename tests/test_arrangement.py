@@ -188,7 +188,7 @@ def test_wall_reports_follow_chain_order():
 
 
 def test_wall_reports_match_fm_oracle():
-    # every cell where the grid runs pos, ceil or phi, plus D4 and F4
+    # every cell where the acceptance grid runs pos, ceil or phi, plus D4 and F4
     cells = [(name, k) for name in ("A1", "A2", "A3", "B2", "B3", "G2") for k in (1, 2)]
     systems = [(rsys(name), k) for name, k in cells + [("D4", 1), ("D4", 2), ("F4", 1)]]
     systems.append((relabelled(rsys("B3"), (1, 0, 2)), 2))

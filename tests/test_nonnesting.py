@@ -165,6 +165,23 @@ def test_h_triangles_resource_bound(monkeypatch):
         h_triangles(rsys("A2"), 0)
 
 
+def test_chain_statistics_resource_bound(monkeypatch):
+    """The single-k census walk visits the chains of every k' <= k, and
+    is bounded by their number before any work: E8 at k = 3 exits, E7 at
+    k = 2 reaches the walk."""
+
+    def no_work(*args):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr(nonnesting, "_chain_data", no_work)
+    with pytest.raises(ResourceLimitError, match="23855289 chains"):
+        chain_statistics(rsys("E8"), 3)
+    rs = rsys("E7")
+    assert sum(fuss_catalan_number(rs, m) for m in (1, 2)) == 148370
+    with pytest.raises(AssertionError, match="the census started"):
+        chain_statistics(rs, 2)
+
+
 def test_chain_levels():
     for name, k in [("A2", 2), ("B3", 3), ("G2", 3)]:
         rs = rsys(name)

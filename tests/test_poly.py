@@ -210,25 +210,20 @@ def test_kfamily_fit_and_predict():
     assert fam.predict(0) == BivarPoly({(1, 1): 1})
 
 
-def test_kfamily_fits_once(monkeypatch):
-    import fct.poly
+def test_kfamily_predicts_its_samples():
+    samples = {
+        k: BivarPoly({(0, 0): k**3 - 2, (2, 1): -k, (1, 0): 7}) for k in (-2, 1, 3, 4, 8)
+    }
+    fam = KFamily.fit(samples, degree_bound=4)
+    for k, p in samples.items():
+        assert fam.predict(k) == p
 
-    calls = []
-    fit = fct.poly._lagrange_fit
 
-    def counting_fit(points):
-        calls.append(points)
-        return fit(points)
-
-    monkeypatch.setattr(fct.poly, "_lagrange_fit", counting_fit)
-    fam = KFamily.fit(
-        {k: BivarPoly({(0, 0): k * k, (1, 1): 2 * k + 1}) for k in (1, 2, 3, 4)},
-        degree_bound=2,
-    )
-    assert len(calls) == 2  # one fit per monomial
-    for k in range(-4, 10):
-        fam.predict(k)
-    assert len(calls) == 2
+def test_kfamily_rejects_a_fractional_value():
+    fam = KFamily.fit({1: BivarPoly.zero(), 3: BivarPoly.one()}, degree_bound=1)
+    assert fam.predict(5) == BivarPoly({(0, 0): 2})
+    with pytest.raises(InternalInvariantError, match="not an integer"):
+        fam.predict(2)
 
 
 def test_kfamily_rejects_bad_fits():
