@@ -130,6 +130,33 @@ def _subfilters(rs: RootSystem) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _subfilter_pair_count(rs: RootSystem) -> int:
+    """The number of entries of `_subfilters`, counted without listing them.
+
+    The lower covers of a filter f are f minus one of its minimal roots,
+    and the filters inside several lower covers are those inside f minus
+    all of their roots.  So inclusion-exclusion over the sets S of
+    minimal roots gives the filters inside f from those inside the
+    smaller filters f - S, walking the filters by size.
+    """
+    down = [0] * len(rs.positive_roots)
+    for a, b, c in rs.sum_triples:
+        if a < rs.n:
+            down[c] |= 1 << b
+        if b < rs.n:
+            down[c] |= 1 << a
+    roots = [(1 << r, d) for r, d in enumerate(down)]
+    below = {}
+    for f in sorted(enumerate_filters(rs), key=int.bit_count):
+        terms = [(0, -1)]  # (S, the sign of |S| + 1)
+        for bit, d in roots:
+            if f & bit and not f & d:
+                terms += [(s | bit, -sign) for s, sign in terms]
+        below[f] = 1 + sum(sign * below[f ^ s] for s, sign in terms[1:])
+    return sum(below.values())
+
+
 def _chain_data(rs: RootSystem, k: int):
     """Kernel inputs (filters, subfilter lists, full mask) for k-chains.
 
@@ -167,15 +194,22 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
 
 def _require_census_bound(rs: RootSystem, k: int) -> None:
     """A census walk to depth k visits every geometric chain of at most
-    k filters; their exact number, the sum of the Fuss-Catalan numbers,
-    bounds it before it starts."""
+    k filters, and for k >= 2 it reads the subfilter table.  Their exact
+    sizes, the sum of the Fuss-Catalan numbers and the number of filter
+    pairs g <= f, bound it before it starts."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    predicted = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
-    if predicted > ENUMERATION_LIMIT:
+    chains = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
+    if chains > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"chain census for {rs.typespec}, k=1..{k} visits {predicted} chains, "
+            f"chain census for {rs.typespec}, k=1..{k} visits {chains} chains, "
             f"more than the bound {ENUMERATION_LIMIT}"
+        )
+    pairs = _subfilter_pair_count(rs) if k >= 2 else 0
+    if pairs > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"chain census for {rs.typespec}, k=1..{k} tabulates {pairs} "
+            f"subfilter pairs, more than the bound {ENUMERATION_LIMIT}"
         )
 
 

@@ -273,6 +273,20 @@ def test_resource_bound_exits_4(capsys, monkeypatch):
     assert "resource bound" in capsys.readouterr().err
 
 
+def test_census_past_subfilter_pair_bound_exits_4(capsys, monkeypatch):
+    # the subfilter table of E8 would hold 198 348 320 pairs of filters
+    def no_table(*args):
+        raise AssertionError("the subfilter table was built")
+
+    monkeypatch.setattr(nonnesting, "_subfilters", no_table)
+    for command in (["triangle", "H"], ["verify", "counts"]):
+        monkeypatch.setattr(sys, "argv", ["fct", *command, "--type", "E8", "-k", "2"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 4, command
+        assert "198348320 subfilter pairs" in capsys.readouterr().err
+
+
 def test_recip_past_chain_bound_exits_4(capsys, monkeypatch):
     # the census of k = 1..10 would visit 166 255 385 chains of E6
     monkeypatch.setattr(

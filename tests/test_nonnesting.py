@@ -5,6 +5,8 @@ from fct.errors import ResourceLimitError, UsageError
 from fct.nonnesting import (
     FilterChain,
     _decomposition_ranks,
+    _subfilter_pair_count,
+    _subfilters,
     chain_statistics,
     chains_to_json,
     enumerate_chains,
@@ -28,6 +30,7 @@ from oracles import (
     indecomposables_per_root,
     is_filter,
     is_geometric,
+    relabelled,
     simple_indecomposables,
 )
 
@@ -166,20 +169,35 @@ def test_h_triangles_resource_bound(monkeypatch):
 
 
 def test_chain_statistics_resource_bound(monkeypatch):
-    """The single-k census walk visits the chains of every k' <= k, and
-    is bounded by their number before any work: E8 at k = 3 exits, E7 at
-    k = 2 reaches the walk."""
+    """The single-k census walk visits the chains of every k' <= k and,
+    for k >= 2, reads the subfilter table; both sizes bound it before any
+    work: E8 exits at k = 3 on chains and at k = 2 on subfilter pairs,
+    E7 at k = 2 reaches the walk."""
 
     def no_work(*args):
         raise AssertionError("the census started")
 
     monkeypatch.setattr(nonnesting, "_chain_data", no_work)
+    monkeypatch.setattr(nonnesting, "_subfilters", no_work)
+    rs = rsys("E8")
     with pytest.raises(ResourceLimitError, match="23855289 chains"):
-        chain_statistics(rsys("E8"), 3)
+        chain_statistics(rs, 3)
+    assert sum(fuss_catalan_number(rs, m) for m in (1, 2)) == 1546002
+    for census in (chain_statistics, h_triangles):
+        with pytest.raises(ResourceLimitError, match="198348320 subfilter pairs"):
+            census(rs, 2)
     rs = rsys("E7")
     assert sum(fuss_catalan_number(rs, m) for m in (1, 2)) == 148370
+    assert _subfilter_pair_count(rs) == 4981058 <= ENUMERATION_LIMIT
     with pytest.raises(AssertionError, match="the census started"):
         chain_statistics(rs, 2)
+
+
+def test_subfilter_pair_count_matches_table():
+    names = ("A1", "A3", "B3", "G2", "D4", "F4", "A1xB2", "B2xG2", "E6")
+    systems = [rsys(name) for name in names] + [relabelled(rsys("D4"), (1, 3, 0, 2))]
+    for rs in systems:
+        assert _subfilter_pair_count(rs) == sum(map(len, _subfilters(rs))), rs.typespec
 
 
 def test_chain_levels():
