@@ -45,105 +45,227 @@ to k >= 1 (Mem. AMS 202, 2009); Krattenthaler computed the E7 and E8
 M-triangles along parabolics (Sem. Lothar. Combin. 54, 2006).
 
 The interval [1, c] in absolute order is built from its covers, not by
-comparing pairs.  Walking down from c, v covers u = v t (t a
-reflection) when l_T(u) = l_T(v) - 1; this is Bessis's dual braid
-monoid description of the order (Bessis, 2003).  Every such u lies below
-v, because l_T(u) + l_T(u^-1 v) = l_T(u) + l_T(t) = l_T(v).  Conversely,
-if u <= v, write u^-1 v = t_1 ... t_m as a shortest reflection word,
-m = l_T(v) - l_T(u).  The prefixes v_i = u t_1 ... t_i have
-l_T(v_i) = l_T(u) + i exactly, since the length changes by at most one
-per reflection and must reach l_T(v) after m steps.  So v = v_m, ...,
-v_0 = u is a chain of covers, and every v_i lies below v, hence in
-[1, c].  The walk from c therefore reaches every element of [1, c], and
-the reflexive-transitive closure of the covers it finds is exactly
-absolute order on [1, c].
+comparing pairs, and without computing a single rank.  Write R(v) for
+the reflections t with alpha_t in Mov(v) = im(v - 1).  By Carter's
+lemma (Compositio Math. 25, 1972, Lemma 2; Brady-Watt, Geom. Dedicata
+94, 2002), l_T(v t) = l_T(v) - 1 exactly when t is in R(v), and
+l_T(v) = dim Mov(v).  A lower cover u of v has u^-1 v of length 1, a
+reflection t, so the lower covers of v are the v t with t in R(v): each
+lies below v, since l_T(v t) + l_T(t) = l_T(v).  Walking down from c
+reaches every element of [1, c]: for u <= v, a shortest reflection word
+t_1 ... t_m of u^-1 v has prefixes v_i = u t_1 ... t_i with
+l_T(v_i) = l_T(u) + i exactly (the length moves by at most one per
+reflection and must reach l_T(v) after m steps), a chain of covers from
+v down to u.  So an element's length is the level at which the walk
+meets it.  If u <= v, lengths add along v = u (u^-1 v), so
+Mov(v) = Mov(u) + Mov(u^-1 v) is a direct sum and R(u) is inside R(v).
+For u = v t, Mov(u) is a hyperplane of Mov(v) that misses alpha_t; any
+linear form y vanishing on Mov(u) with y(alpha_t) != 0 cuts Mov(u) out
+of Mov(v), so R(u) = {s in R(v) : y(alpha_s) = 0}.  One integer form per
+element (``weyl.moved_annihilator``), tested on the parent's R only.
+
+The comparable pairs come from cover lookups, without composing.  Each
+q != 1 of [1, c] gets a tree parent p(q) = q t_q, t_q the least
+reflection of R(q), and a key b_q, the index of the root +-q(alpha_t_q).
+Fix u; by suffix order q -> w(q) = u q^-1 maps [1, u] onto itself.  For
+q <= u also p(q) <= u, and w(q) = u t_q p(q)^-1 = w(p(q)) s, where s =
+p(q) t_q p(q)^-1 is the reflection of p(q)(alpha_t_q) = -q(alpha_t_q),
+that is s_b for b = b_q, and l_T(w(q)) = l_T(w(p(q))) - 1: w(q) is the
+lower cover of w(p(q)) keyed by b_q.  Conversely, if p(q) <= u and
+w(p(q)) s_b is a lower cover w' of w(p(q)), then w' = u q^-1 <= u and
+q = w'^-1 u <= u.  Walking the tree from q = 1, w = u, and keeping the
+children whose key names a lower cover of w, lists every pair w <= u
+once, with w^-1 u = q, by one lookup each.  The row u = c gives the
+complements w^-1 c.
+
+The elements are indexed in walk order, identity first, so lengths do
+not decrease along the indices.  Nothing but ``dump nc`` depends on that
+order; it sorts the slots by ``weyl.breadth_first_key``, the order of
+the whole group, which is never generated.
 """
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
+from operator import mul
 
 from . import weyl
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, require_m_support
 from .rootsys import ENUMERATION_LIMIT, RootSystem, fuss_catalan_number
 
-# Bound on the comparable pairs w <= u of [1, c], FC(W, 2) of them: the
-# pair table holds one entry each (E7: 144 210; E8: 1 520 922).
-PAIR_LIMIT = 10**6
+# Bound on the bytes of the interval tables, in 4-byte entries: two per
+# comparable pair w <= u of [1, c], FC(W, 2) of them, and two per element
+# and reflection, its image and its lower cover.  E8 takes 36 244 176.
+TABLE_BYTE_LIMIT = 2**27
+
+
+def table_bytes(rs: RootSystem) -> int:
+    """Bytes of the interval tables of rs, from FC(W, 2), FC(W, 1) and
+    the number of reflections, before anything is built."""
+    pairs = fuss_catalan_number(rs, 2)
+    cells = fuss_catalan_number(rs, 1) * len(rs.positive_roots)
+    return 4 * (2 * pairs + 2 * cells)
+
+
+class Interval:
+    """[1, c] as flat tables; element a has length ``lengths[a]``.
+
+    ``images[a N + i]`` is the signed index of the image of root i under
+    element a, for N reflections; ``covers[a N + t]`` is the index of
+    a t when it is a lower cover of a, else -1; ``comp[a]`` is the index
+    of a^-1 c.  The pairs w <= u are the entries ``start[u]`` up to
+    ``start[u + 1]`` of ``low`` (w) and ``quot`` (w^-1 u).
+    """
+
+    __slots__ = ("rs", "lengths", "images", "covers", "comp", "start", "low", "quot")
+
+    def __init__(self, rs, lengths, images, covers, comp, start, low, quot):
+        self.rs = rs
+        self.lengths = lengths
+        self.images = images
+        self.covers = covers
+        self.comp = comp
+        self.start = start
+        self.low = low
+        self.quot = quot
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def element(self, a: int) -> weyl.GroupElement:
+        nref = len(self.rs.positive_roots)
+        return weyl.GroupElement(self.rs, tuple(self.images[a * nref:(a + 1) * nref]))
+
+    def lower(self, a: int) -> tuple:
+        """Indices of the lower covers of element a."""
+        nref = len(self.rs.positive_roots)
+        return tuple(u for u in self.covers[a * nref:(a + 1) * nref] if u >= 0)
+
+    def pairs(self, u: int):
+        """The w <= u and the matching w^-1 u, as two aligned arrays."""
+        lo, hi = self.start[u], self.start[u + 1]
+        return self.low[lo:hi], self.quot[lo:hi]
+
+
+def _walk(rs: RootSystem, size: int) -> tuple:
+    """Lengths, images and lower covers of [1, c], walking down from c
+    by Carter's lemma (module docstring), with the tree parent and key
+    of each element.  The element met i-th gets index size - 1 - i."""
+    n = rs.n
+    nref = len(rs.positive_roots)
+    roots = rs.positive_roots
+    refl = weyl.reflections(rs)
+    on_simple = [t.img[:n] for t in refl]
+    c = weyl.coxeter_element(rs)
+    forms = weyl.moved_annihilator(rs, c.img[:n])
+    lengths = array("b", bytes(size))
+    images = array("i", bytes(4 * size * nref))
+    covers = array("i", [-1]) * (size * nref)
+    parent = array("i", bytes(4 * size))
+    key = array("i", bytes(4 * size))
+    top = size - 1
+    lengths[top] = n - len(forms)
+    images[top * nref:] = array("i", c.img)
+    level = [
+        (top, [t for t in range(nref) if not any(sum(map(mul, y, roots[t])) for y in forms)])
+    ]
+    met = 1
+    for length in range(lengths[top] - 1, -1, -1):
+        found = {}  # images of the simple roots -> index, for this level
+        below = []
+        for v, moved in level:
+            row = images[v * nref:(v + 1) * nref]
+            image = (0, *row, *(-s for s in reversed(row))).__getitem__
+            for t in moved:
+                simple = tuple(map(image, on_simple[t]))
+                u = found.get(simple)
+                if u is None:
+                    form = next(
+                        (
+                            y for y in weyl.moved_annihilator(rs, simple)
+                            if sum(map(mul, y, roots[t]))
+                        ),
+                        None,
+                    )
+                    if form is None:
+                        raise InternalInvariantError(
+                            f"reflection {t} shortens an element of [1, c] of "
+                            f"{rs.typespec} without shrinking its moved space"
+                        )
+                    if met == size:
+                        raise InternalInvariantError(
+                            f"[1, c] of {rs.typespec} has more than FC(W, 1) = {size} elements"
+                        )
+                    u = size - 1 - met
+                    met += 1
+                    found[simple] = u
+                    lengths[u] = length
+                    images[u * nref:(u + 1) * nref] = array("i", map(image, refl[t].img))
+                    below.append(
+                        (u, [s for s in moved if not sum(map(mul, form, roots[s]))])
+                    )
+                covers[v * nref + t] = u
+            if moved:
+                parent[v] = covers[v * nref + moved[0]]
+                key[v] = abs(row[moved[0]]) - 1
+        level = below
+    if met != size:
+        raise InternalInvariantError(
+            f"[1, c] of {rs.typespec} has {met} elements, not FC(W, 1) = {size}"
+        )
+    return lengths, images, covers, parent, key
 
 
 @lru_cache(maxsize=None)
-def _cover_walk(rs: RootSystem) -> dict:
-    """Map from each element of [1, c] to its lower covers.
-
-    Walks down from c one length at a time; u = v t is a lower cover of
-    v when its reflection length is one less (see the module docstring).
-    Exits on ``PAIR_LIMIT`` before it starts.
+def _interval_tables(rs: RootSystem) -> Interval:
+    """[1, c] with its lower covers and comparable pairs (module
+    docstring).  Exits on ``TABLE_BYTE_LIMIT`` before the walk starts.
     """
-    pairs = fuss_catalan_number(rs, 2)
-    if pairs > PAIR_LIMIT:
+    nbytes = table_bytes(rs)
+    if nbytes > TABLE_BYTE_LIMIT:
         raise ResourceLimitError(
-            f"[1, c] of {rs.typespec} has {pairs} comparable pairs, "
-            f"more than the bound {PAIR_LIMIT}"
+            f"the tables of [1, c] of {rs.typespec} would take {nbytes} bytes, "
+            f"more than the bound {TABLE_BYTE_LIMIT}"
         )
-    c = weyl.coxeter_element(rs)
-    refl = weyl.reflections(rs)
-    lower = {c: []}
-    level = [c]
-    for target in range(c.length - 1, -1, -1):
-        found = {}
-        longer = set()  # products met at this level that lengthen
-        for v in level:
-            covers = lower[v]
-            for t in refl:
-                u = weyl.compose(v, t)
-                if u in found:
-                    covers.append(found[u])
-                elif u in longer or u in lower:
-                    continue
-                elif u.length == target:
-                    found[u] = u
-                    lower[u] = []
-                    covers.append(u)
-                else:
-                    longer.add(u)
-        level = list(found)
-    return lower
+    size = fuss_catalan_number(rs, 1)
+    nref = len(rs.positive_roots)
+    lengths, images, covers, parent, key = _walk(rs, size)
+    children = [[] for _ in range(size)]
+    for q in range(1, size):
+        children[parent[q]].append((q, key[q]))
+    start = array("i", [0])
+    low = array("i")
+    quot = array("i")
+    for u in range(size):
+        ws = [u]
+        qs = [0]
+        for w, q in zip(ws, qs):  # both lists grow while they are read
+            base = w * nref
+            for child, b in children[q]:
+                x = covers[base + b]
+                if x >= 0:
+                    ws.append(x)
+                    qs.append(child)
+        low.extend(ws)
+        quot.extend(qs)
+        start.append(len(low))
+    if len(low) != fuss_catalan_number(rs, 2):
+        raise InternalInvariantError(
+            f"[1, c] of {rs.typespec} has {len(low)} comparable pairs, not FC(W, 2)"
+        )
+    comp = array("i", bytes(4 * size))
+    for w, q in zip(low[start[size - 1]:], quot[start[size - 1]:]):
+        comp[w] = q
+    return Interval(rs, lengths, images, covers, comp, start, low, quot)
 
 
 @lru_cache(maxsize=None)
 def absolute_interval(rs: RootSystem) -> tuple:
     """All group elements below the Coxeter element in absolute order,
-    identity first, in the breadth-first order of the whole group
-    (``weyl.breadth_first_key``), which is never generated."""
-    return tuple(sorted(_cover_walk(rs), key=weyl.breadth_first_key))
-
-
-@lru_cache(maxsize=None)
-def _interval_tables(rs: RootSystem):
-    """Index map, leq bitmask rows, lengths, left-complement indices and
-    lower covers.
-
-    leq[a] has bit b set iff element a lies below element b; comp[a] is
-    the index of inverse(a) * c, the factor completing a to c from the
-    right; lower[b] lists the indices of the elements b covers.  The leq
-    rows close the covers in decreasing length, so each row is complete
-    before it is pushed down to the elements its element covers.
-    """
-    elems = absolute_interval(rs)
-    walk = _cover_walk(rs)
-    c = weyl.coxeter_element(rs)
-    index = {w: a for a, w in enumerate(elems)}
-    lengths = tuple(u.length for u in elems)
-    lower = tuple(tuple(index[u] for u in walk[v]) for v in elems)
-    leq = [1 << a for a in range(len(elems))]
-    for b in sorted(range(len(elems)), key=lengths.__getitem__, reverse=True):
-        for a in lower[b]:
-            leq[a] |= leq[b]
-    comp = tuple(
-        index[weyl.compose(weyl.inverse(u), c)] for u in elems
-    )
-    return elems, index, tuple(leq), lengths, comp, lower
+    identity first, in walk order."""
+    tables = _interval_tables(rs)
+    return tuple(map(tables.element, range(len(tables))))
 
 
 class DeltaSequence:
@@ -168,8 +290,9 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
 
     The partial products v_i = d_1 d_2 ... d_i form a multichain
     v_1 <= v_2 <= ... <= v_k below c, and any such multichain yields a
-    delta sequence, so the enumeration walks multichains of interval
-    indices in lexicographic order.  Their exact number, the
+    delta sequence.  The enumeration walks it down from v_k: v_(i-1)
+    runs over the pairs w <= v_i, whose quotient is d_i, and d_0 = c v_k^-1
+    is the element whose complement is v_k.  Their exact number, the
     Fuss-Catalan number, is bounded before any work.
     """
     if k < 1:
@@ -180,32 +303,26 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
             f"delta sequence enumeration for {rs.typespec}, k={k} lists {count} "
             f"sequences, more than the bound {ENUMERATION_LIMIT}"
         )
-    elems, index, leq, _, _, _ = _interval_tables(rs)
-    c = weyl.coxeter_element(rs)
+    tables = _interval_tables(rs)
+    elems = absolute_interval(rs)
+    zeroth = [0] * len(elems)  # zeroth[v]: index of c v^-1
+    for w, v in enumerate(tables.comp):
+        zeroth[v] = w
     out = []
-    chain = []
+    slots = [0] * k
 
-    def descend(slot: int, low: int) -> None:
-        if slot == k:
-            parts = []
-            prev = weyl.identity(rs)
-            for v in chain:
-                cur = elems[v]
-                parts.append(weyl.compose(weyl.inverse(prev), cur))
-                prev = cur
-            d0 = weyl.compose(c, weyl.inverse(elems[chain[-1]]))
-            seq = DeltaSequence((d0, *parts), tuple(index[p] for p in parts))
-            out.append(seq)
+    def descend(slot: int, top: int, head: int) -> None:
+        if slot == 0:
+            slots[0] = top
+            ids = tuple(slots)
+            out.append(DeltaSequence(tuple(elems[a] for a in (head, *ids)), ids))
             return
-        above = leq[low]
-        while above:
-            v = (above & -above).bit_length() - 1
-            above &= above - 1
-            chain.append(v)
-            descend(slot + 1, v)
-            chain.pop()
+        for w, q in zip(*tables.pairs(top)):
+            slots[slot] = q
+            descend(slot - 1, w, head)
 
-    descend(0, 0)
+    for v in range(len(elems)):
+        descend(k - 1, v, zeroth[v])
     return tuple(out)
 
 
@@ -216,13 +333,14 @@ def rank(rs: RootSystem, seq: DeltaSequence) -> int:
     v_k = d_1 ... d_k, the sum of the parts' lengths read from the
     interval tables; no rank is computed.
     """
-    _, _, _, lengths, _, _ = _interval_tables(rs)
+    lengths = _interval_tables(rs).lengths
     return sum(lengths[s] for s in seq.slot_ids)
 
 
 class NCPoset:
-    """The delta sequences sorted by (rank, slot ids): a linear
-    extension of the slotwise order, which is never built."""
+    """The delta sequences sorted by rank, then by the breadth-first
+    order of their slots: a linear extension of the slotwise order,
+    which is never built."""
 
     __slots__ = ("rs", "k", "elements", "ranks")
 
@@ -236,52 +354,43 @@ class NCPoset:
 @lru_cache(maxsize=None)
 def build_nc_poset(rs: RootSystem, k: int) -> NCPoset:
     """The delta sequences in the order of ``NCPoset``."""
+    seqs = enumerate_delta_sequences(rs, k)
+    elems = absolute_interval(rs)
+    position = [0] * len(elems)
+    for p, a in enumerate(
+        sorted(range(len(elems)), key=lambda a: weyl.breadth_first_key(elems[a]))
+    ):
+        position[a] = p
     seqs = sorted(
-        enumerate_delta_sequences(rs, k),
-        key=lambda seq: (rank(rs, seq), seq.slot_ids),
+        seqs, key=lambda seq: (rank(rs, seq), [position[s] for s in seq.slot_ids])
     )
     return NCPoset(rs, k, tuple(seqs), tuple(rank(rs, seq) for seq in seqs))
 
 
 @lru_cache(maxsize=None)
-def _pair_table(rs: RootSystem) -> tuple:
-    """Entry u: the pairs (w, index of w^-1 u) over the w <= u in [1, c].
-
-    Walks the set bits of each leq row, one composition per comparable
-    pair; there are FC(W, 2) of them.
-    """
-    elems, index, leq, _, _, _ = _interval_tables(rs)
-    pairs = [[] for _ in elems]
-    for w, above in enumerate(leq):
-        w_inv = weyl.inverse(elems[w])
-        while above:
-            u = (above & -above).bit_length() - 1
-            above &= above - 1
-            pairs[u].append((w, index[weyl.compose(w_inv, elems[u])]))
-    return tuple(map(tuple, pairs))
-
-
-@lru_cache(maxsize=None)
 def _multichain_counts(rs: RootSystem, j: int) -> tuple:
     """Entry u: number of j-multichains in the interval below element u."""
-    pairs = _pair_table(rs)
-    cur = (1,) * len(pairs)
+    tables = _interval_tables(rs)
+    start, low = tables.start, tables.low
+    cur = [1] * len(tables)
     for _ in range(j):
-        cur = tuple(sum(cur[w] for w, _ in below) for below in pairs)
-    return cur
+        get = cur.__getitem__
+        cur = [sum(map(get, low[a:b])) for a, b in zip(start, start[1:])]
+    return tuple(cur)
 
 
 @lru_cache(maxsize=None)
 def _moebius_rows(rs: RootSystem, k: int) -> tuple:
-    """Entry x: g(x) of the module docstring, by increasing length; the
-    term v = 1 of its sum is the pair with v^-1 x = x."""
-    _, _, _, lengths, _, _ = _interval_tables(rs)
-    pairs = _pair_table(rs)
-    mc = _multichain_counts(rs, k - 1)
-    g = [1] * len(pairs)
-    for x in sorted(range(len(pairs)), key=lengths.__getitem__):
-        if lengths[x]:
-            g[x] = -sum(mc[v] * g[q] for v, q in pairs[x] if q != x)
+    """Entry x: g(x) of the module docstring, by increasing length.  The
+    term v = 1 of its sum is the pair w = 1, q = x, and reads g(x) = 0
+    while g(x) is summed."""
+    tables = _interval_tables(rs)
+    mc = _multichain_counts(rs, k - 1).__getitem__
+    g = [0] * len(tables)
+    g[0] = 1
+    for x in range(1, len(g)):
+        low, quot = tables.pairs(x)
+        g[x] = -sum(map(mul, map(mc, low), map(g.__getitem__, quot)))
     return tuple(g)
 
 
@@ -290,15 +399,20 @@ def m_triangle(rs: RootSystem, k: int) -> BivarPoly:
     """The Moebius sum, from [1, c] (module docstring); checks M(1, 1) = 1."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    _, _, _, lengths, comp, _ = _interval_tables(rs)
+    tables = _interval_tables(rs)
+    lengths = tables.lengths
     mc = _multichain_counts(rs, k - 1)
     g = _moebius_rows(rs, k)
     acc = {}
-    for u, below in enumerate(_pair_table(rs)):
-        bottoms = mc[comp[u]]
-        for w, q in below:
-            key = (lengths[w], lengths[u])
-            acc[key] = acc.get(key, 0) + bottoms * g[q]
+    for u in range(len(tables)):
+        by_length = [0] * (lengths[u] + 1)
+        for w, q in zip(*tables.pairs(u)):
+            by_length[lengths[w]] += g[q]
+        bottoms = mc[tables.comp[u]]
+        for lw, total in enumerate(by_length):
+            if total:
+                key = (lw, lengths[u])
+                acc[key] = acc.get(key, 0) + bottoms * total
     out = BivarPoly(acc)
     total = out.evaluate(1, 1)
     if total != 1:
@@ -311,9 +425,7 @@ def sequence_count(rs: RootSystem, k: int) -> int:
     """Number of delta sequences, mc_k(c), without listing them."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    _, index, _, _, _, _ = _interval_tables(rs)
-    c = weyl.coxeter_element(rs)
-    return _multichain_counts(rs, k)[index[c]]
+    return _multichain_counts(rs, k)[-1]
 
 
 def narayana_number(rs: RootSystem, k: int, i: int) -> int:
@@ -327,10 +439,10 @@ def narayana_number(rs: RootSystem, k: int, i: int) -> int:
         raise UsageError("index out of range")
     if k < 1:
         raise UsageError("k must be a positive integer")
-    _, _, _, lengths, comp, _ = _interval_tables(rs)
+    tables = _interval_tables(rs)
     counts = _multichain_counts(rs, k - 1)
     return sum(
-        counts[comp[u]] for u in range(len(lengths)) if lengths[u] == i
+        counts[tables.comp[u]] for u in range(len(tables)) if tables.lengths[u] == i
     )
 
 

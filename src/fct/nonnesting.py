@@ -240,8 +240,8 @@ def _decomposition_ranks(rs: RootSystem, levels) -> list:
     height.
     """
     best = list(levels)
-    for r in sorted(range(len(rs.positive_roots)), key=lambda r: rs.heights[r]):
-        for a, b in rs.pair_lists[r]:
+    for r, pairs in enumerate(rs.pair_lists):  # the roots come in height order
+        for a, b in pairs:
             if best[a] + best[b] > best[r]:
                 best[r] = best[a] + best[b]
     return best
@@ -266,15 +266,22 @@ def indecomposables(chain: FilterChain, l: int) -> frozenset:
     i + j = l, and every way of extending it by a positive root beta to
     an element of top rank t <= k forces beta into I_{t-l}.
     """
+    if not 1 <= l <= chain.k:
+        raise UsageError("rank must lie in 1..k")
+    return indecomposables_by_rank(chain)[l - 1]
+
+
+def indecomposables_by_rank(chain: FilterChain) -> tuple:
+    """Entry l - 1: the rank-l indecomposables (see ``indecomposables``),
+    for l = 1..k, from one level vector and one table of decomposition
+    ranks; root r can only be one of rank best[r]."""
     rs = chain.rs
     k = chain.k
-    if not 1 <= l <= k:
-        raise UsageError("rank must lie in 1..k")
     levels = chain.levels()
     best = _decomposition_ranks(rs, levels)
-    out = []
-    for r in range(len(rs.positive_roots)):
-        if levels[r] < l or best[r] != l:
+    out = [[] for _ in range(k)]
+    for r, l in enumerate(best):
+        if not 1 <= l <= levels[r]:
             continue
         if any(
             min(levels[a], k) + min(levels[b], k) >= l
@@ -287,8 +294,8 @@ def indecomposables(chain: FilterChain, l: int) -> frozenset:
             best[c] <= k and levels[c] >= best[c] > l and levels[beta] < best[c] - l
             for beta, c in _extensions(rs)[r]
         ):
-            out.append(r)
-    return frozenset(out)
+            out[l - 1].append(r)
+    return tuple(map(frozenset, out))
 
 
 def _h_poly(stats: dict) -> BivarPoly:

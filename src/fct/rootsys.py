@@ -342,6 +342,7 @@ def support(rs: RootSystem, b: Root) -> frozenset:
     return frozenset(i for i, c in enumerate(b) if c)
 
 
+@lru_cache(maxsize=None)
 def filter_mask(rs: RootSystem, a: int) -> int:
     """Bitmask of the principal order filter generated by simple root a."""
     alpha = rs.positive_roots[a]
@@ -460,6 +461,7 @@ def parabolic(rs: RootSystem, remove: int) -> RootSystem:
     return out
 
 
+@lru_cache(maxsize=None)
 def parabolic_root_embedding(rs: RootSystem, remove: int) -> tuple:
     """For each positive root of parabolic(rs, remove), its index in rs."""
     sub = parabolic(rs, remove)

@@ -261,7 +261,6 @@ def verify_bij(rs: RootSystem, k: int) -> dict | None:
     """Chain restriction at each simple root: bijection onto the
     parabolic chains with exact indecomposable bookkeeping."""
     chains = nonnesting.enumerate_chains(rs, k)
-    ranks = range(1, k + 1)
     indec = {}  # chain -> its indecomposables of each rank, built once
     for a in range(rs.n):
         sub = parabolic(rs, a)
@@ -279,9 +278,10 @@ def verify_bij(rs: RootSystem, k: int) -> dict | None:
                 return {"simple": a, "reason": "round trip failed",
                         "levels": chain.levels()}
             if chain not in indec:
-                indec[chain] = [nonnesting.indecomposables(chain, l) for l in ranks]
-            for l, want in zip(ranks, indec[chain]):
-                got = {embed[r] for r in nonnesting.indecomposables(image, l)}
+                indec[chain] = nonnesting.indecomposables_by_rank(chain)
+            by_rank = nonnesting.indecomposables_by_rank(image)
+            for l, want, image_roots in zip(range(1, k + 1), indec[chain], by_rank):
+                got = {embed[r] for r in image_roots}
                 want = set(want)
                 if l == k:
                     want.discard(a)
@@ -301,8 +301,8 @@ def verify_phi(rs: RootSystem, k: int) -> dict | None:
         floors = set(report.floors)
         expected = {
             (r, i)
-            for i in range(1, k + 1)
-            for r in nonnesting.indecomposables(chain, i)
+            for i, roots in enumerate(nonnesting.indecomposables_by_rank(chain), 1)
+            for r in roots
         }
         if floors != expected:
             return {"levels": chain.levels(), "floors": sorted(floors),

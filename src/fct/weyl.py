@@ -10,14 +10,20 @@ coordinates is read off the images of the simple roots.
 
 Absolute length is computed from the fixed space, l_T(w) = rank(M - I),
 which agrees with the distance from the identity in the Cayley graph of
-the full reflection set (checked exhaustively in the test suite).
+the full reflection set (checked exhaustively in the test suite).  The
+moved space Mov(w) = im(w - 1) is spanned by the rows w(alpha_j) -
+alpha_j; ``moved_annihilator`` cuts it out by integer linear forms, and
+Carter's lemma (Compositio Math. 25, 1972, Lemma 2) turns membership
+into order: l_T(t w) < l_T(w) exactly when alpha_t lies in Mov(w).
 """
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import gcd
+from operator import mul
 
 from . import kernels
-from .errors import ResourceLimitError, UsageError
+from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .rootsys import RootSystem
 
 GROUP_ORDER_LIMIT = 10**6
@@ -174,21 +180,87 @@ def coxeter_element(rs: RootSystem) -> GroupElement:
     return c
 
 
+def moved_annihilator(rs: RootSystem, simple_img) -> list:
+    """Integer vectors y spanning the linear forms that vanish on Mov(w),
+    for the w whose images of the simple roots are the signed root
+    indices ``simple_img``; there are n - l_T(w) of them.
+
+    The rows w(alpha_j) - alpha_j span Mov(w).  They are brought to
+    reduced echelon form in integers (each row divided by its content),
+    and each free column f gives the y with y_f = d, the lcm of the
+    pivots, and y_p = -row[f] d / row[p] at the pivot p of each row.
+    """
+    roots = rs.positive_roots
+    n = rs.n
+    echelon = []  # (pivot column, row with a positive pivot)
+    for j, s in enumerate(simple_img):
+        row = list(roots[s - 1]) if s > 0 else [-x for x in roots[-s - 1]]
+        row[j] -= 1
+        for col, prow in echelon:
+            a = row[col]
+            if a:
+                p = prow[col]
+                row = [p * x - a * y for x, y in zip(row, prow)]
+        col = next((i for i, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        g = gcd(*row)
+        if row[col] < 0:
+            g = -g
+        if g != 1:
+            row = [x // g for x in row]
+        p = row[col]
+        for i, (pcol, prow) in enumerate(echelon):
+            a = prow[col]
+            if a:
+                prow = [p * x - a * y for x, y in zip(prow, row)]
+                g = gcd(*prow)
+                echelon[i] = (pcol, [x // g for x in prow] if g != 1 else prow)
+        echelon.append((col, row))
+    pivots = {col for col, _ in echelon}
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        d = 1
+        for col, row in echelon:
+            if row[f]:
+                d = d * row[col] // gcd(d, row[col])
+        y = [0] * n
+        y[f] = d
+        for col, row in echelon:
+            y[col] = -row[f] * d // row[col]
+        out.append(y)
+    return out
+
+
 def reflection_word(w: GroupElement) -> tuple:
     """A minimal word for w in the reflections, greedily first-by-index.
 
     Returns a tuple of positive root indices whose reflections multiply
-    (left to right, applied right-first) to w.
+    (left to right, applied right-first) to w: each letter is the least
+    t with alpha_t in Mov(x) for the rest x, which by Carter's lemma is
+    the least t with l_T(t x) = l_T(x) - 1.
     """
+    rs = w.rs
+    roots = rs.positive_roots
+    refl = reflections(rs)
     word = []
-    refl = reflections(w.rs)
     x = w
-    while x.length:
-        for t_idx, t in enumerate(refl):
-            if compose(t, x).length == x.length - 1:
-                word.append(t_idx)
-                x = compose(t, x)
-                break
-        else:
-            raise UsageError("element admits no length-reducing reflection")
-    return tuple(word)
+    while True:
+        forms = moved_annihilator(rs, x.img[: rs.n])
+        if len(forms) == rs.n:
+            return tuple(word)
+        t = next(
+            (
+                t for t, root in enumerate(roots)
+                if not any(sum(map(mul, y, root)) for y in forms)
+            ),
+            None,
+        )
+        if t is None:
+            raise InternalInvariantError(
+                f"an element of length {rs.n - len(forms)} moves no root"
+            )
+        word.append(t)
+        x = compose(refl[t], x)

@@ -239,6 +239,55 @@ def interval_by_filtering(rs: RootSystem) -> tuple:
     return tuple(w for w in weyl.generate_group(rs) if weyl.absolute_leq(w, c))
 
 
+def cover_walk_by_ranks(rs: RootSystem) -> dict:
+    """Map from each element of [1, c] to its lower covers, walking down
+    from c: every product v t of an element with a reflection is made,
+    and it is a lower cover when its rank-computed length is one less."""
+    from fct import weyl
+
+    c = weyl.coxeter_element(rs)
+    refl = weyl.reflections(rs)
+    lower = {c: []}
+    level = [c]
+    for target in range(c.length - 1, -1, -1):
+        found = {}
+        longer = set()  # products met at this level that lengthen
+        for v in level:
+            covers = lower[v]
+            for t in refl:
+                u = weyl.compose(v, t)
+                if u in found:
+                    covers.append(found[u])
+                elif u in longer or u in lower:
+                    continue
+                elif u.length == target:
+                    found[u] = u
+                    lower[u] = []
+                    covers.append(u)
+                else:
+                    longer.add(u)
+        level = list(found)
+    return lower
+
+
+def pairs_by_composition(walk: dict) -> dict:
+    """Map from each comparable pair (w, u) of [1, c] to w^-1 u: the
+    pairs close the covers of ``walk``, one composition each."""
+    from fct import weyl
+
+    below = {}
+    for u in sorted(walk, key=lambda u: u.length):
+        down = {u}
+        for v in walk[u]:
+            down |= below[v]
+        below[u] = down
+    return {
+        (w, u): weyl.compose(weyl.inverse(w), u)
+        for u, down in below.items()
+        for w in down
+    }
+
+
 def leq_rows_by_pairs(elems) -> tuple:
     """Row a has bit b set iff elems[a] <= elems[b], by testing every
     pair with the length-additivity definition of absolute order."""
@@ -692,7 +741,9 @@ def masked_nc_poset(rs: RootSystem, k: int) -> MaskedPoset:
 
     base = build_nc_poset(rs, k)
     elems_seq, ranks = base.elements, base.ranks
-    _, _, _, lengths, _, lower = _interval_tables(rs)
+    tables = _interval_tables(rs)
+    lengths = tables.lengths
+    lower = [tables.lower(a) for a in range(len(tables))]
     size = len(elems_seq)
     shortest_first = sorted(range(len(lengths)), key=lengths.__getitem__)
     slot_down = []
@@ -806,10 +857,12 @@ def narayana_vector(rs: RootSystem, k: int) -> tuple:
 
 def multichain_counts_by_pairs(rs: RootSystem, j: int) -> tuple:
     """Entry u: number of j-multichains below element u of [1, c], by
-    summing over every pair (v, u) of the interval and testing v <= u."""
-    from fct.noncrossing import _interval_tables
+    summing over every pair (v, u) of the interval and testing v <= u
+    with the length-additivity definition of absolute order."""
+    from fct.noncrossing import absolute_interval
 
-    elems, _, leq, _, _, _ = _interval_tables(rs)
+    elems = absolute_interval(rs)
+    leq = leq_rows_by_pairs(elems)
     size = len(elems)
     cur = (1,) * size
     for _ in range(j):

@@ -13,6 +13,7 @@ import fct
 from fct import cli, cluster, ehrhart, kernels, noncrossing, nonnesting, verify, weyl
 from fct.errors import InternalInvariantError, ResourceLimitError
 from fct.poly import BivarPoly
+from fct.rootsys import TypeSpec, build_root_system
 
 GOLDEN_H_A2_K1 = {
     "triangle": "H",
@@ -323,20 +324,24 @@ def test_noncrossing_needs_no_group(capsys, monkeypatch):
         clear()
 
 
-def test_noncrossing_past_pair_bound_exits_4(capsys, monkeypatch):
-    # [1, c] of E8 has FC(E8, 2) = 1 520 922 comparable pairs
+def test_noncrossing_past_byte_bound_exits_4(capsys, monkeypatch):
+    # the tables of [1, c] of E8xE8 hold FC(W, 2) = 2 313 203 730 084 pairs
+    # and 629 006 400 elements x 240 reflections, 4 bytes an entry twice
     def no_walk(*args):
         raise AssertionError("the cover walk started")
 
     monkeypatch.setattr(weyl, "coxeter_element", no_walk)
     monkeypatch.setattr(weyl, "reflections", no_walk)
     monkeypatch.setattr(
-        sys, "argv", ["fct", "triangle", "M", "--type", "E8", "-k", "1"]
+        sys, "argv", ["fct", "triangle", "M", "--type", "E8xE8", "-k", "1"]
     )
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 4
-    assert "1520922 comparable pairs" in capsys.readouterr().err
+    assert "19713322128672 bytes" in capsys.readouterr().err
+    # E8 itself fits: 36 244 176 bytes
+    e8 = build_root_system(TypeSpec.parse("E8"))
+    assert noncrossing.table_bytes(e8) == 36244176 <= noncrossing.TABLE_BYTE_LIMIT
 
 
 def test_dump_nc_past_sequence_bound_exits_4(capsys, monkeypatch):

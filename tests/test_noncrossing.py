@@ -8,7 +8,6 @@ from fct.noncrossing import (
     _interval_tables,
     _moebius_rows,
     _multichain_counts,
-    _pair_table,
     absolute_interval,
     build_nc_poset,
     enumerate_delta_sequences,
@@ -18,11 +17,12 @@ from fct.noncrossing import (
     sequence_count,
 )
 from fct.poly import BivarPoly
-from fct.rootsys import fuss_catalan_number
-from fct.weyl import compose, coxeter_element, inverse
+from fct.rootsys import degrees, fuss_catalan_number
+from fct.weyl import breadth_first_key, compose, coxeter_element, inverse
 
 from conftest import rsys, small_products
 from oracles import (
+    cover_walk_by_ranks,
     covers_of,
     down_masks_by_pairs,
     interval_by_filtering,
@@ -33,6 +33,7 @@ from oracles import (
     moebius_by_inversion,
     multichain_counts_by_pairs,
     narayana_vector,
+    pairs_by_composition,
     relabelled,
 )
 
@@ -68,13 +69,44 @@ def _rotated(rs):
 def test_interval_tables_against_pairwise_oracles():
     for name, _ in ORACLE_CELLS:
         for rs in _rotated(rsys(name)):
-            elems, _, leq, lengths, _, lower = _interval_tables(rs)
-            assert elems == absolute_interval(rs) == interval_by_filtering(rs)
-            assert leq == leq_rows_by_pairs(elems)
+            tables = _interval_tables(rs)
+            elems = absolute_interval(rs)
+            assert elems[0].length == 0
+            assert sorted(elems, key=breadth_first_key) == list(interval_by_filtering(rs))
+            leq = leq_rows_by_pairs(elems)
+            lengths = tuple(tables.lengths)
             assert lengths == tuple(w.length for w in elems)
-            for b, covered in enumerate(lower):
-                for a in covered:
-                    assert lengths[a] == lengths[b] - 1 and (leq[a] >> b) & 1
+            assert list(lengths) == sorted(lengths)
+            for u in range(len(elems)):
+                assert sorted(tables.pairs(u)[0]) == [
+                    w for w in range(len(elems)) if (leq[w] >> u) & 1
+                ]
+                for a in tables.lower(u):
+                    assert lengths[a] == lengths[u] - 1 and (leq[a] >> u) & 1
+
+
+# Covers, lengths and pairs against the rank walk and composition; the
+# rotation of D4 reaches a second Coxeter element.
+WALK_CELLS = ["A1", "A2", "A3", "B2", "B3", "B4", "G2", "D4", "D5", "F4", "E6"]
+
+
+def test_walk_and_pairs_against_rank_walk_and_composition():
+    cells = [rsys(name) for name in WALK_CELLS] + _rotated(rsys("D4"))[1:]
+    for rs in cells:
+        walk = cover_walk_by_ranks(rs)
+        tables = _interval_tables(rs)
+        elems = absolute_interval(rs)
+        assert set(elems) == set(walk), rs.typespec
+        assert all(tables.lengths[a] == w.length for a, w in enumerate(elems))
+        for b, v in enumerate(elems):
+            assert {elems[a] for a in tables.lower(b)} == set(walk[v])
+        pairs = pairs_by_composition(walk)
+        listed = {
+            (elems[w], elems[u]): elems[q]
+            for u in range(len(elems))
+            for w, q in zip(*tables.pairs(u))
+        }
+        assert listed == pairs, rs.typespec
 
 
 def test_poset_masks_against_pairwise_oracle():
@@ -84,9 +116,12 @@ def test_poset_masks_against_pairwise_oracle():
             poset = masked_nc_poset(rs, k)
             seqs = build_nc_poset(rs, k).elements
             assert set(seqs) == set(enumerate_delta_sequences(rs, k))
-            assert [(rank(rs, s), s.slot_ids) for s in seqs] == sorted(
-                (rank(rs, s), s.slot_ids) for s in seqs
-            )
+            position = {w: p for p, w in enumerate(interval_by_filtering(rs))}
+            elems = absolute_interval(rs)
+            keys = [
+                (rank(rs, s), [position[elems[a]] for a in s.slot_ids]) for s in seqs
+            ]
+            assert keys == sorted(keys)
             down = down_masks_by_pairs(poset.elements, poset.ranks, leq)
             assert poset.down == down
             for a, up in enumerate(poset.up):
@@ -207,28 +242,51 @@ def test_m_triangle_matches_moebius_sum_oracle():
 def test_pair_table_lists_every_comparable_pair():
     for name in ["A3", "B3", "G2", "A1xB2", "D4"]:
         for rs in _rotated(rsys(name)):
-            elems, index, leq, _, _, _ = _interval_tables(rs)
-            for u, below in enumerate(_pair_table(rs)):
-                assert [w for w, _ in below] == [
+            tables = _interval_tables(rs)
+            elems = absolute_interval(rs)
+            leq = leq_rows_by_pairs(elems)
+            for u in range(len(elems)):
+                low, quot = tables.pairs(u)
+                assert sorted(low) == [
                     w for w in range(len(elems)) if (leq[w] >> u) & 1
                 ]
-                for w, q in below:
+                for w, q in zip(low, quot):
                     assert elems[q] == compose(inverse(elems[w]), elems[u])
+            assert [elems[q] for q in tables.comp] == [
+                compose(inverse(w), coxeter_element(rs)) for w in elems
+            ]
 
 
 def test_g_at_k1_is_moebius_of_the_interval():
     for name in ["A2", "A3", "B3", "G2", "A1xB2", "D4"]:
         for rs in _rotated(rsys(name)):
-            elems, _, leq, _, _, _ = _interval_tables(rs)
-            size = len(elems)
+            tables = _interval_tables(rs)
+            leq = leq_rows_by_pairs(absolute_interval(rs))
+            size = len(leq)
             leq_pairs = {
                 (a, b) for a in range(size) for b in range(size) if (leq[a] >> b) & 1
             }
             mu = moebius_by_inversion(leq_pairs, size)
             g = _moebius_rows(rs, 1)
-            for u, below in enumerate(_pair_table(rs)):
-                for w, q in below:
+            for u in range(size):
+                for w, q in zip(*tables.pairs(u)):
                     assert g[q] == mu[(w, u)]
+
+
+def test_m_triangle_bottom_row_is_positive_catalan():
+    """At k = 1 the coefficient of y^n in M(0, y) is (-1)^n Cat+(W), with
+    Cat+(W) = prod (h + d_i - 2) / d_i over the degrees d_i.  E8 reads
+    17 342 (computed once, about 6 s; too slow for this suite)."""
+    for name in ["B4", "D4", "F4", "E6", "E7"]:
+        rs = rsys(name)
+        ((family, n),) = rs.typespec.factors
+        h = rs.coxeter_number
+        num = den = 1
+        for d in degrees(family, n):
+            num *= h + d - 2
+            den *= d
+        assert num % den == 0
+        assert m_triangle(rs, 1).coeff(0, n) == (-1) ** n * (num // den), name
 
 
 def test_multichain_counts_match_pairwise_oracle():

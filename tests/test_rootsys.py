@@ -260,3 +260,16 @@ def test_triangles_and_counts_ignore_the_labelling(case, k):
     assert len(enumerate_delta_sequences(other, k)) == len(
         enumerate_delta_sequences(rs, k)
     )
+
+
+def test_roots_come_in_height_order():
+    """The decomposition-rank table walks the roots in index order, so
+    every root system lists its roots by non-decreasing height."""
+    names = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "F4", "A1xB2", "E6"]
+    systems = [rsys(name) for name in names] + [
+        relabelled(rsys("D4"), (3, 1, 0, 2)),
+        relabelled(rsys("F4"), (2, 0, 3, 1)),
+        parabolic(rsys("F4"), 1),
+    ]
+    for rs in systems:
+        assert list(rs.heights) == sorted(rs.heights), rs.typespec

@@ -1,7 +1,7 @@
 import pytest
 
-from fct import weyl
-from fct.errors import ResourceLimitError, UsageError
+from fct import kernels, weyl
+from fct.errors import InternalInvariantError, ResourceLimitError, UsageError
 from fct.weyl import (
     absolute_leq,
     breadth_first_key,
@@ -10,6 +10,7 @@ from fct.weyl import (
     generate_group,
     identity,
     inverse,
+    moved_annihilator,
     reflection_word,
     reflections,
     simple_reflection,
@@ -97,6 +98,35 @@ def test_reflection_word_composes_back():
             for t_idx in word:
                 acc = compose(acc, refl[t_idx])
             assert acc == w
+
+
+def test_moved_annihilator_cuts_out_the_moved_space():
+    """n - l_T(w) independent forms vanish on the columns of M - I, and
+    alpha_t is in Mov(w) exactly when l_T(t w) < l_T(w) (Carter)."""
+    for name in ["A3", "B3", "G2", "A1xB2"]:
+        rs = rsys(name)
+        n = rs.n
+        refl = reflections(rs)
+        for w in generate_group(rs):
+            forms = moved_annihilator(rs, w.img[:n])
+            assert len(forms) == n - w.length
+            if forms:
+                assert kernels.int_rank(forms) == len(forms)
+            for y in forms:
+                for j in range(n):
+                    assert sum(y[i] * (w.matrix[i][j] - (i == j)) for i in range(n)) == 0
+            for t, root in enumerate(rs.positive_roots):
+                moved = not any(sum(a * b for a, b in zip(y, root)) for y in forms)
+                assert moved == (compose(refl[t], w).length < w.length), (name, t)
+
+
+def test_reflection_word_without_a_moved_root_is_an_invariant_error(monkeypatch):
+    """Every element of positive length moves some root; a form that
+    kills none is an internal failure (exit 3), not a usage error."""
+    rs = rsys("A3")
+    monkeypatch.setattr(weyl, "moved_annihilator", lambda rs, img: [[1] * rs.n])
+    with pytest.raises(InternalInvariantError, match="moves no root"):
+        reflection_word(coxeter_element(rs))
 
 
 def test_absolute_order_via_lengths():
