@@ -5,6 +5,10 @@ provides compiled equivalents with identical observable behaviour for
 every kernel but nn_census_family (see fct.kernels).  The pure versions
 accept arbitrary sizes (bitmasks are plain integers), the compiled ones
 are limited to machine words and are selected per call in fct.kernels.
+
+``gauss_jordan`` is the one integer row elimination; rank, determinant,
+adjugate and kernel are read off it.  The compiled core keeps its own
+rank loop.
 """
 from __future__ import annotations
 
@@ -37,39 +41,90 @@ def weyl_closure(gens, limit):
     return order
 
 
+def gauss_jordan(mat):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix:
+    Bareiss's (Math. Comp. 22, 1968), run to reduced form.
+
+    At each pivot a, every other row becomes (row a - b pivot_row) / d,
+    b its entry in the pivot column and d the previous pivot; each entry
+    stays a minor of the row-permuted matrix, so every division is exact.
+    Returns (rows, pivots, d, sign): the first rank rows are d times the
+    reduced row echelon form, with pivot columns ``pivots``, the others
+    are zero, d is the last pivot (1 if none) and sign that of the row
+    swaps.  A square matrix of full rank has determinant sign d.
+    """
+    m = [list(row) for row in mat]
+    pivots = []
+    sign = d = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        for p in range(r, len(m)):
+            if m[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        prow = m[r]
+        a = prow[c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if b:
+                if i != r:
+                    m[i] = [(x * a - b * y) // d for x, y in zip(row, prow)]
+            elif a != d and any(row):  # else the update leaves the row as it is
+                m[i] = [x * a // d for x in row]
+        d = a
+        pivots.append(c)
+    return m, pivots, d, sign
+
+
 def bareiss(mat):
-    """(rank, det) of an integer matrix, by fraction-free Bareiss elimination.
+    """(rank, det) of an integer matrix, read off ``gauss_jordan``.
 
     det is the determinant of a square matrix (1 for the empty one), with
     the sign of the row swaps, and 0 for any other shape.
     """
-    m = [list(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    sign = 1
-    prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            sign = -sign
-        for i in range(rank + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[i][j] * m[rank][c] - m[i][c] * m[rank][j]) // prev
-            m[i][c] = 0
-        prev = m[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank, sign * prev if rank == rows == cols else 0
+    _, pivots, d, sign = gauss_jordan(mat)
+    full = len(pivots) == len(mat) == (len(mat[0]) if mat else 0)
+    return len(pivots), sign * d if full else 0
 
 
 def int_rank(mat):
     """Rank of an integer matrix."""
-    return bareiss(mat)[0]
+    return len(gauss_jordan(mat)[1])
+
+
+def adjugate(mat):
+    """(det, adj) of a square integer matrix, mat adj = det I, from the
+    elimination of [mat | I]: it ends as [d I | d mat^-1], and
+    d mat^-1 = sign adj.  (0, None) if mat is singular."""
+    n = len(mat)
+    rows, pivots, d, sign = gauss_jordan(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
+    )
+    if pivots != list(range(n)):
+        return 0, None
+    return sign * d, [[sign * x for x in row[n:]] for row in rows]
+
+
+def null_space(mat):
+    """A basis of the integer vectors y with mat y = 0: for each free
+    column f, y_f = d and y_p = -row[f] at the pivot p of each row."""
+    rows, pivots, d, _ = gauss_jordan(mat)
+    cols = len(mat[0]) if mat else 0
+    out = []
+    for f in range(cols):
+        if f not in pivots:
+            y = [0] * cols
+            y[f] = d
+            for p, row in zip(pivots, rows):
+                y[p] = -row[f]
+            out.append(y)
+    return out
 
 
 def clique_census(nbrs, nvert, n_neg):

@@ -4,9 +4,13 @@ After the unimodular change of variables z = A^T y (A the Cartan
 matrix), the coroot lattice becomes the set of integer vectors z with
 adj(A^T) z divisible by det A, and the t-fold dilated fundamental
 simplex becomes {z >= 0, c.z <= t} with c the highest root coefficient
-vector.  The walls are the n coordinate hyperplanes z_j = 0 and the cap
-c.z = t.  Counting points by the number of incident walls at t = kh+1
-reproduces the rank-k indecomposable census of the geometric chains.
+vector.  det A and adj(A^T) come from one fraction-free Gauss-Jordan
+elimination of [A^T | I] (``_purecore.adjugate``): its rows end as d
+times the reduced row echelon form, [d I | d (A^T)^-1], so with the
+sign of the row swaps det A = sign d and adj(A^T) = sign d (A^T)^-1.
+The walls are the n coordinate hyperplanes z_j = 0 and the cap c.z = t.
+Counting points by the number of incident walls at t = kh+1 reproduces
+the rank-k indecomposable census of the geometric chains.
 
 `wall_histograms` counts without listing the points: a dynamic program
 over the coordinates z_0, ..., z_{n-1} keeps, for each partial point,
@@ -25,24 +29,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from ._purecore import bareiss
+from ._purecore import adjugate
 from .errors import ResourceLimitError, UsageError
 from .rootsys import ENUMERATION_LIMIT, RootSystem
-
-
-def _adjugate(mat) -> list:
-    """Integer adjugate: mat times adjugate equals det times identity."""
-    n = len(mat)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][s] for s in range(n) if s != i]
-                for r in range(n)
-                if r != j
-            ]
-            out[i][j] = (-1) ** (i + j) * bareiss(minor)[1]
-    return out
 
 
 class SimplexModel:
@@ -65,10 +54,9 @@ def simplex_model(rs: RootSystem) -> SimplexModel:
     n = rs.n
     at = tuple(tuple(rs.cartan[j][i] for j in range(n)) for i in range(n))
     c = rs.positive_roots[rs.highest_roots[0]]
-    det = bareiss(at)[1]
+    det, adj = adjugate(at)
     if det <= 0:
         raise UsageError("Cartan matrix must have positive determinant")
-    adj = _adjugate(at)
     model = SimplexModel(rs, c, rs.coxeter_number, det, tuple(map(tuple, adj)))
     if min(c) < 1 or model.h != 1 + sum(c):
         raise UsageError("highest root data inconsistent with the Coxeter number")

@@ -2,9 +2,9 @@
 
 The compiled backend (fct._fastcore, built from Cython) is used when it
 imported successfully, the environment variable FCT_BACKEND is not set
-to "python", and the call fits its machine-word limits.  Every kernel
-has a pure fallback with identical observable behaviour; the test suite
-compares the two backends directly.
+to exactly "python", and the call fits its machine-word limits.  Every
+kernel has a pure fallback with identical observable behaviour; the test
+suite compares the two backends directly.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from . import _purecore
 LimitExceeded = _purecore.LimitExceeded
 
 _fast = None
-if os.environ.get("FCT_BACKEND", "").lower() not in ("python", "pure"):
+if os.environ.get("FCT_BACKEND") != "python":
     try:
         from . import _fastcore as _fast  # type: ignore
     except ImportError:

@@ -446,16 +446,28 @@ def narayana_number(rs: RootSystem, k: int, i: int) -> int:
     )
 
 
+def _reflection_words(rs: RootSystem) -> tuple:
+    """Entry a: ``weyl.reflection_word`` of element a of [1, c], read off
+    the interval tables in index order.  Its first letter is the least t
+    of R(a), the least with a lower cover a t, and the rest is the word
+    of t a = a s_i, i the root with a(alpha_i) = +-alpha_t: a lower cover
+    of a, so of a smaller index."""
+    tables = _interval_tables(rs)
+    nref = len(rs.positive_roots)
+    words = [()]
+    for a in range(1, len(tables)):
+        base = a * nref
+        t = next(t for t in range(nref) if tables.covers[base + t] >= 0)
+        row = tables.images[base:base + nref]
+        i = row.index(t + 1) if t + 1 in row else row.index(-t - 1)
+        words.append((t, *words[tables.covers[base + i]]))
+    return tuple(words)
+
+
 def nc_json(rs: RootSystem, k: int) -> list:
     """Elements as reflection words per part, in poset element order."""
     poset = build_nc_poset(rs, k)
-    words = {}  # parts repeat across sequences; each word is built once
-    out = []
-    for seq in poset.elements:
-        row = []
-        for part in seq.parts:
-            if part not in words:
-                words[part] = list(weyl.reflection_word(part))
-            row.append(words[part])
-        out.append(row)
-    return out
+    words = {
+        w: list(word) for w, word in zip(absolute_interval(rs), _reflection_words(rs))
+    }
+    return [[words[part] for part in seq.parts] for seq in poset.elements]

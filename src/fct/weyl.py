@@ -12,17 +12,20 @@ Absolute length is computed from the fixed space, l_T(w) = rank(M - I),
 which agrees with the distance from the identity in the Cayley graph of
 the full reflection set (checked exhaustively in the test suite).  The
 moved space Mov(w) = im(w - 1) is spanned by the rows w(alpha_j) -
-alpha_j; ``moved_annihilator`` cuts it out by integer linear forms, and
-Carter's lemma (Compositio Math. 25, 1972, Lemma 2) turns membership
-into order: l_T(t w) < l_T(w) exactly when alpha_t lies in Mov(w).
+alpha_j; ``moved_annihilator`` cuts it out by integer linear forms, the
+kernel of those rows read off their fraction-free Gauss-Jordan form
+(``_purecore.gauss_jordan``, whose rows are d times the reduced row
+echelon form), and Carter's lemma (Compositio Math. 25, 1972, Lemma 2)
+turns membership into order: l_T(t w) < l_T(w) exactly when alpha_t
+lies in Mov(w).
 """
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd
 from operator import mul
 
 from . import kernels
+from ._purecore import null_space
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .rootsys import RootSystem
 
@@ -66,12 +69,19 @@ class GroupElement:
     def length(self) -> int:
         """Absolute length: codimension of the fixed space, the rank of
         the rows w(alpha_j) - alpha_j (the columns of M - I)."""
-        rows = []
-        for j, s in enumerate(self.img[: self.rs.n]):
-            row = [c if s > 0 else -c for c in self.rs.positive_roots[abs(s) - 1]]
-            row[j] -= 1
-            rows.append(row)
-        return kernels.int_rank(rows)
+        return kernels.int_rank(_moved_rows(self.rs, self.img[: self.rs.n]))
+
+
+def _moved_rows(rs: RootSystem, simple_img) -> list:
+    """The rows w(alpha_j) - alpha_j, which span Mov(w), for the w whose
+    images of the simple roots are the signed root indices ``simple_img``."""
+    roots = rs.positive_roots
+    rows = []
+    for j, s in enumerate(simple_img):
+        row = list(roots[s - 1]) if s > 0 else [-x for x in roots[-s - 1]]
+        row[j] -= 1
+        rows.append(row)
+    return rows
 
 
 def identity(rs: RootSystem) -> GroupElement:
@@ -185,53 +195,12 @@ def moved_annihilator(rs: RootSystem, simple_img) -> list:
     for the w whose images of the simple roots are the signed root
     indices ``simple_img``; there are n - l_T(w) of them.
 
-    The rows w(alpha_j) - alpha_j span Mov(w).  They are brought to
-    reduced echelon form in integers (each row divided by its content),
-    and each free column f gives the y with y_f = d, the lcm of the
-    pivots, and y_p = -row[f] d / row[p] at the pivot p of each row.
+    The rows w(alpha_j) - alpha_j span Mov(w), so the forms are the
+    kernel of their matrix: with the rows in d times reduced row echelon
+    form, each free column f gives the y with y_f = d and y_p = -row[f]
+    at the pivot p of each row (``_purecore.null_space``).
     """
-    roots = rs.positive_roots
-    n = rs.n
-    echelon = []  # (pivot column, row with a positive pivot)
-    for j, s in enumerate(simple_img):
-        row = list(roots[s - 1]) if s > 0 else [-x for x in roots[-s - 1]]
-        row[j] -= 1
-        for col, prow in echelon:
-            a = row[col]
-            if a:
-                p = prow[col]
-                row = [p * x - a * y for x, y in zip(row, prow)]
-        col = next((i for i, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        g = gcd(*row)
-        if row[col] < 0:
-            g = -g
-        if g != 1:
-            row = [x // g for x in row]
-        p = row[col]
-        for i, (pcol, prow) in enumerate(echelon):
-            a = prow[col]
-            if a:
-                prow = [p * x - a * y for x, y in zip(prow, row)]
-                g = gcd(*prow)
-                echelon[i] = (pcol, [x // g for x in prow] if g != 1 else prow)
-        echelon.append((col, row))
-    pivots = {col for col, _ in echelon}
-    out = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        d = 1
-        for col, row in echelon:
-            if row[f]:
-                d = d * row[col] // gcd(d, row[col])
-        y = [0] * n
-        y[f] = d
-        for col, row in echelon:
-            y[col] = -row[f] * d // row[col]
-        out.append(y)
-    return out
+    return null_space(_moved_rows(rs, simple_img))
 
 
 def reflection_word(w: GroupElement) -> tuple:

@@ -1,5 +1,20 @@
 """The compiled kernel core against the pure one; tests/test_kernels.py
-holds the kernel tests that need only the pure core."""
+holds the kernel tests that need only the pure core.
+
+The module builds the shipped src/fct/_fastcore.c into a temporary
+directory, with perfbench/build_core.py, and tests that build: an
+installed or in-place core is not needed.  It skips only when there is
+no C compiler.
+"""
+import importlib.util
+import os
+import runpy
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,30 +31,69 @@ from test_kernels import (
     matrices,
 )
 
-_fast = pytest.importorskip(
-    "fct._fastcore",
-    reason="the compiled core fct._fastcore is not built; "
-    "these tests compare it with the pure core",
-)
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_backend_is_compiled_by_default():
-    assert kernels.BACKEND == "compiled"
+def _has_compiler() -> bool:
+    """Whether the C compiler the extension build would call exists."""
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
+    return bool(cc) and shutil.which(cc[0]) is not None
 
 
-def test_weyl_closure_backends_agree():
+@pytest.fixture(scope="module")
+def built(tmp_path_factory) -> Path:
+    """Directory holding the freshly built fct/_fastcore extension."""
+    if not _has_compiler():
+        pytest.skip("no C compiler to build fct._fastcore from src/fct/_fastcore.c")
+    build = runpy.run_path(str(ROOT / "perfbench" / "build_core.py"))["build"]
+    out = tmp_path_factory.mktemp("fastcore")
+    build(str(ROOT / "src" / "fct" / "_fastcore.c"), str(out / "lib"), str(out / "temp"))
+    return out / "lib" / "fct"
+
+
+@pytest.fixture(scope="module")
+def fast(built):
+    """The built compiled core, loaded as fct._fastcore without
+    replacing the package's own kernel modules."""
+    path = next(built.glob("_fastcore*" + sysconfig.get_config_var("EXT_SUFFIX")))
+    spec = importlib.util.spec_from_file_location("fct._fastcore", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_backend_is_compiled_by_default(built):
+    """With the core importable, kernels picks it unless FCT_BACKEND is
+    exactly "python"."""
+    code = (
+        "import sys, fct; fct.__path__.insert(0, sys.argv[1]); "
+        "from fct import kernels; print(kernels.BACKEND)"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "FCT_BACKEND"}
+    for value, backend in [
+        (None, "compiled"), ("python", "python"), ("pure", "compiled"), ("PYTHON", "compiled"),
+    ]:
+        run_env = env if value is None else dict(env, FCT_BACKEND=value)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(built)],
+            env=run_env, capture_output=True, text=True,
+        )
+        assert out.stdout.strip() == backend, (value, out.stderr)
+
+
+def test_weyl_closure_backends_agree(fast, monkeypatch):
     from fct.weyl import simple_reflection
 
+    monkeypatch.setattr(kernels, "_fast", fast)
     for name in ["A2", "B2", "A3", "G2", "B3", "D4", "F4"]:
         rs = rsys(name)
         gens = tuple(simple_reflection(rs, i).img for i in range(rs.n))
         pure = _purecore.weyl_closure(gens, 10**7)
-        fast = _fast.weyl_closure(gens, 10**7)
-        assert pure == fast
+        assert fast.weyl_closure(gens, 10**7) == pure
         with pytest.raises(_purecore.LimitExceeded):
             _purecore.weyl_closure(gens, len(pure) - 1)
-        with pytest.raises(_fast.LimitExceeded):
-            _fast.weyl_closure(gens, len(pure) - 1)
+        with pytest.raises(fast.LimitExceeded):
+            fast.weyl_closure(gens, len(pure) - 1)
         # the dispatcher translates the compiled exception
         with pytest.raises(kernels.LimitExceeded):
             kernels.weyl_closure(gens, len(pure) - 1)
@@ -47,35 +101,35 @@ def test_weyl_closure_backends_agree():
 
 @settings(max_examples=150)
 @given(matrices)
-def test_compiled_int_rank_matches_fraction_elimination(mat):
-    assert _fast.int_rank(mat) == fraction_rank(mat)
+def test_compiled_int_rank_matches_fraction_elimination(fast, mat):
+    assert fast.int_rank(mat) == _purecore.int_rank(mat) == fraction_rank(mat)
 
 
-def test_compiled_clique_census_hand_graph():
-    assert _fast.clique_census(HAND_GRAPH, 3, 1) == HAND_CENSUS
+def test_compiled_clique_census_hand_graph(fast):
+    assert fast.clique_census(HAND_GRAPH, 3, 1) == HAND_CENSUS
 
 
-def test_clique_census_backends_agree():
+def test_clique_census_backends_agree(fast):
     for name, k in [("A3", 2), ("B3", 2), ("G2", 3), ("D4", 2), ("F4", 2)]:
         rs = rsys(name)
         masks = compat_masks(rs, k)
-        assert _purecore.clique_census(masks, len(masks), rs.n) == _fast.clique_census(
+        assert _purecore.clique_census(masks, len(masks), rs.n) == fast.clique_census(
             masks, len(masks), rs.n
         )
 
 
-def test_clique_census_wide_masks():
+def test_clique_census_wide_masks(fast):
     # more than 64 vertices exercises the two-word bitmask path
     for name, k in [("B3", 7), ("A3", 11), ("D4", 5)]:
         rs = rsys(name)
         masks = compat_masks(rs, k)
         assert len(masks) >= 63
-        assert _purecore.clique_census(masks, len(masks), rs.n) == _fast.clique_census(
+        assert _purecore.clique_census(masks, len(masks), rs.n) == fast.clique_census(
             masks, len(masks), rs.n
         )
 
 
-def test_nn_backends_agree():
+def test_nn_backends_agree(fast):
     for name in ["A2", "B2", "A3", "B3", "G2", "D4", "F4"]:
         rs = rsys(name)
         triples = rs.sum_triples
@@ -83,27 +137,27 @@ def test_nn_backends_agree():
         for k in (1, 2, 3):
             filters, subs, full = _chain_data(rs, k)
             assert _purecore.nn_chains(filters, subs, triples, k, full) == (
-                _fast.nn_chains(filters, subs, triples, k, full)
+                fast.nn_chains(filters, subs, triples, k, full)
             )
             assert _purecore.nn_census(
                 filters, subs, triples, rs.pair_lists, k, full, nroots, rs.n
-            ) == _fast.nn_census(
+            ) == fast.nn_census(
                 filters, subs, triples, rs.pair_lists, k, full, nroots, rs.n
             )
 
 
-def test_k1_chain_data_compiled_core():
-    k1_subfilter_lists_unused(_fast)
+def test_k1_chain_data_compiled_core(fast):
+    k1_subfilter_lists_unused(fast)
 
 
-def test_family_census_matches_compiled_per_k():
+def test_family_census_matches_compiled_per_k(fast):
     for name in ["D4", "F4"]:
         rs = rsys(name)
         top = rs.n + 4
         filters, subs, full = _chain_data(rs, top)
         family = _purecore.nn_census_family(filters, subs, rs.sum_triples, top, full, rs.n)
         for k in range(1, top + 1):
-            assert family[k - 1] == _fast.nn_census(
+            assert family[k - 1] == fast.nn_census(
                 filters, subs, rs.sum_triples, rs.pair_lists, k, full,
                 len(rs.positive_roots), rs.n,
             ), (name, k)

@@ -18,7 +18,7 @@ from fct.noncrossing import (
 )
 from fct.poly import BivarPoly
 from fct.rootsys import degrees, fuss_catalan_number
-from fct.weyl import breadth_first_key, compose, coxeter_element, inverse
+from fct.weyl import breadth_first_key, compose, coxeter_element, inverse, reflection_word
 
 from conftest import rsys, small_products
 from oracles import (
@@ -107,6 +107,15 @@ def test_walk_and_pairs_against_rank_walk_and_composition():
             for w, q in zip(*tables.pairs(u))
         }
         assert listed == pairs, rs.typespec
+
+
+def test_reflection_words_read_off_the_tables():
+    """The word table of ``dump nc``, built in index order from the
+    covers, is ``weyl.reflection_word`` of every element of [1, c]."""
+    cells = [rsys(name) for name in ["A3", "B4", "D5", "F4", "E6"]] + _rotated(rsys("D4"))[1:]
+    for rs in cells:
+        words = noncrossing._reflection_words(rs)
+        assert words == tuple(map(reflection_word, absolute_interval(rs))), rs.typespec
 
 
 def test_poset_masks_against_pairwise_oracle():
