@@ -1,10 +1,11 @@
 """Kernel dispatch: compiled core when available, pure Python otherwise.
 
-The compiled backend (fct._fastcore, built from Cython) is used when it
-imported successfully, the environment variable FCT_BACKEND is not set
-to exactly "python", and the call fits its machine-word limits.  Every
-kernel has a pure fallback with identical observable behaviour; the test
-suite compares the two backends directly.
+The compiled backend (fct._fastcore, built from Cython) serves the chain
+and clique censuses when it imported successfully, the environment
+variable FCT_BACKEND is not set to exactly "python", and the call fits
+its machine-word limits.  Every kernel has a pure fallback with
+identical observable behaviour; the test suite compares the two
+backends directly.
 """
 from __future__ import annotations
 
@@ -24,21 +25,13 @@ if os.environ.get("FCT_BACKEND") != "python":
 BACKEND = "compiled" if _fast is not None else "python"
 
 
-def weyl_closure(gens, limit):
-    if _fast is not None and len(gens[0]) <= 32767:
-        try:
-            return _fast.weyl_closure(gens, limit)
-        except _fast.LimitExceeded:
-            raise LimitExceeded from None
-    return _purecore.weyl_closure(gens, limit)
-
-
-def int_rank(mat):
-    # Hadamard: minors stay below (sqrt(8)*64)**8 < 2**63, so the
-    # compiled 64-bit Bareiss is exact in this region.
-    if _fast is not None and len(mat) <= 8 and all(abs(x) <= 64 for row in mat for x in row):
-        return _fast.int_rank(mat)
-    return _purecore.int_rank(mat)
+# No request path calls these two: the noncrossing side reads lengths
+# off its cover walk and never generates the group, so they serve only
+# ``GroupElement.length`` and ``weyl.generate_group`` (tests, perfbench)
+# and run pure.  The compiled versions are still compared with them in
+# tests/test_kernels_compiled.py.
+weyl_closure = _purecore.weyl_closure
+int_rank = _purecore.int_rank
 
 
 def clique_census(nbrs, nvert, n_neg):

@@ -2,9 +2,11 @@
 
 A delta sequence is a tuple (d_0, d_1, ..., d_k) of group elements whose
 product is the Coxeter element c = s_0 s_1 ... s_{n-1} with reflection
-lengths adding up to l_T(c) = n.  Sequences are ordered slotwise by
-absolute order on the slots 1..k; slot 0 is determined by the others.  The rank of a
-sequence is n - l_T(d_0).  The rank sizes are the Fuss-Narayana numbers;
+lengths adding up to l_T(c) = n; it is stored as the tuple of the
+indices of its parts in the tables of [1, c] below, never as group
+elements.  Sequences are ordered slotwise by absolute order on the slots
+1..k; slot 0 is determined by the others.  The rank of a sequence is
+n - l_T(d_0).  The rank sizes are the Fuss-Narayana numbers;
 the M-triangle is the sum of mu(a, b) x^l_T(d_0(b)) y^l_T(d_0(a)) over
 a <= b.  Both are read off [1, c], without the order on sequences.  Let
 mc_j(x) count the j-multichains 1 <= z_1 <= ... <= z_j <= x, g(1) = 1
@@ -268,25 +270,10 @@ def absolute_interval(rs: RootSystem) -> tuple:
     return tuple(map(tables.element, range(len(tables))))
 
 
-class DeltaSequence:
-    """Parts (d_0..d_k); slot_ids index parts 1..k in the ambient interval."""
-
-    __slots__ = ("parts", "slot_ids")
-
-    def __init__(self, parts: tuple, slot_ids: tuple):
-        self.parts = parts
-        self.slot_ids = slot_ids
-
-    def __eq__(self, other) -> bool:
-        return self.slot_ids == other.slot_ids
-
-    def __hash__(self) -> int:
-        return hash(self.slot_ids)
-
-
 @lru_cache(maxsize=None)
 def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
-    """All delta sequences, via multichains of partial products.
+    """All delta sequences, as tuples (d_0, d_1, ..., d_k) of indices
+    into the interval tables, via multichains of partial products.
 
     The partial products v_i = d_1 d_2 ... d_i form a multichain
     v_1 <= v_2 <= ... <= v_k below c, and any such multichain yields a
@@ -304,8 +291,7 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
             f"sequences, more than the bound {ENUMERATION_LIMIT}"
         )
     tables = _interval_tables(rs)
-    elems = absolute_interval(rs)
-    zeroth = [0] * len(elems)  # zeroth[v]: index of c v^-1
+    zeroth = [0] * len(tables)  # zeroth[v]: index of c v^-1
     for w, v in enumerate(tables.comp):
         zeroth[v] = w
     out = []
@@ -314,33 +300,27 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
     def descend(slot: int, top: int, head: int) -> None:
         if slot == 0:
             slots[0] = top
-            ids = tuple(slots)
-            out.append(DeltaSequence(tuple(elems[a] for a in (head, *ids)), ids))
+            out.append((head, *slots))
             return
         for w, q in zip(*tables.pairs(top)):
             slots[slot] = q
             descend(slot - 1, w, head)
 
-    for v in range(len(elems)):
+    for v in range(len(tables)):
         descend(k - 1, v, zeroth[v])
     return tuple(out)
 
 
-def rank(rs: RootSystem, seq: DeltaSequence) -> int:
-    """Corank of the zeroth part: n minus its reflection length.
-
-    Lengths add along d_0 d_1 ... d_k = c, so this is the length of
-    v_k = d_1 ... d_k, the sum of the parts' lengths read from the
-    interval tables; no rank is computed.
-    """
-    lengths = _interval_tables(rs).lengths
-    return sum(lengths[s] for s in seq.slot_ids)
+def rank(rs: RootSystem, seq: tuple) -> int:
+    """Corank of the zeroth part: n minus its reflection length, read
+    from the interval tables; no rank is computed."""
+    return rs.n - _interval_tables(rs).lengths[seq[0]]
 
 
 class NCPoset:
-    """The delta sequences sorted by rank, then by the breadth-first
-    order of their slots: a linear extension of the slotwise order,
-    which is never built."""
+    """The delta sequences, as index tuples, sorted by rank, then by the
+    breadth-first order of their slots 1..k: a linear extension of the
+    slotwise order, which is never built."""
 
     __slots__ = ("rs", "k", "elements", "ranks")
 
@@ -353,18 +333,20 @@ class NCPoset:
 
 @lru_cache(maxsize=None)
 def build_nc_poset(rs: RootSystem, k: int) -> NCPoset:
-    """The delta sequences in the order of ``NCPoset``."""
+    """The delta sequences in the order of ``NCPoset``.  The slots fix
+    the sequence, so no two share a sort key."""
     seqs = enumerate_delta_sequences(rs, k)
-    elems = absolute_interval(rs)
-    position = [0] * len(elems)
+    tables = _interval_tables(rs)
+    position = [0] * len(tables)
     for p, a in enumerate(
-        sorted(range(len(elems)), key=lambda a: weyl.breadth_first_key(elems[a]))
+        sorted(range(len(tables)), key=lambda a: weyl.breadth_first_key(tables.element(a)))
     ):
         position[a] = p
+    n, lengths = rs.n, tables.lengths
     seqs = sorted(
-        seqs, key=lambda seq: (rank(rs, seq), [position[s] for s in seq.slot_ids])
+        seqs, key=lambda seq: (n - lengths[seq[0]], [position[s] for s in seq[1:]])
     )
-    return NCPoset(rs, k, tuple(seqs), tuple(rank(rs, seq) for seq in seqs))
+    return NCPoset(rs, k, tuple(seqs), tuple(n - lengths[seq[0]] for seq in seqs))
 
 
 @lru_cache(maxsize=None)
@@ -466,8 +448,6 @@ def _reflection_words(rs: RootSystem) -> tuple:
 
 def nc_json(rs: RootSystem, k: int) -> list:
     """Elements as reflection words per part, in poset element order."""
-    poset = build_nc_poset(rs, k)
-    words = {
-        w: list(word) for w, word in zip(absolute_interval(rs), _reflection_words(rs))
-    }
-    return [[words[part] for part in seq.parts] for seq in poset.elements]
+    poset = build_nc_poset(rs, k)  # bounded before the tables are built
+    words = [list(word) for word in _reflection_words(rs)]
+    return [[words[a] for a in seq] for seq in poset.elements]

@@ -370,11 +370,10 @@ def extend_chain(rs: RootSystem, sub_chain: FilterChain, a: int) -> FilterChain:
 
 
 def indecomposable_histogram(rs: RootSystem, k: int) -> tuple:
-    """Entry i: number of geometric chains with i top-rank indecomposables."""
-    stats = chain_statistics(rs, k)
-    n = rs.n
-    out = [0] * (n + 1)
-    for (i, _), c in stats.items():
+    """Entry i: number of geometric chains with i top-rank indecomposables,
+    the coefficients of H(x, 1) from the cached ``h_triangle``."""
+    out = [0] * (rs.n + 1)
+    for (i, _), c in h_triangle(rs, k).coeffs.items():
         out[i] += c
     return tuple(out)
 

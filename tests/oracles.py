@@ -303,13 +303,14 @@ def leq_rows_by_pairs(elems) -> tuple:
 
 def down_masks_by_pairs(elements, ranks, leq) -> tuple:
     """Entry b: bitmask of the delta sequences below sequence b, by
-    comparing every pair slot by slot in the interval order ``leq``."""
+    comparing every pair slot by slot (index tuples, slots 1..k) in the
+    interval order ``leq``."""
     out = []
     for b, eb in enumerate(elements):
         mask = 0
         for a, ea in enumerate(elements):
             if ranks[a] <= ranks[b] and all(
-                (leq[p] >> q) & 1 for p, q in zip(ea.slot_ids, eb.slot_ids)
+                (leq[p] >> q) & 1 for p, q in zip(ea[1:], eb[1:])
             ):
                 mask |= 1 << a
         out.append(mask)
@@ -751,7 +752,7 @@ def masked_nc_poset(rs: RootSystem, k: int) -> MaskedPoset:
     for s in range(k):
         exact = [0] * len(lengths)
         for a, seq in enumerate(elems_seq):
-            exact[seq.slot_ids[s]] |= 1 << a
+            exact[seq[s + 1]] |= 1 << a
         below = list(exact)
         for q in shortest_first:
             for p in lower[q]:
@@ -768,7 +769,7 @@ def masked_nc_poset(rs: RootSystem, k: int) -> MaskedPoset:
     for a, seq in enumerate(elems_seq):
         d = (1 << bisect_right(ranks, ranks[a])) - 1
         u = full & ~((1 << bisect_left(ranks, ranks[a])) - 1)
-        for s, q in enumerate(seq.slot_ids):
+        for s, q in enumerate(seq[1:]):
             d &= slot_down[s][q]
             u &= slot_up[s][q]
         down.append(d)
@@ -853,6 +854,25 @@ def m_triangle_by_moebius(rs: RootSystem, k: int) -> BivarPoly:
 def narayana_vector(rs: RootSystem, k: int) -> tuple:
     """Entry i: number of delta sequences of rank n - i."""
     return tuple(reversed(masked_nc_poset(rs, k).rank_histogram()))
+
+
+def nc_json_by_elements(rs: RootSystem, k: int) -> list:
+    """``noncrossing.nc_json`` through group elements: the parts of each
+    delta sequence from ``absolute_interval``, sorted by n minus the
+    rank-computed length of d_0, then by ``weyl.breadth_first_key`` of
+    d_1..d_k, and spelled by ``weyl.reflection_word``."""
+    from fct import weyl
+    from fct.noncrossing import absolute_interval, enumerate_delta_sequences
+
+    elems = absolute_interval(rs)
+    seqs = sorted(
+        (tuple(elems[a] for a in seq) for seq in enumerate_delta_sequences(rs, k)),
+        key=lambda parts: (
+            rs.n - parts[0].length, [weyl.breadth_first_key(p) for p in parts[1:]]
+        ),
+    )
+    words = {w: list(weyl.reflection_word(w)) for w in elems}
+    return [[words[part] for part in parts] for parts in seqs]
 
 
 def multichain_counts_by_pairs(rs: RootSystem, j: int) -> tuple:

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import fct
-from fct import cli, cluster, ehrhart, kernels, noncrossing, nonnesting, verify, weyl
+from fct import (
+    arrangement, cli, cluster, ehrhart, kernels, noncrossing, nonnesting, verify, weyl,
+)
 from fct.errors import InternalInvariantError, ResourceLimitError
 from fct.poly import BivarPoly
 from fct.rootsys import TypeSpec, build_root_system
@@ -355,6 +357,22 @@ def test_dump_nc_past_sequence_bound_exits_4(capsys, monkeypatch):
         cli.entry()
     assert exc.value.code == 4
     assert "48822021 sequences" in capsys.readouterr().err
+
+
+def test_arrangement_past_listing_bound_exits_4(capsys, monkeypatch):
+    # E7 at k = 2 predicts 4160^2 = 17 305 600 filter pairs.  The listing
+    # bound is all that keeps the Fourier-Motzkin wall tests, which have
+    # no bound of their own, from running on E7 k = 2 regions.
+    def no_fm(*args):
+        raise AssertionError("a Fourier-Motzkin wall test ran")
+
+    monkeypatch.setattr(arrangement, "feasible", no_fm)
+    for command in (["verify", "phi"], ["verify", "pos"], ["dump", "regions"]):
+        monkeypatch.setattr(sys, "argv", ["fct", *command, "--type", "E7", "-k", "2"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 4, command
+        assert "17305600 chains or filter pairs" in capsys.readouterr().err
 
 
 def test_dump_nc_b4_bytes_match_the_reference(capsys):

@@ -139,6 +139,13 @@ def test_bareiss_det_row_swaps():
     assert _purecore.adjugate([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
 
 
+def test_kernels_off_the_request_paths_are_pure():
+    """Only the tests and the benchmark call the rank and closure
+    kernels, so they are the pure ones, whatever the backend."""
+    assert kernels.int_rank is _purecore.int_rank
+    assert kernels.weyl_closure is _purecore.weyl_closure
+
+
 def test_int_rank_degenerate():
     assert kernels.int_rank([[0, 0], [0, 0]]) == 0
     assert kernels.int_rank([[1]]) == 1

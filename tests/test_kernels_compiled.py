@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from fct import _purecore, kernels
+from fct import _purecore
 from fct.cluster import compat_masks
 from fct.nonnesting import _chain_data
 
@@ -81,10 +81,9 @@ def test_backend_is_compiled_by_default(built):
         assert out.stdout.strip() == backend, (value, out.stderr)
 
 
-def test_weyl_closure_backends_agree(fast, monkeypatch):
+def test_weyl_closure_backends_agree(fast):
     from fct.weyl import simple_reflection
 
-    monkeypatch.setattr(kernels, "_fast", fast)
     for name in ["A2", "B2", "A3", "G2", "B3", "D4", "F4"]:
         rs = rsys(name)
         gens = tuple(simple_reflection(rs, i).img for i in range(rs.n))
@@ -94,9 +93,6 @@ def test_weyl_closure_backends_agree(fast, monkeypatch):
             _purecore.weyl_closure(gens, len(pure) - 1)
         with pytest.raises(fast.LimitExceeded):
             fast.weyl_closure(gens, len(pure) - 1)
-        # the dispatcher translates the compiled exception
-        with pytest.raises(kernels.LimitExceeded):
-            kernels.weyl_closure(gens, len(pure) - 1)
 
 
 @settings(max_examples=150)

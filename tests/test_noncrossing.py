@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fct import noncrossing
+from fct.cli import _json_bytes
 from fct.errors import InternalInvariantError, UsageError
 from fct.noncrossing import (
     _interval_tables,
@@ -33,6 +34,7 @@ from oracles import (
     moebius_by_inversion,
     multichain_counts_by_pairs,
     narayana_vector,
+    nc_json_by_elements,
     pairs_by_composition,
     relabelled,
 )
@@ -128,7 +130,7 @@ def test_poset_masks_against_pairwise_oracle():
             position = {w: p for p, w in enumerate(interval_by_filtering(rs))}
             elems = absolute_interval(rs)
             keys = [
-                (rank(rs, s), [position[elems[a]] for a in s.slot_ids]) for s in seqs
+                (rank(rs, s), [position[elems[a]] for a in s[1:]]) for s in seqs
             ]
             assert keys == sorted(keys)
             down = down_masks_by_pairs(poset.elements, poset.ranks, leq)
@@ -147,18 +149,34 @@ def test_delta_sequences_counted_by_fuss_catalan():
         seqs = enumerate_delta_sequences(rs, k)
         assert len(seqs) == fuss_catalan_number(rs, k)
         c = coxeter_element(rs)
+        elems = absolute_interval(rs)
         for seq in seqs:
-            acc = seq.parts[0]
-            for part in seq.parts[1:]:
+            parts = [elems[a] for a in seq]
+            acc = parts[0]
+            for part in parts[1:]:
                 acc = compose(acc, part)
             assert acc == c
-            assert sum(p.length for p in seq.parts) == rs.n
+            assert sum(p.length for p in parts) == rs.n
 
 
 def test_rank_via_first_part():
     rs = rsys("B2")
+    elems = absolute_interval(rs)
     for seq in enumerate_delta_sequences(rs, 2):
-        assert rank(rs, seq) == rs.n - seq.parts[0].length
+        assert rank(rs, seq) == rs.n - elems[seq[0]].length
+        assert rank(rs, seq) == sum(elems[a].length for a in seq[1:])
+
+
+def test_nc_json_matches_the_group_element_path():
+    """The index-tuple words of ``dump nc`` are byte for byte those of
+    sequences of group elements, each part spelled by
+    ``weyl.reflection_word``."""
+    cells = [("B3", 2), ("D4", 1), ("F4", 1), ("G2", 3), ("A1xB2", 2)]
+    cases = [(rsys(name), k) for name, k in cells] + [(_rotated(rsys("D4"))[1], 1)]
+    for rs, k in cases:
+        assert _json_bytes(noncrossing.nc_json(rs, k)) == _json_bytes(
+            nc_json_by_elements(rs, k)
+        ), (rs.typespec, k)
 
 
 def test_poset_is_graded_with_unique_bottom():

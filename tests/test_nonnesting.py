@@ -253,9 +253,15 @@ def test_h_triangle_anchor():
         {(0, 0): 1, (1, 0): 1, (1, 1): 2, (2, 2): 1}
     )
     # histogram rows sum to the chain count
-    hist = indecomposable_histogram(rsys("B3"), 2)
+    rs = rsys("B3")
+    hist = indecomposable_histogram(rs, 2)
     assert sum(hist) == 84
     assert len(hist) == 4
+    # H(x, 1) from the cached triangle is the literal count over the chains
+    literal = [0] * 4
+    for ch in enumerate_chains(rs, 2):
+        literal[len(indecomposables(ch, 2))] += 1
+    assert hist == tuple(literal)
 
 
 def test_restrict_extend_roundtrip():
