@@ -17,6 +17,12 @@ cluster, Ehrhart or arrangement code.  ``verify`` and ``grid`` load
 identities span all of them; a caller that needs the whole package
 loaded (the perfbench tracer patches the layers it finds in
 ``sys.modules``) imports ``fct.verify``.
+
+``grid`` runs its cells in fork-started worker processes, one per
+usable CPU, costliest cell first, each with its own caches
+(``fct.grid``).  The rows, FAIL lines and the first error come back in
+grid order, so the output is the same as one process running the cells
+in turn.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ import sys
 from importlib import import_module
 
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
-from .rootsys import RootSystem, TypeSpec, build_root_system
+from .rootsys import TypeSpec, build_root_system
 
 # Triangle letter -> (layer module, function), imported on use.
 TRIANGLES = {
@@ -41,15 +47,10 @@ ACCEPTANCE_GRID = [
     for k in (1, 2, 3)
 ] + [(name, k) for name in ("D4", "F4") for k in (1, 2)]
 
-LATTICE_TYPES = {"A1", "A2", "A3", "B2", "B3", "G2", "F4"}
-
 GRID_COLUMNS = [
     "counts", "h=f", "h=m", "m=f", "y1-nar", "dh", "df", "bij",
     "k1", "dual", "recip", "lattice-nar", "pos", "ceil", "final", "phi",
 ]
-
-# The largest rank at which each suite runs the arrangement identities.
-GEOMETRIC_RANK = {"acceptance": 3, "extended": 4}
 
 
 def _emit(text: str, out) -> None:
@@ -110,18 +111,6 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _applicable(identity: str, rs: RootSystem, k: int, suite: str) -> bool:
-    from . import verify
-
-    if identity in verify.K1_ONLY and k != 1:
-        return False
-    if identity == "lattice-nar":
-        return str(rs.typespec) in LATTICE_TYPES and k <= 2
-    if identity in ("pos", "ceil", "final", "phi"):
-        return rs.n <= GEOMETRIC_RANK[suite] and k <= 2
-    return True
-
-
 def _grid_cells(suite: str):
     if suite == "acceptance":
         return [(name, k, None) for name, k in ACCEPTANCE_GRID]
@@ -134,34 +123,21 @@ def _grid_cells(suite: str):
 
 
 def cmd_grid(args) -> int:
-    from . import cluster, noncrossing, nonnesting, verify
+    from .grid import run_cells
 
     cells = _grid_cells(args.suite)
     header = ["type", "k", "|NN|", "facets", "|NC|"] + GRID_COLUMNS
     rows = []
     failures = 0
-    for name, k, only in cells:
-        rs = build_root_system(TypeSpec.parse(name))
-        nn = len(nonnesting.enumerate_chains(rs, k))
-        facets = cluster.build_complex(rs, k).facet_count
-        nc = noncrossing.sequence_count(rs, k)
-        row = [name, str(k), str(nn), str(facets), str(nc)]
-        for identity in GRID_COLUMNS:
-            run_it = identity in only if only is not None else _applicable(
-                identity, rs, k, args.suite
-            )
-            if not run_it:
-                row.append("-")
-                continue
-            result = verify.run_identity(identity, rs, k)
-            if result.ok:
-                row.append("ok")
-            else:
-                row.append("FAIL")
-                failures += 1
-                if not args.quiet:
-                    print(result.line(), file=sys.stderr)
+    for outcome in run_cells(args.suite, cells):
+        if isinstance(outcome, Exception):
+            raise outcome
+        row, lines = outcome
         rows.append(row)
+        failures += len(lines)
+        if not args.quiet:
+            for line in lines:
+                print(line, file=sys.stderr)
     if not args.quiet:
         widths = [
             max(len(header[c]), max(len(r[c]) for r in rows))

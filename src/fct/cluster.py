@@ -14,9 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import kernels, weyl
-from .errors import InternalInvariantError, UsageError
+from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, h_from_f, require_f_support
-from .rootsys import RootSystem, support
+from .rootsys import ENUMERATION_LIMIT, RootSystem, support
 
 
 def _part_product(rs: RootSystem, sign: int) -> "weyl.GroupElement":
@@ -125,9 +125,18 @@ def _compatible(rs: RootSystem, k: int, rot: tuple, u: int, v: int) -> bool:
 
 @lru_cache(maxsize=None)
 def compat_masks(rs: RootSystem, k: int) -> tuple:
-    """Adjacency bitmasks of the compatibility graph."""
-    rot = colored_rotation(rs, k)
+    """Adjacency bitmasks of the compatibility graph.
+
+    Every vertex pair is tested, so their number bounds the work before
+    the rotation table is built."""
     nv = vertex_count(rs, k)
+    pairs = nv * (nv - 1) // 2
+    if pairs > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"compatibility graph for {rs.typespec}, k={k} tests {pairs} "
+            f"vertex pairs, more than the bound {ENUMERATION_LIMIT}"
+        )
+    rot = colored_rotation(rs, k)
     masks = [0] * nv
     for u in range(nv):
         for v in range(u + 1, nv):

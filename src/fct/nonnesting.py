@@ -26,10 +26,11 @@ walk to depth K visits every chain of every k <= K
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from . import kernels
 from .errors import ResourceLimitError, UsageError
-from .poly import BivarPoly, require_h_support
+from .poly import BivarPoly, interpolate, require_h_support
 from .rootsys import (
     ENUMERATION_LIMIT,
     RootSystem,
@@ -192,6 +193,20 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
     return tuple(FilterChain(rs, masks) for masks in raw)
 
 
+def census_chain_count(rs: RootSystem, k: int) -> int:
+    """FC(W, 1) + ... + FC(W, k), the geometric chains of at most k
+    filters, from n + 1 Fuss-Catalan numbers whatever k is.
+
+    FC(W, m) is a product of n factors linear in m, so the sum is a
+    polynomial of degree n + 1 in k; Lagrange's formula reads it off its
+    values at k = 0..n+1.
+    """
+    sums = list(accumulate(
+        (fuss_catalan_number(rs, m) for m in range(1, rs.n + 2)), initial=0
+    ))
+    return interpolate(range(rs.n + 2), [sums], k)[0]
+
+
 def _require_census_bound(rs: RootSystem, k: int) -> None:
     """A census walk to depth k visits every geometric chain of at most
     k filters, and for k >= 2 it reads the subfilter table.  Their exact
@@ -199,7 +214,7 @@ def _require_census_bound(rs: RootSystem, k: int) -> None:
     pairs g <= f, bound it before it starts."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    chains = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
+    chains = census_chain_count(rs, k)
     if chains > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"chain census for {rs.typespec}, k=1..{k} visits {chains} chains, "

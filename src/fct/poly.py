@@ -17,6 +17,7 @@ True
 from __future__ import annotations
 
 from math import lcm, prod
+from operator import mul
 
 from .errors import InternalInvariantError, UsageError
 
@@ -315,27 +316,40 @@ class KFamily:
     def predict(self, k: int) -> BivarPoly:
         """Evaluate the family at any integer k (negative values allowed).
 
-        Lagrange's formula through the fit points (x_i, y_i), i = 0..d:
-        with P_i the product of x_i - x_j over j != i and D the lcm of
-        the P_i, each weight w_i = (D / P_i) prod_{j != i} (k - x_j) is
-        an integer, and the value is sum_i w_i y_i / D, one dot product
-        and one exact division per coefficient.
+        Lagrange's formula through the fit points, one coefficient at a
+        time (``interpolate``).
         """
         points = self.samples[: self.degree_bound + 1]
-        xs = [x for x, _ in points]
-        dens = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
-        common = lcm(*dens)
-        weights = [
-            prod(k - xj for xj in xs if xj != xi) * (common // den)
-            for xi, den in zip(xs, dens)
-        ]
-        out = {}
-        for key in set().union(*(p.coeffs for _, p in points)):
-            value, rest = divmod(
-                sum(w * p.coeffs.get(key, 0) for w, (_, p) in zip(weights, points)),
-                common,
-            )
-            if rest:
-                raise InternalInvariantError("interpolated value is not an integer")
-            out[key] = value
-        return BivarPoly(out)
+        keys = list(set().union(*(p.coeffs for _, p in points)))
+        values = interpolate(
+            [x for x, _ in points],
+            [[p.coeffs.get(key, 0) for _, p in points] for key in keys],
+            k,
+        )
+        return BivarPoly(dict(zip(keys, values)))
+
+
+def interpolate(xs, columns, k: int) -> list:
+    """For each column ys, the value at k of the polynomial of degree
+    < len(xs) that takes the value ys[i] at xs[i]; the nodes are distinct
+    and every value is an integer.
+
+    Lagrange's formula in integers: with P_i the product of x_i - x_j
+    over j != i and D the lcm of the P_i, each weight
+    w_i = (D / P_i) prod_{j != i} (k - x_j) is an integer, and a value is
+    sum_i w_i y_i / D, one dot product and one exact division per column.
+    """
+    xs = list(xs)
+    dens = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+    common = lcm(*dens)
+    weights = [
+        prod(k - xj for xj in xs if xj != xi) * (common // den)
+        for xi, den in zip(xs, dens)
+    ]
+    out = []
+    for ys in columns:
+        value, rest = divmod(sum(map(mul, weights, ys)), common)
+        if rest:
+            raise InternalInvariantError("interpolated value is not an integer")
+        out.append(value)
+    return out

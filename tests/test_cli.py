@@ -11,7 +11,8 @@ import pytest
 
 import fct
 from fct import (
-    arrangement, cli, cluster, ehrhart, kernels, noncrossing, nonnesting, verify, weyl,
+    arrangement, cli, cluster, ehrhart, grid, kernels, noncrossing, nonnesting, verify,
+    weyl,
 )
 from fct.errors import InternalInvariantError, ResourceLimitError
 from fct.poly import BivarPoly
@@ -301,6 +302,48 @@ def test_recip_past_chain_bound_exits_4(capsys, monkeypatch):
     assert "166255385 chains" in capsys.readouterr().err
 
 
+def test_census_bound_needs_no_loop_over_k(capsys, monkeypatch):
+    # B3 at k = 10**12: the bound reads at most n + 2 = 5 Fuss-Catalan
+    # numbers, not 10**12 of them
+    calls = []
+    fc = nonnesting.fuss_catalan_number
+
+    def counting_fc(rs, m):
+        calls.append(m)
+        return fc(rs, m)
+
+    monkeypatch.setattr(nonnesting, "fuss_catalan_number", counting_fc)
+    monkeypatch.setattr(
+        sys, "argv", ["fct", "triangle", "H", "--type", "B3", "-k", str(10**12)]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 4
+    assert "k=1..1000000000000 visits" in capsys.readouterr().err
+    assert 1 <= len(calls) <= 5
+
+
+def test_compatibility_graph_past_pair_bound_exits_4(capsys, monkeypatch):
+    # A1 at k = 10**7 has 10 000 001 vertices, 50 000 005 000 000 pairs
+    def no_rotation(*args):
+        raise AssertionError("the rotation table was built")
+
+    monkeypatch.setattr(cluster, "colored_rotation", no_rotation)
+    for command in (["triangle", "F"], ["dump", "fnumbers"]):
+        monkeypatch.setattr(
+            sys, "argv", ["fct", *command, "--type", "A1", "-k", "10000000"]
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 4, command
+        assert "50000005000000 vertex pairs" in capsys.readouterr().err
+    # E8 at k = 2 fits: 248 vertices, 30 628 pairs
+    e8 = build_root_system(TypeSpec.parse("E8"))
+    assert cluster.vertex_count(e8, 2) == 248
+    with pytest.raises(AssertionError, match="the rotation table was built"):
+        cluster.compat_masks(e8, 2)
+
+
 def test_noncrossing_needs_no_group(capsys, monkeypatch):
     def no_group(*args):
         raise AssertionError("the Weyl group was generated")
@@ -457,7 +500,7 @@ def test_grid_unknown_suite(capsys):
 
 
 def test_grid_acceptance_quiet(capsys, monkeypatch):
-    # one clique census per distinct complex
+    # one clique census per distinct complex, counted in this process
     calls = []
     census = kernels.clique_census
 
@@ -469,9 +512,95 @@ def test_grid_acceptance_quiet(capsys, monkeypatch):
     for fn in (cluster.colored_rotation, cluster.compat_masks,
                cluster.build_complex, cluster.f_triangle):
         fn.cache_clear()
+    cells = cli._grid_cells("acceptance")
+    assert len(cells) == 22
+    for cell in cells:
+        grid.row("acceptance", cell)
+    assert len(calls) == 24
     assert cli.main(["grid", "acceptance", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
-    assert len(calls) == 24
+
+
+def _grid_in_process(suite, cells):
+    return [grid.row(suite, cell) for cell in cells]
+
+
+def test_grid_workers_match_the_cells_run_in_process(capsys, monkeypatch):
+    for flags in ([], ["--quiet"]):
+        argv = ["grid", "acceptance", *flags]
+        parallel = run(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(grid, "run_cells", _grid_in_process)
+            assert run(capsys, argv) == parallel, flags
+
+
+def _fail_on(cells):
+    """An h=f that fails on the given (type, k) cells."""
+    h_eq_f = verify.IDENTITIES["h=f"]
+
+    def identity(rs, k):
+        if (str(rs.typespec), k) in cells:
+            return {"planted": True}
+        return h_eq_f(rs, k)
+
+    return identity
+
+
+def test_grid_fail_lines_come_in_grid_order(capsys, monkeypatch):
+    # F4 k=2 is dispatched before A1 k=1 but comes after it in the grid
+    monkeypatch.setitem(
+        verify.IDENTITIES, "h=f", _fail_on({("A1", 1), ("F4", 2)})
+    )
+    code, out, err = run(capsys, ["grid", "acceptance"])
+    assert code == 1
+    assert err.splitlines() == [
+        "h=f A1 k=1: FAIL {'planted': True}",
+        "h=f F4 k=2: FAIL {'planted': True}",
+    ]
+    assert out.count("FAIL") == 2
+    assert out.splitlines()[-1] == "grid: acceptance, 22 cell(s), 2 failure(s)"
+
+
+def test_grid_cell_error_after_earlier_fail_lines(capsys, monkeypatch):
+    # A1 k=1 fails before B2 k=2 raises; F4 k=1, later, also fails
+    fail = _fail_on({("A1", 1), ("F4", 1)})
+
+    def identity(rs, k):
+        if (str(rs.typespec), k) == ("B2", 2):
+            raise ResourceLimitError("planted bound")
+        return fail(rs, k)
+
+    monkeypatch.setitem(verify.IDENTITIES, "h=f", identity)
+    monkeypatch.setattr(sys, "argv", ["fct", "grid", "acceptance"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "h=f A1 k=1: FAIL {'planted': True}\n"
+        "fct: resource bound exceeded: planted bound\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_grid_worker_death_exits_3(capsys, monkeypatch):
+    h_eq_f = verify.IDENTITIES["h=f"]
+
+    def identity(rs, k):
+        if (str(rs.typespec), k) == ("G2", 2):
+            os._exit(7)
+        return h_eq_f(rs, k)
+
+    monkeypatch.setitem(verify.IDENTITIES, "h=f", identity)
+    monkeypatch.setattr(sys, "argv", ["fct", "grid", "acceptance", "--quiet"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3
+    assert "G2 k=2" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_grid_table_shape(capsys):

@@ -7,6 +7,7 @@ from fct.nonnesting import (
     _decomposition_ranks,
     _subfilter_pair_count,
     _subfilters,
+    census_chain_count,
     chain_statistics,
     chains_to_json,
     enumerate_chains,
@@ -166,6 +167,14 @@ def test_h_triangles_resource_bound(monkeypatch):
         assert visited <= ENUMERATION_LIMIT
     with pytest.raises(UsageError):
         h_triangles(rsys("A2"), 0)
+
+
+def test_census_chain_count_is_the_plain_sum():
+    for name in ("A3", "B3", "G2", "D4", "A1xB2"):
+        rs = rsys(name)
+        for k in range(31):
+            plain = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
+            assert census_chain_count(rs, k) == plain, (name, k)
 
 
 def test_chain_statistics_resource_bound(monkeypatch):
