@@ -4,37 +4,52 @@ A dominant point is encoded by the vector t of its pairings with the
 simple roots, so the hyperplane at height i normal to a positive root
 with coefficient vector c becomes c.t = i and the whole arrangement is
 a finite list of integer linear constraints.  Every region question
-(nonemptiness, walls, boundedness, disjointness) reduces to rational
-linear feasibility, which is decided by Fourier-Motzkin elimination.
-Strict inequalities carry a flag standing for a single symbolic
-epsilon > 0; combining rows with positive multipliers keeps the flag
-meaningful, so no floating point or perturbation constants appear.
+(walls, and with them nonemptiness; boundedness; disjointness) reduces
+to rational linear feasibility, which is decided by Fourier-Motzkin
+elimination.  Strict inequalities carry a flag standing for a single
+symbolic epsilon > 0; combining rows with positive multipliers keeps
+the flag meaningful, so no floating point or perturbation constants
+appear.
 
 Each geometric chain determines one region: a root at level m lies in
 the open strip between heights m and m+1, or beyond height k when
 m = k.  Floors and ceilings of a region are its walls of positive
 colour, split by whether the origin sits on the far or near side.
 
-Many rows of a region's system follow from two others.  With
-alpha = beta + gamma for positive roots at levels m, m_beta, m_gamma:
+A region is nonempty exactly when it has a wall, so no separate test
+decides emptiness.  A wall point meets its own row with equality and
+every other row strictly, so a small step from it along that row's
+normal, into the row's open side, lies in the region.  Conversely, a
+nonempty open region is cut by at least one proper half-space (every
+root has a lower row), so it has a facet: a segment from a point of the
+region to a generic point outside it first leaves through one
+hyperplane alone, since distinct rows have distinct hyperplanes.
 
-* the lower row alpha.t > m follows from beta.t > m_beta and
-  gamma.t > m_gamma when m_beta + m_gamma >= m;
-* the upper row alpha.t < m + 1 follows from beta.t < m_beta + 1 and
-  gamma.t < m_gamma + 1 when beta and gamma lie below level k (so that
-  both rows exist) and m_beta + m_gamma + 1 <= m.
+Many rows of a region's system follow from two others.  For positive
+roots alpha, beta, gamma at levels m, m_beta, m_gamma:
+
+* the lower row alpha.t > m, where alpha = beta + gamma, follows from
+  beta.t > m_beta and gamma.t > m_gamma when m_beta + m_gamma >= m;
+* the upper row alpha.t < m + 1, where beta = alpha + gamma, follows
+  from beta.t < m_beta + 1 and gamma.t > m_gamma when beta lies below
+  level k (so that its upper row exists) and m_beta <= m + m_gamma, for
+  then alpha.t = beta.t - gamma.t < m_beta + 1 - m_gamma <= m + 1.
 
 `Region.irredundant_system` drops every such row.  That keeps every
 face.  Make one row of the full system an equality and keep the others
 strict; the claim is that each dropped row other than the equality
-still holds strictly on the kept rows plus the equality.  By induction
-on the height of its root: its two implying rows belong to beta and
-gamma, which are lower than alpha and distinct.  Each is the equality,
-which holds with >=, or a row that holds strictly (kept, or dropped and
-strict by induction).  At most one of them is the equality, so their
-sum is strict.  Hence a face of the full system is nonempty exactly when
-the same face of the irredundant system is, and a dropped row is never
-a wall: with it as the equality, its implying rows force it strict.
+still holds strictly on the kept rows plus the equality.  Settle the
+lower rows first, by ascending height: the implying rows of a dropped
+lower row are the lower rows of beta and gamma, which are lower than
+alpha and distinct.  Then settle the upper rows, by descending height:
+the implying rows of a dropped upper row are the upper row of beta,
+which is higher than alpha, and the lower row of gamma, settled
+already.  Each implying row is the equality, which holds with >=, or a
+row that holds strictly (kept, or dropped and settled before).  At most
+one of the two is the equality, so their sum is strict.  Hence a face
+of the full system is nonempty exactly when the same face of the
+irredundant system is, and a dropped row is never a wall: with it as
+the equality, its implying rows force it strict.
 """
 from __future__ import annotations
 
@@ -43,7 +58,6 @@ from math import gcd
 
 from . import nonnesting
 from .errors import InternalInvariantError
-from .nonnesting import FilterChain
 from .poly import BivarPoly
 from .rootsys import RootSystem
 
@@ -137,28 +151,20 @@ class Region:
         return rows
 
     def irredundant_system(self) -> list:
-        """The rows of `system` that no two other rows strictly imply
-        (module docstring), in the same order."""
+        """The rows of `system` that neither rule of the module docstring
+        drops, in the same order."""
         k, levels = self.k, self.levels
+        extensions = nonnesting._extensions(self.rs)
         rows = []
         for r, root in enumerate(self.rs.positive_roots):
             m = levels[r]
-            pairs = self.rs.pair_lists[r]
-            if not any(levels[a] + levels[b] >= m for a, b in pairs):
+            if not any(levels[a] + levels[b] >= m for a, b in self.rs.pair_lists[r]):
                 rows.append((root, m, True))
             if m < k and not any(
-                levels[a] < k and levels[b] < k and levels[a] + levels[b] + 1 <= m
-                for a, b in pairs
+                levels[c] < k and levels[c] <= m + levels[g] for g, c in extensions[r]
             ):
                 rows.append((tuple(-c for c in root), -(m + 1), True))
         return rows
-
-
-def region_from_chain(chain: FilterChain) -> Region:
-    region = Region(chain.rs, chain.k, chain.levels())
-    if not feasible(region.irredundant_system(), chain.rs.n):
-        raise InternalInvariantError("chain produced an empty region")
-    return region
 
 
 def is_bounded(region: Region) -> bool:
@@ -229,7 +235,9 @@ def wall_report(region: Region) -> WallReport:
     point, so existence is exactly the affine-dimension n-1 condition.
     Every row is tested that way, by Fourier-Motzkin on the irredundant
     system restricted to the row's hyperplane (n-1 variables), which has
-    the same faces as the full system (module docstring).
+    the same faces as the full system (module docstring).  A region with
+    no wall is empty (module docstring), and that raises
+    InternalInvariantError: no chain gives an empty region.
     """
     rs = region.rs
     kept = region.irredundant_system()
@@ -245,6 +253,8 @@ def wall_report(region: Region) -> WallReport:
         if rhs == 0:
             continue
         (floors if lower else ceilings).append(wall)
+    if not walls:
+        raise InternalInvariantError("chain produced an empty region")
     return WallReport(
         tuple(walls), tuple(floors), tuple(ceilings), is_bounded(region)
     )
@@ -252,7 +262,7 @@ def wall_report(region: Region) -> WallReport:
 
 def regions_of(rs: RootSystem, k: int) -> tuple:
     return tuple(
-        region_from_chain(chain) for chain in nonnesting.enumerate_chains(rs, k)
+        Region(rs, k, chain.levels()) for chain in nonnesting.enumerate_chains(rs, k)
     )
 
 
@@ -260,8 +270,8 @@ def regions_of(rs: RootSystem, k: int) -> tuple:
 def wall_reports(rs: RootSystem, k: int) -> tuple:
     """One WallReport per geometric chain, in `enumerate_chains` order.
 
-    Each region passes `region_from_chain`'s feasibility check before
-    its walls are computed.
+    `wall_report` raises on a region with no wall, so every region is
+    checked nonempty on the way (module docstring).
     """
     return tuple(wall_report(region) for region in regions_of(rs, k))
 

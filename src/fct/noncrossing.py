@@ -93,7 +93,7 @@ from operator import mul
 
 from . import weyl
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
-from .poly import BivarPoly, require_m_support
+from .poly import BivarPoly, interpolate, require_m_support
 from .rootsys import ENUMERATION_LIMIT, RootSystem, fuss_catalan_number
 
 # Bound on the bytes of the interval tables, in 4-byte entries: two per
@@ -351,13 +351,21 @@ def build_nc_poset(rs: RootSystem, k: int) -> NCPoset:
 
 @lru_cache(maxsize=None)
 def _multichain_counts(rs: RootSystem, j: int) -> tuple:
-    """Entry u: number of j-multichains in the interval below element u."""
+    """Entry u: number of j-multichains in the interval below element u.
+
+    That is the zeta polynomial of [1, u] at j + 1, of degree l_T(u) <= n
+    in j, so past j = n Lagrange's formula reads it off j = 0..n.
+    """
     tables = _interval_tables(rs)
     start, low = tables.start, tables.low
     cur = [1] * len(tables)
-    for _ in range(j):
+    rows = [cur]
+    for _ in range(min(j, rs.n)):
         get = cur.__getitem__
         cur = [sum(map(get, low[a:b])) for a, b in zip(start, start[1:])]
+        rows.append(cur)
+    if j > rs.n:
+        cur = interpolate(range(rs.n + 1), zip(*rows), j)
     return tuple(cur)
 
 

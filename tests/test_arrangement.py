@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 
 from fct.arrangement import (
+    Region,
     ceilings_poly,
     feasible,
     is_bounded,
-    region_from_chain,
     regions_of,
     wall_report,
     wall_reports,
 )
-from fct.errors import UsageError
+from fct.cli import _grid_cells
+from fct.errors import InternalInvariantError, UsageError
+from fct.grid import _applicable
 from fct.verify import run_identity
 from fct.nonnesting import enumerate_chains, h_triangle, indecomposables
 from fct.poly import BivarPoly, ceiling_specialization
@@ -44,8 +46,7 @@ def test_feasible_toy_systems():
 def test_interior_point_satisfies_system():
     for name, k in SMALL:
         rs = rsys(name)
-        for ch in enumerate_chains(rs, k):
-            region = region_from_chain(ch)
+        for region in regions_of(rs, k):
             point = interior_point(region.system(), rs.n)
             for coeffs, rhs, strict in region.system():
                 val = sum(Fraction(c) * p for c, p in zip(coeffs, point))
@@ -145,8 +146,7 @@ def test_floor_correspondence():
 def test_floors_literally_match_indecomposables():
     rs = rsys("B2")
     for ch in enumerate_chains(rs, 2):
-        region = region_from_chain(ch)
-        rep = wall_report(region)
+        rep = wall_report(Region(rs, 2, ch.levels()))
         for i in (1, 2):
             expected = {(r, i) for r in indecomposables(ch, i)}
             got = {(r, c) for r, c in rep.floors if c == i}
@@ -184,13 +184,15 @@ def test_wall_reports_follow_chain_order():
         reports = wall_reports(rs, k)
         assert len(reports) == len(chains)
         for ch, rep in zip(chains, reports):
-            assert rep == wall_report(region_from_chain(ch))
+            assert rep == wall_report(Region(rs, k, ch.levels()))
 
 
 def test_wall_reports_match_fm_oracle():
-    # every cell where the acceptance grid runs pos, ceil or phi, plus D4 and F4
+    # every cell where the acceptance grid runs pos, ceil or phi, plus D4, F4,
+    # a reducible system and k = 3
     cells = [(name, k) for name in ("A1", "A2", "A3", "B2", "B3", "G2") for k in (1, 2)]
-    systems = [(rsys(name), k) for name, k in cells + [("D4", 1), ("D4", 2), ("F4", 1)]]
+    cells += [("D4", 1), ("D4", 2), ("F4", 1), ("A1xB2", 2), ("G2", 3)]
+    systems = [(rsys(name), k) for name, k in cells]
     systems.append((relabelled(rsys("B3"), (1, 0, 2)), 2))
     for rs, k in systems:
         for region, report in zip(regions_of(rs, k), wall_reports(rs, k)):
@@ -230,3 +232,35 @@ def test_irredundant_rows_are_rows_of_the_system():
                 assert (root, colour, True) in kept or (
                     tuple(-c for c in root), -colour, True
                 ) in kept
+
+
+def test_regions_with_walls_are_the_nonempty_ones():
+    """The direct emptiness test agrees with the wall search: on every
+    cell where `grid extended` runs the arrangement identities, FM finds
+    each region's irredundant system feasible, and each region has a
+    wall."""
+    for name, k, only in _grid_cells("extended"):
+        rs = rsys(name)
+        if not _applicable("pos", rs, k, "extended", only):
+            continue
+        for region, report in zip(regions_of(rs, k), wall_reports(rs, k)):
+            assert feasible(region.irredundant_system(), rs.n), (name, k, region.levels)
+            assert report.walls, (name, k, region.levels)
+
+
+def test_region_without_walls_raises():
+    # t1 > 1, t2 > 1 and t1 + t2 < 1: no point, so no wall
+    with pytest.raises(InternalInvariantError, match="empty region"):
+        wall_report(Region(rsys("A2"), 1, (1, 1, 0)))
+
+
+def test_fundamental_alcove_keeps_its_n_plus_1_rows():
+    """Region 0 at k = 1 is the fundamental alcove: the simple roots'
+    lower rows and the highest root's upper row imply every other row."""
+    for name in ["A3", "B3", "C3", "D4", "F4", "G2", "E6", "E7"]:
+        rs = rsys(name)
+        region = Region(rs, 1, (0,) * len(rs.positive_roots))
+        theta = rs.positive_roots[-1]
+        alcove = [(root, 0, True) for root in rs.positive_roots[: rs.n]]
+        alcove.append((tuple(-c for c in theta), -1, True))
+        assert region.irredundant_system() == alcove, name

@@ -323,6 +323,20 @@ def test_multichain_counts_match_pairwise_oracle():
                 assert _multichain_counts(rs, j) == multichain_counts_by_pairs(rs, j)
 
 
+def test_multichain_counts_past_rank_match_the_loop():
+    """Past j = n the counts are read off j = 0..n by Lagrange's formula."""
+    for name in ["B3", "D4", "F4", "A1xB2"]:
+        rs = rsys(name)
+        for j in range(rs.n + 1, rs.n + 8):
+            assert _multichain_counts(rs, j) == multichain_counts_by_pairs(rs, j), (name, j)
+
+
+def test_multichain_counts_need_no_loop_over_j():
+    assert _multichain_counts(rsys("A1"), 10**7) == (1, 10**7 + 1)
+    rs = rsys("B3")
+    assert sequence_count(rs, 50) == fuss_catalan_number(rs, 50)
+
+
 def test_m_triangle_checks_its_total(monkeypatch):
     """A wrong g makes M(1, 1) differ from 1, and the build refuses it."""
     rs = rsys("B3")
