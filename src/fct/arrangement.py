@@ -13,8 +13,10 @@ appear.
 
 Each geometric chain determines one region: a root at level m lies in
 the open strip between heights m and m+1, or beyond height k when
-m = k.  Floors and ceilings of a region are its walls of positive
-colour, split by whether the origin sits on the far or near side.
+m = k.  Its full system has, for each positive root c at level m, the
+lower row c.t > m and, when m < k, the upper row c.t < m + 1.  Floors
+and ceilings of a region are its walls of positive colour, split by
+whether the origin sits on the far or near side.
 
 A region is nonempty exactly when it has a wall, so no separate test
 decides emptiness.  A wall point meets its own row with equality and
@@ -25,7 +27,7 @@ root has a lower row), so it has a facet: a segment from a point of the
 region to a generic point outside it first leaves through one
 hyperplane alone, since distinct rows have distinct hyperplanes.
 
-Many rows of a region's system follow from two others.  For positive
+Many rows of a region's full system follow from two others.  For positive
 roots alpha, beta, gamma at levels m, m_beta, m_gamma:
 
 * the lower row alpha.t > m, where alpha = beta + gamma, follows from
@@ -49,7 +51,9 @@ row that holds strictly (kept, or dropped and settled before).  At most
 one of the two is the equality, so their sum is strict.  Hence a face
 of the full system is nonempty exactly when the same face of the
 irredundant system is, and a dropped row is never a wall: with it as
-the equality, its implying rows force it strict.
+the equality, its implying rows force it strict.  So the walls are
+found among the kept rows alone, and a region is still nonempty exactly
+when one of them is a wall.
 """
 from __future__ import annotations
 
@@ -140,19 +144,10 @@ class Region:
         self.k = k
         self.levels = levels
 
-    def system(self) -> list:
-        rows = []
-        for r, root in enumerate(self.rs.positive_roots):
-            m = self.levels[r]
-            rows.append((root, m, True))
-            if m < self.k:
-                neg = tuple(-c for c in root)
-                rows.append((neg, -(m + 1), True))
-        return rows
-
     def irredundant_system(self) -> list:
-        """The rows of `system` that neither rule of the module docstring
-        drops, in the same order."""
+        """The rows of the full system (module docstring) that neither
+        rule drops, lower row before upper row, roots in order.  No
+        dropped row is a wall."""
         k, levels = self.k, self.levels
         extensions = nonnesting._extensions(self.rs)
         rows = []
@@ -228,21 +223,23 @@ def _on_hyperplane(rows, equality: Row) -> list:
 def wall_report(region: Region) -> WallReport:
     """Walls, floors and ceilings of a region.
 
-    Each row of the system is one side of a strip: c.t > m with colour
-    m, or -c.t > -(m + 1) with colour m + 1.  It lies on a wall when the
+    Each row is one side of a strip: c.t > m with colour m, or
+    -c.t > -(m + 1) with colour m + 1.  It lies on a wall when the
     system with that row made an equality, every other row staying
     strict, is feasible: such a point is a relative-interior facet
     point, so existence is exactly the affine-dimension n-1 condition.
-    Every row is tested that way, by Fourier-Motzkin on the irredundant
-    system restricted to the row's hyperplane (n-1 variables), which has
-    the same faces as the full system (module docstring).  A region with
-    no wall is empty (module docstring), and that raises
+    Only the rows of the irredundant system are tested, each by one
+    Fourier-Motzkin run on the irredundant system restricted to the
+    row's hyperplane (n-1 variables): a dropped row is never a wall, and
+    the kept rows have the same faces as the full system (module
+    docstring).  The walls come in full-system order.  A region with no
+    wall is empty (module docstring), and that raises
     InternalInvariantError: no chain gives an empty region.
     """
     rs = region.rs
     kept = region.irredundant_system()
     walls, floors, ceilings = [], [], []
-    for row in region.system():
+    for row in kept:
         if not feasible(_on_hyperplane(kept, row), rs.n - 1):
             continue
         coeffs, rhs, _ = row

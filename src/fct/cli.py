@@ -116,7 +116,7 @@ def _grid_cells(suite: str):
         return [(name, k, None) for name, k in ACCEPTANCE_GRID]
     if suite == "extended":
         return [(name, k, None) for name, k in ACCEPTANCE_GRID] + [
-            ("E6", 1, ["counts"]),
+            ("E6", 1, ["counts", "pos", "ceil", "final", "phi"]),
             ("E6", 2, ["h=m", "m=f"]),
         ]
     raise UsageError(f"unknown suite {suite!r}")
@@ -238,6 +238,9 @@ def entry() -> None:
         code = 2
     except ResourceLimitError as exc:
         print(f"fct: resource bound exceeded: {exc}", file=sys.stderr)
+        code = 4
+    except MemoryError:
+        print("fct: resource bound exceeded: out of memory", file=sys.stderr)
         code = 4
     except InternalInvariantError as exc:
         print(f"fct: internal invariant violated: {exc}", file=sys.stderr)

@@ -626,18 +626,30 @@ def levels_of_point(rs: RootSystem, k: int, point) -> tuple:
     return tuple(out)
 
 
+def full_system(region) -> list:
+    """Every strip row of the region, no row dropped: for each positive
+    root at level m, its lower row and, below level k, its upper row."""
+    rows = []
+    for r, root in enumerate(region.rs.positive_roots):
+        m = region.levels[r]
+        rows.append((root, m, True))
+        if m < region.k:
+            rows.append((tuple(-c for c in root), -(m + 1), True))
+    return rows
+
+
 def verify_disjoint(rs: RootSystem, k: int):
     """Feasibility, interior-point level recovery, and pairwise disjointness."""
     regions = regions_of(rs, k)
     for region in regions:
-        point = interior_point(region.system(), rs.n)
+        point = interior_point(full_system(region), rs.n)
         if point is None:
             return False, {"levels": region.levels, "reason": "empty region"}
         if levels_of_point(rs, k, point) != region.levels:
             return False, {"levels": region.levels, "reason": "level mismatch"}
     for a in range(len(regions)):
         for b in range(a + 1, len(regions)):
-            joint = regions[a].system() + regions[b].system()
+            joint = full_system(regions[a]) + full_system(regions[b])
             if feasible(joint, rs.n):
                 return False, {
                     "levels": regions[a].levels,
@@ -663,7 +675,7 @@ def is_wall_by_fm(region, r: int, colour: int) -> bool:
     row stays strict."""
     own = constraint_for(region, r, colour)
     root = region.rs.positive_roots[r]
-    rows = [row for row in region.system() if row != own]
+    rows = [row for row in full_system(region) if row != own]
     rows.append((root, colour, False))
     rows.append((tuple(-c for c in root), -colour, False))
     return feasible(rows, region.rs.n)

@@ -15,12 +15,18 @@ from fct.cli import _grid_cells
 from fct.errors import InternalInvariantError, UsageError
 from fct.grid import _applicable
 from fct.verify import run_identity
-from fct.nonnesting import enumerate_chains, h_triangle, indecomposables
+from fct.nonnesting import (
+    enumerate_chains,
+    h_triangle,
+    indecomposables,
+    indecomposables_by_rank,
+)
 from fct.poly import BivarPoly, ceiling_specialization
 from fct.cluster import positive_h_poly
 
 from conftest import rsys
 from oracles import (
+    full_system,
     interior_point,
     is_bounded_by_fm,
     is_wall_by_fm,
@@ -47,8 +53,9 @@ def test_interior_point_satisfies_system():
     for name, k in SMALL:
         rs = rsys(name)
         for region in regions_of(rs, k):
-            point = interior_point(region.system(), rs.n)
-            for coeffs, rhs, strict in region.system():
+            rows = full_system(region)
+            point = interior_point(rows, rs.n)
+            for coeffs, rhs, strict in rows:
                 val = sum(Fraction(c) * p for c, p in zip(coeffs, point))
                 assert val > rhs if strict else val >= rhs
 
@@ -67,7 +74,7 @@ def test_interior_point_recovers_levels():
     for name, k in SMALL:
         rs = rsys(name)
         for region in regions_of(rs, k):
-            point = interior_point(region.system(), rs.n)
+            point = interior_point(full_system(region), rs.n)
             assert levels_of_point(rs, k, point) == region.levels
 
 
@@ -199,7 +206,7 @@ def test_wall_reports_match_fm_oracle():
             assert report == wall_report_by_fm(region), (str(rs.typespec), k)
 
 
-def test_every_row_is_tested_by_fm(monkeypatch):
+def test_one_fm_test_per_kept_row(monkeypatch):
     import fct.arrangement
 
     calls = [0]
@@ -215,23 +222,49 @@ def test_every_row_is_tested_by_fm(monkeypatch):
         for region in regions_of(rs, k):
             calls[0] = 0
             wall_report(region)
-            assert calls[0] >= len(region.system()), (name, k, region.levels)
+            assert calls[0] == len(region.irredundant_system()), (name, k, region.levels)
+
+
+def _on_kept_row(rs, kept, wall) -> bool:
+    """Whether the wall (root index, colour) lies on a kept row, lower
+    or upper."""
+    r, colour = wall
+    root = rs.positive_roots[r]
+    return (root, colour, True) in kept or (
+        tuple(-c for c in root), -colour, True
+    ) in kept
 
 
 def test_irredundant_rows_are_rows_of_the_system():
     for name, k in [("A3", 2), ("B3", 2), ("G2", 3)]:
         rs = rsys(name)
         for region in regions_of(rs, k):
-            full = region.system()
+            full = full_system(region)
             kept = region.irredundant_system()
             assert [row for row in full if row in kept] == kept
             # the full system's walls all survive the cut
             for wall in wall_report(region).walls:
-                r, colour = wall
-                root = rs.positive_roots[r]
-                assert (root, colour, True) in kept or (
-                    tuple(-c for c in root), -colour, True
-                ) in kept
+                assert _on_kept_row(rs, kept, wall), (name, k, wall)
+
+
+def test_heaviest_e7_regions():
+    """The E7 k=1 regions whose wall tests took longest on the full
+    system: floors are the indecomposables, and every wall is a kept
+    row."""
+    rs = rsys("E7")
+    chains = enumerate_chains(rs, 1)
+    for i in (1160, 2072, 998, 1803):
+        region = Region(rs, 1, chains[i].levels())
+        report = wall_report(region)
+        expected = {
+            (r, l)
+            for l, roots in enumerate(indecomposables_by_rank(chains[i]), 1)
+            for r in roots
+        }
+        assert set(report.floors) == expected, i
+        kept = region.irredundant_system()
+        for wall in report.walls:
+            assert _on_kept_row(rs, kept, wall), (i, wall)
 
 
 def test_regions_with_walls_are_the_nonempty_ones():

@@ -277,6 +277,28 @@ def test_resource_bound_exits_4(capsys, monkeypatch):
     assert "resource bound" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_4(capsys, monkeypatch):
+    # MemoryError is what Fourier-Motzkin or the compiled core's allocation
+    # checks raise; in grid the worker sends it back to the parent
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(arrangement, "feasible", no_memory)
+    for argv in (
+        ["verify", "pos", "--type", "A2", "-k", "1"],
+        ["grid", "acceptance", "--quiet"],
+    ):
+        arrangement.wall_reports.cache_clear()
+        monkeypatch.setattr(sys, "argv", ["fct", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 4, argv
+        assert capsys.readouterr().err == (
+            "fct: resource bound exceeded: out of memory\n"
+        ), argv
+    arrangement.wall_reports.cache_clear()
+
+
 def test_census_past_subfilter_pair_bound_exits_4(capsys, monkeypatch):
     # the subfilter table of E8 would hold 198 348 320 pairs of filters
     def no_table(*args):
