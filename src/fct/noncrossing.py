@@ -82,8 +82,17 @@ complements w^-1 c.
 
 The elements are indexed in walk order, identity first, so lengths do
 not decrease along the indices.  Nothing but ``dump nc`` depends on that
-order; it sorts the slots by ``weyl.breadth_first_key``, the order of
-the whole group, which is never generated.
+order; it sorts the slots in the breadth-first order of the whole group,
+which is never generated.  That search multiplies on the right, so x is
+first met from the least of its lower neighbours x s_i, by their own
+order and then by i: by induction on length, the order is by Coxeter
+length, then by least reduced word.  The numbers game (Bjorner-Brenti,
+GTM 231, 4.3) reads that word off n integers per element, the signed
+heights h_j of a^-1(alpha_j).  The word starts with the least left
+descent, and s_i is a left descent of a exactly when a^-1(alpha_i) < 0,
+that is h_i < 0.  Stripping it leaves s_i a, whose
+(s_i a)^-1(alpha_j) = a^-1(alpha_j - A_ij alpha_i); height is linear,
+so h_j becomes h_j - A_ij h_i.
 """
 from __future__ import annotations
 
@@ -134,10 +143,6 @@ class Interval:
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def element(self, a: int) -> weyl.GroupElement:
-        nref = len(self.rs.positive_roots)
-        return weyl.GroupElement(self.rs, tuple(self.images[a * nref:(a + 1) * nref]))
 
     def lower(self, a: int) -> tuple:
         """Indices of the lower covers of element a."""
@@ -266,8 +271,9 @@ def _interval_tables(rs: RootSystem) -> Interval:
 def absolute_interval(rs: RootSystem) -> tuple:
     """All group elements below the Coxeter element in absolute order,
     identity first, in walk order."""
-    tables = _interval_tables(rs)
-    return tuple(map(tables.element, range(len(tables))))
+    images, nref = _interval_tables(rs).images, len(rs.positive_roots)
+    rows = range(0, len(images), nref)
+    return tuple(weyl.GroupElement(rs, tuple(images[a:a + nref])) for a in rows)
 
 
 @lru_cache(maxsize=None)
@@ -319,8 +325,9 @@ def rank(rs: RootSystem, seq: tuple) -> int:
 
 class NCPoset:
     """The delta sequences, as index tuples, sorted by rank, then by the
-    breadth-first order of their slots 1..k: a linear extension of the
-    slotwise order, which is never built."""
+    group's breadth-first order on their slots 1..k, read off
+    ``_breadth_first_keys``: a linear extension of the slotwise order,
+    which is never built."""
 
     __slots__ = ("rs", "k", "elements", "ranks")
 
@@ -331,21 +338,47 @@ class NCPoset:
         self.ranks = ranks
 
 
+def _breadth_first_keys(rs: RootSystem, tables: Interval):
+    """Yields, for each element a in index order, the bytes (Coxeter
+    length, least reduced word) of a, whose order is the group's
+    breadth-first order, by the numbers game (module docstring).
+
+    h_j, the signed height of a^-1(alpha_j), is read off the row entry
+    +-(j + 1) at root r: then a(alpha_r) = +-alpha_j, so a^-1(alpha_j) =
+    +-alpha_r.  s_i is a left descent of a exactly when a^-1(alpha_i) < 0,
+    that is h_i < 0; the least such i is the next letter.  Stripping it
+    sends a^-1(alpha_j) to a^-1(alpha_j) - A_ij a^-1(alpha_i), and height
+    is linear, so h_j becomes h_j - A_ij h_i (A_ii = 2 turns h_i to
+    -h_i), for the j with A_ij != 0 only.  Within ``TABLE_BYTE_LIMIT``
+    every length and letter is below 256.
+    """
+    n, nref, heights = rs.n, len(rs.positive_roots), rs.heights
+    edges = [[(j, aij) for j, aij in enumerate(row) if aij] for row in rs.cartan]
+    for base in range(0, len(tables.images), nref):
+        h = [0] * n
+        for r, s in enumerate(tables.images[base:base + nref]):
+            if -n <= s <= n:
+                h[abs(s) - 1] = heights[r] if s > 0 else -heights[r]
+        word, i = [], 0
+        while i < n:  # h_0..h_(i-1) are not negative
+            hi = h[i]
+            if hi < 0:
+                word.append(i)
+                for j, aij in edges[i]:
+                    h[j] -= aij * hi
+            i = 0 if hi < 0 else i + 1
+        yield bytes((len(word), *word))
+
+
 @lru_cache(maxsize=None)
 def build_nc_poset(rs: RootSystem, k: int) -> NCPoset:
     """The delta sequences in the order of ``NCPoset``.  The slots fix
     the sequence, so no two share a sort key."""
     seqs = enumerate_delta_sequences(rs, k)
     tables = _interval_tables(rs)
-    position = [0] * len(tables)
-    for p, a in enumerate(
-        sorted(range(len(tables)), key=lambda a: weyl.breadth_first_key(tables.element(a)))
-    ):
-        position[a] = p
+    keys = tuple(_breadth_first_keys(rs, tables))
     n, lengths = rs.n, tables.lengths
-    seqs = sorted(
-        seqs, key=lambda seq: (n - lengths[seq[0]], [position[s] for s in seq[1:]])
-    )
+    seqs = sorted(seqs, key=lambda seq: (n - lengths[seq[0]], [keys[s] for s in seq[1:]]))
     return NCPoset(rs, k, tuple(seqs), tuple(n - lengths[seq[0]] for seq in seqs))
 
 

@@ -154,27 +154,6 @@ def generate_group(rs: RootSystem) -> tuple:
     return tuple(GroupElement(rs, img) for img in imgs)
 
 
-def breadth_first_key(w: GroupElement) -> tuple:
-    """(Coxeter length, lexicographically least reduced word) of w.
-
-    Sorting by this key gives the order of ``generate_group``: its
-    breadth-first search multiplies on the right, so x is first met from
-    the least of its lower neighbours x s_i, by their own order and then
-    by i, which by induction on length is its least reduced word.  That
-    word starts with the least left descent, and s_i is a left descent
-    of w exactly when w maps some positive root to -alpha_i.
-    """
-    rs = w.rs
-    img = w.img
-    word = []
-    while True:
-        i = next((i for i in range(rs.n) if -(i + 1) in img), None)
-        if i is None:
-            return (len(word), tuple(word))
-        word.append(i)
-        img = tuple(map(simple_reflection(rs, i).signed_img.__getitem__, img))
-
-
 def absolute_leq(u: GroupElement, v: GroupElement) -> bool:
     """Absolute order: lengths add along u, then u^-1 v."""
     return u.length + compose(inverse(u), v).length == v.length

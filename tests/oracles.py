@@ -871,17 +871,17 @@ def narayana_vector(rs: RootSystem, k: int) -> tuple:
 def nc_json_by_elements(rs: RootSystem, k: int) -> list:
     """``noncrossing.nc_json`` through group elements: the parts of each
     delta sequence from ``absolute_interval``, sorted by n minus the
-    rank-computed length of d_0, then by ``weyl.breadth_first_key`` of
-    d_1..d_k, and spelled by ``weyl.reflection_word``."""
+    rank-computed length of d_0, then by the positions of d_1..d_k in
+    ``interval_by_filtering``, the group's breadth-first order, and
+    spelled by ``weyl.reflection_word``."""
     from fct import weyl
     from fct.noncrossing import absolute_interval, enumerate_delta_sequences
 
     elems = absolute_interval(rs)
+    position = {w: p for p, w in enumerate(interval_by_filtering(rs))}
     seqs = sorted(
         (tuple(elems[a] for a in seq) for seq in enumerate_delta_sequences(rs, k)),
-        key=lambda parts: (
-            rs.n - parts[0].length, [weyl.breadth_first_key(p) for p in parts[1:]]
-        ),
+        key=lambda parts: (rs.n - parts[0].length, [position[p] for p in parts[1:]]),
     )
     words = {w: list(weyl.reflection_word(w)) for w in elems}
     return [[words[part] for part in parts] for parts in seqs]

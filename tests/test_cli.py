@@ -370,6 +370,13 @@ def test_noncrossing_needs_no_group(capsys, monkeypatch):
     def no_group(*args):
         raise AssertionError("the Weyl group was generated")
 
+    built = []
+
+    class CountedElement(weyl.GroupElement):
+        def __init__(self, rs, img):
+            built.append(img)
+            super().__init__(rs, img)
+
     def clear():
         for fn in vars(noncrossing).values():
             if hasattr(fn, "cache_clear"):
@@ -387,6 +394,13 @@ def test_noncrossing_needs_no_group(capsys, monkeypatch):
             assert code == 0, argv
             assert out
         assert out.strip().endswith("ok")
+        # the slots are sorted from the tables, not from one group
+        # element per member of [1, c], which has 833 for E6
+        clear()
+        monkeypatch.setattr(weyl, "GroupElement", CountedElement)
+        code, out, _ = run(capsys, ["dump", "nc", "--type", "E6", "-k", "1"])
+        assert code == 0 and out
+        assert len(built) < 833
     finally:
         clear()
 
@@ -446,6 +460,16 @@ def test_dump_nc_b4_bytes_match_the_reference(capsys):
     code, out, _ = run(capsys, ["dump", "nc", "--type", "B4", "-k", "2"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dump_nc_e7_bytes_are_pinned(capsys):
+    # E7's Weyl group is past GROUP_ORDER_LIMIT, so the group-element
+    # oracle of test_noncrossing cannot check these bytes; pin them
+    code, out, _ = run(capsys, ["dump", "nc", "--type", "E7", "-k", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1f4ab18043f9ea45f730163b817f9c7a421966b2fac4c4f8af217e17b10d5a62"
+    )
 
 
 def test_internal_invariant_exits_3(capsys, monkeypatch):

@@ -4,7 +4,6 @@ from fct import kernels, weyl
 from fct.errors import InternalInvariantError, ResourceLimitError, UsageError
 from fct.weyl import (
     absolute_leq,
-    breadth_first_key,
     compose,
     coxeter_element,
     generate_group,
@@ -71,12 +70,6 @@ def test_reflections_match_positive_roots():
             assert t.img[b] == -(b + 1)
             assert t.length == 1
             assert element_order(t) == 2
-
-
-def test_breadth_first_key_sorts_the_group():
-    for name in ["A3", "B3", "G2", "D4", "F4", "A1xB2"]:
-        group = generate_group(rsys(name))
-        assert sorted(group, key=breadth_first_key) == list(group), name
 
 
 def test_absolute_length_against_cayley_bfs():
