@@ -82,17 +82,6 @@ def gauss_jordan(mat):
     return m, pivots, d, sign
 
 
-def bareiss(mat):
-    """(rank, det) of an integer matrix, read off ``gauss_jordan``.
-
-    det is the determinant of a square matrix (1 for the empty one), with
-    the sign of the row swaps, and 0 for any other shape.
-    """
-    _, pivots, d, sign = gauss_jordan(mat)
-    full = len(pivots) == len(mat) == (len(mat[0]) if mat else 0)
-    return len(pivots), sign * d if full else 0
-
-
 def int_rank(mat):
     """Rank of an integer matrix."""
     return len(gauss_jordan(mat)[1])

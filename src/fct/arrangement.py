@@ -13,10 +13,13 @@ appear.
 
 Each geometric chain determines one region: a root at level m lies in
 the open strip between heights m and m+1, or beyond height k when
-m = k.  Its full system has, for each positive root c at level m, the
-lower row c.t > m and, when m < k, the upper row c.t < m + 1.  Floors
-and ceilings of a region are its walls of positive colour, split by
-whether the origin sits on the far or near side.
+m = k.  So a region is the level vector of its chain
+(``nonnesting.levels``), entry r the level of root r, and every
+function on regions takes the root system and k beside it.  Its full
+system has, for each positive root c at level m, the lower row c.t > m
+and, when m < k, the upper row c.t < m + 1.  Floors and ceilings of a
+region are its walls of positive colour, split by whether the origin
+sits on the far or near side.
 
 A region is nonempty exactly when it has a wall, so no separate test
 decides emptiness.  A wall point meets its own row with equality and
@@ -37,7 +40,7 @@ roots alpha, beta, gamma at levels m, m_beta, m_gamma:
   level k (so that its upper row exists) and m_beta <= m + m_gamma, for
   then alpha.t = beta.t - gamma.t < m_beta + 1 - m_gamma <= m + 1.
 
-`Region.irredundant_system` drops every such row.  That keeps every
+`irredundant_system` drops every such row.  That keeps every
 face.  Make one row of the full system an equality and keep the others
 strict; the claim is that each dropped row other than the equality
 still holds strictly on the kept rows plus the equality.  Settle the
@@ -134,35 +137,24 @@ def feasible(rows, n: int) -> bool:
     return all(_zero_row_ok(r) for r in rows)
 
 
-class Region:
-    """Open dominant cell determined by the level of every positive root."""
-
-    __slots__ = ("rs", "k", "levels")
-
-    def __init__(self, rs: RootSystem, k: int, levels: tuple):
-        self.rs = rs
-        self.k = k
-        self.levels = levels
-
-    def irredundant_system(self) -> list:
-        """The rows of the full system (module docstring) that neither
-        rule drops, lower row before upper row, roots in order.  No
-        dropped row is a wall."""
-        k, levels = self.k, self.levels
-        extensions = nonnesting._extensions(self.rs)
-        rows = []
-        for r, root in enumerate(self.rs.positive_roots):
-            m = levels[r]
-            if not any(levels[a] + levels[b] >= m for a, b in self.rs.pair_lists[r]):
-                rows.append((root, m, True))
-            if m < k and not any(
-                levels[c] < k and levels[c] <= m + levels[g] for g, c in extensions[r]
-            ):
-                rows.append((tuple(-c for c in root), -(m + 1), True))
-        return rows
+def irredundant_system(rs: RootSystem, k: int, levels: tuple) -> list:
+    """The rows of the full system (module docstring) of the region with
+    level vector ``levels`` that neither rule drops, lower row before
+    upper row, roots in order.  No dropped row is a wall."""
+    extensions = nonnesting._extensions(rs)
+    rows = []
+    for r, root in enumerate(rs.positive_roots):
+        m = levels[r]
+        if not any(levels[a] + levels[b] >= m for a, b in rs.pair_lists[r]):
+            rows.append((root, m, True))
+        if m < k and not any(
+            levels[c] < k and levels[c] <= m + levels[g] for g, c in extensions[r]
+        ):
+            rows.append((tuple(-c for c in root), -(m + 1), True))
+    return rows
 
 
-def is_bounded(region: Region) -> bool:
+def is_bounded(rs: RootSystem, k: int, levels: tuple) -> bool:
     """Whether no simple root is at level k.
 
     The recession cone is d >= 0 with root . d = 0 for every root below
@@ -170,7 +162,7 @@ def is_bounded(region: Region) -> bool:
     support of such a root.  A root whose support holds j lies above
     alpha_j, so it is at level k whenever alpha_j is.
     """
-    return all(m < region.k for m in region.levels[: region.rs.n])
+    return all(m < k for m in levels[: rs.n])
 
 
 class WallReport:
@@ -220,8 +212,8 @@ def _on_hyperplane(rows, equality: Row) -> list:
     return out
 
 
-def wall_report(region: Region) -> WallReport:
-    """Walls, floors and ceilings of a region.
+def wall_report(rs: RootSystem, k: int, levels: tuple) -> WallReport:
+    """Walls, floors and ceilings of the region with level vector ``levels``.
 
     Each row is one side of a strip: c.t > m with colour m, or
     -c.t > -(m + 1) with colour m + 1.  It lies on a wall when the
@@ -236,8 +228,7 @@ def wall_report(region: Region) -> WallReport:
     wall is empty (module docstring), and that raises
     InternalInvariantError: no chain gives an empty region.
     """
-    rs = region.rs
-    kept = region.irredundant_system()
+    kept = irredundant_system(rs, k, levels)
     walls, floors, ceilings = [], [], []
     for row in kept:
         if not feasible(_on_hyperplane(kept, row), rs.n - 1):
@@ -253,13 +244,15 @@ def wall_report(region: Region) -> WallReport:
     if not walls:
         raise InternalInvariantError("chain produced an empty region")
     return WallReport(
-        tuple(walls), tuple(floors), tuple(ceilings), is_bounded(region)
+        tuple(walls), tuple(floors), tuple(ceilings), is_bounded(rs, k, levels)
     )
 
 
 def regions_of(rs: RootSystem, k: int) -> tuple:
+    """The level vector of each geometric chain's region, in
+    `enumerate_chains` order."""
     return tuple(
-        Region(rs, k, chain.levels()) for chain in nonnesting.enumerate_chains(rs, k)
+        nonnesting.levels(rs, chain) for chain in nonnesting.enumerate_chains(rs, k)
     )
 
 
@@ -270,7 +263,7 @@ def wall_reports(rs: RootSystem, k: int) -> tuple:
     `wall_report` raises on a region with no wall, so every region is
     checked nonempty on the way (module docstring).
     """
-    return tuple(wall_report(region) for region in regions_of(rs, k))
+    return tuple(wall_report(rs, k, levels) for levels in regions_of(rs, k))
 
 
 def ceilings_poly(rs: RootSystem, k: int) -> BivarPoly:
@@ -286,11 +279,10 @@ def ceilings_poly(rs: RootSystem, k: int) -> BivarPoly:
 
 def regions_json(rs: RootSystem, k: int) -> list:
     out = []
-    chains = nonnesting.enumerate_chains(rs, k)
-    for chain, report in zip(chains, wall_reports(rs, k)):
+    for levels, report in zip(regions_of(rs, k), wall_reports(rs, k)):
         out.append(
             {
-                "levels": list(chain.levels()),
+                "levels": list(levels),
                 "walls": [list(w) for w in report.walls],
                 "floors": [list(w) for w in report.floors],
                 "ceilings": [list(w) for w in report.ceilings],

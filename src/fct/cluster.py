@@ -12,21 +12,12 @@ compatibility graph.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
-from . import kernels, weyl
+from . import kernels
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, h_from_f, require_f_support
 from .rootsys import ENUMERATION_LIMIT, RootSystem, support
-
-
-def _part_product(rs: RootSystem, sign: int) -> "weyl.GroupElement":
-    """Product of the commuting simple reflections on one side of the
-    diagram bipartition."""
-    w = weyl.identity(rs)
-    for i in range(rs.n):
-        if rs.bipartition[i] == sign:
-            w = weyl.compose(w, weyl.simple_reflection(rs, i))
-    return w
 
 
 def half_rotation(rs: RootSystem, sign: int, v: int) -> int:
@@ -36,25 +27,22 @@ def half_rotation(rs: RootSystem, sign: int, v: int) -> int:
     positive root index, -(i+1) stands for the negative of the i-th
     simple root.  The map fixes the negative simple roots on the side
     opposite to ``sign`` and acts by the product of the simple
-    reflections on the ``sign`` side everywhere else.
+    reflections on the ``sign`` side everywhere else.  Those reflections
+    commute, so together they lower each coordinate i on that side by
+    row_i(A) . beta, send alpha_i to -alpha_i and -alpha_i to alpha_i,
+    and permute the other positive roots.
     """
     if sign not in (1, -1):
         raise UsageError("sign must be +1 or -1")
-    # img holds signed 1-based root indices, so a negative entry -(i+1)
-    # is -alpha_i's own vertex code
-    img = _part_product(rs, sign).img
     if v < 0:
-        i = -v - 1
-        if rs.bipartition[i] != sign:
-            return v
-        image = -img[i]
-    else:
-        image = img[v]
-    if image > 0:
-        return image - 1
-    if -image > rs.n:
-        raise InternalInvariantError("rotation left the almost positive roots")
-    return image
+        return -v - 1 if rs.bipartition[-v - 1] == sign else v
+    if v < rs.n and rs.bipartition[v] == sign:
+        return -(v + 1)
+    beta = rs.positive_roots[v]
+    return rs.root_index[tuple(
+        x - sum(map(mul, row, beta)) if side == sign else x
+        for x, row, side in zip(beta, rs.cartan, rs.bipartition)
+    )]
 
 
 def full_rotation(rs: RootSystem, v: int) -> int:

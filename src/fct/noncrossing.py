@@ -144,11 +144,6 @@ class Interval:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def lower(self, a: int) -> tuple:
-        """Indices of the lower covers of element a."""
-        nref = len(self.rs.positive_roots)
-        return tuple(u for u in self.covers[a * nref:(a + 1) * nref] if u >= 0)
-
     def pairs(self, u: int):
         """The w <= u and the matching w^-1 u, as two aligned arrays."""
         lo, hi = self.start[u], self.start[u + 1]
@@ -315,12 +310,6 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
     for v in range(len(tables)):
         descend(k - 1, v, zeroth[v])
     return tuple(out)
-
-
-def rank(rs: RootSystem, seq: tuple) -> int:
-    """Corank of the zeroth part: n minus its reflection length, read
-    from the interval tables; no rank is computed."""
-    return rs.n - _interval_tables(rs).lengths[seq[0]]
 
 
 class NCPoset:

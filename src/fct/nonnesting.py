@@ -9,7 +9,9 @@ The chain is geometric when for all i, j in {0..k}
 
 where J_i is the complement of I_i.  The geometric chains are the
 k-divisible nonnesting partitions of the root system; their top-rank
-indecomposable elements drive the H-triangle.
+indecomposable elements drive the H-triangle.  A chain is the plain
+tuple (I_1, ..., I_k) of its filters as root-index bitmasks, and every
+function on chains takes the root system beside it.
 
 Only the pairs with 1 <= i <= j and i + j <= k need checking, one depth
 at a time as a walk adds I_{i+j}.  Pairs with i = 0 hold for any filter
@@ -36,53 +38,28 @@ from .rootsys import (
     RootSystem,
     filter_mask,
     fuss_catalan_number,
-    parabolic,
     parabolic_root_embedding,
 )
 
 
-class FilterChain:
-    """A nested chain of k order filters, stored as root-index bitmasks."""
+def levels(rs: RootSystem, chain: tuple) -> tuple:
+    """For each root index, the largest i <= k with the root in I_i, for
+    the chain (I_1, ..., I_k) of filter masks.
 
-    __slots__ = ("rs", "masks")
-
-    def __init__(self, rs: RootSystem, masks: tuple):
-        self.rs = rs
-        self.masks = masks
-
-    def __eq__(self, other) -> bool:
-        return self.rs is other.rs and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash(self.masks)
-
-    @property
-    def k(self) -> int:
-        return len(self.masks)
-
-    def mask_at(self, i: int) -> int:
-        """I_i as a bitmask, honouring I_0 = all roots and I_i = I_k above k."""
-        if i <= 0:
-            return (1 << len(self.rs.positive_roots)) - 1
-        return self.masks[min(i, self.k) - 1]
-
-    def levels(self) -> tuple:
-        """For each root index, the largest i <= k with the root in I_i.
-
-        The filters are nested, so the roots at level i are the set bits
-        of I_i minus I_(i+1): each root of I_1 is visited once.
-        """
-        out = [0] * len(self.rs.positive_roots)
-        above = 0
-        for i in range(self.k, 0, -1):
-            m = self.masks[i - 1]
-            rest = m & ~above
-            above = m
-            while rest:  # inline: a generator here costs a third more
-                low = rest & -rest
-                out[low.bit_length() - 1] = i
-                rest ^= low
-        return tuple(out)
+    The filters are nested, so the roots at level i are the set bits
+    of I_i minus I_(i+1): each root of I_1 is visited once.
+    """
+    out = [0] * len(rs.positive_roots)
+    above = 0
+    for i in range(len(chain), 0, -1):
+        m = chain[i - 1]
+        rest = m & ~above
+        above = m
+        while rest:  # inline: a generator here costs a third more
+            low = rest & -rest
+            out[low.bit_length() - 1] = i
+            rest ^= low
+    return tuple(out)
 
 
 def _set_bits(m: int):
@@ -172,7 +149,8 @@ def _chain_data(rs: RootSystem, k: int):
 
 @lru_cache(maxsize=None)
 def enumerate_chains(rs: RootSystem, k: int) -> tuple:
-    """All geometric chains, sorted lexicographically by mask tuples.
+    """All geometric chains as tuples (I_1, ..., I_k) of filter masks,
+    sorted lexicographically.
 
     Bounded before any work by the larger of the exact chain count (the
     Fuss-Catalan number) and the number of filter pairs that the
@@ -189,8 +167,7 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
             f"chains or filter pairs, more than the bound {ENUMERATION_LIMIT}"
         )
     filters, subs, full = _chain_data(rs, k)
-    raw = kernels.nn_chains(filters, subs, rs.sum_triples, k, full)
-    return tuple(FilterChain(rs, masks) for masks in raw)
+    return tuple(kernels.nn_chains(filters, subs, rs.sum_triples, k, full))
 
 
 def census_chain_count(rs: RootSystem, k: int) -> int:
@@ -273,7 +250,7 @@ def _extensions(rs: RootSystem) -> tuple:
     return tuple(tuple(x) for x in out)
 
 
-def indecomposables(chain: FilterChain, l: int) -> frozenset:
+def indecomposables(rs: RootSystem, chain: tuple, l: int) -> frozenset:
     """Root indices that are indecomposable of rank l in the chain.
 
     A root is rank-l indecomposable when it lies in I_l with maximal
@@ -281,32 +258,31 @@ def indecomposables(chain: FilterChain, l: int) -> frozenset:
     i + j = l, and every way of extending it by a positive root beta to
     an element of top rank t <= k forces beta into I_{t-l}.
     """
-    if not 1 <= l <= chain.k:
+    if not 1 <= l <= len(chain):
         raise UsageError("rank must lie in 1..k")
-    return indecomposables_by_rank(chain)[l - 1]
+    return indecomposables_by_rank(rs, chain)[l - 1]
 
 
-def indecomposables_by_rank(chain: FilterChain) -> tuple:
+def indecomposables_by_rank(rs: RootSystem, chain: tuple) -> tuple:
     """Entry l - 1: the rank-l indecomposables (see ``indecomposables``),
     for l = 1..k, from one level vector and one table of decomposition
     ranks; root r can only be one of rank best[r]."""
-    rs = chain.rs
-    k = chain.k
-    levels = chain.levels()
-    best = _decomposition_ranks(rs, levels)
+    k = len(chain)
+    level = levels(rs, chain)
+    best = _decomposition_ranks(rs, level)
     out = [[] for _ in range(k)]
     for r, l in enumerate(best):
-        if not 1 <= l <= levels[r]:
+        if not 1 <= l <= level[r]:
             continue
         if any(
-            min(levels[a], k) + min(levels[b], k) >= l
+            min(level[a], k) + min(level[b], k) >= l
             for a, b in rs.pair_lists[r]
         ):
             # some split root_a + root_b with root_a in I_i, root_b in I_j,
             # i + j = l, indices within 0..k
             continue
         if not any(
-            best[c] <= k and levels[c] >= best[c] > l and levels[beta] < best[c] - l
+            best[c] <= k and level[c] >= best[c] > l and level[beta] < best[c] - l
             for beta, c in _extensions(rs)[r]
         ):
             out[l - 1].append(r)
@@ -339,22 +315,20 @@ def h_triangles(rs: RootSystem, k: int) -> tuple:
     return tuple(_h_poly(stats) for stats in hists)
 
 
-def restrict_chain(chain: FilterChain, a: int):
+def restrict_chain(rs: RootSystem, chain: tuple, a: int) -> tuple:
     """Delete the filter generated by simple root a from every level.
 
     Requires a to index a simple root lying in the last filter.  Returns
     the resulting chain over parabolic(rs, a).
     """
-    rs = chain.rs
     if not 0 <= a < rs.n:
         raise UsageError(f"simple root index {a} out of range")
-    if not (chain.masks[-1] >> a) & 1:
+    if not (chain[-1] >> a) & 1:
         raise UsageError("the chosen simple root must lie in the last filter")
     gen = filter_mask(rs, a)
     embedding = parabolic_root_embedding(rs, a)
-    sub = parabolic(rs, a)
     out = []
-    for m in chain.masks:
+    for m in chain:
         stripped = m & ~gen
         out.append(
             sum(
@@ -363,25 +337,25 @@ def restrict_chain(chain: FilterChain, a: int):
                 if (stripped >> orig) & 1
             )
         )
-    return FilterChain(sub, tuple(out))
+    return tuple(out)
 
 
-def extend_chain(rs: RootSystem, sub_chain: FilterChain, a: int) -> FilterChain:
+def extend_chain(rs: RootSystem, sub_chain: tuple, a: int) -> tuple:
     """Inverse of restrict_chain: add back the filter generated by a."""
     if not 0 <= a < rs.n:
         raise UsageError(f"simple root index {a} out of range")
-    if sub_chain.rs is not parabolic(rs, a):
+    embedding = parabolic_root_embedding(rs, a)
+    if any(m >> len(embedding) for m in sub_chain):
         raise UsageError("chain does not live in the parabolic at a")
     gen = filter_mask(rs, a)
-    embedding = parabolic_root_embedding(rs, a)
     out = []
-    for m in sub_chain.masks:
+    for m in sub_chain:
         lifted = gen
         for pos, orig in enumerate(embedding):
             if (m >> pos) & 1:
                 lifted |= 1 << orig
         out.append(lifted)
-    return FilterChain(rs, tuple(out))
+    return tuple(out)
 
 
 def indecomposable_histogram(rs: RootSystem, k: int) -> tuple:
@@ -396,6 +370,6 @@ def indecomposable_histogram(rs: RootSystem, k: int) -> tuple:
 def chains_to_json(chains) -> list:
     """One sorted root-index list per filter of each chain; chains share
     their filters, so each distinct filter's list is built once."""
-    masks = {m for chain in chains for m in chain.masks}
+    masks = {m for chain in chains for m in chain}
     lists = {m: list(_set_bits(m)) for m in masks}
-    return [[lists[m] for m in chain.masks] for chain in chains]
+    return [[lists[m] for m in chain] for chain in chains]

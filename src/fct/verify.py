@@ -268,25 +268,27 @@ def verify_bij(rs: RootSystem, k: int) -> dict | None:
         targets = set(nonnesting.enumerate_chains(sub, k))
         images = {}
         for chain in chains:
-            if not (chain.masks[-1] >> a) & 1:
+            if not (chain[-1] >> a) & 1:
                 continue
-            image = nonnesting.restrict_chain(chain, a)
+            image = nonnesting.restrict_chain(rs, chain, a)
             if image in images:
-                return {"simple": a, "reason": "not injective", "levels": chain.levels()}
+                return {"simple": a, "reason": "not injective",
+                        "levels": nonnesting.levels(rs, chain)}
             images[image] = chain
             if nonnesting.extend_chain(rs, image, a) != chain:
                 return {"simple": a, "reason": "round trip failed",
-                        "levels": chain.levels()}
+                        "levels": nonnesting.levels(rs, chain)}
             if chain not in indec:
-                indec[chain] = nonnesting.indecomposables_by_rank(chain)
-            by_rank = nonnesting.indecomposables_by_rank(image)
+                indec[chain] = nonnesting.indecomposables_by_rank(rs, chain)
+            by_rank = nonnesting.indecomposables_by_rank(sub, image)
             for l, want, image_roots in zip(range(1, k + 1), indec[chain], by_rank):
                 got = {embed[r] for r in image_roots}
                 want = set(want)
                 if l == k:
                     want.discard(a)
                 if got != want:
-                    return {"simple": a, "rank": l, "levels": chain.levels(),
+                    return {"simple": a, "rank": l,
+                            "levels": nonnesting.levels(rs, chain),
                             "image": sorted(got), "expected": sorted(want)}
         if set(images) != targets:
             return {"simple": a, "reason": "not onto",
@@ -301,11 +303,11 @@ def verify_phi(rs: RootSystem, k: int) -> dict | None:
         floors = set(report.floors)
         expected = {
             (r, i)
-            for i, roots in enumerate(nonnesting.indecomposables_by_rank(chain), 1)
+            for i, roots in enumerate(nonnesting.indecomposables_by_rank(rs, chain), 1)
             for r in roots
         }
         if floors != expected:
-            return {"levels": chain.levels(), "floors": sorted(floors),
+            return {"levels": nonnesting.levels(rs, chain), "floors": sorted(floors),
                     "indecomposables": sorted(expected)}
     return None
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from fct import nonnesting
 from fct.arrangement import (
     WallReport,
     _dominate,
@@ -148,6 +149,26 @@ def element_order(w) -> int:
         x = weyl.compose(x, w)
         m += 1
     return m
+
+
+def half_rotation_by_group(rs: RootSystem, sign: int, v: int) -> int:
+    """The half rotation of vertex v (``cluster.half_rotation``'s
+    encoding) through a group element: the product of the simple
+    reflections on the ``sign`` side, composed one at a time, applied to
+    the signed root index of v."""
+    from fct import weyl
+
+    w = weyl.identity(rs)
+    for i in range(rs.n):
+        if rs.bipartition[i] == sign:
+            w = weyl.compose(w, weyl.simple_reflection(rs, i))
+    if v < 0:
+        if rs.bipartition[-v - 1] != sign:
+            return v
+        image = -w.img[-v - 1]
+    else:
+        image = w.img[v]
+    return image - 1 if image > 0 else image
 
 
 @lru_cache(maxsize=None)
@@ -317,13 +338,12 @@ def down_masks_by_pairs(elements, ranks, leq) -> tuple:
     return tuple(out)
 
 
-def indecomposables_per_root(chain, l: int) -> frozenset:
+def indecomposables_per_root(rs: RootSystem, chain: tuple, l: int) -> frozenset:
     """Rank-l indecomposables of a chain, rerunning the height-order
     decomposition-rank program from scratch for every root it asks
     about and finding each extension root_r + beta by vector lookup."""
-    rs = chain.rs
-    k = chain.k
-    levels = chain.levels()
+    k = len(chain)
+    levels = nonnesting.levels(rs, chain)
 
     def decomposition_rank(root_idx):
         order = sorted(range(len(rs.positive_roots)), key=lambda r: rs.heights[r])
@@ -355,13 +375,12 @@ def indecomposables_per_root(chain, l: int) -> frozenset:
     return frozenset(out)
 
 
-def top_statistics(chain) -> tuple:
+def top_statistics(rs: RootSystem, chain: tuple) -> tuple:
     """(top indecomposables, simple ones) of a chain, one leaf at a time:
     a root of I_k counts unless some split root_a + root_b of it has
     level(a) + level(b) >= k."""
-    rs = chain.rs
-    k = chain.k
-    levels = chain.levels()
+    k = len(chain)
+    levels = nonnesting.levels(rs, chain)
     icnt = scnt = 0
     for r in range(len(rs.positive_roots)):
         if levels[r] < k:
@@ -372,11 +391,11 @@ def top_statistics(chain) -> tuple:
     return icnt, scnt
 
 
-def census_per_leaf(chains) -> dict:
+def census_per_leaf(rs: RootSystem, chains) -> dict:
     """Histogram of top_statistics over the given chains."""
     out = {}
     for chain in chains:
-        key = top_statistics(chain)
+        key = top_statistics(rs, chain)
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -515,24 +534,31 @@ def is_filter(rs: RootSystem, mask: int) -> bool:
     return True
 
 
-def is_geometric(chain) -> bool:
+def mask_at(rs: RootSystem, chain: tuple, i: int) -> int:
+    """I_i of a chain of filter masks, with I_0 = all roots and I_i = I_k
+    above k."""
+    if i <= 0:
+        return (1 << len(rs.positive_roots)) - 1
+    return chain[min(i, len(chain)) - 1]
+
+
+def is_geometric(rs: RootSystem, chain: tuple) -> bool:
     """Literal evaluation of both chain conditions on all index pairs,
     with the bitmasks of the chain's filters."""
-    rs = chain.rs
-    k = chain.k
+    k = len(chain)
     triples = rs.sum_triples
     full = (1 << len(rs.positive_roots)) - 1
     for i in range(0, k + 1):
         for j in range(0, k + 1):
-            x, y = chain.mask_at(i), chain.mask_at(j)
-            z = chain.mask_at(min(i + j, k))
+            x, y = mask_at(rs, chain, i), mask_at(rs, chain, j)
+            z = mask_at(rs, chain, min(i + j, k))
             for a, b, c in triples:
                 if not (z >> c) & 1:
                     if ((x >> a) & 1 and (y >> b) & 1) or ((x >> b) & 1 and (y >> a) & 1):
                         return False
             if i + j <= k:
                 jx, jy = full & ~x, full & ~y
-                jz = chain.mask_at(i + j)
+                jz = mask_at(rs, chain, i + j)
                 for a, b, c in triples:
                     if (jz >> c) & 1:
                         if ((jx >> a) & 1 and (jy >> b) & 1) or (
@@ -626,14 +652,15 @@ def levels_of_point(rs: RootSystem, k: int, point) -> tuple:
     return tuple(out)
 
 
-def full_system(region) -> list:
-    """Every strip row of the region, no row dropped: for each positive
-    root at level m, its lower row and, below level k, its upper row."""
+def full_system(rs: RootSystem, k: int, levels: tuple) -> list:
+    """Every strip row of the region with level vector ``levels``, no row
+    dropped: for each positive root at level m, its lower row and, below
+    level k, its upper row."""
     rows = []
-    for r, root in enumerate(region.rs.positive_roots):
-        m = region.levels[r]
+    for r, root in enumerate(rs.positive_roots):
+        m = levels[r]
         rows.append((root, m, True))
-        if m < region.k:
+        if m < k:
             rows.append((tuple(-c for c in root), -(m + 1), True))
     return rows
 
@@ -641,54 +668,53 @@ def full_system(region) -> list:
 def verify_disjoint(rs: RootSystem, k: int):
     """Feasibility, interior-point level recovery, and pairwise disjointness."""
     regions = regions_of(rs, k)
-    for region in regions:
-        point = interior_point(full_system(region), rs.n)
+    for levels in regions:
+        point = interior_point(full_system(rs, k, levels), rs.n)
         if point is None:
-            return False, {"levels": region.levels, "reason": "empty region"}
-        if levels_of_point(rs, k, point) != region.levels:
-            return False, {"levels": region.levels, "reason": "level mismatch"}
+            return False, {"levels": levels, "reason": "empty region"}
+        if levels_of_point(rs, k, point) != levels:
+            return False, {"levels": levels, "reason": "level mismatch"}
     for a in range(len(regions)):
         for b in range(a + 1, len(regions)):
-            joint = full_system(regions[a]) + full_system(regions[b])
+            joint = full_system(rs, k, regions[a]) + full_system(rs, k, regions[b])
             if feasible(joint, rs.n):
                 return False, {
-                    "levels": regions[a].levels,
-                    "other": regions[b].levels,
+                    "levels": regions[a],
+                    "other": regions[b],
                     "reason": "overlap",
                 }
     return True, None
 
 
-def constraint_for(region, r: int, colour: int):
+def constraint_for(rs: RootSystem, k: int, levels: tuple, r: int, colour: int):
     """The row of the region's system bounding root r's strip at colour."""
-    root = region.rs.positive_roots[r]
-    if colour == region.levels[r]:
+    root = rs.positive_roots[r]
+    if colour == levels[r]:
         return (root, colour, True)
-    if colour == region.levels[r] + 1 and colour <= region.k:
+    if colour == levels[r] + 1 and colour <= k:
         return (tuple(-c for c in root), -colour, True)
     raise UsageError("hyperplane does not bound this region's strip")
 
 
-def is_wall_by_fm(region, r: int, colour: int) -> bool:
+def is_wall_by_fm(rs: RootSystem, k: int, levels: tuple, r: int, colour: int) -> bool:
     """Whether the hyperplane of (r, colour) meets the closure of the
     region in a facet: its strip row becomes an equality, every other
     row stays strict."""
-    own = constraint_for(region, r, colour)
-    root = region.rs.positive_roots[r]
-    rows = [row for row in full_system(region) if row != own]
+    own = constraint_for(rs, k, levels, r, colour)
+    root = rs.positive_roots[r]
+    rows = [row for row in full_system(rs, k, levels) if row != own]
     rows.append((root, colour, False))
     rows.append((tuple(-c for c in root), -colour, False))
-    return feasible(rows, region.rs.n)
+    return feasible(rows, rs.n)
 
 
-def is_bounded_by_fm(region) -> bool:
+def is_bounded_by_fm(rs: RootSystem, k: int, levels: tuple) -> bool:
     """Triviality of the recession cone, one coordinate direction at a
     time, by Fourier-Motzkin."""
-    rs, k = region.rs, region.k
     cone = []
     for r, root in enumerate(rs.positive_roots):
         cone.append((root, 0, False))
-        if region.levels[r] < k:
+        if levels[r] < k:
             cone.append((tuple(-c for c in root), 0, False))
     for j in range(rs.n):
         for sign in (1, -1):
@@ -698,20 +724,20 @@ def is_bounded_by_fm(region) -> bool:
     return True
 
 
-def wall_report_by_fm(region) -> WallReport:
+def wall_report_by_fm(rs: RootSystem, k: int, levels: tuple) -> WallReport:
     """The wall report from one FM wall test per (root, colour) candidate
     and the FM cone test."""
     walls, floors, ceilings = [], [], []
-    for r in range(len(region.rs.positive_roots)):
-        m = region.levels[r]
-        for colour in [m] if m == region.k else [m, m + 1]:
-            if not is_wall_by_fm(region, r, colour):
+    for r in range(len(rs.positive_roots)):
+        m = levels[r]
+        for colour in [m] if m == k else [m, m + 1]:
+            if not is_wall_by_fm(rs, k, levels, r, colour):
                 continue
             walls.append((r, colour))
             if colour:
                 (floors if colour == m else ceilings).append((r, colour))
     return WallReport(
-        tuple(walls), tuple(floors), tuple(ceilings), is_bounded_by_fm(region)
+        tuple(walls), tuple(floors), tuple(ceilings), is_bounded_by_fm(rs, k, levels)
     )
 
 
@@ -740,6 +766,13 @@ class MaskedPoset:
         return tuple(out)
 
 
+def lower_covers(tables, a: int) -> tuple:
+    """Indices of the lower covers of element a of [1, c], read off the
+    ``covers`` table of ``noncrossing._interval_tables``."""
+    nref = len(tables.rs.positive_roots)
+    return tuple(u for u in tables.covers[a * nref:(a + 1) * nref] if u >= 0)
+
+
 @lru_cache(maxsize=None)
 def masked_nc_poset(rs: RootSystem, k: int) -> MaskedPoset:
     """The sequences of ``build_nc_poset`` with down and up masks.
@@ -756,7 +789,7 @@ def masked_nc_poset(rs: RootSystem, k: int) -> MaskedPoset:
     elems_seq, ranks = base.elements, base.ranks
     tables = _interval_tables(rs)
     lengths = tables.lengths
-    lower = [tables.lower(a) for a in range(len(tables))]
+    lower = [lower_covers(tables, a) for a in range(len(tables))]
     size = len(elems_seq)
     shortest_first = sorted(range(len(lengths)), key=lengths.__getitem__)
     slot_down = []
@@ -909,11 +942,9 @@ def multichain_counts_by_pairs(rs: RootSystem, j: int) -> tuple:
     return cur
 
 
-def simple_indecomposables(chain, l: int) -> frozenset:
+def simple_indecomposables(rs: RootSystem, chain: tuple, l: int) -> frozenset:
     """The rank-l indecomposables of a chain that are simple roots."""
-    from fct.nonnesting import indecomposables
-
-    return frozenset(r for r in indecomposables(chain, l) if r < chain.rs.n)
+    return frozenset(r for r in nonnesting.indecomposables(rs, chain, l) if r < rs.n)
 
 
 def h_vector(rs: RootSystem, k: int) -> tuple:

@@ -14,6 +14,7 @@ from oracles import (
     h_vector,
     is_filter,
     is_geometric,
+    mask_at,
     masked_nc_poset,
     verify_disjoint,
 )
@@ -132,10 +133,10 @@ def test_acceptance_8_structural_suites():
     for name, k in ARRANGEMENT_GRID + [("D4", 1), ("F4", 1)]:
         rs = rsys(name)
         for chain in nonnesting.enumerate_chains(rs, k):
-            assert is_geometric(chain)
-            masks = (chain.mask_at(0),) + chain.masks
+            assert is_geometric(rs, chain)
+            masks = (mask_at(rs, chain, 0),) + chain
             assert all(a | b == a for a, b in zip(masks, masks[1:]))
-            assert all(is_filter(rs, m) for m in chain.masks)
+            assert all(is_filter(rs, m) for m in chain)
 
     for name, k in GRID:
         rs = rsys(name)

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from fct.arrangement import (
-    Region,
     ceilings_poly,
     feasible,
+    irredundant_system,
     is_bounded,
     regions_of,
     wall_report,
@@ -20,6 +20,7 @@ from fct.nonnesting import (
     h_triangle,
     indecomposables,
     indecomposables_by_rank,
+    levels,
 )
 from fct.poly import BivarPoly, ceiling_specialization
 from fct.cluster import positive_h_poly
@@ -52,8 +53,8 @@ def test_feasible_toy_systems():
 def test_interior_point_satisfies_system():
     for name, k in SMALL:
         rs = rsys(name)
-        for region in regions_of(rs, k):
-            rows = full_system(region)
+        for lv in regions_of(rs, k):
+            rows = full_system(rs, k, lv)
             point = interior_point(rows, rs.n)
             for coeffs, rhs, strict in rows:
                 val = sum(Fraction(c) * p for c, p in zip(coeffs, point))
@@ -66,16 +67,16 @@ def test_regions_biject_with_chains():
         chains = enumerate_chains(rs, k)
         regions = regions_of(rs, k)
         assert len(regions) == len(chains)
-        for ch, region in zip(chains, regions):
-            assert region.levels == ch.levels()
+        for ch, lv in zip(chains, regions):
+            assert lv == levels(rs, ch)
 
 
 def test_interior_point_recovers_levels():
     for name, k in SMALL:
         rs = rsys(name)
-        for region in regions_of(rs, k):
-            point = interior_point(full_system(region), rs.n)
-            assert levels_of_point(rs, k, point) == region.levels
+        for lv in regions_of(rs, k):
+            point = interior_point(full_system(rs, k, lv), rs.n)
+            assert levels_of_point(rs, k, point) == lv
 
 
 def test_levels_of_point_rejects_hyperplane_points():
@@ -94,17 +95,17 @@ def test_regions_pairwise_disjoint():
 def test_a1_region_walls():
     rs = rsys("A1")
     low, high = regions_of(rs, 1)  # chains sorted: empty filter first
-    assert low.levels == (0,)
-    assert is_bounded(low)
-    rep = wall_report(low)
+    assert low == (0,)
+    assert is_bounded(rs, 1, low)
+    rep = wall_report(rs, 1, low)
     assert rep.walls == ((0, 0), (0, 1))
     assert rep.floors == ()
     assert rep.ceilings == ((0, 1),)
     assert rep.coloured_ceiling_count(1) == 1
 
-    assert high.levels == (1,)
-    assert not is_bounded(high)
-    rep = wall_report(high)
+    assert high == (1,)
+    assert not is_bounded(rs, 1, high)
+    rep = wall_report(rs, 1, high)
     assert rep.floors == ((0, 1),)
     assert rep.ceilings == ()
 
@@ -112,18 +113,19 @@ def test_a1_region_walls():
 def test_wall_detection_a2():
     rs = rsys("A2")
     # the region of the full filter chain has both simple walls at colour 1
-    full = [r for r in regions_of(rs, 1) if r.levels == (1, 1, 1)][0]
-    assert is_wall_by_fm(full, 0, 1)
-    assert is_wall_by_fm(full, 1, 1)
-    assert not is_wall_by_fm(full, 2, 1)  # the highest root hyperplane is implied
-    assert wall_report(full).floors == ((0, 1), (1, 1))
+    full = (1, 1, 1)
+    assert full in regions_of(rs, 1)
+    assert is_wall_by_fm(rs, 1, full, 0, 1)
+    assert is_wall_by_fm(rs, 1, full, 1, 1)
+    assert not is_wall_by_fm(rs, 1, full, 2, 1)  # the highest root hyperplane is implied
+    assert wall_report(rs, 1, full).floors == ((0, 1), (1, 1))
 
 
 def test_colour_zero_walls_are_neither_floor_nor_ceiling():
     for name, k in [("A2", 1), ("B2", 1), ("A2", 2)]:
         rs = rsys(name)
-        for region in regions_of(rs, k):
-            rep = wall_report(region)
+        for lv in regions_of(rs, k):
+            rep = wall_report(rs, k, lv)
             for r, colour in rep.floors + rep.ceilings:
                 assert colour >= 1
             for r, colour in rep.walls:
@@ -153,9 +155,9 @@ def test_floor_correspondence():
 def test_floors_literally_match_indecomposables():
     rs = rsys("B2")
     for ch in enumerate_chains(rs, 2):
-        rep = wall_report(Region(rs, 2, ch.levels()))
+        rep = wall_report(rs, 2, levels(rs, ch))
         for i in (1, 2):
-            expected = {(r, i) for r in indecomposables(ch, i)}
+            expected = {(r, i) for r in indecomposables(rs, ch, i)}
             got = {(r, c) for r, c in rep.floors if c == i}
             assert got == expected
 
@@ -191,7 +193,7 @@ def test_wall_reports_follow_chain_order():
         reports = wall_reports(rs, k)
         assert len(reports) == len(chains)
         for ch, rep in zip(chains, reports):
-            assert rep == wall_report(Region(rs, k, ch.levels()))
+            assert rep == wall_report(rs, k, levels(rs, ch))
 
 
 def test_wall_reports_match_fm_oracle():
@@ -202,8 +204,8 @@ def test_wall_reports_match_fm_oracle():
     systems = [(rsys(name), k) for name, k in cells]
     systems.append((relabelled(rsys("B3"), (1, 0, 2)), 2))
     for rs, k in systems:
-        for region, report in zip(regions_of(rs, k), wall_reports(rs, k)):
-            assert report == wall_report_by_fm(region), (str(rs.typespec), k)
+        for lv, report in zip(regions_of(rs, k), wall_reports(rs, k)):
+            assert report == wall_report_by_fm(rs, k, lv), (str(rs.typespec), k)
 
 
 def test_one_fm_test_per_kept_row(monkeypatch):
@@ -219,10 +221,10 @@ def test_one_fm_test_per_kept_row(monkeypatch):
     monkeypatch.setattr(fct.arrangement, "feasible", counting_feasible)
     for name, k in [("A3", 2), ("B3", 2), ("G2", 2)]:
         rs = rsys(name)
-        for region in regions_of(rs, k):
+        for lv in regions_of(rs, k):
             calls[0] = 0
-            wall_report(region)
-            assert calls[0] == len(region.irredundant_system()), (name, k, region.levels)
+            wall_report(rs, k, lv)
+            assert calls[0] == len(irredundant_system(rs, k, lv)), (name, k, lv)
 
 
 def _on_kept_row(rs, kept, wall) -> bool:
@@ -238,12 +240,12 @@ def _on_kept_row(rs, kept, wall) -> bool:
 def test_irredundant_rows_are_rows_of_the_system():
     for name, k in [("A3", 2), ("B3", 2), ("G2", 3)]:
         rs = rsys(name)
-        for region in regions_of(rs, k):
-            full = full_system(region)
-            kept = region.irredundant_system()
+        for lv in regions_of(rs, k):
+            full = full_system(rs, k, lv)
+            kept = irredundant_system(rs, k, lv)
             assert [row for row in full if row in kept] == kept
             # the full system's walls all survive the cut
-            for wall in wall_report(region).walls:
+            for wall in wall_report(rs, k, lv).walls:
                 assert _on_kept_row(rs, kept, wall), (name, k, wall)
 
 
@@ -254,15 +256,15 @@ def test_heaviest_e7_regions():
     rs = rsys("E7")
     chains = enumerate_chains(rs, 1)
     for i in (1160, 2072, 998, 1803):
-        region = Region(rs, 1, chains[i].levels())
-        report = wall_report(region)
+        lv = levels(rs, chains[i])
+        report = wall_report(rs, 1, lv)
         expected = {
             (r, l)
-            for l, roots in enumerate(indecomposables_by_rank(chains[i]), 1)
+            for l, roots in enumerate(indecomposables_by_rank(rs, chains[i]), 1)
             for r in roots
         }
         assert set(report.floors) == expected, i
-        kept = region.irredundant_system()
+        kept = irredundant_system(rs, 1, lv)
         for wall in report.walls:
             assert _on_kept_row(rs, kept, wall), (i, wall)
 
@@ -276,24 +278,25 @@ def test_regions_with_walls_are_the_nonempty_ones():
         rs = rsys(name)
         if not _applicable("pos", rs, k, "extended", only):
             continue
-        for region, report in zip(regions_of(rs, k), wall_reports(rs, k)):
-            assert feasible(region.irredundant_system(), rs.n), (name, k, region.levels)
-            assert report.walls, (name, k, region.levels)
+        for lv, report in zip(regions_of(rs, k), wall_reports(rs, k)):
+            assert feasible(irredundant_system(rs, k, lv), rs.n), (name, k, lv)
+            assert report.walls, (name, k, lv)
 
 
 def test_region_without_walls_raises():
     # t1 > 1, t2 > 1 and t1 + t2 < 1: no point, so no wall
     with pytest.raises(InternalInvariantError, match="empty region"):
-        wall_report(Region(rsys("A2"), 1, (1, 1, 0)))
+        wall_report(rsys("A2"), 1, (1, 1, 0))
 
 
 def test_fundamental_alcove_keeps_its_n_plus_1_rows():
-    """Region 0 at k = 1 is the fundamental alcove: the simple roots'
-    lower rows and the highest root's upper row imply every other row."""
+    """The region with every level 0 at k = 1 is the fundamental alcove:
+    the simple roots' lower rows and the highest root's upper row imply
+    every other row."""
     for name in ["A3", "B3", "C3", "D4", "F4", "G2", "E6", "E7"]:
         rs = rsys(name)
-        region = Region(rs, 1, (0,) * len(rs.positive_roots))
+        region = (0,) * len(rs.positive_roots)
         theta = rs.positive_roots[-1]
         alcove = [(root, 0, True) for root in rs.positive_roots[: rs.n]]
         alcove.append((tuple(-c for c in theta), -1, True))
-        assert region.irredundant_system() == alcove, name
+        assert irredundant_system(rs, 1, region) == alcove, name

@@ -472,6 +472,20 @@ def test_dump_nc_e7_bytes_are_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("dump nn --type E6 -k 2",
+     "7dd0763c0033a295b63c876a4bd5cca44d1757398afd540a9ad94a791e611b74"),
+    ("dump regions --type F4 -k 2",
+     "ce291a5ef12191b834b08e7d46875d0ebf506f35e3438cd184778af8ec2e2c86"),
+])
+def test_dump_nn_and_regions_bytes_are_pinned(capsys, argv, digest):
+    # the chain masks and level vectors past the brute-force oracles'
+    # reach, byte for byte
+    code, out, _ = run(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_internal_invariant_exits_3(capsys, monkeypatch):
     def boom(argv=None):
         raise InternalInvariantError("wedged")

@@ -19,7 +19,13 @@ from fct.nonnesting import enumerate_chains
 from fct.rootsys import fuss_catalan_number, parabolic
 
 from conftest import rsys, small_products
-from oracles import enumerate_faces, h_vector, positive_h_vector, relabelled
+from oracles import (
+    enumerate_faces,
+    h_vector,
+    half_rotation_by_group,
+    positive_h_vector,
+    relabelled,
+)
 
 GRID = [("A1", 3), ("A2", 1), ("A2", 2), ("B2", 2), ("A3", 2), ("G2", 2), ("B3", 1)]
 
@@ -39,6 +45,20 @@ def test_half_rotation_is_involution():
                 assert half_rotation(rs, sign, w) == v
     with pytest.raises(UsageError):
         half_rotation(rsys("A2"), 0, 0)
+
+
+def test_half_rotation_matches_the_group_element_product():
+    """The rotation read off the Cartan rows is the action of the product
+    of the simple reflections on one side, for both sides."""
+    names = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5",
+             "G2", "F4", "E6", "E7", "E8", "A1xB2", "B2xG2"]
+    for name in names:
+        rs = rsys(name)
+        for sign in (1, -1):
+            for v in range(-rs.n, len(rs.positive_roots)):
+                assert half_rotation(rs, sign, v) == half_rotation_by_group(
+                    rs, sign, v
+                ), (name, sign, v)
 
 
 def test_full_rotation_orbit_closes():

@@ -14,7 +14,6 @@ from fct.noncrossing import (
     enumerate_delta_sequences,
     m_triangle,
     narayana_number,
-    rank,
     sequence_count,
 )
 from fct.poly import BivarPoly
@@ -28,6 +27,7 @@ from oracles import (
     down_masks_by_pairs,
     interval_by_filtering,
     leq_rows_by_pairs,
+    lower_covers,
     m_triangle_by_moebius,
     masked_nc_poset,
     moebius,
@@ -85,7 +85,7 @@ def test_interval_tables_against_pairwise_oracles():
                 assert sorted(tables.pairs(u)[0]) == [
                     w for w in range(len(elems)) if (leq[w] >> u) & 1
                 ]
-                for a in tables.lower(u):
+                for a in lower_covers(tables, u):
                     assert lengths[a] == lengths[u] - 1 and (leq[a] >> u) & 1
 
 
@@ -103,7 +103,7 @@ def test_walk_and_pairs_against_rank_walk_and_composition():
         assert set(elems) == set(walk), rs.typespec
         assert all(tables.lengths[a] == w.length for a, w in enumerate(elems))
         for b, v in enumerate(elems):
-            assert {elems[a] for a in tables.lower(b)} == set(walk[v])
+            assert {elems[a] for a in lower_covers(tables, b)} == set(walk[v])
         pairs = pairs_by_composition(walk)
         listed = {
             (elems[w], elems[u]): elems[q]
@@ -131,8 +131,10 @@ def test_poset_masks_against_pairwise_oracle():
             assert set(seqs) == set(enumerate_delta_sequences(rs, k))
             position = {w: p for p, w in enumerate(interval_by_filtering(rs))}
             elems = absolute_interval(rs)
+            lengths = _interval_tables(rs).lengths
             keys = [
-                (rank(rs, s), [position[elems[a]] for a in s[1:]]) for s in seqs
+                (rs.n - lengths[s[0]], [position[elems[a]] for a in s[1:]])
+                for s in seqs
             ]
             assert keys == sorted(keys)
             down = down_masks_by_pairs(poset.elements, poset.ranks, leq)
@@ -162,11 +164,15 @@ def test_delta_sequences_counted_by_fuss_catalan():
 
 
 def test_rank_via_first_part():
+    """The rank n - l_T(d_0) read off the tables' lengths is the
+    group element's corank and the sum of the other parts' lengths."""
     rs = rsys("B2")
+    lengths = _interval_tables(rs).lengths
     elems = absolute_interval(rs)
     for seq in enumerate_delta_sequences(rs, 2):
-        assert rank(rs, seq) == rs.n - elems[seq[0]].length
-        assert rank(rs, seq) == sum(elems[a].length for a in seq[1:])
+        rank = rs.n - lengths[seq[0]]
+        assert rank == rs.n - elems[seq[0]].length
+        assert rank == sum(elems[a].length for a in seq[1:])
 
 
 def test_nc_json_matches_the_group_element_path():

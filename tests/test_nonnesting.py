@@ -3,7 +3,6 @@ import pytest
 from fct import kernels, nonnesting
 from fct.errors import ResourceLimitError, UsageError
 from fct.nonnesting import (
-    FilterChain,
     _decomposition_ranks,
     _subfilter_pair_count,
     _subfilters,
@@ -31,6 +30,7 @@ from oracles import (
     indecomposables_per_root,
     is_filter,
     is_geometric,
+    mask_at,
     relabelled,
     simple_indecomposables,
 )
@@ -81,7 +81,7 @@ def test_enumerate_chains_against_brute_force():
         rs = rsys(name)
         for k in range(1, kmax + 1):
             got = {
-                tuple(chain_root_sets(rs, ch.masks))
+                tuple(chain_root_sets(rs, ch))
                 for ch in enumerate_chains(rs, k)
             }
             assert got == brute_chains(rs, k), (name, k)
@@ -99,12 +99,12 @@ def test_chains_are_geometric_and_sorted():
     for name, k in [("A2", 2), ("B2", 2), ("G2", 2), ("A3", 2)]:
         rs = rsys(name)
         chains = enumerate_chains(rs, k)
-        masks = [ch.masks for ch in chains]
-        assert masks == sorted(masks)
-        assert len(set(masks)) == len(masks)
+        assert list(chains) == sorted(chains)
+        assert len(set(chains)) == len(chains)
         for ch in chains:
-            assert is_geometric(ch)
-            assert ch.mask_at(0) == (1 << len(rs.positive_roots)) - 1
+            assert is_geometric(rs, ch)
+            assert len(ch) == k
+            assert all(a | b == a for a, b in zip(ch, ch[1:]))
 
 
 def nested_chains(rs, k):
@@ -125,18 +125,14 @@ def test_wrapped_condition_is_redundant():
         rs = rsys(name)
         chains = {k: enumerate_chains(rs, k) for k in range(1, 5)}
         for k, found in chains.items():
-            masks = {ch.masks for ch in found}
+            masks = set(found)
             assert len(masks) == fuss_catalan_number(rs, k), (name, k)
-            assert all(is_geometric(ch) for ch in found), (name, k)
+            assert all(is_geometric(rs, ch) for ch in found), (name, k)
             if len(enumerate_filters(rs)) <= 20:
-                brute = {
-                    ch for ch in nested_chains(rs, k) if is_geometric(FilterChain(rs, ch))
-                }
+                brute = {ch for ch in nested_chains(rs, k) if is_geometric(rs, ch)}
                 assert masks == brute, (name, k)
             for m in range(1, k):
-                assert {ch[:m] for ch in masks} == {ch.masks for ch in chains[m]}, (
-                    name, k, m,
-                )
+                assert {ch[:m] for ch in masks} == set(chains[m]), (name, k, m)
 
 
 def test_h_triangles_match_per_k():
@@ -215,21 +211,21 @@ def test_chain_levels():
         roots = range(len(rs.positive_roots))
         chains = enumerate_chains(rs, k)
         for ch, row in zip(chains, chains_to_json(chains)):
-            levels = ch.levels()
+            levels = nonnesting.levels(rs, ch)
             for r in roots:
                 expected = max(
-                    [i for i in range(1, k + 1) if (ch.mask_at(i) >> r) & 1],
+                    [i for i in range(1, k + 1) if (mask_at(rs, ch, i) >> r) & 1],
                     default=0,
                 )
                 assert levels[r] == expected
-            assert row == [[r for r in roots if (m >> r) & 1] for m in ch.masks]
+            assert row == [[r for r in roots if (m >> r) & 1] for m in ch]
 
 
 def test_max_decomposition_rank_against_flat_search():
     for name, k in [("A2", 2), ("A2", 3), ("B2", 2), ("G2", 2)]:
         rs = rsys(name)
         for ch in enumerate_chains(rs, k):
-            levels = ch.levels()
+            levels = nonnesting.levels(rs, ch)
             best = _decomposition_ranks(rs, levels)
             for r in range(len(rs.positive_roots)):
                 assert best[r] == flat_decomposition_rank(rs, levels, r), (name, k, r)
@@ -241,9 +237,9 @@ def test_indecomposables_match_per_root_oracle():
         for k in (1, 2, 3):
             for ch in enumerate_chains(rs, k):
                 for l in range(1, k + 1):
-                    assert indecomposables(ch, l) == indecomposables_per_root(ch, l), (
-                        name, k, ch.masks, l,
-                    )
+                    assert indecomposables(rs, ch, l) == indecomposables_per_root(
+                        rs, ch, l
+                    ), (name, k, ch, l)
 
 
 def test_census_matches_literal_indecomposables():
@@ -252,7 +248,10 @@ def test_census_matches_literal_indecomposables():
         stats = chain_statistics(rs, k)
         literal = {}
         for ch in enumerate_chains(rs, k):
-            key = (len(indecomposables(ch, k)), len(simple_indecomposables(ch, k)))
+            key = (
+                len(indecomposables(rs, ch, k)),
+                len(simple_indecomposables(rs, ch, k)),
+            )
             literal[key] = literal.get(key, 0) + 1
         assert stats == literal, (name, k)
 
@@ -269,7 +268,7 @@ def test_h_triangle_anchor():
     # H(x, 1) from the cached triangle is the literal count over the chains
     literal = [0] * 4
     for ch in enumerate_chains(rs, 2):
-        literal[len(indecomposables(ch, 2))] += 1
+        literal[len(indecomposables(rs, ch, 2))] += 1
     assert hist == tuple(literal)
 
 
@@ -278,19 +277,20 @@ def test_restrict_extend_roundtrip():
         rs = rsys(name)
         for ch in enumerate_chains(rs, k):
             for a in range(rs.n):
-                if not (ch.masks[-1] >> a) & 1:
+                if not (ch[-1] >> a) & 1:
                     with pytest.raises(UsageError):
-                        restrict_chain(ch, a)
+                        restrict_chain(rs, ch, a)
                     continue
-                sub = restrict_chain(ch, a)
-                assert sub.rs is parabolic(rs, a)
-                assert is_geometric(sub)
+                sub = restrict_chain(rs, ch, a)
+                assert sub in enumerate_chains(parabolic(rs, a), k)
+                assert is_geometric(parabolic(rs, a), sub)
                 assert extend_chain(rs, sub, a) == ch
 
 
 def test_extend_chain_validates_parent():
     rs = rsys("A2")
-    ch = enumerate_chains(rs, 1)[0]
+    ch = enumerate_chains(rs, 1)[-1]
+    assert ch == (0b111,)  # the full filter: three roots, the parabolic A1 has one
     with pytest.raises(UsageError):
         extend_chain(rs, ch, 0)  # chain must live in the parabolic
 
@@ -324,11 +324,3 @@ def test_k_validation():
     with pytest.raises(UsageError):
         chain_statistics(rs, -1)
 
-
-def test_filterchain_equality_and_hash():
-    rs = rsys("A2")
-    chains = enumerate_chains(rs, 2)
-    again = FilterChain(rs, chains[0].masks)
-    assert again == chains[0]
-    assert hash(again) == hash(chains[0])
-    assert chains[0] != chains[1]
