@@ -3,13 +3,7 @@
 A dominant point is encoded by the vector t of its pairings with the
 simple roots, so the hyperplane at height i normal to a positive root
 with coefficient vector c becomes c.t = i and the whole arrangement is
-a finite list of integer linear constraints.  Every region question
-(walls, and with them nonemptiness; boundedness; disjointness) reduces
-to rational linear feasibility, which is decided by Fourier-Motzkin
-elimination.  Strict inequalities carry a flag standing for a single
-symbolic epsilon > 0; combining rows with positive multipliers keeps
-the flag meaningful, so no floating point or perturbation constants
-appear.
+a finite list of integer linear constraints.
 
 Each geometric chain determines one region: a root at level m lies in
 the open strip between heights m and m+1, or beyond height k when
@@ -17,46 +11,95 @@ m = k.  So a region is the level vector of its chain
 (``nonnesting.levels``), entry r the level of root r, and every
 function on regions takes the root system and k beside it.  Its full
 system has, for each positive root c at level m, the lower row c.t > m
-and, when m < k, the upper row c.t < m + 1.  Floors and ceilings of a
-region are its walls of positive colour, split by whether the origin
-sits on the far or near side.
+of colour m and, when m < k, the upper row c.t < m + 1 of colour
+m + 1.  A row is a wall when some point meets it with equality and
+every other row strictly, so that the closure of the region meets the
+row's hyperplane in a facet.  Floors and ceilings are the walls of
+positive colour from lower and upper rows: the origin sits on the far
+or near side.
 
-A region is nonempty exactly when it has a wall, so no separate test
-decides emptiness.  A wall point meets its own row with equality and
-every other row strictly, so a small step from it along that row's
-normal, into the row's open side, lies in the region.  Conversely, a
-nonempty open region is cut by at least one proper half-space (every
-root has a lower row), so it has a facet: a segment from a point of the
-region to a generic point outside it first leaves through one
-hyperplane alone, since distinct rows have distinct hyperplanes.
+For positive roots beta + gamma = alpha at levels m_beta, m_gamma,
+m_alpha, every point of a nonempty region gives the chain inequality
 
-Many rows of a region's full system follow from two others.  For positive
-roots alpha, beta, gamma at levels m, m_beta, m_gamma:
+    min(m_beta + m_gamma, k) <= m_alpha <= min(m_beta + m_gamma + 1, k),
 
-* the lower row alpha.t > m, where alpha = beta + gamma, follows from
-  beta.t > m_beta and gamma.t > m_gamma when m_beta + m_gamma >= m;
-* the upper row alpha.t < m + 1, where beta = alpha + gamma, follows
-  from beta.t < m_beta + 1 and gamma.t > m_gamma when beta lies below
-  level k (so that its upper row exists) and m_beta <= m + m_gamma, for
-  then alpha.t = beta.t - gamma.t < m_beta + 1 - m_gamma <= m + 1.
+since alpha.t = beta.t + gamma.t.  These are the conditions of a
+geometric chain (``nonnesting``) read on levels, and the region of a
+geometric chain is nonempty (Athanasiadis, Bull. London Math. Soc. 36,
+2004).  So a level vector belongs to a nonempty region exactly when it
+meets every chain inequality, and `wall_report` raises on one that
+does not.  Below, m meets them.
 
-`irredundant_system` drops every such row.  That keeps every
-face.  Make one row of the full system an equality and keep the others
-strict; the claim is that each dropped row other than the equality
-still holds strictly on the kept rows plus the equality.  Settle the
-lower rows first, by ascending height: the implying rows of a dropped
-lower row are the lower rows of beta and gamma, which are lower than
-alpha and distinct.  Then settle the upper rows, by descending height:
-the implying rows of a dropped upper row are the upper row of beta,
-which is higher than alpha, and the lower row of gamma, settled
-already.  Each implying row is the equality, which holds with >=, or a
-row that holds strictly (kept, or dropped and settled before).  At most
-one of the two is the equality, so their sum is strict.  Hence a face
-of the full system is nonempty exactly when the same face of the
-irredundant system is, and a dropped row is never a wall: with it as
-the equality, its implying rows force it strict.  So the walls are
-found among the kept rows alone, and a region is still nonempty exactly
-when one of them is a wall.
+Walls from the root sums.  Call the sum beta + gamma = alpha tight when
+m_alpha <= m_beta + m_gamma and loose otherwise; by the chain
+inequality a loose sum has m_alpha = m_beta + m_gamma + 1.  Each sum
+drops up to three rows, each the sum of two rows of the full system,
+which hold on the closure of the region:
+
+* tight: alpha's lower row, as alpha.t = beta.t + gamma.t >=
+  m_beta + m_gamma >= m_alpha; and when m_alpha < k, so that
+  m_alpha = m_beta + m_gamma, beta's upper row, as beta.t =
+  alpha.t - gamma.t <= m_alpha + 1 - m_gamma = m_beta + 1, and gamma's
+  likewise;
+* loose: alpha's upper row, as alpha.t <= (m_beta + 1) + (m_gamma + 1)
+  = m_alpha + 1, where beta and gamma lie below level k since
+  m_beta + m_gamma < m_alpha <= k; and beta's lower row, as beta.t =
+  alpha.t - gamma.t >= m_alpha - (m_gamma + 1) = m_beta, and gamma's
+  likewise.
+
+On the hyperplane of a dropped row the two summed rows must both be
+tight, so the closure meets that hyperplane inside the hyperplanes of
+two distinct positive roots, which are not proportional: a face of
+dimension at most n - 2.  So a dropped row is never a wall, in whatever
+order the rows are dropped.  (Read row by row, with the chain
+inequalities, the drops say: a lower row alpha.t > m falls when
+some beta + gamma = alpha has m_beta + m_gamma >= m, or some
+alpha + beta = gamma has m_beta < k and m_gamma - m_beta - 1 >= m; an
+upper row alpha.t < m + 1 falls when some alpha + gamma = beta has
+m_beta < k and m_beta <= m + m_gamma, or some beta + gamma = alpha has
+m_beta < k, m_gamma < k and m_beta + m_gamma + 1 <= m.)
+
+Every row that no sum drops is a wall, so no search runs:
+
+* Colour 0.  Only the lower row t_i > 0 of a simple root alpha_i at
+  level 0 can stay: any other root at level 0 is a tight sum.  It stays
+  exactly when m is s_i-invariant, m_(s_i beta) = m_beta for every
+  positive beta != alpha_i.  For the alpha_i-string through such a beta
+  is made of positive roots and s_i reverses it, and along it m steps up
+  by 0 or 1 (the chain inequality with m_(alpha_i) = 0); so m is
+  s_i-invariant on every string exactly when every step
+  beta + alpha_i = gamma is tight, that is when no loose sum drops the
+  row.  And such a row is a wall exactly when m is s_i-invariant.  Write
+  s_i t for the point with beta.(s_i t) = (s_i beta).t.  If m is
+  s_i-invariant and t lies in the region, p = (t + s_i t)/2 has
+  alpha_i.p = 0, and for beta != alpha_i, beta.p is the mean of beta.t
+  and (s_i beta).t, two values in the open strip of level m_beta; so p
+  meets every other row strictly.  Conversely a wall point p has
+  s_i p = p, so beta.p = (s_i beta).p lies in the open strips of levels
+  m_beta and m_(s_i beta), which are then equal.
+* Floors.  The lower row of a root alpha at level m >= 1 stays when
+  every sum beta + gamma = alpha is loose and no loose sum holds alpha.
+  Then alpha meets the three clauses of an indecomposable of rank m
+  (``nonnesting.indecomposables``).  A root below level k has its level
+  as maximal decomposition rank, by height, since each of its sums has
+  m_beta + m_gamma at most its level; so alpha's sums, all loose with
+  m_beta + m_gamma = m - 1, give it rank m and no split of rank m.  And
+  a sum alpha + beta = gamma with gamma at its decomposition rank t > m
+  and beta below level t - m would be loose.  The floors of colour m
+  are the hyperplanes of the rank-m indecomposables (Athanasiadis,
+  Trans. Amer. Math. Soc. 357, 2005), so the row is a floor.
+* Ceilings.  That every upper row left is a wall is not proved here;
+  Thiel (Electron. J. Combin. 21(4), 2014) studies the ceilings of the
+  arrangement.  The tests check it against Fourier-Motzkin region by
+  region (``tests/oracles.py``), and `pos`, `ceil` and `final` compare
+  the colour-k ceilings with the cluster and census sides.
+
+`feasible` decides rational linear feasibility of such rows by
+Fourier-Motzkin elimination.  Strict inequalities carry a flag standing
+for a single symbolic epsilon > 0; combining rows with positive
+multipliers keeps the flag meaningful, so no floating point or
+perturbation constants appear.  No request path runs it: it serves the
+test oracles and the benchmark's trace.
 """
 from __future__ import annotations
 
@@ -137,23 +180,6 @@ def feasible(rows, n: int) -> bool:
     return all(_zero_row_ok(r) for r in rows)
 
 
-def irredundant_system(rs: RootSystem, k: int, levels: tuple) -> list:
-    """The rows of the full system (module docstring) of the region with
-    level vector ``levels`` that neither rule drops, lower row before
-    upper row, roots in order.  No dropped row is a wall."""
-    extensions = nonnesting._extensions(rs)
-    rows = []
-    for r, root in enumerate(rs.positive_roots):
-        m = levels[r]
-        if not any(levels[a] + levels[b] >= m for a, b in rs.pair_lists[r]):
-            rows.append((root, m, True))
-        if m < k and not any(
-            levels[c] < k and levels[c] <= m + levels[g] for g, c in extensions[r]
-        ):
-            rows.append((tuple(-c for c in root), -(m + 1), True))
-    return rows
-
-
 def is_bounded(rs: RootSystem, k: int, levels: tuple) -> bool:
     """Whether no simple root is at level k.
 
@@ -188,61 +214,35 @@ class WallReport:
         return sum(1 for _, i in self.ceilings if i == colour)
 
 
-def _on_hyperplane(rows, equality: Row) -> list:
-    """The rows other than ``equality`` restricted to its hyperplane
-    e.t = b, in one variable fewer.
-
-    The variable j with the least nonzero |e_j| is substituted away:
-    t_j = (b - sum_{i != j} e_i t_i) / e_j, with each row scaled by
-    |e_j| > 0 so that it stays integral and keeps its direction.
-    """
-    e, b, _ = equality
-    j = min((i for i, v in enumerate(e) if v), key=lambda i: abs(e[i]))
-    scale = abs(e[j])
-    sign = 1 if e[j] > 0 else -1
-    out = []
-    for row in rows:
-        if row == equality:
-            continue
-        a, rhs, strict = row
-        f = sign * a[j]
-        coeffs = [scale * ai - f * ei for ai, ei in zip(a, e)]
-        del coeffs[j]
-        out.append((tuple(coeffs), scale * rhs - f * b, strict))
-    return out
-
-
 def wall_report(rs: RootSystem, k: int, levels: tuple) -> WallReport:
-    """Walls, floors and ceilings of the region with level vector ``levels``.
+    """Walls, floors and ceilings of the region with level vector
+    ``levels``: the rows of its full system that no root sum drops
+    (module docstring), lower row before upper row, roots in order.
 
-    Each row is one side of a strip: c.t > m with colour m, or
-    -c.t > -(m + 1) with colour m + 1.  It lies on a wall when the
-    system with that row made an equality, every other row staying
-    strict, is feasible: such a point is a relative-interior facet
-    point, so existence is exactly the affine-dimension n-1 condition.
-    Only the rows of the irredundant system are tested, each by one
-    Fourier-Motzkin run on the irredundant system restricted to the
-    row's hyperplane (n-1 variables): a dropped row is never a wall, and
-    the kept rows have the same faces as the full system (module
-    docstring).  The walls come in full-system order.  A region with no
-    wall is empty (module docstring), and that raises
-    InternalInvariantError: no chain gives an empty region.
+    Raises InternalInvariantError on a level vector that breaks a chain
+    inequality, whose region is empty: no chain gives one.
     """
-    kept = irredundant_system(rs, k, levels)
+    lower = [True] * len(levels)
+    upper = [m < k for m in levels]
+    for a, b, c in rs.sum_triples:
+        s, m = levels[a] + levels[b], levels[c]
+        if min(s, k) <= m <= s:  # tight
+            lower[c] = False
+            if m < k:
+                upper[a] = upper[b] = False
+        elif m == s + 1:  # loose
+            upper[c] = lower[a] = lower[b] = False
+        else:
+            raise InternalInvariantError("level vector of an empty region")
     walls, floors, ceilings = [], [], []
-    for row in kept:
-        if not feasible(_on_hyperplane(kept, row), rs.n - 1):
-            continue
-        coeffs, rhs, _ = row
-        lower = rhs >= 0
-        root = coeffs if lower else tuple(-c for c in coeffs)
-        wall = (rs.root_index[root], abs(rhs))
-        walls.append(wall)
-        if rhs == 0:
-            continue
-        (floors if lower else ceilings).append(wall)
-    if not walls:
-        raise InternalInvariantError("chain produced an empty region")
+    for r, m in enumerate(levels):
+        if lower[r]:
+            walls.append((r, m))
+            if m:
+                floors.append(walls[-1])
+        if upper[r]:
+            walls.append((r, m + 1))
+            ceilings.append(walls[-1])
     return WallReport(
         tuple(walls), tuple(floors), tuple(ceilings), is_bounded(rs, k, levels)
     )
@@ -260,8 +260,9 @@ def regions_of(rs: RootSystem, k: int) -> tuple:
 def wall_reports(rs: RootSystem, k: int) -> tuple:
     """One WallReport per geometric chain, in `enumerate_chains` order.
 
-    `wall_report` raises on a region with no wall, so every region is
-    checked nonempty on the way (module docstring).
+    `wall_report` raises on a level vector that breaks a chain
+    inequality, so every region is checked nonempty on the way (module
+    docstring).
     """
     return tuple(wall_report(rs, k, levels) for levels in regions_of(rs, k))
 

@@ -236,9 +236,11 @@ def _interval_tables(rs: RootSystem) -> Interval:
     children = [[] for _ in range(size)]
     for q in range(1, size):
         children[parent[q]].append((q, key[q]))
-    start = array("i", [0])
-    low = array("i")
-    quot = array("i")
+    pairs = fuss_catalan_number(rs, 2)
+    start = array("i", bytes(4 * (size + 1)))
+    low = array("i", bytes(4 * pairs))
+    quot = array("i", bytes(4 * pairs))
+    end = 0
     for u in range(size):
         ws = [u]
         qs = [0]
@@ -249,12 +251,15 @@ def _interval_tables(rs: RootSystem) -> Interval:
                 if x >= 0:
                     ws.append(x)
                     qs.append(child)
-        low.extend(ws)
-        quot.extend(qs)
-        start.append(len(low))
-    if len(low) != fuss_catalan_number(rs, 2):
+        # a slice past the end would grow the arrays, and end would then
+        # overshoot FC(W, 2)
+        low[end:end + len(ws)] = array("i", ws)
+        quot[end:end + len(qs)] = array("i", qs)
+        end += len(ws)
+        start[u + 1] = end
+    if end != pairs:
         raise InternalInvariantError(
-            f"[1, c] of {rs.typespec} has {len(low)} comparable pairs, not FC(W, 2)"
+            f"[1, c] of {rs.typespec} has {end} comparable pairs, not FC(W, 2)"
         )
     comp = array("i", bytes(4 * size))
     for w, q in zip(low[start[size - 1]:], quot[start[size - 1]:]):

@@ -153,18 +153,18 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
     sorted lexicographically.
 
     Bounded before any work by the larger of the exact chain count (the
-    Fuss-Catalan number) and the number of filter pairs that the
-    subfilter table for k >= 2 may hold.
+    Fuss-Catalan number) and, for k >= 2, the exact number of pairs that
+    the subfilter table holds.
     """
     if k < 1:
         raise UsageError("k must be a positive integer")
-    predicted = max(
-        fuss_catalan_number(rs, k), len(enumerate_filters(rs)) ** min(k, 2)
-    )
+    predicted = fuss_catalan_number(rs, k)
+    if k >= 2 and predicted <= ENUMERATION_LIMIT:
+        predicted = max(predicted, _subfilter_pair_count(rs))
     if predicted > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"chain enumeration for {rs.typespec}, k={k} predicts {predicted} "
-            f"chains or filter pairs, more than the bound {ENUMERATION_LIMIT}"
+            f"chains or subfilter pairs, more than the bound {ENUMERATION_LIMIT}"
         )
     filters, subs, full = _chain_data(rs, k)
     return tuple(kernels.nn_chains(filters, subs, rs.sum_triples, k, full))

@@ -741,6 +741,88 @@ def wall_report_by_fm(rs: RootSystem, k: int, levels: tuple) -> WallReport:
     )
 
 
+def cut_system(rs: RootSystem, k: int, levels: tuple) -> list:
+    """The rows of `full_system` that neither of two rules drops, lower
+    row before upper row, roots in order.  For positive roots alpha,
+    beta, gamma at levels m, m_beta, m_gamma:
+
+    * the lower row alpha.t > m, where alpha = beta + gamma, follows from
+      beta.t > m_beta and gamma.t > m_gamma when m_beta + m_gamma >= m;
+    * the upper row alpha.t < m + 1, where beta = alpha + gamma, follows
+      from beta.t < m_beta + 1 and gamma.t > m_gamma when beta lies below
+      level k (so that its upper row exists) and m_beta <= m + m_gamma.
+
+    The cut keeps every face.  Make one row of the full system an
+    equality and keep the others strict; each dropped row other than the
+    equality still holds strictly on the kept rows plus the equality.
+    Settle the lower rows first, by ascending height: the implying rows
+    of a dropped lower row are the lower rows of beta and gamma, which
+    are lower than alpha and distinct.  Then settle the upper rows, by
+    descending height: the implying rows of a dropped upper row are the
+    upper row of beta, which is higher than alpha, and the lower row of
+    gamma, settled already.  Each implying row is the equality, which
+    holds with >=, or a row that holds strictly (kept, or dropped and
+    settled before).  At most one of the two is the equality, so their
+    sum is strict.  Hence a face of the full system is nonempty exactly
+    when the same face of the cut system is, and a dropped row is never
+    a wall: with it as the equality, its implying rows force it strict.
+    """
+    above = [[] for _ in rs.positive_roots]  # entry r: (gamma, beta), r + gamma = beta
+    for r, pairs in enumerate(rs.pair_lists):
+        for a, b in pairs:
+            above[a].append((b, r))
+            if a != b:
+                above[b].append((a, r))
+    rows = []
+    for r, root in enumerate(rs.positive_roots):
+        m = levels[r]
+        if not any(levels[a] + levels[b] >= m for a, b in rs.pair_lists[r]):
+            rows.append((root, m, True))
+        if m < k and not any(
+            levels[b] < k and levels[b] <= m + levels[g] for g, b in above[r]
+        ):
+            rows.append((tuple(-c for c in root), -(m + 1), True))
+    return rows
+
+
+def _on_hyperplane(rows, equality) -> list:
+    """The rows other than ``equality`` restricted to its hyperplane
+    e.t = b, in one variable fewer.
+
+    The variable j with the least nonzero |e_j| is substituted away:
+    t_j = (b - sum_{i != j} e_i t_i) / e_j, with each row scaled by
+    |e_j| > 0 so that it stays integral and keeps its direction.
+    """
+    e, b, _ = equality
+    j = min((i for i, v in enumerate(e) if v), key=lambda i: abs(e[i]))
+    scale = abs(e[j])
+    sign = 1 if e[j] > 0 else -1
+    out = []
+    for row in rows:
+        if row == equality:
+            continue
+        a, rhs, strict = row
+        f = sign * a[j]
+        coeffs = [scale * ai - f * ei for ai, ei in zip(a, e)]
+        del coeffs[j]
+        out.append((tuple(coeffs), scale * rhs - f * b, strict))
+    return out
+
+
+def walls_by_fm_on_cut(rs: RootSystem, k: int, levels: tuple) -> tuple:
+    """The walls (root index, colour) of the region, in full-system
+    order: each row of `cut_system` whose equality, with every other
+    kept row strict, Fourier-Motzkin finds feasible in n - 1 variables."""
+    kept = cut_system(rs, k, levels)
+    walls = []
+    for row in kept:
+        if feasible(_on_hyperplane(kept, row), rs.n - 1):
+            coeffs, rhs, _ = row
+            root = coeffs if rhs >= 0 else tuple(-c for c in coeffs)
+            walls.append((rs.root_index[root], abs(rhs)))
+    return tuple(walls)
+
+
 @dataclass(frozen=True, eq=False)
 class MaskedPoset:
     """The delta-sequence poset with slotwise order stored as bitmasks.

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from fct import arrangement, cli
 from fct.arrangement import (
     ceilings_poly,
     feasible,
-    irredundant_system,
     is_bounded,
     regions_of,
     wall_report,
@@ -22,11 +22,13 @@ from fct.nonnesting import (
     indecomposables_by_rank,
     levels,
 )
+from fct.weyl import simple_reflection
 from fct.poly import BivarPoly, ceiling_specialization
 from fct.cluster import positive_h_poly
 
 from conftest import rsys
 from oracles import (
+    cut_system,
     full_system,
     interior_point,
     is_bounded_by_fm,
@@ -35,6 +37,7 @@ from oracles import (
     relabelled,
     verify_disjoint,
     wall_report_by_fm,
+    walls_by_fm_on_cut,
 )
 
 SMALL = [("A1", 1), ("A1", 2), ("A2", 1), ("A2", 2), ("B2", 1), ("B2", 2), ("G2", 1)]
@@ -163,21 +166,19 @@ def test_floors_literally_match_indecomposables():
 
 
 def test_wall_reports_built_once_per_cell(monkeypatch):
-    import fct.arrangement
-
     calls = [0]
-    fm = fct.arrangement.feasible
+    build = arrangement.wall_report
 
-    def counting_feasible(rows, n):
+    def counting_wall_report(rs, k, levels):
         calls[0] += 1
-        return fm(rows, n)
+        return build(rs, k, levels)
 
-    monkeypatch.setattr(fct.arrangement, "feasible", counting_feasible)
+    monkeypatch.setattr(arrangement, "wall_report", counting_wall_report)
     rs = rsys("B3")
     wall_reports.cache_clear()
     wall_reports(rs, 2)
     one_build = calls[0]
-    assert one_build > 0
+    assert one_build == len(regions_of(rs, 2))
     wall_reports.cache_clear()
     calls[0] = 0
     for identity in ("pos", "ceil", "phi"):
@@ -208,25 +209,6 @@ def test_wall_reports_match_fm_oracle():
             assert report == wall_report_by_fm(rs, k, lv), (str(rs.typespec), k)
 
 
-def test_one_fm_test_per_kept_row(monkeypatch):
-    import fct.arrangement
-
-    calls = [0]
-    fm = fct.arrangement.feasible
-
-    def counting_feasible(rows, n):
-        calls[0] += 1
-        return fm(rows, n)
-
-    monkeypatch.setattr(fct.arrangement, "feasible", counting_feasible)
-    for name, k in [("A3", 2), ("B3", 2), ("G2", 2)]:
-        rs = rsys(name)
-        for lv in regions_of(rs, k):
-            calls[0] = 0
-            wall_report(rs, k, lv)
-            assert calls[0] == len(irredundant_system(rs, k, lv)), (name, k, lv)
-
-
 def _on_kept_row(rs, kept, wall) -> bool:
     """Whether the wall (root index, colour) lies on a kept row, lower
     or upper."""
@@ -242,7 +224,7 @@ def test_irredundant_rows_are_rows_of_the_system():
         rs = rsys(name)
         for lv in regions_of(rs, k):
             full = full_system(rs, k, lv)
-            kept = irredundant_system(rs, k, lv)
+            kept = cut_system(rs, k, lv)
             assert [row for row in full if row in kept] == kept
             # the full system's walls all survive the cut
             for wall in wall_report(rs, k, lv).walls:
@@ -251,8 +233,8 @@ def test_irredundant_rows_are_rows_of_the_system():
 
 def test_heaviest_e7_regions():
     """The E7 k=1 regions whose wall tests took longest on the full
-    system: floors are the indecomposables, and every wall is a kept
-    row."""
+    system: floors are the indecomposables, every wall is a row of the
+    cut system, and Fourier-Motzkin finds the same walls."""
     rs = rsys("E7")
     chains = enumerate_chains(rs, 1)
     for i in (1160, 2072, 998, 1803):
@@ -264,22 +246,30 @@ def test_heaviest_e7_regions():
             for r in roots
         }
         assert set(report.floors) == expected, i
-        kept = irredundant_system(rs, 1, lv)
+        kept = cut_system(rs, 1, lv)
         for wall in report.walls:
             assert _on_kept_row(rs, kept, wall), (i, wall)
+        assert report.walls == walls_by_fm_on_cut(rs, 1, lv), i
+
+
+def _arrangement_cells():
+    """The cells (name, k, only) where `grid extended` runs the
+    arrangement identities."""
+    return [
+        (name, k, only)
+        for name, k, only in _grid_cells("extended")
+        if _applicable("pos", rsys(name), k, "extended", only)
+    ]
 
 
 def test_regions_with_walls_are_the_nonempty_ones():
     """The direct emptiness test agrees with the wall search: on every
     cell where `grid extended` runs the arrangement identities, FM finds
-    each region's irredundant system feasible, and each region has a
-    wall."""
-    for name, k, only in _grid_cells("extended"):
+    each region's cut system feasible, and each region has a wall."""
+    for name, k, _ in _arrangement_cells():
         rs = rsys(name)
-        if not _applicable("pos", rs, k, "extended", only):
-            continue
         for lv, report in zip(regions_of(rs, k), wall_reports(rs, k)):
-            assert feasible(irredundant_system(rs, k, lv), rs.n), (name, k, lv)
+            assert feasible(cut_system(rs, k, lv), rs.n), (name, k, lv)
             assert report.walls, (name, k, lv)
 
 
@@ -292,11 +282,61 @@ def test_region_without_walls_raises():
 def test_fundamental_alcove_keeps_its_n_plus_1_rows():
     """The region with every level 0 at k = 1 is the fundamental alcove:
     the simple roots' lower rows and the highest root's upper row imply
-    every other row."""
-    for name in ["A3", "B3", "C3", "D4", "F4", "G2", "E6", "E7"]:
+    every other row, and they are its walls."""
+    for name in ["A3", "B3", "C3", "D4", "F4", "G2", "E6", "E7", "E8"]:
         rs = rsys(name)
         region = (0,) * len(rs.positive_roots)
-        theta = rs.positive_roots[-1]
+        top = len(rs.positive_roots) - 1
+        theta = rs.positive_roots[top]
         alcove = [(root, 0, True) for root in rs.positive_roots[: rs.n]]
         alcove.append((tuple(-c for c in theta), -1, True))
-        assert irredundant_system(rs, 1, region) == alcove, name
+        assert cut_system(rs, 1, region) == alcove, name
+        walls = tuple((i, 0) for i in range(rs.n)) + ((top, 1),)
+        assert wall_report(rs, 1, region).walls == walls, name
+
+
+def test_wall_reports_match_the_cut_fm_oracle():
+    """Every region of the `grid extended` arrangement cells, E6 k=1
+    among them: the walls read off the level vector are those that
+    Fourier-Motzkin finds among the rows of the cut system."""
+    cells = [(name, k) for name, k, _ in _arrangement_cells()]
+    assert ("E6", 1) in cells
+    for name, k in cells:
+        rs = rsys(name)
+        for lv, report in zip(regions_of(rs, k), wall_reports(rs, k)):
+            assert report.walls == walls_by_fm_on_cut(rs, k, lv), (name, k, lv)
+
+
+def test_colour_zero_walls_are_the_reflection_invariant_regions():
+    """t_i = 0 is a wall exactly when alpha_i is at level 0 and the level
+    vector is invariant under the simple reflection s_i."""
+    for name, k in [("A3", 2), ("B3", 2), ("C3", 2), ("G2", 3), ("D4", 2), ("F4", 1)]:
+        rs = rsys(name)
+        images = [
+            [abs(s) - 1 for s in simple_reflection(rs, i).img] for i in range(rs.n)
+        ]
+        for lv in regions_of(rs, k):
+            walls = set(wall_report(rs, k, lv).walls)
+            for i, image in enumerate(images):
+                invariant = lv[i] == 0 and all(
+                    lv[image[b]] == lv[b] for b in range(len(lv)) if b != i
+                )
+                assert ((i, 0) in walls) == invariant, (name, k, lv, i)
+
+
+def test_arrangement_requests_run_no_fm(monkeypatch, capsys):
+    def no_fm(*args):
+        raise AssertionError("a Fourier-Motzkin run")
+
+    monkeypatch.setattr(arrangement, "feasible", no_fm)
+    wall_reports.cache_clear()
+    for name, k, only in _arrangement_cells():
+        rs = rsys(name)
+        for identity in ("pos", "ceil", "final", "phi"):
+            if not _applicable(identity, rs, k, "extended", only):
+                continue
+            result = run_identity(identity, rs, k)
+            assert result.ok, result.line()
+        assert cli.main(["dump", "regions", "--type", name, "-k", str(k)]) == 0
+    capsys.readouterr()
+    wall_reports.cache_clear()

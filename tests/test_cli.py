@@ -278,12 +278,12 @@ def test_resource_bound_exits_4(capsys, monkeypatch):
 
 
 def test_out_of_memory_exits_4(capsys, monkeypatch):
-    # MemoryError is what Fourier-Motzkin or the compiled core's allocation
-    # checks raise; in grid the worker sends it back to the parent
+    # MemoryError is what any allocation, or the compiled core's allocation
+    # checks, raise; in grid the worker sends it back to the parent
     def no_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(arrangement, "feasible", no_memory)
+    monkeypatch.setattr(arrangement, "wall_report", no_memory)
     for argv in (
         ["verify", "pos", "--type", "A2", "-k", "1"],
         ["grid", "acceptance", "--quiet"],
@@ -439,19 +439,18 @@ def test_dump_nc_past_sequence_bound_exits_4(capsys, monkeypatch):
 
 
 def test_arrangement_past_listing_bound_exits_4(capsys, monkeypatch):
-    # E7 at k = 2 predicts 4160^2 = 17 305 600 filter pairs.  The listing
-    # bound is all that keeps the Fourier-Motzkin wall tests, which have
-    # no bound of their own, from running on E7 k = 2 regions.
-    def no_fm(*args):
-        raise AssertionError("a Fourier-Motzkin wall test ran")
+    # listing the E8 chains at k = 2 would read a subfilter table of
+    # 198 348 320 pairs of filters, counted before the table is built
+    def no_table(*args):
+        raise AssertionError("the subfilter table was built")
 
-    monkeypatch.setattr(arrangement, "feasible", no_fm)
+    monkeypatch.setattr(nonnesting, "_subfilters", no_table)
     for command in (["verify", "phi"], ["verify", "pos"], ["dump", "regions"]):
-        monkeypatch.setattr(sys, "argv", ["fct", *command, "--type", "E7", "-k", "2"])
+        monkeypatch.setattr(sys, "argv", ["fct", *command, "--type", "E8", "-k", "2"])
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == 4, command
-        assert "17305600 chains or filter pairs" in capsys.readouterr().err
+        assert "198348320 chains or subfilter pairs" in capsys.readouterr().err
 
 
 def test_dump_nc_b4_bytes_match_the_reference(capsys):
