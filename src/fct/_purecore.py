@@ -1,10 +1,12 @@
 """Pure Python compute kernels.
 
-These are the reference implementations of the hot loops; fct._fastcore
-provides compiled equivalents with identical observable behaviour for
-every kernel but nn_census_family (see fct.kernels).  The pure versions
-accept arbitrary sizes (bitmasks are plain integers), the compiled ones
-are limited to machine words and are selected per call in fct.kernels.
+Every request runs these but the clique census, which fct.kernels sends
+to the compiled core (fct._fastcore) when it is built and the graph
+fits; bitmasks are plain integers, so these accept any size.  Chain
+listing (``nn_chains``) and the census (``nn_census_family``) are one
+walk, ``_walk``.  The compiled core also keeps nn_chains, nn_census
+(one entry of the census), int_rank and weyl_closure, which only the
+tests and the benchmark's kernel probe call.
 
 ``gauss_jordan`` is the one integer row elimination; rank, determinant,
 adjugate and kernel are read off it.  The compiled core keeps its own
@@ -175,34 +177,49 @@ def _walk(filters, subs, triples, k, full, leaf=None):
     """
     nf = len(filters)
     width = full.bit_length()
-    bits = [(1 << a, 1 << b, 1 << c) for a, b, c in triples]
     keep = [full | f << width for f in filters]
     viol = [(full & ~f) | f << width for f in filters]
 
     class Row(dict):
         """Row x of the pair sums: row[y] = (I_x + I_y) | (J_x + J_y) << R,
-        computed on first use."""
+        computed on first use as the union over the roots b of plus[b] =
+        (I_x + b, (J_x + b) << R), read at b in I_y, resp. in J_y."""
 
-        __slots__ = ("fx", "jx")
+        __slots__ = ("plus",)
+
+        def __init__(self, fx):
+            plus = [[0, 0] for _ in range(width)]
+            for a, b, c in triples:
+                plus[b][not fx >> a & 1] |= 1 << c
+                plus[a][not fx >> b & 1] |= 1 << c
+            self.plus = [(i, j << width) for i, j in plus]
 
         def __missing__(self, y):
-            fx, jx = self.fx, self.jx
             fy = filters[y]
-            jy = full & ~fy
-            s = t = 0
-            for ba, bb, bc in bits:
-                if (fx & ba and fy & bb) or (fx & bb and fy & ba):
-                    s |= bc
-                if (jx & ba and jy & bb) or (jx & bb and jy & ba):
-                    t |= bc
-            out = self[y] = s | t << width
+            out = 0
+            for b, (i, j) in enumerate(self.plus):
+                out |= i if fy >> b & 1 else j
+            self[y] = out
             return out
 
-    rows = []
-    for f in filters:
-        row = Row()
-        row.fx, row.jx = f, full & ~f
-        rows.append(row)
+    class Rows(dict):
+        def __missing__(self, x):
+            return self.setdefault(x, Row(filters[x]))
+
+    rows = Rows()
+    both = [(1 << a | 1 << b, 1 << c) for a, b, c in triples]
+
+    def square(x):
+        """rows[x][x] without building row x, for depth 1, where each
+        filter is looked up once."""
+        f = filters[x]
+        s = t = 0
+        for ab, c in both:
+            if f & ab == ab:
+                s |= c
+            elif not f & ab:
+                t |= c
+        return s | t << width
 
     def group(key):
         bounds = key // nf
@@ -228,7 +245,7 @@ def _walk(filters, subs, triples, k, full, leaf=None):
         for g in cands:
             idx[m] = g
             # I_1 + I_m is the only term of the children's bounds that involves g
-            sums = rows[first if m > 1 else g][g]
+            sums = rows[first][g] if m > 1 else square(g)
             child = ((part | sums) & keep[g]) * nf + g
             counts[child] = counts.get(child, 0) + 1
             if deeper:
@@ -284,15 +301,15 @@ def nn_census_family(filters, subs, triples, k, full, n_simple):
     for a, b, c in triples:
         up[a] |= 1 << c
         up[b] |= 1 << c
+    # above[f] = Phi+ + f = above[f - low] | up[low]: the lowest root of f
+    # is minimal in it (roots come in height order), so f - low is an
+    # earlier filter
+    above = {}
     free = []
     for f in filters:
-        above = 0
-        m = f
-        while m:
-            low = m & -m
-            above |= up[low.bit_length() - 1]
-            m ^= low
-        free.append(f & ~above)
+        low = f & -f
+        a = above[f] = above[f ^ low] | up[low.bit_length() - 1] if f else 0
+        free.append(f & ~a)
     simple = (1 << n_simple) - 1
     nf = len(filters)
     hists = {}
@@ -316,12 +333,8 @@ def nn_census_family(filters, subs, triples, k, full, n_simple):
 
 
 def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
-    """Histogram of geometric chains of k filters by their top-rank
-    statistics: nn_census_family's entry for k.
-
-    ``pair_lists`` and ``nroots`` are the compiled kernel's inputs and
-    are not read here.
-    """
+    """nn_census_family's entry for k, in the compiled kernel's
+    signature (``pair_lists`` and ``nroots`` are not read)."""
     if k < 1:
         return {(0, 0): 1}
     return nn_census_family(filters, subs, triples, k, full, n_simple)[k - 1]

@@ -280,7 +280,8 @@ def ceilings_poly(rs: RootSystem, k: int) -> BivarPoly:
 
 def regions_json(rs: RootSystem, k: int) -> list:
     out = []
-    for levels, report in zip(regions_of(rs, k), wall_reports(rs, k)):
+    for levels in regions_of(rs, k):
+        report = wall_report(rs, k, levels)
         out.append(
             {
                 "levels": list(levels),

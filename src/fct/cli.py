@@ -242,6 +242,9 @@ def entry() -> None:
     except MemoryError:
         print("fct: resource bound exceeded: out of memory", file=sys.stderr)
         code = 4
+    except RecursionError:  # the chain walk recurses once per filter of a chain
+        print("fct: resource bound exceeded: recursion too deep", file=sys.stderr)
+        code = 4
     except InternalInvariantError as exc:
         print(f"fct: internal invariant violated: {exc}", file=sys.stderr)
         code = 3

@@ -302,18 +302,25 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
         zeroth[v] = w
     out = []
     slots = [0] * k
-
-    def descend(slot: int, top: int, head: int) -> None:
-        if slot == 0:
-            slots[0] = top
-            out.append((head, *slots))
-            return
-        for w, q in zip(*tables.pairs(top)):
-            slots[slot] = q
-            descend(slot - 1, w, head)
-
-    for v in range(len(tables)):
-        descend(k - 1, v, zeroth[v])
+    for v, head in enumerate(zeroth):
+        if k == 1:
+            out.append((head, v))
+            continue
+        # stack[-1] runs over the pairs (w, d_slot) below v_slot, slot =
+        # k - len(stack): a loop, so k may pass the recursion limit
+        stack = [zip(*tables.pairs(v))]
+        while stack:
+            slot = k - len(stack)
+            for w, q in stack[-1]:
+                slots[slot] = q
+                if slot == 1:
+                    slots[0] = w
+                    out.append((head, *slots))
+                else:
+                    stack.append(zip(*tables.pairs(w)))
+                    break
+            else:
+                stack.pop()
     return tuple(out)
 
 

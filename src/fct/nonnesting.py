@@ -22,8 +22,10 @@ lies in I_i + I_{j'}, and that in I_i + I_{j'-1}, which lies in I_k by
 the condition for the pair (i, j' - 1), since i + j' - 1 = k (by upward
 closure if j' = 1).  Hence the chains of m filters that a walk to depth
 K >= m accepts at depth m are exactly the geometric m-chains, and one
-walk to depth K visits every chain of every k <= K
-(``h_triangles``).
+walk to depth K visits every chain of every k <= K.  So there is one
+census, ``chain_statistics``, whose walk to depth k gives the H-triangle
+at every k' <= k (``h_triangles``), and ``h_triangle`` reads its last
+entry; chain listing runs the same walk (``kernels.nn_chains``).
 """
 from __future__ import annotations
 
@@ -205,20 +207,17 @@ def _require_census_bound(rs: RootSystem, k: int) -> None:
         )
 
 
-def chain_statistics(rs: RootSystem, k: int) -> dict:
-    """Histogram (top indecomposables, simple ones) -> number of chains."""
+def chain_statistics(rs: RootSystem, k: int) -> tuple:
+    """Entry k' - 1: the histogram (top indecomposables, simple ones) ->
+    number of chains of k' filters, for k' = 1..k, from one census walk
+    to depth k.
+
+    The walk visits every geometric chain of at most k filters once, so
+    it is bounded by their exact number before it starts.
+    """
     _require_census_bound(rs, k)
     filters, subs, full = _chain_data(rs, k)
-    return kernels.nn_census(
-        filters,
-        subs,
-        rs.sum_triples,
-        rs.pair_lists,
-        k,
-        full,
-        len(rs.positive_roots),
-        rs.n,
-    )
+    return kernels.nn_census_family(filters, subs, rs.sum_triples, k, full, rs.n)
 
 
 def _decomposition_ranks(rs: RootSystem, levels) -> list:
@@ -295,24 +294,15 @@ def _h_poly(stats: dict) -> BivarPoly:
     return out
 
 
-@lru_cache(maxsize=None)
 def h_triangle(rs: RootSystem, k: int) -> BivarPoly:
     """Sum of x^(top indecomposables) y^(simple ones) over geometric chains."""
-    return _h_poly(chain_statistics(rs, k))
+    return h_triangles(rs, k)[k - 1]
 
 
 @lru_cache(maxsize=None)
 def h_triangles(rs: RootSystem, k: int) -> tuple:
-    """Entry k' - 1: the H-triangle at k', for k' = 1..k, from one census
-    walk to depth k.
-
-    The walk visits every geometric chain of at most k filters once, so
-    it is bounded by their exact number before it starts.
-    """
-    _require_census_bound(rs, k)
-    filters, subs, full = _chain_data(rs, k)
-    hists = kernels.nn_census_family(filters, subs, rs.sum_triples, k, full, rs.n)
-    return tuple(_h_poly(stats) for stats in hists)
+    """Entry k' - 1: the H-triangle at k', for k' = 1..k."""
+    return tuple(map(_h_poly, chain_statistics(rs, k)))
 
 
 def restrict_chain(rs: RootSystem, chain: tuple, a: int) -> tuple:
@@ -360,7 +350,7 @@ def extend_chain(rs: RootSystem, sub_chain: tuple, a: int) -> tuple:
 
 def indecomposable_histogram(rs: RootSystem, k: int) -> tuple:
     """Entry i: number of geometric chains with i top-rank indecomposables,
-    the coefficients of H(x, 1) from the cached ``h_triangle``."""
+    the coefficients of H(x, 1) from the cached ``h_triangles``."""
     out = [0] * (rs.n + 1)
     for (i, _), c in h_triangle(rs, k).coeffs.items():
         out[i] += c

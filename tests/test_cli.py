@@ -438,6 +438,35 @@ def test_dump_nc_past_sequence_bound_exits_4(capsys, monkeypatch):
     assert "48822021 sequences" in capsys.readouterr().err
 
 
+def test_past_the_recursion_limit_exits_4(capsys, monkeypatch):
+    # the chain walk recurses once per filter of a chain: A1 at these k
+    # is within every count bound, but past the interpreter's recursion limit
+    for argv in (
+        "triangle H --type A1 -k 2000",
+        "verify counts --type A1 -k 1200",
+        "dump nn --type A1 -k 1500",
+        "dump regions --type A1 -k 1500",
+    ):
+        monkeypatch.setattr(sys, "argv", ["fct", *argv.split()])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 4, argv
+        assert capsys.readouterr().err == (
+            "fct: resource bound exceeded: recursion too deep\n"
+        ), argv
+
+
+def test_dump_nc_past_the_recursion_limit(capsys, monkeypatch):
+    # the delta sequence walk is a loop, so its depth k is not bounded
+    # by the recursion limit: A1 has k + 1 sequences
+    monkeypatch.setattr(sys, "argv", ["fct", "dump", "nc", "--type", "A1", "-k", "1500"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    seqs = json.loads(capsys.readouterr().out)
+    assert len(seqs) == 1501
+
+
 def test_arrangement_past_listing_bound_exits_4(capsys, monkeypatch):
     # listing the E8 chains at k = 2 would read a subfilter table of
     # 198 348 320 pairs of filters, counted before the table is built

@@ -144,10 +144,14 @@ def test_bareiss_det_row_swaps():
 
 
 def test_kernels_off_the_request_paths_are_pure():
-    """Only the tests and the benchmark call the rank and closure
-    kernels, so they are the pure ones, whatever the backend."""
+    """Only the tests and the benchmark call the rank, closure and
+    per-k census kernels, and every chain walk is the pure family walk,
+    so all of them are the pure ones, whatever the backend."""
     assert kernels.int_rank is _purecore.int_rank
     assert kernels.weyl_closure is _purecore.weyl_closure
+    assert kernels.nn_chains is _purecore.nn_chains
+    assert kernels.nn_census is _purecore.nn_census
+    assert kernels.nn_census_family is _purecore.nn_census_family
 
 
 def test_int_rank_degenerate():

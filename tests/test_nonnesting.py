@@ -1,6 +1,6 @@
 import pytest
 
-from fct import kernels, nonnesting
+from fct import ehrhart, kernels, nonnesting
 from fct.errors import ResourceLimitError, UsageError
 from fct.nonnesting import (
     _decomposition_ranks,
@@ -91,7 +91,8 @@ def test_chain_counts_match_catalan():
     for (name, k), count in CHAIN_COUNTS.items():
         rs = rsys(name)
         stats = chain_statistics(rs, k)
-        assert sum(stats.values()) == count
+        assert len(stats) == k
+        assert sum(stats[-1].values()) == count
         assert fuss_catalan_number(rs, k) == count
 
 
@@ -245,7 +246,7 @@ def test_indecomposables_match_per_root_oracle():
 def test_census_matches_literal_indecomposables():
     for name, k in [("A2", 2), ("B2", 2), ("A3", 2), ("G2", 2), ("B3", 1)]:
         rs = rsys(name)
-        stats = chain_statistics(rs, k)
+        stats = chain_statistics(rs, k)[k - 1]
         literal = {}
         for ch in enumerate_chains(rs, k):
             key = (
@@ -270,6 +271,16 @@ def test_h_triangle_anchor():
     for ch in enumerate_chains(rs, 2):
         literal[len(indecomposables(rs, ch, 2))] += 1
     assert hist == tuple(literal)
+
+
+def test_e8_k1_census_matches_the_wall_counts():
+    """E8's 120 roots are wider than a machine word, and at k = 1 the
+    census reads every filter's free roots off the ``free`` recurrence:
+    H(x, 1) is the Ehrhart wall-incidence row, and H(1, 1) = FC(E8, 1)."""
+    rs = rsys("E8")
+    assert len(rs.positive_roots) == 120
+    assert indecomposable_histogram(rs, 1) == ehrhart.n_k_i(rs, 1)
+    assert h_triangle(rs, 1).evaluate(1, 1) == fuss_catalan_number(rs, 1) == 25080
 
 
 def test_restrict_extend_roundtrip():
