@@ -4,9 +4,12 @@ Every request runs these but the clique census, which fct.kernels sends
 to the compiled core (fct._fastcore) when it is built and the graph
 fits; bitmasks are plain integers, so these accept any size.  Chain
 listing (``nn_chains``) and the census (``nn_census_family``) are one
-walk, ``_walk``.  The compiled core also keeps nn_chains, nn_census
-(one entry of the census), int_rank and weyl_closure, which only the
-tests and the benchmark's kernel probe call.
+walk, ``_walk``, and one loop over the filter lattice,
+``filters_between``, lists both all the filters and each group of
+children in that walk.  The compiled core also keeps nn_chains,
+nn_census (one entry of the census), int_rank and weyl_closure, which
+only the tests and the benchmark's kernel probe call; its chain kernels
+read a subfilter table that the pure ones do not need.
 
 ``gauss_jordan`` is the one integer row elimination; rank, determinant,
 adjugate and kernel are read off it.  The compiled core keeps its own
@@ -147,12 +150,43 @@ def clique_census(nbrs, nvert, n_neg):
     return counts, max_hist
 
 
-def _walk(filters, subs, triples, k, full, leaf=None):
+def upper_masks(triples, width):
+    """Entry r: the roots root_r + beta, beta positive, as one mask."""
+    up = [0] * width
+    for a, b, c in triples:
+        up[a] |= 1 << c
+        up[b] |= 1 << c
+    return up
+
+
+def filters_between(low, allowed, up):
+    """The order filters g with low <= g <= allowed, for an order filter
+    low and ``up`` = upper_masks of the roots, in no fixed order.
+
+    The roots come in height order, so root r + beta has a larger index
+    than r.  The roots of allowed - low are decided in decreasing index,
+    so when root r comes every root above it is decided: r joins each
+    filter built so far that holds all of up[r].  A root above r outside
+    allowed keeps r out of every filter.
+    """
+    if low & ~allowed:
+        return []
+    masks = [low]
+    rest = allowed & ~low
+    while rest:
+        r = rest.bit_length() - 1
+        bit = 1 << r
+        rest ^= bit
+        need = up[r]
+        masks += [m | bit for m in masks if m & need == need]
+    return masks
+
+
+def _walk(filters, triples, k, full, leaf=None):
     """Depth-first descent through the geometric chains of at most k filters.
 
-    ``filters`` must be sorted ascending (so filters[-1] = full) and
-    ``subs[f]`` lists the indices of the filters contained in filters[f],
-    ascending; with k = 1 the walk never reads ``subs``.
+    ``filters`` must be all the order filters, sorted ascending (so
+    filters[-1] = full).
 
     The children of a chain I_1 >= ... >= I_{m-1} (m <= k, I_0 = full)
     are the filters g in I_{m-1} with L <= g and g disjoint from U, where
@@ -164,9 +198,17 @@ def _walk(filters, subs, triples, k, full, leaf=None):
 
         key = (bounds & (full | I_{m-1} << R)) * len(filters) + index of I_{m-1},
 
-    which the key alone determines (``group``).  A node builds its
-    children's bounds once: only the (I_1, child) term of their
-    children's bounds depends on the child.
+    which the key alone determines (``group``): they are the filters
+    between L and I_{m-1} - U (``filters_between``).  L is an order
+    filter, so it needs no closing: let a in I_i, b in I_j with a + b a
+    root, and a + b + alpha_s a root for a simple root alpha_s.  In a
+    Chevalley basis [e_a, e_b] is a nonzero multiple of e_{a+b}, so
+    [e_s, [e_a, e_b]] != 0, and by the Jacobi identity [[e_s, e_a], e_b]
+    or [e_a, [e_s, e_b]] is nonzero: a + alpha_s is a root, in I_i as
+    filters are upward closed, or b + alpha_s is one, in I_j, and
+    a + b + alpha_s lies in I_i + I_j either way.  So (I_i + I_j)
+    intersected with the roots is upward closed, and so is the union L.  A node builds its children's bounds once: only the
+    (I_1, child) term of their children's bounds depends on the child.
 
     Returns (tally, groups, group).  tally[m] maps the key of each group
     of chains of m filters to the number of chains of m - 1 filters whose
@@ -178,7 +220,8 @@ def _walk(filters, subs, triples, k, full, leaf=None):
     nf = len(filters)
     width = full.bit_length()
     keep = [full | f << width for f in filters]
-    viol = [(full & ~f) | f << width for f in filters]
+    index = {f: i for i, f in enumerate(filters)}
+    up = upper_masks(triples, width)
 
     class Row(dict):
         """Row x of the pair sums: row[y] = (I_x + I_y) | (J_x + J_y) << R,
@@ -223,7 +266,9 @@ def _walk(filters, subs, triples, k, full, leaf=None):
 
     def group(key):
         bounds = key // nf
-        return tuple(g for g in subs[key % nf] if not bounds & viol[g])
+        allowed = filters[key % nf] & ~(bounds >> width)
+        between = filters_between(bounds & full, allowed, up)
+        return tuple(sorted(map(index.__getitem__, between)))
 
     root = nf - 1
     groups = {root: tuple(range(nf))}
@@ -269,7 +314,8 @@ def _walk(filters, subs, triples, k, full, leaf=None):
 
 def nn_chains(filters, subs, triples, k, full):
     """All geometric chains of k nested filters, as tuples of bitmasks,
-    in lexicographic order of the mask tuples."""
+    in lexicographic order of the mask tuples.  ``subs`` is not read; the
+    compiled kernel of the same signature reads it."""
     if k < 1:
         return [()]
     out = []
@@ -278,11 +324,11 @@ def nn_chains(filters, subs, triples, k, full):
         head = tuple(filters[f] for f in idx[1:k])
         out.extend(head + (filters[g],) for g in cands)
 
-    _walk(filters, subs, triples, k, full, leaf)
+    _walk(filters, triples, k, full, leaf)
     return out
 
 
-def nn_census_family(filters, subs, triples, k, full, n_simple):
+def nn_census_family(filters, triples, k, full, n_simple):
     """Histograms of the geometric chains of k' filters by their top-rank
     statistics, for every k' = 1..k, from one depth-k descent.
 
@@ -296,11 +342,8 @@ def nn_census_family(filters, subs, triples, k, full, n_simple):
     """
     if k < 1:
         return ()
-    tally, groups, group = _walk(filters, subs, triples, k, full)
-    up = [0] * full.bit_length()
-    for a, b, c in triples:
-        up[a] |= 1 << c
-        up[b] |= 1 << c
+    tally, groups, group = _walk(filters, triples, k, full)
+    up = upper_masks(triples, full.bit_length())
     # above[f] = Phi+ + f = above[f - low] | up[low]: the lowest root of f
     # is minimal in it (roots come in height order), so f - low is an
     # earlier filter
@@ -334,7 +377,7 @@ def nn_census_family(filters, subs, triples, k, full, n_simple):
 
 def nn_census(filters, subs, triples, pair_lists, k, full, nroots, n_simple):
     """nn_census_family's entry for k, in the compiled kernel's
-    signature (``pair_lists`` and ``nroots`` are not read)."""
+    signature (``subs``, ``pair_lists`` and ``nroots`` are not read)."""
     if k < 1:
         return {(0, 0): 1}
-    return nn_census_family(filters, subs, triples, k, full, n_simple)[k - 1]
+    return nn_census_family(filters, triples, k, full, n_simple)[k - 1]

@@ -4,7 +4,10 @@ The compiled backend (fct._fastcore, built from Cython) serves one
 kernel, the clique census, when it imported successfully, the
 environment variable FCT_BACKEND is not set to exactly "python", and
 the graph has at most 128 vertices.  Every other kernel is the pure one
-on both backends; the test suite compares the two cores directly.
+on both backends; the test suite compares the two cores directly.  The
+chain walk and the listing of all the filters share one loop over the
+filter lattice, ``filters_between``, and read no subfilter table; the
+compiled chain kernels, which no request calls, still take one.
 """
 from __future__ import annotations
 
@@ -36,6 +39,8 @@ def clique_census(nbrs, nvert, n_neg):
 # per-leaf kernels 1.2 and 1.6 s (2-core host).
 nn_chains = _purecore.nn_chains
 nn_census_family = _purecore.nn_census_family
+filters_between = _purecore.filters_between
+upper_masks = _purecore.upper_masks
 
 # No request path calls these (every census is read off
 # nn_census_family, and the noncrossing side never generates the group):

@@ -74,79 +74,22 @@ def _set_bits(m: int):
 
 @lru_cache(maxsize=None)
 def enumerate_filters(rs: RootSystem) -> tuple:
-    """All order filters of the root poset, as ascending bitmasks."""
+    """All order filters of the root poset, as ascending bitmasks: those
+    between the empty filter and all roots (``kernels.filters_between``)."""
     n_roots = len(rs.positive_roots)
-    # up[r] = the upper covers r + alpha_i of r; r may join a filter
-    # that holds them all, since every cover adds one simple root
-    up = [0] * n_roots
-    for a, b, c in rs.sum_triples:
-        if a < rs.n:
-            up[b] |= 1 << c
-        if b < rs.n:
-            up[a] |= 1 << c
-    order = sorted(range(n_roots), key=lambda r: -rs.heights[r])
-    out = []
-
-    def descend(pos, mask):
-        if pos == len(order):
-            out.append(mask)
-            return
-        r = order[pos]
-        descend(pos + 1, mask)
-        if mask & up[r] == up[r]:
-            descend(pos + 1, mask | (1 << r))
-
-    descend(0, 0)
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _subfilters(rs: RootSystem) -> tuple:
-    """Entry f: ascending indices of the filters contained in filter f."""
-    filters = enumerate_filters(rs)
-    return tuple(
-        tuple(j for j, g in enumerate(filters) if g & ~f == 0)
-        for f in filters
-    )
-
-
-@lru_cache(maxsize=None)
-def _subfilter_pair_count(rs: RootSystem) -> int:
-    """The number of entries of `_subfilters`, counted without listing them.
-
-    The lower covers of a filter f are f minus one of its minimal roots,
-    and the filters inside several lower covers are those inside f minus
-    all of their roots.  So inclusion-exclusion over the sets S of
-    minimal roots gives the filters inside f from those inside the
-    smaller filters f - S, walking the filters by size.
-    """
-    down = [0] * len(rs.positive_roots)
-    for a, b, c in rs.sum_triples:
-        if a < rs.n:
-            down[c] |= 1 << b
-        if b < rs.n:
-            down[c] |= 1 << a
-    roots = [(1 << r, d) for r, d in enumerate(down)]
-    below = {}
-    for f in sorted(enumerate_filters(rs), key=int.bit_count):
-        terms = [(0, -1)]  # (S, the sign of |S| + 1)
-        for bit, d in roots:
-            if f & bit and not f & d:
-                terms += [(s | bit, -sign) for s, sign in terms]
-        below[f] = 1 + sum(sign * below[f ^ s] for s, sign in terms[1:])
-    return sum(below.values())
+    up = kernels.upper_masks(rs.sum_triples, n_roots)
+    return tuple(sorted(kernels.filters_between(0, (1 << n_roots) - 1, up)))
 
 
 def _chain_data(rs: RootSystem, k: int):
     """Kernel inputs (filters, subfilter lists, full mask) for k-chains.
 
-    A 1-chain is a single filter, so the kernels never descend into the
-    subfilter lists and they are left empty.
+    The walk lists each filter's subfilters as it needs them, so the
+    subfilter lists are empty and k is not read; the triple is the
+    signature of the compiled chain kernels, which the tests feed a
+    table of their own.
     """
-    filters = enumerate_filters(rs)
-    subs = ((),) * len(filters) if k == 1 else _subfilters(rs)
-    full = (1 << len(rs.positive_roots)) - 1
-    return filters, subs, full
+    return enumerate_filters(rs), (), (1 << len(rs.positive_roots)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -154,20 +97,10 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
     """All geometric chains as tuples (I_1, ..., I_k) of filter masks,
     sorted lexicographically.
 
-    Bounded before any work by the larger of the exact chain count (the
-    Fuss-Catalan number) and, for k >= 2, the exact number of pairs that
-    the subfilter table holds.
+    The listing walks the chains of fewer filters on the way, so it is
+    bounded before any work as the census is (``_require_chain_bound``).
     """
-    if k < 1:
-        raise UsageError("k must be a positive integer")
-    predicted = fuss_catalan_number(rs, k)
-    if k >= 2 and predicted <= ENUMERATION_LIMIT:
-        predicted = max(predicted, _subfilter_pair_count(rs))
-    if predicted > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"chain enumeration for {rs.typespec}, k={k} predicts {predicted} "
-            f"chains or subfilter pairs, more than the bound {ENUMERATION_LIMIT}"
-        )
+    _require_chain_bound(rs, k)
     filters, subs, full = _chain_data(rs, k)
     return tuple(kernels.nn_chains(filters, subs, rs.sum_triples, k, full))
 
@@ -186,24 +119,17 @@ def census_chain_count(rs: RootSystem, k: int) -> int:
     return interpolate(range(rs.n + 2), [sums], k)[0]
 
 
-def _require_census_bound(rs: RootSystem, k: int) -> None:
-    """A census walk to depth k visits every geometric chain of at most
-    k filters, and for k >= 2 it reads the subfilter table.  Their exact
-    sizes, the sum of the Fuss-Catalan numbers and the number of filter
-    pairs g <= f, bound it before it starts."""
+def _require_chain_bound(rs: RootSystem, k: int) -> None:
+    """A walk to depth k, listing or census, visits every geometric chain
+    of at most k filters; their exact number, the sum of the
+    Fuss-Catalan numbers, bounds it before it starts."""
     if k < 1:
         raise UsageError("k must be a positive integer")
     chains = census_chain_count(rs, k)
     if chains > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"chain census for {rs.typespec}, k=1..{k} visits {chains} chains, "
+            f"chain walk for {rs.typespec}, k=1..{k} visits {chains} chains, "
             f"more than the bound {ENUMERATION_LIMIT}"
-        )
-    pairs = _subfilter_pair_count(rs) if k >= 2 else 0
-    if pairs > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"chain census for {rs.typespec}, k=1..{k} tabulates {pairs} "
-            f"subfilter pairs, more than the bound {ENUMERATION_LIMIT}"
         )
 
 
@@ -215,9 +141,9 @@ def chain_statistics(rs: RootSystem, k: int) -> tuple:
     The walk visits every geometric chain of at most k filters once, so
     it is bounded by their exact number before it starts.
     """
-    _require_census_bound(rs, k)
-    filters, subs, full = _chain_data(rs, k)
-    return kernels.nn_census_family(filters, subs, rs.sum_triples, k, full, rs.n)
+    _require_chain_bound(rs, k)
+    filters, _, full = _chain_data(rs, k)
+    return kernels.nn_census_family(filters, rs.sum_triples, k, full, rs.n)
 
 
 def _decomposition_ranks(rs: RootSystem, levels) -> list:

@@ -480,8 +480,8 @@ def irreducible_factors(rs: RootSystem) -> tuple:
     return tuple(build_root_system(TypeSpec((f,))) for f in rs.typespec.factors)
 
 
-# Bound on the objects one enumeration visits: geometric chains, the
-# filter pairs of a subfilter table, delta sequences.
+# Bound on the objects one enumeration visits: the geometric chains of a
+# chain walk (every k' <= k), delta sequences.
 ENUMERATION_LIMIT = 5 * 10**6
 
 

@@ -60,7 +60,8 @@ class VerifyResult:
         )
 
     def __hash__(self) -> int:
-        return hash((self.identity, self.type_name, self.k, self.detail))
+        # detail is a dict on a failing result; equal results share the rest
+        return hash((self.identity, self.type_name, self.k))
 
     @property
     def ok(self) -> bool:

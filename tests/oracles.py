@@ -534,6 +534,15 @@ def is_filter(rs: RootSystem, mask: int) -> bool:
     return True
 
 
+def subfilter_table(filters) -> tuple:
+    """Entry f: ascending indices of the filters contained in filters[f],
+    by scanning every pair; the subfilter lists of the compiled chain
+    kernels."""
+    return tuple(
+        tuple(j for j, g in enumerate(filters) if g & ~f == 0) for f in filters
+    )
+
+
 def mask_at(rs: RootSystem, chain: tuple, i: int) -> int:
     """I_i of a chain of filter masks, with I_0 = all roots and I_i = I_k
     above k."""

@@ -300,17 +300,18 @@ def test_out_of_memory_exits_4(capsys, monkeypatch):
 
 
 def test_census_past_subfilter_pair_bound_exits_4(capsys, monkeypatch):
-    # the subfilter table of E8 would hold 198 348 320 pairs of filters
-    def no_table(*args):
-        raise AssertionError("the subfilter table was built")
+    # the census of E8 at k = 1..3 would visit 23 855 289 chains, counted
+    # before the filters are listed
+    def no_walk(*args):
+        raise AssertionError("the walk started")
 
-    monkeypatch.setattr(nonnesting, "_subfilters", no_table)
+    monkeypatch.setattr(nonnesting, "_chain_data", no_walk)
     for command in (["triangle", "H"], ["verify", "counts"]):
-        monkeypatch.setattr(sys, "argv", ["fct", *command, "--type", "E8", "-k", "2"])
+        monkeypatch.setattr(sys, "argv", ["fct", *command, "--type", "E8", "-k", "3"])
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == 4, command
-        assert "198348320 subfilter pairs" in capsys.readouterr().err
+        assert "k=1..3 visits 23855289 chains" in capsys.readouterr().err
 
 
 def test_recip_past_chain_bound_exits_4(capsys, monkeypatch):
@@ -468,18 +469,18 @@ def test_dump_nc_past_the_recursion_limit(capsys, monkeypatch):
 
 
 def test_arrangement_past_listing_bound_exits_4(capsys, monkeypatch):
-    # listing the E8 chains at k = 2 would read a subfilter table of
-    # 198 348 320 pairs of filters, counted before the table is built
-    def no_table(*args):
-        raise AssertionError("the subfilter table was built")
+    # listing the E8 chains at k = 3 would visit 23 855 289 chains on the
+    # way, counted before the filters are listed
+    def no_walk(*args):
+        raise AssertionError("the walk started")
 
-    monkeypatch.setattr(nonnesting, "_subfilters", no_table)
+    monkeypatch.setattr(nonnesting, "_chain_data", no_walk)
     for command in (["verify", "phi"], ["verify", "pos"], ["dump", "regions"]):
-        monkeypatch.setattr(sys, "argv", ["fct", *command, "--type", "E8", "-k", "2"])
+        monkeypatch.setattr(sys, "argv", ["fct", *command, "--type", "E8", "-k", "3"])
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == 4, command
-        assert "198348320 chains or subfilter pairs" in capsys.readouterr().err
+        assert "k=1..3 visits 23855289 chains" in capsys.readouterr().err
 
 
 def test_dump_nc_b4_bytes_match_the_reference(capsys):

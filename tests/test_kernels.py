@@ -15,7 +15,7 @@ from fct import _purecore, kernels
 from fct.nonnesting import _chain_data
 
 from conftest import rsys
-from oracles import census_per_leaf
+from oracles import census_per_leaf, is_filter, subfilter_table
 
 
 def test_env_forces_pure_backend():
@@ -188,12 +188,12 @@ NN_K1_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "A1xB2", "F4"]
 
 def k1_subfilter_lists_unused(core):
     """nn_chains and nn_census of ``core`` at k=1 give the same result with
-    the empty subfilter lists of _chain_data(rs, 1) as with full ones."""
+    empty subfilter lists as with the full table."""
     for name in NN_K1_TYPES:
         rs = rsys(name)
-        filters, empty, full = _chain_data(rs, 1)
-        assert empty == ((),) * len(filters)
-        _, subs, _ = _chain_data(rs, 2)
+        filters, _, full = _chain_data(rs, 1)
+        empty = ((),) * len(filters)
+        subs = subfilter_table(filters)
         args = (rs.sum_triples, 1, full)
         assert core.nn_chains(filters, empty, *args) == core.nn_chains(filters, subs, *args)
         census = (rs.sum_triples, rs.pair_lists, 1, full, len(rs.positive_roots), rs.n)
@@ -217,7 +217,7 @@ def test_family_census_matches_per_leaf_oracle():
         rs = rsys(name)
         top = rs.n + 4
         filters, subs, full = _chain_data(rs, top)
-        family = kernels.nn_census_family(filters, subs, rs.sum_triples, top, full, rs.n)
+        family = kernels.nn_census_family(filters, rs.sum_triples, top, full, rs.n)
         assert len(family) == top
         for k in range(1, top + 1):
             chains = _purecore.nn_chains(filters, subs, rs.sum_triples, k, full)
@@ -227,7 +227,41 @@ def test_family_census_matches_per_leaf_oracle():
                 filters, subs, rs.sum_triples, rs.pair_lists, k, full,
                 len(rs.positive_roots), rs.n,
             ) == expected, (name, k)
-    assert kernels.nn_census_family(filters, subs, rs.sum_triples, 0, full, rs.n) == ()
+    assert kernels.nn_census_family(filters, rs.sum_triples, 0, full, rs.n) == ()
+
+
+def test_walk_lower_bounds_are_filters():
+    """Every lower bound L that the walk forms is an order filter, as the
+    bracket argument of _walk's docstring shows, so each group is the
+    filters between L and I_{m-1} - U, the same as a scan of all the
+    subfilters of I_{m-1} against both bounds."""
+    formed = 0
+    for name in FAMILY_TYPES:
+        rs = rsys(name)
+        top = rs.n + 4
+        filters, _, full = _chain_data(rs, top)
+        tally, _, group = _purecore._walk(filters, rs.sum_triples, top, full)
+        nf, width = len(filters), full.bit_length()
+        subs = subfilter_table(filters)
+        keys = {key for level in tally for key in level}
+        lows = {key // nf & full for key in keys}
+        formed += len(lows)
+        assert all(is_filter(rs, low) for low in lows), name
+        for key in keys:
+            low, high = key // nf & full, key // nf >> width
+            scan = tuple(
+                g for g in subs[key % nf]
+                if low & ~filters[g] == 0 and not high & filters[g]
+            )
+            assert group(key) == scan, (name, key)
+    assert formed > 2 * len(FAMILY_TYPES)
+
+
+def test_filters_between_needs_low_inside_allowed():
+    up = _purecore.upper_masks(rsys("A2").sum_triples, 3)
+    between = _purecore.filters_between(0b100, 0b111, up)
+    assert sorted(between) == [0b100, 0b101, 0b110, 0b111]
+    assert _purecore.filters_between(0b100, 0b011, up) == []
 
 
 def test_shipped_c_matches_pyx():

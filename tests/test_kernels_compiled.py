@@ -23,6 +23,7 @@ from fct.cluster import compat_masks
 from fct.nonnesting import _chain_data
 
 from conftest import rsys
+from oracles import subfilter_table
 from test_kernels import (
     HAND_CENSUS,
     HAND_GRAPH,
@@ -131,7 +132,8 @@ def test_nn_backends_agree(fast):
         triples = rs.sum_triples
         nroots = len(rs.positive_roots)
         for k in (1, 2, 3):
-            filters, subs, full = _chain_data(rs, k)
+            filters, _, full = _chain_data(rs, k)
+            subs = subfilter_table(filters)
             assert _purecore.nn_chains(filters, subs, triples, k, full) == (
                 fast.nn_chains(filters, subs, triples, k, full)
             )
@@ -150,8 +152,9 @@ def test_family_census_matches_compiled_per_k(fast):
     for name in ["D4", "F4"]:
         rs = rsys(name)
         top = rs.n + 4
-        filters, subs, full = _chain_data(rs, top)
-        family = _purecore.nn_census_family(filters, subs, rs.sum_triples, top, full, rs.n)
+        filters, _, full = _chain_data(rs, top)
+        subs = subfilter_table(filters)
+        family = _purecore.nn_census_family(filters, rs.sum_triples, top, full, rs.n)
         for k in range(1, top + 1):
             assert family[k - 1] == fast.nn_census(
                 filters, subs, rs.sum_triples, rs.pair_lists, k, full,

@@ -4,8 +4,6 @@ from fct import ehrhart, kernels, nonnesting
 from fct.errors import ResourceLimitError, UsageError
 from fct.nonnesting import (
     _decomposition_ranks,
-    _subfilter_pair_count,
-    _subfilters,
     census_chain_count,
     chain_statistics,
     chains_to_json,
@@ -31,7 +29,6 @@ from oracles import (
     is_filter,
     is_geometric,
     mask_at,
-    relabelled,
     simple_indecomposables,
 )
 
@@ -148,8 +145,8 @@ def test_h_triangles_match_per_k():
 
 def test_h_triangles_resource_bound(monkeypatch):
     """The family census is bounded by the exact number of chains it
-    visits, before any work: E6 at k = 1..10 exits, F4 and D4 at
-    k = 1..n+4 stay in bounds."""
+    visits, before any work: E6 at k = 1..10 and E8 at k = 1..3 exit, F4
+    and D4 at k = 1..n+4 stay in bounds."""
 
     def no_work(*args):
         raise AssertionError("the census started")
@@ -158,6 +155,8 @@ def test_h_triangles_resource_bound(monkeypatch):
     monkeypatch.setattr(kernels, "nn_census_family", no_work)
     with pytest.raises(ResourceLimitError, match="166255385 chains"):
         h_triangles(rsys("E6"), 10)
+    with pytest.raises(ResourceLimitError, match="23855289 chains"):
+        h_triangles(rsys("E8"), 3)
     for name, visited in [("F4", 219548), ("D4", 86318)]:
         rs = rsys(name)
         assert sum(fuss_catalan_number(rs, m) for m in range(1, rs.n + 5)) == visited
@@ -175,35 +174,22 @@ def test_census_chain_count_is_the_plain_sum():
 
 
 def test_chain_statistics_resource_bound(monkeypatch):
-    """The single-k census walk visits the chains of every k' <= k and,
-    for k >= 2, reads the subfilter table; both sizes bound it before any
-    work: E8 exits at k = 3 on chains and at k = 2 on subfilter pairs,
-    E7 at k = 2 reaches the walk."""
+    """The single-k census walk visits the chains of every k' <= k, and
+    their exact number bounds it before any work: E8 exits at k = 3, and
+    E8 and E7 at k = 2 reach the walk."""
 
     def no_work(*args):
         raise AssertionError("the census started")
 
     monkeypatch.setattr(nonnesting, "_chain_data", no_work)
-    monkeypatch.setattr(nonnesting, "_subfilters", no_work)
-    rs = rsys("E8")
     with pytest.raises(ResourceLimitError, match="23855289 chains"):
-        chain_statistics(rs, 3)
-    assert sum(fuss_catalan_number(rs, m) for m in (1, 2)) == 1546002
-    for census in (chain_statistics, h_triangles):
-        with pytest.raises(ResourceLimitError, match="198348320 subfilter pairs"):
-            census(rs, 2)
-    rs = rsys("E7")
-    assert sum(fuss_catalan_number(rs, m) for m in (1, 2)) == 148370
-    assert _subfilter_pair_count(rs) == 4981058 <= ENUMERATION_LIMIT
-    with pytest.raises(AssertionError, match="the census started"):
-        chain_statistics(rs, 2)
-
-
-def test_subfilter_pair_count_matches_table():
-    names = ("A1", "A3", "B3", "G2", "D4", "F4", "A1xB2", "B2xG2", "E6")
-    systems = [rsys(name) for name in names] + [relabelled(rsys("D4"), (1, 3, 0, 2))]
-    for rs in systems:
-        assert _subfilter_pair_count(rs) == sum(map(len, _subfilters(rs))), rs.typespec
+        chain_statistics(rsys("E8"), 3)
+    for name, visited in [("E8", 1546002), ("E7", 148370)]:
+        rs = rsys(name)
+        assert sum(fuss_catalan_number(rs, m) for m in (1, 2)) == visited
+        assert visited <= ENUMERATION_LIMIT
+        with pytest.raises(AssertionError, match="the census started"):
+            chain_statistics(rs, 2)
 
 
 def test_chain_levels():
@@ -275,12 +261,15 @@ def test_h_triangle_anchor():
 
 def test_e8_k1_census_matches_the_wall_counts():
     """E8's 120 roots are wider than a machine word, and at k = 1 the
-    census reads every filter's free roots off the ``free`` recurrence:
-    H(x, 1) is the Ehrhart wall-incidence row, and H(1, 1) = FC(E8, 1)."""
-    rs = rsys("E8")
-    assert len(rs.positive_roots) == 120
-    assert indecomposable_histogram(rs, 1) == ehrhart.n_k_i(rs, 1)
-    assert h_triangle(rs, 1).evaluate(1, 1) == fuss_catalan_number(rs, 1) == 25080
+    census reads every filter's free roots off the ``free`` recurrence;
+    E7 at k = 2 lists its groups of children between their bounds.  On
+    both H(x, 1) is the Ehrhart wall-incidence row, and H(1, 1) is the
+    Fuss-Catalan number."""
+    assert len(rsys("E8").positive_roots) == 120
+    for name, k, count in [("E8", 1, 25080), ("E7", 2, 144210)]:
+        rs = rsys(name)
+        assert indecomposable_histogram(rs, k) == ehrhart.n_k_i(rs, k), name
+        assert h_triangle(rs, k).evaluate(1, 1) == fuss_catalan_number(rs, k) == count
 
 
 def test_restrict_extend_roundtrip():
@@ -307,8 +296,9 @@ def test_extend_chain_validates_parent():
 
 
 def test_chain_enumeration_resource_bound(monkeypatch):
-    """The bound is the larger of the exact chain count and the filter
-    pairs: F4 at k = 40 exits before any work, E6 at k = 3 starts."""
+    """The listing walk visits the chains of every k' <= k, and their
+    exact number bounds it: F4 at k = 40 exits before any work, E6 at
+    k = 3 starts."""
 
     class Started(Exception):
         pass
@@ -317,14 +307,13 @@ def test_chain_enumeration_resource_bound(monkeypatch):
         raise Started
 
     monkeypatch.setattr(nonnesting, "_chain_data", started)
-    with pytest.raises(ResourceLimitError, match="48822021 chains"):
+    with pytest.raises(ResourceLimitError, match="421055116 chains"):
         enumerate_chains.__wrapped__(rsys("F4"), 40)
     rs = rsys("E6")
-    assert fuss_catalan_number(rs, 3) == 119966
-    assert len(enumerate_filters(rs)) ** 2 == 693889 <= ENUMERATION_LIMIT
+    assert sum(fuss_catalan_number(rs, m) for m in (1, 2, 3)) == 137387 <= ENUMERATION_LIMIT
     with pytest.raises(Started):
         enumerate_chains.__wrapped__(rs, 3)
-    with pytest.raises(ResourceLimitError, match="10914604 chains"):
+    with pytest.raises(ResourceLimitError, match="17980631 chains"):
         enumerate_chains.__wrapped__(rs, 7)
 
 

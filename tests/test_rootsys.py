@@ -224,6 +224,7 @@ def test_caches_take_no_defaulted_parameter():
         (WallIncidenceCount, (3, (1, 2))),
         (KFamily, (((1, BivarPoly.one()),), 0)),
         (VerifyResult, ("counts", "A2", 1)),
+        (VerifyResult, ("h=f", "A1", 1, {"monomial": [0, 0]})),
     ],
 )
 def test_value_records_compare_and_hash_by_fields(cls, fields):
