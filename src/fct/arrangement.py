@@ -14,9 +14,15 @@ system has, for each positive root c at level m, the lower row c.t > m
 of colour m and, when m < k, the upper row c.t < m + 1 of colour
 m + 1.  A row is a wall when some point meets it with equality and
 every other row strictly, so that the closure of the region meets the
-row's hyperplane in a facet.  Floors and ceilings are the walls of
-positive colour from lower and upper rows: the origin sits on the far
-or near side.
+row's hyperplane in a facet.  `wall_report` returns the walls as
+(root, colour) pairs, lower row before upper row, roots in order, so a
+wall (r, c) of a root at level m is a floor when c = m > 0 and a
+ceiling when c = m + 1: the origin sits on the far or near side.
+
+Regions are read one at a time: `regions_of` yields the level vectors
+lazily, in chain order, and `ceilings_poly`, ``verify.verify_phi`` and
+`regions_json` take each region's walls as it comes, so no caller holds
+every level vector or every region's walls.
 
 For positive roots beta + gamma = alpha at levels m_beta, m_gamma,
 m_alpha, every point of a nonempty region gives the chain inequality
@@ -191,31 +197,8 @@ def is_bounded(rs: RootSystem, k: int, levels: tuple) -> bool:
     return all(m < k for m in levels[: rs.n])
 
 
-class WallReport:
-    __slots__ = ("walls", "floors", "ceilings", "bounded")
-
-    def __init__(self, walls: tuple, floors: tuple, ceilings: tuple, bounded: bool):
-        self.walls = walls
-        self.floors = floors
-        self.ceilings = ceilings
-        self.bounded = bounded
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.walls, self.floors, self.ceilings, self.bounded) == (
-            other.walls, other.floors, other.ceilings, other.bounded
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.walls, self.floors, self.ceilings, self.bounded))
-
-    def coloured_ceiling_count(self, colour: int) -> int:
-        return sum(1 for _, i in self.ceilings if i == colour)
-
-
-def wall_report(rs: RootSystem, k: int, levels: tuple) -> WallReport:
-    """Walls, floors and ceilings of the region with level vector
+def wall_report(rs: RootSystem, k: int, levels: tuple) -> tuple:
+    """The walls (root, colour) of the region with level vector
     ``levels``: the rows of its full system that no root sum drops
     (module docstring), lower row before upper row, roots in order.
 
@@ -234,62 +217,51 @@ def wall_report(rs: RootSystem, k: int, levels: tuple) -> WallReport:
             upper[c] = lower[a] = lower[b] = False
         else:
             raise InternalInvariantError("level vector of an empty region")
-    walls, floors, ceilings = [], [], []
+    walls = []
     for r, m in enumerate(levels):
         if lower[r]:
             walls.append((r, m))
-            if m:
-                floors.append(walls[-1])
         if upper[r]:
             walls.append((r, m + 1))
-            ceilings.append(walls[-1])
-    return WallReport(
-        tuple(walls), tuple(floors), tuple(ceilings), is_bounded(rs, k, levels)
-    )
+    return tuple(walls)
 
 
-def regions_of(rs: RootSystem, k: int) -> tuple:
-    """The level vector of each geometric chain's region, in
-    `enumerate_chains` order."""
-    return tuple(
-        nonnesting.levels(rs, chain) for chain in nonnesting.enumerate_chains(rs, k)
-    )
+def regions_of(rs: RootSystem, k: int):
+    """The level vector of each geometric chain's region, one at a time,
+    in `enumerate_chains` order."""
+    for chain in nonnesting.enumerate_chains(rs, k):
+        yield nonnesting.levels(rs, chain)
 
 
 @lru_cache(maxsize=None)
-def wall_reports(rs: RootSystem, k: int) -> tuple:
-    """One WallReport per geometric chain, in `enumerate_chains` order.
-
-    `wall_report` raises on a level vector that breaks a chain
-    inequality, so every region is checked nonempty on the way (module
-    docstring).
-    """
-    return tuple(wall_report(rs, k, levels) for levels in regions_of(rs, k))
-
-
 def ceilings_poly(rs: RootSystem, k: int) -> BivarPoly:
-    """Sum of x^(number of colour-k ceilings) over bounded dominant regions."""
+    """Sum of x^(number of colour-k ceilings) over bounded dominant regions.
+
+    Every region's walls are read, so `wall_report` checks each region
+    nonempty on the way (module docstring).
+    """
     coeffs = {}
-    for report in wall_reports(rs, k):
-        if not report.bounded:
-            continue
-        d = report.coloured_ceiling_count(k)
-        coeffs[(d, 0)] = coeffs.get((d, 0), 0) + 1
+    for levels in regions_of(rs, k):
+        walls = wall_report(rs, k, levels)
+        if is_bounded(rs, k, levels):
+            d = sum(1 for r, c in walls if c == k == levels[r] + 1)
+            coeffs[(d, 0)] = coeffs.get((d, 0), 0) + 1
     return BivarPoly(coeffs)
 
 
 def regions_json(rs: RootSystem, k: int) -> list:
     out = []
     for levels in regions_of(rs, k):
-        report = wall_report(rs, k, levels)
+        walls = wall_report(rs, k, levels)
+        ceilings = [[r, c] for r, c in walls if c == levels[r] + 1]
         out.append(
             {
                 "levels": list(levels),
-                "walls": [list(w) for w in report.walls],
-                "floors": [list(w) for w in report.floors],
-                "ceilings": [list(w) for w in report.ceilings],
-                "bounded": report.bounded,
-                "CL_k": report.coloured_ceiling_count(k),
+                "walls": [list(w) for w in walls],
+                "floors": [[r, c] for r, c in walls if 0 < c == levels[r]],
+                "ceilings": ceilings,
+                "bounded": is_bounded(rs, k, levels),
+                "CL_k": sum(1 for _, c in ceilings if c == k),
             }
         )
     return out

@@ -87,13 +87,6 @@ def colored_rotation(rs: RootSystem, k: int) -> tuple:
     return tuple(out)
 
 
-def compatible(rs: RootSystem, k: int, u: int, v: int) -> bool:
-    """Compatibility of two distinct vertices."""
-    if u == v:
-        raise UsageError("compatibility is only defined for distinct vertices")
-    return _compatible(rs, k, colored_rotation(rs, k), u, v)
-
-
 def _compatible(rs: RootSystem, k: int, rot: tuple, u: int, v: int) -> bool:
     """Rotates both vertices together by ``rot`` until either becomes a
     negative simple root, then applies the support rule.  The orbit

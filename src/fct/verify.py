@@ -300,15 +300,16 @@ def verify_bij(rs: RootSystem, k: int) -> dict | None:
 def verify_phi(rs: RootSystem, k: int) -> dict | None:
     """Floors of each chain's region = its indecomposables, rank by rank."""
     chains = nonnesting.enumerate_chains(rs, k)
-    for chain, report in zip(chains, arrangement.wall_reports(rs, k)):
-        floors = set(report.floors)
+    for chain, levels in zip(chains, arrangement.regions_of(rs, k)):
+        walls = arrangement.wall_report(rs, k, levels)
+        floors = {(r, c) for r, c in walls if 0 < c == levels[r]}
         expected = {
             (r, i)
             for i, roots in enumerate(nonnesting.indecomposables_by_rank(rs, chain), 1)
             for r in roots
         }
         if floors != expected:
-            return {"levels": nonnesting.levels(rs, chain), "floors": sorted(floors),
+            return {"levels": levels, "floors": sorted(floors),
                     "indecomposables": sorted(expected)}
     return None
 

@@ -15,7 +15,6 @@ from itertools import product
 
 from fct import nonnesting
 from fct.arrangement import (
-    WallReport,
     _dominate,
     _eliminate,
     _normalize,
@@ -169,6 +168,17 @@ def half_rotation_by_group(rs: RootSystem, sign: int, v: int) -> int:
     else:
         image = w.img[v]
     return image - 1 if image > 0 else image
+
+
+def compatible(rs: RootSystem, k: int, u: int, v: int) -> bool:
+    """Compatibility of two distinct vertices, by the library's rotation
+    rule (``cluster._compatible``) on one pair, without the adjacency
+    masks."""
+    from fct.cluster import _compatible, colored_rotation
+
+    if u == v:
+        raise UsageError("compatibility is only defined for distinct vertices")
+    return _compatible(rs, k, colored_rotation(rs, k), u, v)
 
 
 @lru_cache(maxsize=None)
@@ -676,7 +686,7 @@ def full_system(rs: RootSystem, k: int, levels: tuple) -> list:
 
 def verify_disjoint(rs: RootSystem, k: int):
     """Feasibility, interior-point level recovery, and pairwise disjointness."""
-    regions = regions_of(rs, k)
+    regions = tuple(regions_of(rs, k))
     for levels in regions:
         point = interior_point(full_system(rs, k, levels), rs.n)
         if point is None:
@@ -733,20 +743,14 @@ def is_bounded_by_fm(rs: RootSystem, k: int, levels: tuple) -> bool:
     return True
 
 
-def wall_report_by_fm(rs: RootSystem, k: int, levels: tuple) -> WallReport:
-    """The wall report from one FM wall test per (root, colour) candidate
-    and the FM cone test."""
-    walls, floors, ceilings = [], [], []
-    for r in range(len(rs.positive_roots)):
-        m = levels[r]
-        for colour in [m] if m == k else [m, m + 1]:
-            if not is_wall_by_fm(rs, k, levels, r, colour):
-                continue
-            walls.append((r, colour))
-            if colour:
-                (floors if colour == m else ceilings).append((r, colour))
-    return WallReport(
-        tuple(walls), tuple(floors), tuple(ceilings), is_bounded_by_fm(rs, k, levels)
+def wall_report_by_fm(rs: RootSystem, k: int, levels: tuple) -> tuple:
+    """The walls (root, colour), lower row before upper row, roots in
+    order, from one FM wall test per candidate row."""
+    return tuple(
+        (r, colour)
+        for r, m in enumerate(levels)
+        for colour in ([m] if m == k else [m, m + 1])
+        if is_wall_by_fm(rs, k, levels, r, colour)
     )
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,12 @@ from fct.arrangement import (
     is_bounded,
     regions_of,
     wall_report,
-    wall_reports,
 )
 from fct.cli import _grid_cells
 from fct.errors import InternalInvariantError, UsageError
 from fct.grid import _applicable
 from fct.verify import run_identity
+from fct import nonnesting
 from fct.nonnesting import (
     enumerate_chains,
     h_triangle,
@@ -43,6 +44,16 @@ from oracles import (
 SMALL = [("A1", 1), ("A1", 2), ("A2", 1), ("A2", 2), ("B2", 1), ("B2", 2), ("G2", 1)]
 
 
+def _floors(walls, lv) -> tuple:
+    """The walls from lower rows of positive colour."""
+    return tuple((r, c) for r, c in walls if 0 < c == lv[r])
+
+
+def _ceilings(walls, lv) -> tuple:
+    """The walls from upper rows."""
+    return tuple((r, c) for r, c in walls if c == lv[r] + 1)
+
+
 def test_feasible_toy_systems():
     # rows are (coeffs, rhs, strict) meaning coeffs . t > rhs (or >=)
     assert feasible([((1,), 0, True), ((-1,), -1, True)], 1)
@@ -68,7 +79,7 @@ def test_regions_biject_with_chains():
     for name, k in SMALL:
         rs = rsys(name)
         chains = enumerate_chains(rs, k)
-        regions = regions_of(rs, k)
+        regions = tuple(regions_of(rs, k))
         assert len(regions) == len(chains)
         for ch, lv in zip(chains, regions):
             assert lv == levels(rs, ch)
@@ -100,17 +111,16 @@ def test_a1_region_walls():
     low, high = regions_of(rs, 1)  # chains sorted: empty filter first
     assert low == (0,)
     assert is_bounded(rs, 1, low)
-    rep = wall_report(rs, 1, low)
-    assert rep.walls == ((0, 0), (0, 1))
-    assert rep.floors == ()
-    assert rep.ceilings == ((0, 1),)
-    assert rep.coloured_ceiling_count(1) == 1
+    walls = wall_report(rs, 1, low)
+    assert walls == ((0, 0), (0, 1))
+    assert _floors(walls, low) == ()
+    assert _ceilings(walls, low) == ((0, 1),)
 
     assert high == (1,)
     assert not is_bounded(rs, 1, high)
-    rep = wall_report(rs, 1, high)
-    assert rep.floors == ((0, 1),)
-    assert rep.ceilings == ()
+    walls = wall_report(rs, 1, high)
+    assert _floors(walls, high) == ((0, 1),)
+    assert _ceilings(walls, high) == ()
 
 
 def test_wall_detection_a2():
@@ -121,18 +131,18 @@ def test_wall_detection_a2():
     assert is_wall_by_fm(rs, 1, full, 0, 1)
     assert is_wall_by_fm(rs, 1, full, 1, 1)
     assert not is_wall_by_fm(rs, 1, full, 2, 1)  # the highest root hyperplane is implied
-    assert wall_report(rs, 1, full).floors == ((0, 1), (1, 1))
+    assert _floors(wall_report(rs, 1, full), full) == ((0, 1), (1, 1))
 
 
 def test_colour_zero_walls_are_neither_floor_nor_ceiling():
     for name, k in [("A2", 1), ("B2", 1), ("A2", 2)]:
         rs = rsys(name)
         for lv in regions_of(rs, k):
-            rep = wall_report(rs, k, lv)
-            for r, colour in rep.floors + rep.ceilings:
-                assert colour >= 1
-            for r, colour in rep.walls:
-                flagged = (r, colour) in rep.floors or (r, colour) in rep.ceilings
+            walls = wall_report(rs, k, lv)
+            floors, ceilings = _floors(walls, lv), _ceilings(walls, lv)
+            for r, colour in walls:
+                assert colour in (lv[r], lv[r] + 1)
+                flagged = (r, colour) in floors or (r, colour) in ceilings
                 assert flagged == (colour >= 1)
 
 
@@ -158,43 +168,71 @@ def test_floor_correspondence():
 def test_floors_literally_match_indecomposables():
     rs = rsys("B2")
     for ch in enumerate_chains(rs, 2):
-        rep = wall_report(rs, 2, levels(rs, ch))
+        lv = levels(rs, ch)
+        floors = _floors(wall_report(rs, 2, lv), lv)
         for i in (1, 2):
             expected = {(r, i) for r in indecomposables(rs, ch, i)}
-            got = {(r, c) for r, c in rep.floors if c == i}
+            got = {(r, c) for r, c in floors if c == i}
             assert got == expected
 
 
-def test_wall_reports_built_once_per_cell(monkeypatch):
-    calls = [0]
+def test_region_walls_computed_once_per_cell(monkeypatch):
+    """pos, ceil and final share `ceilings_poly`, so on one cell each
+    region's walls are read once."""
+    seen = []
     build = arrangement.wall_report
 
     def counting_wall_report(rs, k, levels):
-        calls[0] += 1
+        seen.append(levels)
         return build(rs, k, levels)
 
     monkeypatch.setattr(arrangement, "wall_report", counting_wall_report)
     rs = rsys("B3")
-    wall_reports.cache_clear()
-    wall_reports(rs, 2)
-    one_build = calls[0]
-    assert one_build == len(regions_of(rs, 2))
-    wall_reports.cache_clear()
-    calls[0] = 0
-    for identity in ("pos", "ceil", "phi"):
-        assert run_identity(identity, rs, 2).ok
-    assert calls[0] == one_build
-    wall_reports.cache_clear()
+    ceilings_poly.cache_clear()
+    for identity in ("pos", "ceil", "final"):
+        assert run_identity(identity, rs, 1).ok
+    assert seen == list(regions_of(rs, 1))
+    ceilings_poly.cache_clear()
 
 
-def test_wall_reports_follow_chain_order():
-    for name, k in SMALL:
-        rs = rsys(name)
-        chains = enumerate_chains(rs, k)
-        reports = wall_reports(rs, k)
-        assert len(reports) == len(chains)
-        for ch, rep in zip(chains, reports):
-            assert rep == wall_report(rs, k, levels(rs, ch))
+def test_regions_of_is_lazy_in_chain_order(monkeypatch):
+    """`regions_of` makes each level vector only when it is asked for."""
+    made = []
+    make = nonnesting.levels
+
+    def counting_levels(rs, chain):
+        made.append(chain)
+        return make(rs, chain)
+
+    monkeypatch.setattr(nonnesting, "levels", counting_levels)
+    rs = rsys("B3")
+    chains = enumerate_chains(rs, 2)
+    regions = regions_of(rs, 2)
+    assert made == []
+    assert next(regions) == make(rs, chains[0])
+    assert made == [chains[0]]
+    assert list(regions) == [make(rs, ch) for ch in chains[1:]]
+    assert made == list(chains)
+
+
+def test_ceilings_poly_holds_no_region():
+    """Once the chains are listed, `ceilings_poly` reads each region and
+    keeps only its polynomial.  On D4 k=2 (336 regions, CPython 3.11) a
+    cache of one wall report per region held 225 KB after the call and
+    peaked at 229 KB; the fold holds 0.4 KB and peaks at 1.2 KB.  The
+    bounds sit between the two."""
+    rs = rsys("D4")
+    first = levels(rs, enumerate_chains(rs, 2)[0])
+    wall_report(rs, 2, first)  # builds rs.sum_triples outside the trace
+    ceilings_poly.cache_clear()
+    tracemalloc.start()
+    try:
+        ceilings_poly(rs, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8_000, held
+    assert peak < 16_000, peak
 
 
 def test_wall_reports_match_fm_oracle():
@@ -205,8 +243,10 @@ def test_wall_reports_match_fm_oracle():
     systems = [(rsys(name), k) for name, k in cells]
     systems.append((relabelled(rsys("B3"), (1, 0, 2)), 2))
     for rs, k in systems:
-        for lv, report in zip(regions_of(rs, k), wall_reports(rs, k)):
-            assert report == wall_report_by_fm(rs, k, lv), (str(rs.typespec), k)
+        for lv in regions_of(rs, k):
+            where = (str(rs.typespec), k, lv)
+            assert wall_report(rs, k, lv) == wall_report_by_fm(rs, k, lv), where
+            assert is_bounded(rs, k, lv) == is_bounded_by_fm(rs, k, lv), where
 
 
 def _on_kept_row(rs, kept, wall) -> bool:
@@ -227,7 +267,7 @@ def test_irredundant_rows_are_rows_of_the_system():
             kept = cut_system(rs, k, lv)
             assert [row for row in full if row in kept] == kept
             # the full system's walls all survive the cut
-            for wall in wall_report(rs, k, lv).walls:
+            for wall in wall_report(rs, k, lv):
                 assert _on_kept_row(rs, kept, wall), (name, k, wall)
 
 
@@ -239,17 +279,17 @@ def test_heaviest_e7_regions():
     chains = enumerate_chains(rs, 1)
     for i in (1160, 2072, 998, 1803):
         lv = levels(rs, chains[i])
-        report = wall_report(rs, 1, lv)
+        walls = wall_report(rs, 1, lv)
         expected = {
             (r, l)
             for l, roots in enumerate(indecomposables_by_rank(rs, chains[i]), 1)
             for r in roots
         }
-        assert set(report.floors) == expected, i
+        assert set(_floors(walls, lv)) == expected, i
         kept = cut_system(rs, 1, lv)
-        for wall in report.walls:
+        for wall in walls:
             assert _on_kept_row(rs, kept, wall), (i, wall)
-        assert report.walls == walls_by_fm_on_cut(rs, 1, lv), i
+        assert walls == walls_by_fm_on_cut(rs, 1, lv), i
 
 
 def _arrangement_cells():
@@ -268,9 +308,9 @@ def test_regions_with_walls_are_the_nonempty_ones():
     each region's cut system feasible, and each region has a wall."""
     for name, k, _ in _arrangement_cells():
         rs = rsys(name)
-        for lv, report in zip(regions_of(rs, k), wall_reports(rs, k)):
+        for lv in regions_of(rs, k):
             assert feasible(cut_system(rs, k, lv), rs.n), (name, k, lv)
-            assert report.walls, (name, k, lv)
+            assert wall_report(rs, k, lv), (name, k, lv)
 
 
 def test_region_without_walls_raises():
@@ -292,7 +332,7 @@ def test_fundamental_alcove_keeps_its_n_plus_1_rows():
         alcove.append((tuple(-c for c in theta), -1, True))
         assert cut_system(rs, 1, region) == alcove, name
         walls = tuple((i, 0) for i in range(rs.n)) + ((top, 1),)
-        assert wall_report(rs, 1, region).walls == walls, name
+        assert wall_report(rs, 1, region) == walls, name
 
 
 def test_wall_reports_match_the_cut_fm_oracle():
@@ -303,8 +343,8 @@ def test_wall_reports_match_the_cut_fm_oracle():
     assert ("E6", 1) in cells
     for name, k in cells:
         rs = rsys(name)
-        for lv, report in zip(regions_of(rs, k), wall_reports(rs, k)):
-            assert report.walls == walls_by_fm_on_cut(rs, k, lv), (name, k, lv)
+        for lv in regions_of(rs, k):
+            assert wall_report(rs, k, lv) == walls_by_fm_on_cut(rs, k, lv), (name, k, lv)
 
 
 def test_colour_zero_walls_are_the_reflection_invariant_regions():
@@ -316,7 +356,7 @@ def test_colour_zero_walls_are_the_reflection_invariant_regions():
             [abs(s) - 1 for s in simple_reflection(rs, i).img] for i in range(rs.n)
         ]
         for lv in regions_of(rs, k):
-            walls = set(wall_report(rs, k, lv).walls)
+            walls = set(wall_report(rs, k, lv))
             for i, image in enumerate(images):
                 invariant = lv[i] == 0 and all(
                     lv[image[b]] == lv[b] for b in range(len(lv)) if b != i
@@ -329,7 +369,7 @@ def test_arrangement_requests_run_no_fm(monkeypatch, capsys):
         raise AssertionError("a Fourier-Motzkin run")
 
     monkeypatch.setattr(arrangement, "feasible", no_fm)
-    wall_reports.cache_clear()
+    ceilings_poly.cache_clear()
     for name, k, only in _arrangement_cells():
         rs = rsys(name)
         for identity in ("pos", "ceil", "final", "phi"):
@@ -339,4 +379,4 @@ def test_arrangement_requests_run_no_fm(monkeypatch, capsys):
             assert result.ok, result.line()
         assert cli.main(["dump", "regions", "--type", name, "-k", str(k)]) == 0
     capsys.readouterr()
-    wall_reports.cache_clear()
+    ceilings_poly.cache_clear()

@@ -288,7 +288,7 @@ def test_out_of_memory_exits_4(capsys, monkeypatch):
         ["verify", "pos", "--type", "A2", "-k", "1"],
         ["grid", "acceptance", "--quiet"],
     ):
-        arrangement.wall_reports.cache_clear()
+        arrangement.ceilings_poly.cache_clear()
         monkeypatch.setattr(sys, "argv", ["fct", *argv])
         with pytest.raises(SystemExit) as exc:
             cli.entry()
@@ -296,7 +296,7 @@ def test_out_of_memory_exits_4(capsys, monkeypatch):
         assert capsys.readouterr().err == (
             "fct: resource bound exceeded: out of memory\n"
         ), argv
-    arrangement.wall_reports.cache_clear()
+    arrangement.ceilings_poly.cache_clear()
 
 
 def test_census_past_subfilter_pair_bound_exits_4(capsys, monkeypatch):

@@ -6,7 +6,6 @@ from fct.cluster import (
     build_complex,
     colored_rotation,
     compat_masks,
-    compatible,
     f_triangle,
     full_rotation,
     half_rotation,
@@ -20,6 +19,7 @@ from fct.rootsys import fuss_catalan_number, parabolic
 
 from conftest import rsys, small_products
 from oracles import (
+    compatible,
     enumerate_faces,
     h_vector,
     half_rotation_by_group,

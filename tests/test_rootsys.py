@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fct.arrangement import WallReport
 from fct.cluster import build_complex, f_triangle
 from fct.ehrhart import WallIncidenceCount
 from fct.errors import UsageError
@@ -220,7 +219,7 @@ def test_caches_take_no_defaulted_parameter():
     "cls, fields",
     [
         (TypeSpec, ((("A", 2),),)),
-        (WallReport, ((1,), (), ((0, 1),), True)),
+        (BivarPoly, ({(1, 0): 1},)),
         (WallIncidenceCount, (3, (1, 2))),
         (KFamily, (((1, BivarPoly.one()),), 0)),
         (VerifyResult, ("counts", "A2", 1)),
