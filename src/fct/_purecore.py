@@ -6,10 +6,15 @@ fits; bitmasks are plain integers, so these accept any size.  Chain
 listing (``nn_chains``) and the census (``nn_census_family``) are one
 walk, ``_walk``, and one loop over the filter lattice,
 ``filters_between``, lists both all the filters and each group of
-children in that walk.  The compiled core also keeps nn_chains,
-nn_census (one entry of the census), int_rank and weyl_closure, which
-only the tests and the benchmark's kernel probe call; its chain kernels
-read a subfilter table that the pure ones do not need.
+children in that walk.  The listing descends chain by chain; the census
+stops two levels short of k and expands each distinct state of its last
+two levels once, weighted by the chains that share it.  The sums within
+each filter and within its complement, which depth 1 reads, come from
+one recurrence over the filters (``squares``).  The compiled core also
+keeps nn_chains, nn_census (one entry of the census), int_rank and
+weyl_closure, which only the tests and the benchmark's kernel probe
+call; its chain kernels read a subfilter table that the pure ones do
+not need.
 
 ``gauss_jordan`` is the one integer row elimination; rank, determinant,
 adjugate and kernel are read off it.  The compiled core keeps its own
@@ -182,6 +187,47 @@ def filters_between(low, allowed, up):
     return masks
 
 
+def squares(filters, triples, width):
+    """Entry x: (I + I) | (J + J) << width, intersected with the roots,
+    for I = filters[x] and J its complement (rows[x][x] of ``_walk``).
+
+    ``filters`` are all the order filters, ascending.  The lowest root l
+    of I is minimal in it (the roots come in height order), so I without
+    l is an earlier filter I', and I + I is I' + I' plus the sums of l
+    with I.  Likewise the highest root h of J is maximal in J, so I with
+    h added is a later filter, whose complement J' is J without h, and
+    J + J is J' + J' plus the sums of h with J.  A root is never the sum
+    of a root with itself.
+    """
+    ext = [[] for _ in range(width)]
+    for a, b, c in triples:
+        ext[a].append((b, 1 << c))
+        ext[b].append((a, 1 << c))
+    lower = {}
+    for f in filters:
+        s = 0
+        if f:
+            low = f & -f
+            s = lower[f ^ low]
+            for b, c in ext[low.bit_length() - 1]:
+                if f >> b & 1:
+                    s |= c
+        lower[f] = s
+    full = (1 << width) - 1
+    upper = {}
+    for f in reversed(filters):
+        t = 0
+        rest = full & ~f
+        if rest:
+            h = rest.bit_length() - 1
+            t = upper[f | 1 << h]
+            for b, c in ext[h]:
+                if rest >> b & 1:
+                    t |= c
+        upper[f] = t
+    return [lower[f] | upper[f] << width for f in filters]
+
+
 def _walk(filters, triples, k, full, leaf=None):
     """Depth-first descent through the geometric chains of at most k filters.
 
@@ -210,12 +256,32 @@ def _walk(filters, triples, k, full, leaf=None):
     intersected with the roots is upward closed, and so is the union L.  A node builds its children's bounds once: only the
     (I_1, child) term of their children's bounds depends on the child.
 
+    The census (no ``leaf``, k >= 4) stops the descent at the chains of
+    k - 2 filters and records, per chain, its state: the key of its group
+    of children (the key holds the index of I_{k-2}), the index of I_1,
+    and P, the union of the rows (I_i + I_{k-i}) | (J_i + J_{k-i}) << R
+    for 2 <= i <= k/2.  The state fixes every key of level k below the
+    chain.  The chain's children h are the members of its group, which
+    the key determines.  The key of h's own children is (bounds & keep[h])
+    * len(filters) + index of h, and bounds is the union over the pairs
+    i + j = k, 1 <= i <= j, of the rows of (I_i, I_j).  The pair
+    (1, k - 1) gives rows[I_1][h]; every other pair has
+    2 <= i <= j <= k - 2, so it reads only I_2..I_{k-2}, and together
+    they give P.  So h's key is ((P | rows[I_1][h]) & keep[h])
+    * len(filters) + index of h.  Each chain adds one to tally[k - 1] at
+    its key, so tally[k - 1] is the sum of the multiplicities of the
+    states with that key, and the children of each distinct state are
+    expanded once into tally[k], weighted by its multiplicity.  At k <= 3
+    each chain of k - 2 filters has a state of its own (the key holds
+    I_{k-2} and, at k = 3, that is I_1), so the descent runs to the end
+    there.
+
     Returns (tally, groups, group).  tally[m] maps the key of each group
     of chains of m filters to the number of chains of m - 1 filters whose
     children it holds; groups memoises the candidate tuple of each group
-    the walk descends into.  With ``leaf``, calls leaf(idx, cands) for
-    every chain of k - 1 filters, in lexicographic order: idx[1:k] are
-    its filter indices and cands its children.
+    the walk expands.  With ``leaf``, calls leaf(idx, cands) for every
+    chain of k - 1 filters, in lexicographic order: idx[1:k] are its
+    filter indices and cands its children.
     """
     nf = len(filters)
     width = full.bit_length()
@@ -250,19 +316,7 @@ def _walk(filters, triples, k, full, leaf=None):
             return self.setdefault(x, Row(filters[x]))
 
     rows = Rows()
-    both = [(1 << a | 1 << b, 1 << c) for a, b, c in triples]
-
-    def square(x):
-        """rows[x][x] without building row x, for depth 1, where each
-        filter is looked up once."""
-        f = filters[x]
-        s = t = 0
-        for ab, c in both:
-            if f & ab == ab:
-                s |= c
-            elif not f & ab:
-                t |= c
-        return s | t << width
+    square = squares(filters, triples, width) if k > 1 else None
 
     def group(key):
         bounds = key // nf
@@ -270,36 +324,50 @@ def _walk(filters, triples, k, full, leaf=None):
         between = filters_between(bounds & full, allowed, up)
         return tuple(sorted(map(index.__getitem__, between)))
 
+    def cands_of(key):
+        cands = groups.get(key)
+        if cands is None:
+            cands = groups[key] = group(key)
+        return cands
+
     root = nf - 1
     groups = {root: tuple(range(nf))}
     tally = [{} for _ in range(k + 1)]
     tally[1][root] = 1
     idx = [root] * (k + 1)
+    states = {}
+    last = k - 2 if leaf is None and k >= 4 else k
 
     def visit(m, key):
         # idx[1:m] is a geometric chain; its children are group(key)
-        cands = groups.get(key)
-        if cands is None:
-            cands = groups[key] = group(key)
+        cands = cands_of(key)
         part = 0
         for i in range(2, (m + 1) // 2 + 1):
             part |= rows[idx[i]][idx[m + 1 - i]]
+        # I_1 + I_m is the only term of the children's bounds that involves g
         first = idx[1]
+        one = rows[first] if m > 1 else square
+        if m == last:
+            # the children's P: the pair (2, k - 2) reads the child itself
+            rest = 0
+            for i in range(3, k // 2 + 1):
+                rest |= rows[idx[i]][idx[k - i]]
+            two = rows[idx[2]] if m > 2 else square
+            for g in cands:
+                child = ((part | one[g]) & keep[g]) * nf + g
+                state = (child, first, rest | two[g])
+                states[state] = states.get(state, 0) + 1
+            return
         counts = tally[m + 1]
         deeper = m + 1 < k
         for g in cands:
             idx[m] = g
-            # I_1 + I_m is the only term of the children's bounds that involves g
-            sums = rows[first][g] if m > 1 else square(g)
-            child = ((part | sums) & keep[g]) * nf + g
+            child = ((part | one[g]) & keep[g]) * nf + g
             counts[child] = counts.get(child, 0) + 1
             if deeper:
                 visit(m + 1, child)
             elif leaf is not None:
-                cands_k = groups.get(child)
-                if cands_k is None:
-                    cands_k = groups[child] = group(child)
-                leaf(idx, cands_k)
+                leaf(idx, cands_of(child))
 
     try:
         if k == 1:
@@ -309,6 +377,13 @@ def _walk(filters, triples, k, full, leaf=None):
             visit(1, root)
     finally:
         visit = None  # the closure refers to itself; free the memo on return
+    below, counts = tally[k - 1], tally[k]
+    for (key, first, part), mult in states.items():
+        below[key] = below.get(key, 0) + mult
+        row = rows[first]
+        for h in cands_of(key):
+            child = ((part | row[h]) & keep[h]) * nf + h
+            counts[child] = counts.get(child, 0) + mult
     return tally, groups, group
 
 

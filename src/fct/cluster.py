@@ -87,29 +87,18 @@ def colored_rotation(rs: RootSystem, k: int) -> tuple:
     return tuple(out)
 
 
-def _compatible(rs: RootSystem, k: int, rot: tuple, u: int, v: int) -> bool:
-    """Rotates both vertices together by ``rot`` until either becomes a
-    negative simple root, then applies the support rule.  The orbit
-    bound k(h+2)+k guards against a wrong rotation table.
-    """
-    bound = k * (rs.coxeter_number + 2) + k + 1
-    for _ in range(bound):
-        if u < rs.n or v < rs.n:
-            if u < rs.n and v < rs.n:
-                return True
-            neg, other = (u, v) if u < rs.n else (v, u)
-            beta = rs.positive_roots[(other - rs.n) // k]
-            return neg not in support(rs, beta)
-        u, v = rot[u], rot[v]
-    raise InternalInvariantError("rotation orbit never reached a negative simple root")
-
-
 @lru_cache(maxsize=None)
 def compat_masks(rs: RootSystem, k: int) -> tuple:
     """Adjacency bitmasks of the compatibility graph.
 
-    Every vertex pair is tested, so their number bounds the work before
-    the rotation table is built."""
+    Compatibility is invariant under the coloured rotation, so it is
+    constant on each rotation orbit of vertex pairs.  Each pair that
+    holds a negative simple root is decided by the support rule, and the
+    pairs after it in its orbit, up to the next pair that holds one,
+    take its answer.  So every pair is reached once, provided each orbit
+    holds a pair with a negative simple root; the count of pairs reached
+    checks that.  Their number bounds the work before the rotation table
+    is built."""
     nv = vertex_count(rs, k)
     pairs = nv * (nv - 1) // 2
     if pairs > ENUMERATION_LIMIT:
@@ -118,12 +107,25 @@ def compat_masks(rs: RootSystem, k: int) -> tuple:
             f"vertex pairs, more than the bound {ENUMERATION_LIMIT}"
         )
     rot = colored_rotation(rs, k)
+    n = rs.n
     masks = [0] * nv
-    for u in range(nv):
+    reached = 0
+    for u in range(n):
         for v in range(u + 1, nv):
-            if _compatible(rs, k, rot, u, v):
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
+            ok = v < n or u not in support(rs, rs.positive_roots[(v - n) // k])
+            a, b = u, v
+            while True:
+                if ok:
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+                reached += 1
+                a, b = rot[a], rot[b]
+                if a < n or b < n:
+                    break
+    if reached != pairs:
+        raise InternalInvariantError(
+            f"rotation orbits reach {reached} of {pairs} vertex pairs"
+        )
     return tuple(masks)
 
 

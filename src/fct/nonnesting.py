@@ -25,7 +25,12 @@ K >= m accepts at depth m are exactly the geometric m-chains, and one
 walk to depth K visits every chain of every k <= K.  So there is one
 census, ``chain_statistics``, whose walk to depth k gives the H-triangle
 at every k' <= k (``h_triangles``), and ``h_triangle`` reads its last
-entry; chain listing runs the same walk (``kernels.nn_chains``).
+entry; chain listing runs the same walk (``kernels.nn_chains``).  The
+census needs only the number of chains per group of children, and the
+groups of the last level depend on a chain of k - 2 filters only through
+its state (the group of its children, I_1, and the pair sums of level k
+that do not read I_{k-1}), so the census walk stops at depth k - 2 and
+expands each distinct state once (``_purecore._walk``).
 """
 from __future__ import annotations
 

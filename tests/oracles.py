@@ -171,14 +171,24 @@ def half_rotation_by_group(rs: RootSystem, sign: int, v: int) -> int:
 
 
 def compatible(rs: RootSystem, k: int, u: int, v: int) -> bool:
-    """Compatibility of two distinct vertices, by the library's rotation
-    rule (``cluster._compatible``) on one pair, without the adjacency
-    masks."""
-    from fct.cluster import _compatible, colored_rotation
+    """Compatibility of two distinct vertices, pair by pair: rotates both
+    vertices together until either becomes a negative simple root, then
+    applies the support rule.  The orbit bound k(h+2)+k guards against a
+    wrong rotation table.  ``cluster.compat_masks`` decides each rotation
+    orbit of pairs once instead."""
+    from fct.cluster import colored_rotation
 
     if u == v:
         raise UsageError("compatibility is only defined for distinct vertices")
-    return _compatible(rs, k, colored_rotation(rs, k), u, v)
+    rot = colored_rotation(rs, k)
+    for _ in range(k * (rs.coxeter_number + 2) + k + 1):
+        if u < rs.n or v < rs.n:
+            if u < rs.n and v < rs.n:
+                return True
+            neg, other = (u, v) if u < rs.n else (v, u)
+            return not rs.positive_roots[(other - rs.n) // k][neg]
+        u, v = rot[u], rot[v]
+    raise InternalInvariantError("rotation orbit never reached a negative simple root")
 
 
 @lru_cache(maxsize=None)

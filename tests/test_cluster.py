@@ -12,10 +12,10 @@ from fct.cluster import (
     positive_h_poly,
     vertex_count,
 )
-from fct.errors import UsageError
+from fct.errors import InternalInvariantError, UsageError
 from fct.poly import BivarPoly
 from fct.nonnesting import enumerate_chains
-from fct.rootsys import fuss_catalan_number, parabolic
+from fct.rootsys import ENUMERATION_LIMIT, fuss_catalan_number, parabolic
 
 from conftest import rsys, small_products
 from oracles import (
@@ -92,6 +92,35 @@ def test_compatibility_symmetric_and_rotation_invariant():
                 assert compatible(rs, k, rot[u], rot[v]) == c
     with pytest.raises(UsageError):
         compatible(rsys("A2"), 1, 3, 3)
+
+
+def test_compat_masks_match_pairwise_oracle():
+    """Deciding each rotation orbit of pairs once gives the graph that
+    rotating every pair to a negative simple root gives, wherever the
+    pair bound allows."""
+    names = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "F4", "E6", "A1xB2", "B2xG2"]
+    for name in names:
+        rs = rsys(name)
+        for k in (1, 2, 3):
+            nv = vertex_count(rs, k)
+            assert nv * (nv - 1) // 2 <= ENUMERATION_LIMIT
+            masks = compat_masks(rs, k)
+            for u in range(nv):
+                expected = sum(
+                    1 << v for v in range(nv) if v != u and compatible(rs, k, u, v)
+                )
+                assert masks[u] == expected, (name, k, u)
+
+
+def test_compat_masks_need_every_pair_reached(monkeypatch):
+    """A rotation table under which some orbit of pairs holds no negative
+    simple root leaves pairs undecided, and the graph is refused."""
+    monkeypatch.setattr(
+        "fct.cluster.colored_rotation",
+        lambda rs, k: tuple(range(vertex_count(rs, k))),
+    )
+    with pytest.raises(InternalInvariantError):
+        compat_masks.__wrapped__(rsys("A2"), 1)
 
 
 def test_negative_cluster_is_a_facet():

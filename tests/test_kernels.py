@@ -212,8 +212,9 @@ FAMILY_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "A1xB2"]
 def test_family_census_matches_per_leaf_oracle():
     """One walk to depth n+4 gives, at every k <= n+4, the histogram of
     the per-leaf statistic over the chains of k filters; nn_census at k
-    is that entry."""
-    for name in FAMILY_TYPES:
+    is that entry.  F4 to depth 8 is the grid's costliest census, and
+    its states of depth k - 2 group several chains each."""
+    for name in FAMILY_TYPES + ["F4"]:
         rs = rsys(name)
         top = rs.n + 4
         filters, subs, full = _chain_data(rs, top)
@@ -228,6 +229,27 @@ def test_family_census_matches_per_leaf_oracle():
                 len(rs.positive_roots), rs.n,
             ) == expected, (name, k)
     assert kernels.nn_census_family(filters, rs.sum_triples, 0, full, rs.n) == ()
+
+
+def test_squares_match_direct_pass():
+    """The recurrence over ascending and descending filters gives, for
+    every filter, the sums within it and within its complement that one
+    pass over all the root sums gives."""
+    for name in FAMILY_TYPES + ["F4", "E6", "E7"]:
+        rs = rsys(name)
+        filters, _, full = _chain_data(rs, 1)
+        width = full.bit_length()
+        both = [(1 << a | 1 << b, 1 << c) for a, b, c in rs.sum_triples]
+        direct = []
+        for f in filters:
+            s = t = 0
+            for ab, c in both:
+                if f & ab == ab:
+                    s |= c
+                elif not f & ab:
+                    t |= c
+            direct.append(s | t << width)
+        assert _purecore.squares(filters, rs.sum_triples, width) == direct, name
 
 
 def test_walk_lower_bounds_are_filters():
