@@ -271,10 +271,11 @@ def _walk(filters, triples, k, full, leaf=None):
     * len(filters) + index of h.  Each chain adds one to tally[k - 1] at
     its key, so tally[k - 1] is the sum of the multiplicities of the
     states with that key, and the children of each distinct state are
-    expanded once into tally[k], weighted by its multiplicity.  At k <= 3
-    each chain of k - 2 filters has a state of its own (the key holds
-    I_{k-2} and, at k = 3, that is I_1), so the descent runs to the end
-    there.
+    expanded once into tally[k], weighted by its multiplicity.  A state
+    is packed as one int, (key * len(filters) + index of I_1) << 2R | P
+    (P < 2^2R).  At k <= 3 each chain of k - 2 filters has a state of its
+    own (the key holds I_{k-2} and, at k = 3, that is I_1), so the
+    descent runs to the end there.
 
     Returns (tally, groups, group).  tally[m] maps the key of each group
     of chains of m filters to the number of chains of m - 1 filters whose
@@ -336,6 +337,8 @@ def _walk(filters, triples, k, full, leaf=None):
     tally[1][root] = 1
     idx = [root] * (k + 1)
     states = {}
+    shift = 2 * width
+    step = nf << shift
     last = k - 2 if leaf is None and k >= 4 else k
 
     def visit(m, key):
@@ -348,14 +351,15 @@ def _walk(filters, triples, k, full, leaf=None):
         first = idx[1]
         one = rows[first] if m > 1 else square
         if m == last:
-            # the children's P: the pair (2, k - 2) reads the child itself
-            rest = 0
+            # the state is child's key * step + (I_1 << 2R | P), and the
+            # pair (2, k - 2) of the children's P reads the child itself
+            low = first << shift
             for i in range(3, k // 2 + 1):
-                rest |= rows[idx[i]][idx[k - i]]
+                low |= rows[idx[i]][idx[k - i]]
             two = rows[idx[2]] if m > 2 else square
             for g in cands:
                 child = ((part | one[g]) & keep[g]) * nf + g
-                state = (child, first, rest | two[g])
+                state = child * step + (low | two[g])
                 states[state] = states.get(state, 0) + 1
             return
         counts = tally[m + 1]
@@ -378,7 +382,10 @@ def _walk(filters, triples, k, full, leaf=None):
     finally:
         visit = None  # the closure refers to itself; free the memo on return
     below, counts = tally[k - 1], tally[k]
-    for (key, first, part), mult in states.items():
+    mask = (1 << shift) - 1
+    for state, mult in states.items():
+        key, first = divmod(state >> shift, nf)
+        part = state & mask
         below[key] = below.get(key, 0) + mult
         row = rows[first]
         for h in cands_of(key):

@@ -118,10 +118,6 @@ class BivarPoly:
         """Sorted [xdeg, ydeg, coefficient] rows, the canonical wire form."""
         return [[i, j, self.coeffs[(i, j)]] for (i, j) in sorted(self.coeffs)]
 
-    @classmethod
-    def from_monomial_list(cls, rows) -> "BivarPoly":
-        return cls({(int(i), int(j)): int(c) for i, j, c in rows})
-
     def latex(self, var1: str = "x", var2: str = "y") -> str:
         return self._format(var1, var2, "{}^{{{}}}")
 

@@ -9,6 +9,17 @@ reflection acts on coefficient vectors by
 
 Numbering of the simple roots follows Bourbaki.
 
+The type of a Cartan matrix is read off its Dynkin diagram, one
+connected component at a time, by the rules of Bourbaki's plates (Lie
+Groups and Lie Algebras, Ch. VI, Plates I-IX).  Nodes i != j are joined
+when a_ij != 0, and a_ij = -2 or -3 marks alpha_i as the short end of a
+double or triple bond.  A triple bond is G2.  A double bond between two
+inner nodes is F4; one whose short end is a leaf is B (so a rank two
+double bond reads B2), and otherwise it is C.  A simply laced diagram
+with no branch node is A; otherwise its branch node has three
+neighbours, and it is E when exactly one of them is a leaf, D when two
+or three are.  Only diagrams of finite type are named.
+
 >>> rs = build_root_system(TypeSpec.parse("A2"))
 >>> rs.positive_roots
 ((1, 0), (0, 1), (1, 1))
@@ -179,45 +190,31 @@ def _closure_positive_roots(cartan) -> tuple:
     return tuple(sorted(seen, key=lambda c: (sum(c), tuple(-x for x in c))))
 
 
-def _components(cartan) -> tuple:
-    """Connected components of the Coxeter diagram, by lowest node index."""
-    n = len(cartan)
-    unseen = set(range(n))
-    comps = []
-    while unseen:
-        start = min(unseen)
-        comp = [start]
-        unseen.remove(start)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in list(unseen):
-                if cartan[i][j] != 0:
-                    unseen.remove(j)
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+def _diagram(cartan) -> tuple:
+    """(components, colours) of the Dynkin diagram, from one search.
 
-
-def _bipartition(cartan, components) -> tuple:
-    """Proper two-colouring of the diagram; lowest node of each component
-    goes to the + part."""
+    The components are sorted node tuples, ordered by their lowest nodes;
+    colours is a proper two-colouring by +1 and -1 that puts the lowest
+    node of each component on the + side.
+    """
     n = len(cartan)
     colour = [0] * n
-    for comp in components:
-        colour[comp[0]] = 1
-        queue = [comp[0]]
-        while queue:
-            i = queue.pop()
-            for j in comp:
-                if cartan[i][j] != 0 and i != j:
-                    if colour[j] == 0:
+    comps = []
+    for start in range(n):
+        if colour[start]:
+            continue
+        colour[start] = 1
+        comp = [start]
+        for i in comp:
+            for j in range(n):
+                if j != i and cartan[i][j]:
+                    if not colour[j]:
                         colour[j] = -colour[i]
-                        queue.append(j)
+                        comp.append(j)
                     elif colour[j] == colour[i]:
                         raise InternalInvariantError("diagram is not bipartite")
-    return tuple(colour)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps), tuple(colour)
 
 
 class RootSystem:
@@ -227,12 +224,15 @@ class RootSystem:
     so equal inputs give the same object within a session.
     """
 
-    __slots__ = ("typespec", "cartan", "positive_roots", "__dict__")
+    __slots__ = (
+        "typespec", "cartan", "positive_roots", "components", "bipartition", "__dict__",
+    )
 
     def __init__(self, typespec: TypeSpec, cartan: tuple, positive_roots: tuple):
         self.typespec = typespec
         self.cartan = cartan
         self.positive_roots = positive_roots
+        self.components, self.bipartition = _diagram(cartan)
 
     @property
     def n(self) -> int:
@@ -247,58 +247,30 @@ class RootSystem:
         return tuple(sum(r) for r in self.positive_roots)
 
     @cached_property
-    def components(self) -> tuple:
-        return _components(self.cartan)
-
-    @cached_property
-    def bipartition(self) -> tuple:
-        return _bipartition(self.cartan, self.components)
-
-    @cached_property
-    def component_of_node(self) -> tuple:
-        owner = [0] * self.n
-        for ci, comp in enumerate(self.components):
-            for i in comp:
-                owner[i] = ci
-        return tuple(owner)
-
-    def component_of_root(self, root: Root) -> int:
-        return self.component_of_node[min(i for i, c in enumerate(root) if c)]
-
-    @cached_property
     def highest_roots(self) -> tuple:
-        """One root index per component: the maximum of its root poset."""
+        """One root index per component: the maximum of its root poset.
+
+        The roots come in height order, so the highest root of a
+        component is the last of its roots (those whose support meets
+        it).  Every root of the component must lie below that one, or
+        its root poset has no unique maximum.
+        """
         out = []
-        for ci, comp in enumerate(self.components):
-            members = [
-                i
-                for i, r in enumerate(self.positive_roots)
-                if self.component_of_root(r) == ci
-            ]
-            maxima = [
-                i
-                for i in members
-                if not any(
-                    j != i and root_leq(self, self.positive_roots[i], self.positive_roots[j])
-                    for j in members
-                )
-            ]
-            if len(maxima) != 1:
+        for comp in self.components:
+            members = [r for r in self.positive_roots if any(r[i] for i in comp)]
+            top = members[-1]
+            if not all(root_leq(self, r, top) for r in members):
                 raise InternalInvariantError("component root poset has no unique maximum")
-            out.append(maxima[0])
+            out.append(self.root_index[top])
         return tuple(out)
 
     @cached_property
     def coxeter_numbers(self) -> tuple:
         """Coxeter number per component, as 1 + height of the highest root."""
         out = []
-        for ci, comp in enumerate(self.components):
-            h = 1 + self.heights[self.highest_roots[ci]]
-            count = sum(
-                1
-                for r in self.positive_roots
-                if self.component_of_root(r) == ci
-            )
+        for comp, top in zip(self.components, self.highest_roots):
+            h = 1 + self.heights[top]
+            count = sum(any(r[i] for i in comp) for r in self.positive_roots)
             if h * len(comp) != 2 * count:
                 raise InternalInvariantError("h * rank != 2 * #positive roots")
             out.append(h)
@@ -354,59 +326,38 @@ def filter_mask(rs: RootSystem, a: int) -> int:
 
 
 def _classify_component(sub) -> tuple:
-    """Identify the irreducible type of a connected Cartan matrix.
-
-    Returns (family, rank) of the first Bourbaki matrix it matches under
-    some node permutation perm: sub[i][j] == canonical[perm[i]][perm[j]].
-    """
+    """(family, rank) of a connected Cartan matrix of finite type, read
+    off its diagram by the rules of the module docstring."""
     r = len(sub)
-    candidates = [f for f in _FAMILIES if _valid_rank(f, r)]
-    for family in candidates:
-        target = _cartan_irreducible(family, r)
-
-        def rowkey(mat, i):
-            return tuple(sorted(mat[i][j] * mat[j][i] for j in range(len(mat)) if j != i and mat[i][j]))
-
-        skeys = [rowkey(sub, i) for i in range(r)]
-        tkeys = [rowkey(target, i) for i in range(r)]
-        if sorted(skeys) != sorted(tkeys):
-            continue
-        slots = [[p for p in range(r) if tkeys[p] == skeys[i]] for i in range(r)]
-        perm = [-1] * r
-        used = [False] * r
-
-        def place(i):
-            if i == r:
-                return True
-            for p in slots[i]:
-                if used[p]:
-                    continue
-                ok = all(
-                    perm[j] < 0 or (sub[i][j] == target[p][perm[j]] and sub[j][i] == target[perm[j]][p])
-                    for j in range(r)
-                )
-                if ok:
-                    perm[i] = p
-                    used[p] = True
-                    if place(i + 1):
-                        return True
-                    perm[i] = -1
-                    used[p] = False
-            return False
-
-        if place(0):
-            return family, r
-    raise UsageError("matrix is not a finite-type Cartan matrix")
+    nbrs = [[j for j in range(r) if j != i and sub[i][j]] for i in range(r)]
+    leaf = [len(nb) == 1 for nb in nbrs]
+    short = [(i, j) for i in range(r) for j in nbrs[i] if sub[i][j] < -1]
+    branch = [i for i in range(r) if len(nbrs[i]) > 2]
+    family = None
+    if len(short) == 1 and not branch:
+        (i, j), = short
+        if sub[i][j] == -3:
+            family = "G"
+        elif leaf[i] or leaf[j]:
+            family = "B" if leaf[i] else "C"
+        else:
+            family = "F"
+    elif not short and not branch:
+        family = "A"
+    elif not short and len(branch) == 1 and len(nbrs[branch[0]]) == 3:
+        ends = sum(leaf[j] for j in nbrs[branch[0]])
+        family = "E" if ends == 1 else "D" if ends else None
+    if family is None or not _valid_rank(family, r):
+        raise UsageError("matrix is not a finite-type Cartan matrix")
+    return family, r
 
 
 def classify_cartan(cartan) -> TypeSpec:
-    """TypeSpec of a (possibly reducible) Cartan matrix, one factor per
-    component in the order of their lowest nodes.  A rank two double
-    bond reads B2: B is tried before the isomorphic C2.
-    """
+    """TypeSpec of a (possibly reducible) Cartan matrix of finite type,
+    one factor per component in the order of their lowest nodes."""
     return TypeSpec(tuple(
         _classify_component([[cartan[i][j] for j in comp] for i in comp])
-        for comp in _components(cartan)
+        for comp in _diagram(cartan)[0]
     ))
 
 

@@ -24,7 +24,15 @@ from fct.arrangement import (
 )
 from fct.errors import InternalInvariantError, UsageError
 from fct.poly import BivarPoly
-from fct.rootsys import RootSystem, _build_from_cartan, classify_cartan
+from fct.rootsys import (
+    _FAMILIES,
+    RootSystem,
+    TypeSpec,
+    _build_from_cartan,
+    _cartan_irreducible,
+    _valid_rank,
+    classify_cartan,
+)
 
 
 def brute_filters(rs: RootSystem) -> set:
@@ -203,6 +211,66 @@ def relabelled(rs: RootSystem, perm: tuple) -> RootSystem:
     """
     cartan = [[rs.cartan[p][q] for q in perm] for p in perm]
     return _build_from_cartan(cartan, classify_cartan(cartan))
+
+
+def classify_by_isomorphism(cartan) -> TypeSpec:
+    """TypeSpec of a Cartan matrix of finite type by a search for a node
+    permutation perm with sub[i][j] == canonical[perm[i]][perm[j]], one
+    component at a time (in the order of their lowest nodes), against the
+    Bourbaki matrix of each family of that rank in the order A, B, C, D,
+    E, F, G; so a rank two double bond reads B2."""
+    n = len(cartan)
+    comps, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            i = todo.pop()
+            new = {j for j in range(n) if cartan[i][j] and j not in comp}
+            comp |= new
+            todo += new
+        seen |= comp
+        comps.append(sorted(comp))
+    return TypeSpec(tuple(
+        _match_component([[cartan[i][j] for j in comp] for i in comp])
+        for comp in comps
+    ))
+
+
+def _match_component(sub) -> tuple:
+    r = len(sub)
+
+    def bond_key(mat, i):
+        return sorted(mat[i][j] * mat[j][i] for j in range(r) if j != i and mat[i][j])
+
+    for family in (f for f in _FAMILIES if _valid_rank(f, r)):
+        target = _cartan_irreducible(family, r)
+        skeys = [bond_key(sub, i) for i in range(r)]
+        tkeys = [bond_key(target, i) for i in range(r)]
+        if sorted(skeys) != sorted(tkeys):
+            continue
+        perm = [-1] * r
+
+        def place(i):
+            if i == r:
+                return True
+            for p in range(r):
+                if p in perm or tkeys[p] != skeys[i]:
+                    continue
+                if all(
+                    perm[j] < 0 or (sub[i][j] == target[p][perm[j]] and sub[j][i] == target[perm[j]][p])
+                    for j in range(r)
+                ):
+                    perm[i] = p
+                    if place(i + 1):
+                        return True
+                    perm[i] = -1
+            return False
+
+        if place(0):
+            return family, r
+    raise UsageError("matrix is not a finite-type Cartan matrix")
 
 
 def _invert(mat):

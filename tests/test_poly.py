@@ -72,7 +72,7 @@ def test_dy_leibniz(p, q):
 def test_monomial_list_roundtrip(p):
     rows = p.monomial_list()
     assert rows == sorted(rows)
-    assert BivarPoly.from_monomial_list(rows) == p
+    assert BivarPoly({(i, j): c for i, j, c in rows}) == p
     assert all(c != 0 for _, _, c in rows)
 
 

@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,9 @@ from fct.poly import BivarPoly, KFamily
 from fct.rootsys import (
     RootSystem,
     TypeSpec,
+    _build_from_cartan,
     build_root_system,
+    classify_cartan,
     degrees,
     filter_mask,
     fuss_catalan_number,
@@ -24,7 +29,7 @@ from fct.rootsys import (
 from fct.verify import VerifyResult
 
 from conftest import rsys, small_products
-from oracles import filter_generated, relabelled
+from oracles import classify_by_isomorphism, filter_generated, relabelled
 
 POSITIVE_COUNTS = {
     "A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9,
@@ -273,3 +278,54 @@ def test_roots_come_in_height_order():
     ]
     for rs in systems:
         assert list(rs.heights) == sorted(rs.heights), rs.typespec
+
+
+EVERY_LABELLING = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+    "D4", "D5", "F4", "G2", "A1xB2", "B2xG2",
+]
+SAMPLED_LABELLINGS = ["A6", "A7", "A8", "B6", "C6", "D6", "D7", "D8", "E6", "E7", "E8"]
+
+
+def test_diagram_rules_match_isomorphism_search():
+    """classify_cartan reads the type off Bourbaki's bond rules; the
+    reference finds a node permutation onto a Bourbaki matrix.  They
+    agree on every labelling of the small types, a fixed sample of the
+    larger ones, and every one-node deletion of each; B and C differ only
+    in the direction of the double bond, which the triangles cannot see.
+    On the same matrices the bipartition is proper with each component's
+    lowest node on the + side, and every root of a component lies below
+    its highest root."""
+    rng = random.Random(26)
+    matrices = set()
+    for name in EVERY_LABELLING + SAMPLED_LABELLINGS:
+        cartan = rsys(name).cartan
+        n = len(cartan)
+        if name in EVERY_LABELLING:
+            perms = permutations(range(n))
+        else:
+            perms = [rng.sample(range(n), n) for _ in range(30)]
+        for perm in perms:
+            mat = tuple(tuple(cartan[p][q] for q in perm) for p in perm)
+            matrices.add(mat)
+            for a in range(n):
+                keep = [i for i in range(n) if i != a]
+                matrices.add(tuple(tuple(mat[i][j] for j in keep) for i in keep))
+    assert len(matrices) > 2000
+    for mat in matrices:
+        typespec = classify_cartan(mat)
+        reference = classify_by_isomorphism(mat)
+        assert typespec == reference, (mat, str(typespec), str(reference))
+        rs = _build_from_cartan(mat, typespec)
+        colour = rs.bipartition
+        assert all(
+            colour[i] != colour[j]
+            for i in range(rs.n) for j in range(rs.n) if i != j and mat[i][j]
+        )
+        for comp, top in zip(rs.components, rs.highest_roots):
+            assert colour[comp[0]] == 1
+            hi = rs.positive_roots[top]
+            assert all(
+                root_leq(rs, r, hi)
+                for r in rs.positive_roots if any(r[i] for i in comp)
+            )
