@@ -7,7 +7,12 @@ objects behind the polynomials.  All machine output (JSON, CSV, LaTeX)
 is byte-deterministic for fixed arguments.
 
 Exit codes: 0 verified/success, 1 identity violated, 2 usage error,
-3 internal invariant failure, 4 resource bound exceeded.
+3 internal invariant failure or any other unexpected exception (its
+traceback is printed), 4 resource bound exceeded.  A reader that closes
+stdout early ends the process by SIGPIPE, as it ends ``cat``.
+
+``verify`` prints the answer of ``fct.verify.run_identity``: an ok
+line, or the counterexample as one JSON line.
 
 Every command runs in a fresh process, so start-up is part of its cost.
 This module imports no layer at the top: each command loads the layers
@@ -18,16 +23,17 @@ identities span all of them; a caller that needs the whole package
 loaded (the perfbench tracer patches the layers it finds in
 ``sys.modules``) imports ``fct.verify``.
 
-``grid`` runs its cells in fork-started worker processes, one per
-usable CPU, costliest cell first, each with its own caches
-(``fct.grid``).  The rows, FAIL lines and the first error come back in
-grid order, so the output is the same as one process running the cells
-in turn.
+``grid`` runs the cells of ``fct.grid.cells``, each of which names the
+identities it runs, in fork-started worker processes, one per usable
+CPU, costliest cell first, each with its own caches.  The rows, FAIL
+lines and the first error come back in grid order, so the output is the
+same as one process running the cells in turn.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from importlib import import_module
 
@@ -40,12 +46,6 @@ TRIANGLES = {
     "F": ("cluster", "f_triangle"),
     "M": ("noncrossing", "m_triangle"),
 }
-
-ACCEPTANCE_GRID = [
-    (name, k)
-    for name in ("A1", "A2", "A3", "B2", "B3", "G2")
-    for k in (1, 2, 3)
-] + [(name, k) for name in ("D4", "F4") for k in (1, 2)]
 
 GRID_COLUMNS = [
     "counts", "h=f", "h=m", "m=f", "y1-nar", "dh", "df", "bij",
@@ -92,44 +92,24 @@ def cmd_verify(args) -> int:
     from . import verify
 
     rs = build_root_system(TypeSpec.parse(args.type))
-    result = verify.run_identity(args.identity, rs, args.k)
-    if result.ok:
+    detail = verify.run_identity(args.identity, rs, args.k)
+    if detail is None:
         if not args.quiet:
-            print(result.line())
+            print(f"{args.identity} {rs.typespec} k={args.k}: ok")
         return 0
-    print(
-        _json_bytes(
-            {
-                "identity": result.identity,
-                "type": result.type_name,
-                "k": result.k,
-                "detail": result.detail,
-            }
-        ),
-        end="",
-    )
+    print(_json_bytes(
+        {"identity": args.identity, "type": str(rs.typespec), "k": args.k, "detail": detail}
+    ), end="")
     return 1
 
 
-def _grid_cells(suite: str):
-    if suite == "acceptance":
-        return [(name, k, None) for name, k in ACCEPTANCE_GRID]
-    if suite == "extended":
-        return [(name, k, None) for name, k in ACCEPTANCE_GRID] + [
-            ("E6", 1, ["counts", "pos", "ceil", "final", "phi"]),
-            ("E6", 2, ["h=m", "m=f"]),
-        ]
-    raise UsageError(f"unknown suite {suite!r}")
-
-
 def cmd_grid(args) -> int:
-    from .grid import run_cells
+    from .grid import cells, run_cells
 
-    cells = _grid_cells(args.suite)
     header = ["type", "k", "|NN|", "facets", "|NC|"] + GRID_COLUMNS
     rows = []
     failures = 0
-    for outcome in run_cells(args.suite, cells):
+    for outcome in run_cells(cells(args.suite)):
         if isinstance(outcome, Exception):
             raise outcome
         row, lines = outcome
@@ -231,6 +211,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a reader that closes stdout early ends fct as it ends cat, with no
+    # traceback
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         code = main()
     except UsageError as exc:
@@ -247,6 +230,13 @@ def entry() -> None:
         code = 4
     except InternalInvariantError as exc:
         print(f"fct: internal invariant violated: {exc}", file=sys.stderr)
+        code = 3
+    except Exception:
+        # a crash, here or in a grid worker (whose traceback is a note),
+        # must not read as a violated identity
+        import traceback
+
+        traceback.print_exc()
         code = 3
     sys.exit(code)
 

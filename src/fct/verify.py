@@ -5,7 +5,8 @@ both sides of one identity from scratch through independent code
 paths, and returns None when the identity holds or a counterexample
 dict (differing monomial, offending chain, or mismatching count
 vector).  `run_identity` is the one entry point: it checks the request
-against the identity's domain and wraps the answer in a VerifyResult.
+against the identity's domain and returns the identity's own answer;
+``fct verify`` and the cells of ``fct grid`` print it.
 Nothing here is approximate: all comparisons are on integer polynomial
 coefficients or integer counts.
 """
@@ -39,40 +40,6 @@ from .rootsys import (
 # route needs an irreducible root system.
 K1_ONLY = frozenset({"k1", "recip", "dual", "final"})
 IRREDUCIBLE_ONLY = frozenset({"lattice-nar"})
-
-
-class VerifyResult:
-    __slots__ = ("identity", "type_name", "k", "detail")
-
-    def __init__(
-        self, identity: str, type_name: str, k: int, detail: dict | None = None
-    ):
-        self.identity = identity
-        self.type_name = type_name
-        self.k = k
-        self.detail = detail
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.identity, self.type_name, self.k, self.detail) == (
-            other.identity, other.type_name, other.k, other.detail
-        )
-
-    def __hash__(self) -> int:
-        # detail is a dict on a failing result; equal results share the rest
-        return hash((self.identity, self.type_name, self.k))
-
-    @property
-    def ok(self) -> bool:
-        return self.detail is None
-
-    def line(self) -> str:
-        verdict = "ok" if self.ok else "FAIL"
-        msg = f"{self.identity} {self.type_name} k={self.k}: {verdict}"
-        if not self.ok:
-            msg += " " + repr(self.detail)
-        return msg
 
 
 def _poly_detail(lhs: BivarPoly, rhs: BivarPoly) -> dict | None:
@@ -334,8 +301,9 @@ IDENTITIES = {
 }
 
 
-def run_identity(name: str, rs: RootSystem, k: int) -> VerifyResult:
-    """Check the request against the identity's domain, then run it.
+def run_identity(name: str, rs: RootSystem, k: int) -> dict | None:
+    """Check the request against the identity's domain, then run it:
+    None when the identity holds, else its counterexample.
 
     The function is looked up in ``IDENTITIES`` at call time, so a
     wrapper installed there sees every run.
@@ -348,4 +316,4 @@ def run_identity(name: str, rs: RootSystem, k: int) -> VerifyResult:
         raise UsageError(f"{name} is a k=1 statement")
     if name in IRREDUCIBLE_ONLY and len(rs.components) != 1:
         raise UsageError(f"{name} needs an irreducible root system")
-    return VerifyResult(name, str(rs.typespec), k, IDENTITIES[name](rs, k))
+    return IDENTITIES[name](rs, k)

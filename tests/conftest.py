@@ -1,13 +1,25 @@
 import os
+import signal
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import pytest
 from hypothesis import strategies as st
 
 from fct.rootsys import TypeSpec, build_root_system
 
 SMALL_FACTORS = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "G2": 2}
+
+
+@pytest.fixture(autouse=True)
+def keep_sigpipe_handler():
+    """``fct.cli.entry`` lets SIGPIPE end the process it runs in; a test
+    that calls it must not change how the test process meets a closed
+    pipe."""
+    handler = signal.getsignal(signal.SIGPIPE)
+    yield
+    signal.signal(signal.SIGPIPE, handler)
 
 
 def rsys(name: str):

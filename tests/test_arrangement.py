@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fct import arrangement, cli
+from fct import arrangement, cli, grid
 from fct.arrangement import (
     ceilings_poly,
     feasible,
@@ -11,9 +11,7 @@ from fct.arrangement import (
     regions_of,
     wall_report,
 )
-from fct.cli import _grid_cells
 from fct.errors import InternalInvariantError, UsageError
-from fct.grid import _applicable
 from fct.verify import run_identity
 from fct import nonnesting
 from fct.nonnesting import (
@@ -161,8 +159,8 @@ def test_ceilings_poly_equals_h_specialization():
 def test_floor_correspondence():
     for name, k in SMALL + [("A3", 1), ("B3", 1)]:
         rs = rsys(name)
-        result = run_identity("phi", rs, k)
-        assert result.ok, result.line()
+        detail = run_identity("phi", rs, k)
+        assert detail is None, (name, k, detail)
 
 
 def test_floors_literally_match_indecomposables():
@@ -190,7 +188,7 @@ def test_region_walls_computed_once_per_cell(monkeypatch):
     rs = rsys("B3")
     ceilings_poly.cache_clear()
     for identity in ("pos", "ceil", "final"):
-        assert run_identity(identity, rs, 1).ok
+        assert run_identity(identity, rs, 1) is None
     assert seen == list(regions_of(rs, 1))
     ceilings_poly.cache_clear()
 
@@ -293,13 +291,9 @@ def test_heaviest_e7_regions():
 
 
 def _arrangement_cells():
-    """The cells (name, k, only) where `grid extended` runs the
+    """The cells (name, k, identities) where `grid extended` runs the
     arrangement identities."""
-    return [
-        (name, k, only)
-        for name, k, only in _grid_cells("extended")
-        if _applicable("pos", rsys(name), k, "extended", only)
-    ]
+    return [cell for cell in grid.cells("extended") if "pos" in cell[2]]
 
 
 def test_regions_with_walls_are_the_nonempty_ones():
@@ -370,13 +364,11 @@ def test_arrangement_requests_run_no_fm(monkeypatch, capsys):
 
     monkeypatch.setattr(arrangement, "feasible", no_fm)
     ceilings_poly.cache_clear()
-    for name, k, only in _arrangement_cells():
+    for name, k, identities in _arrangement_cells():
         rs = rsys(name)
-        for identity in ("pos", "ceil", "final", "phi"):
-            if not _applicable(identity, rs, k, "extended", only):
-                continue
-            result = run_identity(identity, rs, k)
-            assert result.ok, result.line()
+        for identity in [i for i in identities if i in grid.GEOMETRIC]:
+            detail = run_identity(identity, rs, k)
+            assert detail is None, (identity, name, k, detail)
         assert cli.main(["dump", "regions", "--type", name, "-k", str(k)]) == 0
     capsys.readouterr()
     ceilings_poly.cache_clear()

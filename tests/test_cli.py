@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -79,9 +80,10 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_ok(capsys):
-    code, out, _ = run(capsys, ["verify", "h=f", "--type", "B2", "-k", "2"])
+    # the line names the type as parsed, not as typed
+    code, out, _ = run(capsys, ["verify", "h=f", "--type", "b2", "-k", "2"])
     assert code == 0
-    assert out.strip() == "h=f B2 k=2: ok"
+    assert out == "h=f B2 k=2: ok\n"
     code, out, _ = run(capsys, ["verify", "counts", "--type", "A2", "-k", "3", "--quiet"])
     assert code == 0
     assert out == ""
@@ -141,8 +143,7 @@ def test_held_out_miss_fails_with_its_k(capsys, monkeypatch):
         return tuple(histograms)
 
     monkeypatch.setattr(ehrhart, "wall_histograms", off_at_5)
-    line = verify.run_identity("lattice-nar", g2, 1).line()
-    assert line.startswith("lattice-nar G2 k=1: FAIL") and "'held_out_k': 5" in line
+    assert verify.run_identity("lattice-nar", g2, 1)["held_out_k"] == 5
     code, out, _ = run(capsys, ["verify", "lattice-nar", "--type", "G2", "-k", "1"])
     assert code == 1
     assert json.loads(out)["detail"]["held_out_k"] == 5
@@ -581,7 +582,7 @@ def test_grid_unknown_suite(capsys):
     from fct.errors import UsageError
 
     with pytest.raises(UsageError):
-        cli._grid_cells("everything")
+        grid.cells("everything")
     with pytest.raises(SystemExit) as exc:
         cli.main(["grid", "everything"])
     assert exc.value.code == 2
@@ -601,17 +602,17 @@ def test_grid_acceptance_quiet(capsys, monkeypatch):
     for fn in (cluster.colored_rotation, cluster.compat_masks,
                cluster.build_complex, cluster.f_triangle):
         fn.cache_clear()
-    cells = cli._grid_cells("acceptance")
+    cells = grid.cells("acceptance")
     assert len(cells) == 22
     for cell in cells:
-        grid.row("acceptance", cell)
+        grid.row(cell)
     assert len(calls) == 24
     assert cli.main(["grid", "acceptance", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
 
 
-def _grid_in_process(suite, cells):
-    return [grid.row(suite, cell) for cell in cells]
+def _grid_in_process(cells):
+    return [grid.row(cell) for cell in cells]
 
 
 def test_grid_workers_match_the_cells_run_in_process(capsys, monkeypatch):
@@ -690,6 +691,73 @@ def test_grid_worker_death_exits_3(capsys, monkeypatch):
     assert "G2 k=2" in capsys.readouterr().err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_fail_line_bytes(capsys, monkeypatch):
+    monkeypatch.setitem(verify.IDENTITIES, "h=f", _fail_on({("B2", 2)}))
+    code, out, err = run(capsys, ["verify", "h=f", "--type", "b2", "-k", "2", "--quiet"])
+    assert code == 1
+    assert out == '{"detail":{"planted":true},"identity":"h=f","k":2,"type":"B2"}\n'
+    assert err == ""
+
+
+def test_grid_cells_keep_the_identity_domains(monkeypatch):
+    # cost reads the Fuss-Catalan number at the depth of the cell's census
+    monkeypatch.setattr(grid, "fuss_catalan_number", lambda rs, depth: depth)
+    recip_cells = 0
+    for suite in ("acceptance", "extended"):
+        for cell in grid.cells(suite):
+            name, k, identities = cell
+            assert list(identities) == [i for i in cli.GRID_COLUMNS if i in identities], cell
+            spec = TypeSpec.parse(name)
+            if k != 1:
+                assert not verify.K1_ONLY & set(identities), cell
+            if len(spec.factors) != 1:
+                assert not verify.IRREDUCIBLE_ONLY & set(identities), cell
+            recip = "recip" in identities
+            recip_cells += recip
+            assert grid.cost(cell) == (spec.rank + 4 if recip else k), cell
+    assert recip_cells == 16
+
+
+def test_unexpected_exception_exits_3_with_its_traceback(capsys, monkeypatch):
+    def planted_key_error(rs, k):
+        raise KeyError("planted")
+
+    monkeypatch.setitem(verify.IDENTITIES, "h=f", planted_key_error)
+    for argv in (["verify", "h=f", "--type", "B2", "-k", "2"], ["grid", "acceptance"]):
+        monkeypatch.setattr(sys, "argv", ["fct", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("Traceback"), argv
+        assert "KeyError: 'planted'" in captured.err, argv
+        # the raising frame: a grid worker sends it back as a note
+        assert "in planted_key_error" in captured.err, argv
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_closed_reader_ends_fct_as_it_ends_cat():
+    """A reader gone before fct writes: fct dies of SIGPIPE, as cat
+    does, with no traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    for argv in (["dump", "nn", "--type", "B2", "-k", "2"], ["grid", "acceptance"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fct.cli", *argv],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == -signal.SIGPIPE, (argv, done.stderr)
+        assert done.stderr == "", argv
 
 
 def test_grid_table_shape(capsys):

@@ -26,7 +26,6 @@ from fct.rootsys import (
     root_leq,
     support,
 )
-from fct.verify import VerifyResult
 
 from conftest import rsys, small_products
 from oracles import classify_by_isomorphism, filter_generated, relabelled
@@ -227,8 +226,6 @@ def test_caches_take_no_defaulted_parameter():
         (BivarPoly, ({(1, 0): 1},)),
         (WallIncidenceCount, (3, (1, 2))),
         (KFamily, (((1, BivarPoly.one()),), 0)),
-        (VerifyResult, ("counts", "A2", 1)),
-        (VerifyResult, ("h=f", "A1", 1, {"monomial": [0, 0]})),
     ],
 )
 def test_value_records_compare_and_hash_by_fields(cls, fields):
