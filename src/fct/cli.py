@@ -24,7 +24,8 @@ loaded (the perfbench tracer patches the layers it finds in
 ``sys.modules``) imports ``fct.verify``.
 
 ``grid`` runs the cells of ``fct.grid.cells``, each of which names the
-identities it runs, in fork-started worker processes, one per usable
+identities it runs, in worker processes that ``fct.grid.run_cells``
+forks itself with ``os.fork`` and feeds through pipes, one per usable
 CPU, costliest cell first, each with its own caches.  The rows, FAIL
 lines and the first error come back in grid order, so the output is the
 same as one process running the cells in turn.
@@ -54,14 +55,23 @@ GRID_COLUMNS = [
 
 
 def _emit(text: str, out) -> None:
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}") from None
-    else:
+    """Write ``text`` to stdout, or to the file ``out`` whole: it goes to a
+    temporary file beside ``out`` that replaces ``out`` only once written,
+    so a failed write leaves an existing ``out`` as it was."""
+    if not out:
         sys.stdout.write(text)
+        return
+    import os
+
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _json_bytes(obj) -> str:

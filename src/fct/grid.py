@@ -10,24 +10,28 @@ phi run at k <= 2 up to rank 3 in ``acceptance`` and rank 4 in
 two E6 cells with their own lists.
 
 ``row`` runs one cell's identities and returns its table row and FAIL
-lines; it prints nothing.  ``run_cells`` runs the cells in fork-started
-workers, one per usable CPU and at most one per cell.  A worker that
+lines; it prints nothing.  ``run_cells`` freezes the heap (``gc.freeze``)
+and forks one worker per usable CPU, at most one per cell, with a pipe
+down for cell indices and one up for pickled outcomes.  A worker that
 becomes idle is handed the costliest cell not yet started, so the
 longest cells start first.  Each worker keeps its own caches, filled
 from the layers and root systems loaded before the fork.  The results
 come back in grid order, up to the first cell that raises, so
 ``fct.cli.cmd_grid`` prints exactly what one process running the cells
-in turn would print.
+in turn would print.  Teardown signals every worker before it reaps
+any, then closes the pipes.
 
 Only ``grid`` imports this module, so no other command compiles or
-loads it, nor the multiprocessing machinery it needs.
+loads it.
 """
 from __future__ import annotations
 
-import multiprocessing
+import gc
 import os
+import pickle
+import select
+import signal
 import sys
-from multiprocessing.connection import wait
 
 from . import cluster, noncrossing, nonnesting, verify
 from .cli import GRID_COLUMNS
@@ -93,12 +97,12 @@ def cost(cell: tuple) -> int:
     return fuss_catalan_number(rs, rs.n + 4 if "recip" in identities else k)
 
 
-def _worker(conn, cells: list) -> None:
+def _worker(tasks, results, cells: list) -> None:
     """Receive cell indices until the parent goes away; send back each
     cell's ``row`` or the exception it raised."""
     while True:
         try:
-            i = conn.recv()
+            i = pickle.load(tasks)
         except EOFError:
             return
         try:
@@ -109,7 +113,8 @@ def _worker(conn, cells: list) -> None:
             # the parent re-raises it; keep where it happened
             exc.add_note(traceback.format_exc().rstrip())
             outcome = exc
-        conn.send(outcome)
+        results.write(pickle.dumps(outcome))  # whole, or not at all
+        results.flush()
 
 
 def run_cells(cells: list) -> list:
@@ -124,7 +129,6 @@ def run_cells(cells: list) -> list:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    ctx = multiprocessing.get_context("fork")
     # stable sort: cells of equal cost go in grid order
     todo = sorted(range(len(cells)), key=lambda i: -cost(cells[i]))
     outcomes = [None] * len(cells)
@@ -132,14 +136,25 @@ def run_cells(cells: list) -> list:
     # a worker must not inherit buffered output and write it again
     sys.stdout.flush()
     sys.stderr.flush()
-    workers = {}  # connection -> process
+    gc.freeze()  # no later collection, here or in a worker, walks this heap
+    workers = {}  # connection (the result pipe) -> (pid, task pipe)
+    ends = []  # the parent's pipe descriptors, closed by it and every later worker
     try:
         for _ in range(min(cpus, len(cells))):
-            here, there = ctx.Pipe()
-            proc = ctx.Process(target=_worker, args=(there, cells), daemon=True)
-            proc.start()
-            workers[here] = proc
-            there.close()
+            (down, tasks), (results, up) = os.pipe(), os.pipe()
+            ends += (tasks, results)
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller
+                try:
+                    for fd in ends:
+                        os.close(fd)
+                    _worker(open(down, "rb"), open(up, "wb"), cells)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(down)
+            os.close(up)
+            workers[open(results, "rb", closefd=False)] = (pid, tasks)  # closed with ends
         idle = list(workers)
         running = {}  # connection -> cell index
         while True:
@@ -147,13 +162,13 @@ def run_cells(cells: list) -> list:
             while idle and todo:
                 conn = idle.pop()
                 running[conn] = todo.pop(0)
-                conn.send(running[conn])
+                os.write(workers[conn][1], pickle.dumps(running[conn]))
             if not todo and all(i > stop for i in running.values()):
                 break
-            for conn in wait(list(running)):
+            for conn in select.select(list(running), [], [])[0]:
                 i = running.pop(conn)
                 try:
-                    outcomes[i] = conn.recv()
+                    outcomes[i] = pickle.load(conn)
                 except EOFError:
                     name, k, _ = cells[i]
                     raise InternalInvariantError(
@@ -163,9 +178,10 @@ def run_cells(cells: list) -> list:
                     stop = min(stop, i)
                 idle.append(conn)
     finally:
-        for proc in workers.values():
-            proc.terminate()
-            proc.join()
-        for conn in workers:
-            conn.close()
+        for pid, _ in workers.values():
+            os.kill(pid, signal.SIGTERM)
+        for pid, _ in workers.values():
+            os.waitpid(pid, 0)
+        for fd in ends:
+            os.close(fd)
     return outcomes[: stop + 1]

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -26,6 +27,13 @@ GOLDEN_H_A2_K1 = {
     "n": 2,
     "monomials": [[0, 0, 1], [1, 0, 1], [1, 1, 2], [2, 2, 1]],
 }
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this ``fct``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def run(capsys, argv):
@@ -77,6 +85,38 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
         cli.entry()
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"fct: cannot write {target}: No such file or directory\n"
+
+
+def test_failed_out_write_keeps_the_old_target(tmp_path, capsys, monkeypatch):
+    # the disk fills after a few bytes: the old file must survive whole,
+    # and no temporary file may stay behind
+    target = tmp_path / "h.txt"
+    target.write_text("old bytes\n")
+
+    def full_disk(path, mode="r"):
+        fh = open(path, mode)
+        write = fh.write
+
+        def partial_write(text):
+            write(text[:4])
+            fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fh.write = partial_write
+        return fh
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    monkeypatch.setattr(
+        sys, "argv", ["fct", "triangle", "H", "--type", "A2", "-k", "1", "--out", str(target)]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"fct: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert target.read_text() == "old bytes\n"
+    assert os.listdir(tmp_path) == ["h.txt"]
 
 
 def test_verify_ok(capsys):
@@ -177,14 +217,11 @@ def test_readme_usage_rules_exit_2(capsys, monkeypatch):
 
 
 def test_module_entry_point():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
     def run_module(*argv):
         return subprocess.run(
             [sys.executable, "-m", "fct.cli", *argv],
-            env=env, capture_output=True, text=True,
+            env=_fresh_env(), capture_output=True, text=True,
         )
 
     ok = run_module("verify", "counts", "--type", "A2", "-k", "1")
@@ -197,13 +234,10 @@ def test_module_entry_point():
 
 def test_dump_ehrhart_past_state_bound_exits_4():
     # 2 * 10**8 dilations of A1: the lattice DP is bounded before it starts
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     done = subprocess.run(
         [sys.executable, "-m", "fct.cli", "dump", "ehrhart", "--type", "A1",
          "-k", "100000000"],
-        env=env, capture_output=True, text=True, timeout=20,
+        env=_fresh_env(), capture_output=True, text=True, timeout=20,
     )
     assert done.returncode == 4
     assert done.stdout == ""
@@ -228,6 +262,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 steps["triangle"] = loaded()
 import fct.verify
 steps["verify"] = loaded()
+import fct.grid
+steps["grid"] = sorted(
+    m for m in ("multiprocessing", "socket", "selectors") if m in sys.modules
+)
 sys.path.insert(0, sys.argv[1])
 import tracer
 steps["traced"] = sorted({"fct." + m for m, *_ in tracer.SPANS + tracer.COUNTERS})
@@ -236,18 +274,17 @@ print(json.dumps(steps))
 
 
 def test_commands_load_only_their_layers():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     done = subprocess.run(
         [sys.executable, "-c", LOAD_PROBE, str(perfbench)],
-        env=env, capture_output=True, text=True, check=True,
+        env=_fresh_env(), capture_output=True, text=True, check=True,
     )
     steps = json.loads(done.stdout)
     assert steps["import"] == ["fct.cli", "fct.errors", "fct.rootsys"]
     unused = {"fct.arrangement", "fct.cluster", "fct.ehrhart", "fct.nonnesting", "fct.verify"}
     assert not unused & set(steps["triangle"])
+    # the grid forks and pipes with os, pickle and select alone
+    assert steps["grid"] == []
     assert set(steps["traced"]) <= set(steps["verify"])
 
 
@@ -615,6 +652,60 @@ def _grid_in_process(cells):
     return [grid.row(cell) for cell in cells]
 
 
+@pytest.mark.parametrize("cpus, count, workers", [(1, 22, 1), (8, 3, 3)])
+def test_grid_forks_one_worker_per_cpu_and_cell(monkeypatch, cpus, count, workers):
+    cells = grid.cells("acceptance")[:count]
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert grid.run_cells(cells) == _grid_in_process(cells)
+    assert len(forks) == workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _b2_k2_raises(rs, k):
+    if (str(rs.typespec), k) == ("B2", 2):
+        raise ResourceLimitError("planted bound")
+    return None
+
+
+def _g2_k2_dies(rs, k):
+    if (str(rs.typespec), k) == ("G2", 2):
+        os._exit(7)
+    return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("plant", [None, _b2_k2_raises, _g2_k2_dies])
+def test_grid_leaves_no_descriptor_open(monkeypatch, plant):
+    if plant is not None:
+        monkeypatch.setitem(verify.IDENTITIES, "h=f", plant)
+    before = sorted(os.listdir("/proc/self/fd"))
+    try:
+        outcomes = grid.run_cells(grid.cells("acceptance"))
+    except InternalInvariantError:
+        assert plant is _g2_k2_dies
+    else:
+        assert isinstance(outcomes[-1], ResourceLimitError) == (plant is _b2_k2_raises)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def test_grid_in_dev_mode_warns_of_nothing():
+    # dev mode reports, among other things, every pipe file left unclosed
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "fct.cli", "grid", "acceptance", "--quiet"],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_grid_workers_match_the_cells_run_in_process(capsys, monkeypatch):
     for flags in ([], ["--quiet"]):
         argv = ["grid", "acceptance", *flags]
@@ -693,6 +784,35 @@ def test_grid_worker_death_exits_3(capsys, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+# Run in a fresh interpreter: every cell's result is a function, which
+# no pipe can carry, so the worker fails with its exception escaping.
+# One worker, so no sibling can end it first.
+UNSENDABLE_RESULT = """
+import os, sys
+from fct import cli, grid
+grid.row = lambda cell: lambda: None
+os.sched_getaffinity = lambda pid: {0}
+sys.argv = ["fct", "grid", "acceptance"]
+cli.entry()
+"""
+
+
+def test_grid_worker_never_returns_into_the_caller():
+    # a worker whose exception escapes ends there: it must not go on to
+    # print the table or a traceback of its own
+    done = subprocess.run(
+        [sys.executable, "-c", UNSENDABLE_RESULT],
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert re.fullmatch(
+        r"fct: internal invariant violated: grid worker died on cell \w+ k=\d "
+        r"without a result\n",
+        done.stderr,
+    ), done.stderr
+
+
 def test_verify_fail_line_bytes(capsys, monkeypatch):
     monkeypatch.setitem(verify.IDENTITIES, "h=f", _fail_on({("B2", 2)}))
     code, out, err = run(capsys, ["verify", "h=f", "--type", "b2", "-k", "2", "--quiet"])
@@ -743,16 +863,14 @@ def test_unexpected_exception_exits_3_with_its_traceback(capsys, monkeypatch):
 def test_closed_reader_ends_fct_as_it_ends_cat():
     """A reader gone before fct writes: fct dies of SIGPIPE, as cat
     does, with no traceback."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fct.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     for argv in (["dump", "nn", "--type", "B2", "-k", "2"], ["grid", "acceptance"]):
         read, write = os.pipe()
         os.close(read)
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "fct.cli", *argv],
-                env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=_fresh_env(), stdout=write, stderr=subprocess.PIPE, text=True,
+                timeout=60,
             )
         finally:
             os.close(write)
