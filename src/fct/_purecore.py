@@ -6,11 +6,13 @@ fits; bitmasks are plain integers, so these accept any size.  Chain
 listing (``nn_chains``) and the census (``nn_census_family``) are one
 walk, ``_walk``, and one loop over the filter lattice,
 ``filters_between``, lists both all the filters and each group of
-children in that walk.  The listing descends chain by chain; the census
-stops two levels short of k and expands each distinct state of its last
-two levels once, weighted by the chains that share it.  The sums within
-each filter and within its complement, which depth 1 reads, come from
-one recurrence over the filters (``squares``).  The compiled core also
+children in that walk.  The listing descends chain by chain.  The
+census records the state of each chain of k - 2 filters and expands
+each distinct state of its last two levels once, weighted by the chains
+that share it; from k = 5 on it recurses only to the chains of k - 4
+filters, whose loops record those states inline.  The sums within each
+filter and within its complement, which depth 1 reads, come from one
+recurrence over the filters (``squares``).  The compiled core also
 keeps nn_chains, nn_census (one entry of the census), int_rank and
 weyl_closure, which only the tests and the benchmark's kernel probe
 call; its chain kernels read a subfilter table that the pure ones do
@@ -275,7 +277,13 @@ def _walk(filters, triples, k, full, leaf=None):
     is packed as one int, (key * len(filters) + index of I_1) << 2R | P
     (P < 2^2R).  At k <= 3 each chain of k - 2 filters has a state of its
     own (the key holds I_{k-2} and, at k = 3, that is I_1), so the
-    descent runs to the end there.
+    descent runs to the end there.  From k = 5 on, the loop that picks
+    I_{k-3} records the states of each pick's children itself, so no
+    chain of k - 3 filters is visited.  That is the same walk: within the
+    loop I_1..I_{k-4} stay fixed, so a term that does not read the pick
+    has one value for every pick and is read once, while the terms that
+    read it are read per pick, and each state is the one the visit would
+    record.
 
     Returns (tally, groups, group).  tally[m] maps the key of each group
     of chains of m filters to the number of chains of m - 1 filters whose
@@ -340,6 +348,7 @@ def _walk(filters, triples, k, full, leaf=None):
     shift = 2 * width
     step = nf << shift
     last = k - 2 if leaf is None and k >= 4 else k
+    inline = k - 3 if leaf is None and k >= 5 else 0  # visit(last) runs inline
 
     def visit(m, key):
         # idx[1:m] is a geometric chain; its children are group(key)
@@ -351,18 +360,40 @@ def _walk(filters, triples, k, full, leaf=None):
         first = idx[1]
         one = rows[first] if m > 1 else square
         if m == last:
-            # the state is child's key * step + (I_1 << 2R | P), and the
-            # pair (2, k - 2) of the children's P reads the child itself
+            # k = 4: the state is child's key * step + (I_1 << 2R | P), and
+            # P, the pair (2, 2), reads the child itself
             low = first << shift
-            for i in range(3, k // 2 + 1):
-                low |= rows[idx[i]][idx[k - i]]
-            two = rows[idx[2]] if m > 2 else square
             for g in cands:
                 child = ((part | one[g]) & keep[g]) * nf + g
-                state = child * step + (low | two[g])
+                state = child * step + (low | square[g])
                 states[state] = states.get(state, 0) + 1
             return
         counts = tally[m + 1]
+        if m == inline:
+            # k >= 5: this loop picks g = I_{k-3} and records the states
+            # of g's children h as visit(k - 2, child) would.  Only the
+            # pairs (2, k - 3) and (3, k - 3), g's square at k = 5 and 6,
+            # and rows[I_2] at k = 5 read g; the rest is read once
+            rest = 0
+            for i in range(3, (k - 1) // 2 + 1):
+                rest |= rows[idx[i]][idx[k - 1 - i]]
+            low = first << shift
+            for i in range(4, k // 2 + 1):
+                low |= rows[idx[i]][idx[k - i]]
+            if m > 2:
+                two = rows[idx[2]]
+                three = rows[idx[3]] if m > 3 else square
+            for g in cands:
+                child = ((part | one[g]) & keep[g]) * nf + g
+                counts[child] = counts.get(child, 0) + 1
+                if m > 2:
+                    p, q = rest | two[g], low | three[g]
+                else:
+                    p, q, two = square[g], low, rows[g]
+                for h in cands_of(child):
+                    state = (((p | one[h]) & keep[h]) * nf + h) * step + (q | two[h])
+                    states[state] = states.get(state, 0) + 1
+            return
         deeper = m + 1 < k
         for g in cands:
             idx[m] = g
@@ -421,6 +452,11 @@ def nn_census_family(filters, triples, k, full, n_simple):
     the L of the chain's group.  So the statistic is read from the group
     key: free[g] & ~L with free[g] = g minus (Phi+ + g), the same for
     every chain with that key, and each group is counted once.
+
+    Each key's histogram is one int with a 64-bit lane per (i, s), so a
+    level's histogram is the sum of mult * hist over its keys.  No lane
+    carries: a lane counts chains of the walk, and nonnesting bounds
+    their number by ENUMERATION_LIMIT = 5 * 10^6 < 2^23 before the walk.
     """
     if k < 1:
         return ()
@@ -437,23 +473,26 @@ def nn_census_family(filters, triples, k, full, n_simple):
         free.append(f & ~a)
     simple = (1 << n_simple) - 1
     nf = len(filters)
+    units = {}  # (i, s) -> 1 << 64 * its lane
+    lane = (1 << 64) - 1
     hists = {}
     out = []
     for level in tally[1:]:
-        counts = {}
+        total = 0
         for key, mult in level.items():
             hist = hists.get(key)
             if hist is None:
                 low = key // nf & full
-                hist = hists[key] = {}
+                hist = 0
                 cands = groups.get(key)
                 for g in group(key) if cands is None else cands:
                     x = free[g] & ~low
                     stat = (x.bit_count(), (x & simple).bit_count())
-                    hist[stat] = hist.get(stat, 0) + 1
-            for stat, c in hist.items():
-                counts[stat] = counts.get(stat, 0) + c * mult
-        out.append(counts)
+                    hist += units.get(stat) or units.setdefault(stat, 1 << 64 * len(units))
+                hists[key] = hist
+            total += mult * hist
+        lanes = ((stat, total // unit & lane) for stat, unit in units.items())
+        out.append({stat: c for stat, c in lanes if c})
     return tuple(out)
 
 

@@ -36,8 +36,10 @@ def clique_census(nbrs, nvert, n_neg):
 # One chain walk on every backend.  The census counts each group of
 # children once, so it costs the walk to depth k-1, not the leaves (from
 # k = 4 on, the walk to depth k-2 and one expansion per distinct state
-# there): on E7 k=2 the pure census and listing take 0.37 and 0.35 s,
-# the compiled per-leaf kernels 1.2 and 1.6 s (2-core host).
+# there; from k = 5 on the loop that forms the chains of depth k-3 also
+# records those states, with no call per chain): on E7 k=2 the pure
+# census and listing take 0.37 and 0.35 s, the compiled per-leaf kernels
+# 1.2 and 1.6 s (2-core host).
 nn_chains = _purecore.nn_chains
 nn_census_family = _purecore.nn_census_family
 filters_between = _purecore.filters_between

@@ -210,24 +210,28 @@ FAMILY_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "A1xB2"]
 
 
 def test_family_census_matches_per_leaf_oracle():
-    """One walk to depth n+4 gives, at every k <= n+4, the histogram of
-    the per-leaf statistic over the chains of k filters; nn_census at k
-    is that entry.  F4 to depth 8 is the grid's costliest census, and
-    its states of depth k - 2 group several chains each."""
-    for name in FAMILY_TYPES + ["F4"]:
+    """A walk to any depth K gives, at every k <= K, the histogram of the
+    per-leaf statistic over the chains of k filters; nn_census at K is
+    its last entry.  Every depth runs: K <= 3 records no state, K = 4
+    records the states in visit(2), and from K = 5 on the loop that picks
+    I_{K-3} records them inline, picking I_2 at K = 5 and reading the
+    pair (3, K - 3) from K = 6 on.  F4 to depth 8 is the grid's costliest
+    census, and its states group several chains each."""
+    for name in FAMILY_TYPES + ["F4", "C3", "B2xG2"]:
         rs = rsys(name)
         top = rs.n + 4
         filters, subs, full = _chain_data(rs, top)
-        family = kernels.nn_census_family(filters, rs.sum_triples, top, full, rs.n)
-        assert len(family) == top
-        for k in range(1, top + 1):
-            chains = _purecore.nn_chains(filters, subs, rs.sum_triples, k, full)
-            expected = census_per_leaf(rs, chains)
-            assert family[k - 1] == expected, (name, k)
+        expected = [
+            census_per_leaf(rs, _purecore.nn_chains(filters, subs, rs.sum_triples, k, full))
+            for k in range(1, top + 1)
+        ]
+        for depth in range(1, top + 1):
+            family = kernels.nn_census_family(filters, rs.sum_triples, depth, full, rs.n)
+            assert list(family) == expected[:depth], (name, depth)
             assert _purecore.nn_census(
-                filters, subs, rs.sum_triples, rs.pair_lists, k, full,
+                filters, subs, rs.sum_triples, rs.pair_lists, depth, full,
                 len(rs.positive_roots), rs.n,
-            ) == expected, (name, k)
+            ) == expected[depth - 1], (name, depth)
     assert kernels.nn_census_family(filters, rs.sum_triples, 0, full, rs.n) == ()
 
 

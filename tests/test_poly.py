@@ -10,9 +10,12 @@ from fct.poly import (
     ceiling_specialization,
     f_from_h_k1,
     f_from_m,
+    f_self_dual_image,
     h_dual_image,
     h_from_f,
+    h_from_f_k1,
     h_from_m,
+    h_reciprocal_image,
     m_from_h,
     m_reciprocal_image,
     require_f_support,
@@ -190,6 +193,61 @@ def test_m_reciprocal_image_is_involution(m):
     image = m_reciprocal_image(m, 3)
     require_m_support(image)
     assert m_reciprocal_image(image, 3) == m
+
+
+def f_polys(n):
+    """Random polynomials with the F support condition at rank n."""
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=n), st.integers(min_value=0, max_value=n)
+    ).filter(lambda t: sum(t) <= n)
+    return st.dictionaries(pairs, coeff, max_size=5).map(BivarPoly)
+
+
+_X, _Y, _ONE = BivarPoly.monomial(1, 0), BivarPoly.monomial(0, 1), BivarPoly.one()
+_U = _ONE + (_Y - _ONE) * _X
+
+# (transform at rank n, strategy for its input, the image of x^i y^j at rank n)
+DIRECT = {
+    "h_from_f": (h_from_f, f_polys, lambda n, l, m: _U**m * (_X - _ONE) ** (n - l - m)),
+    "h_from_m": (h_from_m, m_polys, lambda n, a, b: (
+        _Y**a * (_Y - _ONE) ** (b - a) * _X**b * _U ** (n - b))),
+    "f_from_m": (f_from_m, m_polys, lambda n, a, b: (
+        (_ONE + _Y) ** a * (_Y - _X) ** (b - a) * _Y ** (n - b))),
+    "m_from_h": (m_from_h, h_polys, lambda n, i, j: (
+        _Y**i * _X**j * (_X - _ONE) ** (i - j) * (_ONE - _Y) ** (n - i))),
+    "h_from_f_k1": (h_from_f_k1, f_polys, lambda n, l, m: (
+        _X ** (l + m) * _Y**m * (_ONE - _X) ** (n - l - m))),
+    "f_self_dual_image": (f_self_dual_image, f_polys, lambda n, l, m: (
+        (-_ONE - _X) ** l * (-_ONE - _Y) ** m * (-1) ** n)),
+    "h_reciprocal_image": (h_reciprocal_image, h_polys, lambda n, i, j: (
+        (_ONE - _X) ** (i - j) * (-_X * _Y) ** j * (-1) ** n)),
+    "m_reciprocal_image": (m_reciprocal_image, m_polys, lambda n, a, b: (
+        BivarPoly.monomial(a, n + a - b))),
+    "h_dual_image": (h_dual_image, h_polys, lambda n, i, j: _X ** (n - i) * _U**j),
+    "f_from_h_k1": (f_from_h_k1, h_polys, lambda n, i, j: (
+        (_X + _ONE) ** (i - j) * (_Y + _ONE) ** j * _X ** (n - i))),
+    "ceiling_specialization": (lambda h, n: ceiling_specialization(h), h_polys, (
+        lambda n, i, j: _X ** (i - j) * (_X - _ONE) ** j)),
+    "bottom_specialization": (bottom_specialization, h_polys, lambda n, i, j: (
+        BivarPoly.monomial(n - i, 0) if j == 0 else BivarPoly.zero())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_transforms_equal_direct_substitution(name, data):
+    """Each transform is the substitution of its images, built afresh
+    here; the transforms share cached images, and a second call on the
+    same triangle gives the same result, so no call mutated one."""
+    transform, polys, image = DIRECT[name]
+    n = data.draw(st.integers(min_value=1, max_value=6), label="n")
+    p = data.draw(polys(n), label="triangle")
+    direct = BivarPoly.zero()
+    for (i, j), c in p.coeffs.items():
+        direct = direct + image(n, i, j) * c
+    assert transform(p, n) == direct
+    assert transform(p, n) == direct
 
 
 def test_specializations_micro():
