@@ -3,12 +3,17 @@
 A polynomial is a mapping (xdeg, ydeg) -> coefficient with arbitrary
 precision integers.  All transformation rules between the H-, F- and
 M-triangles are implemented monomial by monomial in denominator-free
-form; the support preconditions that make them denominator-free are
-enforced:
+form.  A transform names the kind of triangle it reads and its image of
+x^i y^j at rank n.  ``_substitute`` checks the one precondition, no
+exponent above n and the kind's support rule, which makes every image
+denominator-free:
 
 * H-triangles: ydeg <= xdeg on every monomial,
 * F-triangles: xdeg + ydeg <= n,
 * M-triangles: ydeg >= xdeg.
+
+Every transform reads its images from one cache, so an image is shared
+and no caller may mutate one.
 
 >>> p = BivarPoly({(0, 0): 1, (1, 1): 1})
 >>> h_from_m(BivarPoly({(0, 0): 1, (0, 1): -1, (1, 1): 1}), 1) == p
@@ -16,7 +21,7 @@ True
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm, prod
 from operator import mul
 
@@ -84,8 +89,9 @@ class BivarPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __bool__(self) -> bool:
@@ -170,163 +176,142 @@ _ONEMX = _ONE - _X  # 1 - x
 _U = _ONE + (_Y - _ONE) * _X  # 1 + (y - 1) x
 
 
-def _substitute(p: BivarPoly, image) -> BivarPoly:
-    """Sum of c * image(i, j) over the monomials c x^i y^j of p.
+def _substitute(p: BivarPoly, kind: str, n: int | None, image) -> BivarPoly:
+    """Sum of c * image(n, i, j) over the monomials c x^i y^j of p, a
+    triangle of the given kind ("H", "F" or "M") and rank n.
 
-    Each transform reads its images from a cache of its own (keyed by n
-    where the image depends on it), so the images are shared and nothing
-    may mutate them.
+    The one precondition of every transform is checked here: no exponent
+    above n (not checked when n is None, for ceiling_specialization) and
+    the support rule of the kind.  Every transform reads its images
+    through the one cache ``_image``, so an image is shared and no caller
+    may mutate one.
     """
+    if n is not None and not all(i <= n >= j for i, j in p.coeffs):
+        raise UsageError(f"{kind}-triangle degree exceeds rank")
+    if kind == "H":
+        require_h_support(p)
+    elif kind == "M":
+        require_m_support(p)
+    else:
+        require_f_support(p, n)
     out = {}
     for (i, j), c in p.coeffs.items():
-        for key, v in image(i, j).coeffs.items():
+        for key, v in _image(image, n, i, j).coeffs.items():
             out[key] = out.get(key, 0) + c * v
     return BivarPoly(out)
 
 
-def _require_degree(p: BivarPoly, n: int, degree: int, name: str) -> None:
-    """Exponent number ``degree`` (0 for x, 1 for y) is at most n throughout."""
-    if any(mono[degree] > n for mono in p.coeffs):
-        raise UsageError(f"{name}-triangle degree exceeds rank")
-
-
 @lru_cache(maxsize=None)
+def _image(image, n, i, j) -> BivarPoly:
+    return image(n, i, j)
+
+
 def _h_from_f_image(n, l, m):
     return _U**m * _XM1 ** (n - l - m)
 
 
 def h_from_f(f: BivarPoly, n: int) -> BivarPoly:
     """H(x, y) = (x-1)^n F(1/(x-1), (1 + (y-1)x)/(x-1))."""
-    require_f_support(f, n)
-    return _substitute(f, partial(_h_from_f_image, n))
+    return _substitute(f, "F", n, _h_from_f_image)
 
 
-@lru_cache(maxsize=None)
 def _h_from_m_image(n, a, b):
     return _Y**a * (_Y - _ONE) ** (b - a) * _X**b * _U ** (n - b)
 
 
 def h_from_m(m: BivarPoly, n: int) -> BivarPoly:
     """H(x, y) = (1 + (y-1)x)^n M(y/(y-1), (y-1)x/(1 + (y-1)x))."""
-    require_m_support(m)
-    _require_degree(m, n, 1, "M")
-    return _substitute(m, partial(_h_from_m_image, n))
+    return _substitute(m, "M", n, _h_from_m_image)
 
 
-@lru_cache(maxsize=None)
 def _f_from_m_image(n, a, b):
     return (_ONE + _Y) ** a * (_Y - _X) ** (b - a) * _Y ** (n - b)
 
 
 def f_from_m(m: BivarPoly, n: int) -> BivarPoly:
     """F(x, y) = y^n M((1+y)/(y-x), (y-x)/y)."""
-    require_m_support(m)
-    _require_degree(m, n, 1, "M")
-    return _substitute(m, partial(_f_from_m_image, n))
+    return _substitute(m, "M", n, _f_from_m_image)
 
 
-@lru_cache(maxsize=None)
 def _m_from_h_image(n, i, j):
     return _Y**i * _X**j * _XM1 ** (i - j) * (_ONE - _Y) ** (n - i)
 
 
 def m_from_h(h: BivarPoly, n: int) -> BivarPoly:
     """M(x, y) = (1-y)^n H(y(x-1)/(1-y), x/(x-1)); inverse of h_from_m."""
-    require_h_support(h)
-    _require_degree(h, n, 0, "H")
-    return _substitute(h, partial(_m_from_h_image, n))
+    return _substitute(h, "H", n, _m_from_h_image)
 
 
-@lru_cache(maxsize=None)
 def _h_from_f_k1_image(n, l, m):
     return _X ** (l + m) * _Y**m * _ONEMX ** (n - l - m)
 
 
 def h_from_f_k1(f: BivarPoly, n: int) -> BivarPoly:
     """The k = 1 alternative form H(x, y) = (1-x)^n F(x/(1-x), xy/(1-x))."""
-    require_f_support(f, n)
-    return _substitute(f, partial(_h_from_f_k1_image, n))
+    return _substitute(f, "F", n, _h_from_f_k1_image)
 
 
-@lru_cache(maxsize=None)
-def _f_self_dual_image(l, m):
-    return (-_ONE - _X) ** l * (-_ONE - _Y) ** m
+def _f_self_dual_image(n, l, m):
+    return (-_ONE - _X) ** l * (-_ONE - _Y) ** m * (-1) ** n
 
 
 def f_self_dual_image(f: BivarPoly, n: int) -> BivarPoly:
     """(-1)^n F(-1-x, -1-y), which equals F at k = 1."""
-    return _substitute(f, _f_self_dual_image) * (-1) ** n
+    return _substitute(f, "F", n, _f_self_dual_image)
 
 
-@lru_cache(maxsize=None)
-def _h_reciprocal_image(i, j):
-    return _ONEMX ** (i - j) * (-_X * _Y) ** j
+def _h_reciprocal_image(n, i, j):
+    return _ONEMX ** (i - j) * (-_X * _Y) ** j * (-1) ** n
 
 
 def h_reciprocal_image(h: BivarPoly, n: int) -> BivarPoly:
     """(-1)^n H(1-x, -xy/(1-x)); maps H at -k onto H at k."""
-    require_h_support(h)
-    return _substitute(h, _h_reciprocal_image) * (-1) ** n
+    return _substitute(h, "H", n, _h_reciprocal_image)
 
 
-@lru_cache(maxsize=None)
 def _m_reciprocal_image(n, a, b):
     return BivarPoly.monomial(a, n + a - b)
 
 
 def m_reciprocal_image(m: BivarPoly, n: int) -> BivarPoly:
     """y^n M(xy, 1/y); maps M at -k onto M at k."""
-    require_m_support(m)
-    _require_degree(m, n, 1, "M")
-    return _substitute(m, partial(_m_reciprocal_image, n))
+    return _substitute(m, "M", n, _m_reciprocal_image)
 
 
-@lru_cache(maxsize=None)
 def _h_dual_image(n, i, j):
     return _X ** (n - i) * _U**j
 
 
 def h_dual_image(h: BivarPoly, n: int) -> BivarPoly:
     """x^n H(1/x, 1 + (y-1)x); equals H at k = 1."""
-    require_h_support(h)
-    _require_degree(h, n, 0, "H")
-    return _substitute(h, partial(_h_dual_image, n))
+    return _substitute(h, "H", n, _h_dual_image)
 
 
-@lru_cache(maxsize=None)
 def _f_from_h_k1_image(n, i, j):
     return (_X + _ONE) ** (i - j) * (_Y + _ONE) ** j * _X ** (n - i)
 
 
 def f_from_h_k1(h: BivarPoly, n: int) -> BivarPoly:
     """F(x, y) = x^n H((x+1)/x, (y+1)/(x+1)) at k = 1."""
-    require_h_support(h)
-    _require_degree(h, n, 0, "H")
-    return _substitute(h, partial(_f_from_h_k1_image, n))
+    return _substitute(h, "H", n, _f_from_h_k1_image)
 
 
-@lru_cache(maxsize=None)
-def _ceiling_image(i, j):
+def _ceiling_image(n, i, j):
     return _X ** (i - j) * _XM1**j
 
 
 def ceiling_specialization(h: BivarPoly) -> BivarPoly:
     """H(x, 1 - 1/x), a polynomial in x thanks to the support condition."""
-    require_h_support(h)
-    return _substitute(h, _ceiling_image)
+    return _substitute(h, "H", None, _ceiling_image)
 
 
-@lru_cache(maxsize=None)
 def _bottom_image(n, i, j):
-    return BivarPoly.monomial(n - i, 0)
+    return BivarPoly.monomial(n - i, 0) if j == 0 else BivarPoly.zero()
 
 
 def bottom_specialization(h: BivarPoly, n: int) -> BivarPoly:
     """x^n H(1/x, 0), a polynomial in x."""
-    require_h_support(h)
-    bottom = BivarPoly({(i, j): c for (i, j), c in h.coeffs.items() if j == 0})
-    _require_degree(bottom, n, 0, "H")
-    return _substitute(bottom, partial(_bottom_image, n))
+    return _substitute(h, "H", n, _bottom_image)
 
 
 class KFamily:

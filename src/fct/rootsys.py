@@ -85,11 +85,10 @@ class TypeSpec:
             part = part.strip()
             if len(part) < 2 or part[0].upper() not in _FAMILIES:
                 raise UsageError(f"cannot parse type factor {part!r}")
-            family = part[0].upper()
-            try:
-                rank = int(part[1:])
-            except ValueError:
-                raise UsageError(f"cannot parse rank in factor {part!r}") from None
+            family, digits = part[0].upper(), part[1:]
+            if not (digits.isascii() and digits.isdigit()):
+                raise UsageError(f"cannot parse rank in factor {part!r}")
+            rank = int(digits)
             if not _valid_rank(family, rank):
                 raise UsageError(f"invalid type factor {family}{rank}")
             factors.append((family, rank))

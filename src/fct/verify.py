@@ -201,28 +201,27 @@ def verify_final(rs: RootSystem, k: int) -> dict | None:
     return _poly_detail(lhs, bottom_specialization(nonnesting.h_triangle(rs, k), rs.n))
 
 
-def _parabolic_triangle(rs: RootSystem, remove: int, k: int, triangle) -> BivarPoly:
-    """Triangle of the parabolic, as a product over irreducible factors."""
-    out = BivarPoly.one()
-    for factor in irreducible_factors(parabolic(rs, remove)):
-        out = out * triangle(factor, k)
+def _parabolic_sum(rs: RootSystem, k: int, triangle) -> BivarPoly:
+    """Sum over the simple roots a of the triangle of the parabolic
+    Phi minus a, each one the product over its irreducible factors."""
+    out = BivarPoly.zero()
+    for a in range(rs.n):
+        term = BivarPoly.one()
+        for factor in irreducible_factors(parabolic(rs, a)):
+            term = term * triangle(factor, k)
+        out = out + term
     return out
 
 
 def verify_dh(rs: RootSystem, k: int) -> dict | None:
     lhs = nonnesting.h_triangle(rs, k).dy()
-    rhs = BivarPoly.zero()
-    for a in range(rs.n):
-        rhs = rhs + _parabolic_triangle(rs, a, k, nonnesting.h_triangle)
-    return _poly_detail(lhs, BivarPoly.monomial(1, 0) * rhs)
+    rhs = BivarPoly.monomial(1, 0) * _parabolic_sum(rs, k, nonnesting.h_triangle)
+    return _poly_detail(lhs, rhs)
 
 
 def verify_df(rs: RootSystem, k: int) -> dict | None:
     lhs = cluster.f_triangle(rs, k).dy()
-    rhs = BivarPoly.zero()
-    for a in range(rs.n):
-        rhs = rhs + _parabolic_triangle(rs, a, k, cluster.f_triangle)
-    return _poly_detail(lhs, rhs)
+    return _poly_detail(lhs, _parabolic_sum(rs, k, cluster.f_triangle))
 
 
 def verify_bij(rs: RootSystem, k: int) -> dict | None:

@@ -138,6 +138,7 @@ def test_verify_usage_errors_exit_2(capsys, monkeypatch):
     ] + [
         ["verify", "final", "--type", "B2", "-k", "3"],
         ["triangle", "H", "--type", "Z9", "-k", "1"],
+        ["triangle", "H", "--type", "A1_0", "-k", "1"],
         ["verify", "nonsense", "--type", "A2", "-k", "1"],
     ]
     for argv in requests:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +164,14 @@ def test_transform_triangle_commutes(h):
     assert h_from_f(f, 3) == h
 
 
+# a triangle of rank 2 that breaks each kind's support rule, and the message
+BROKEN_SUPPORT = {
+    "H": (BivarPoly({(1, 2): 1}), "H-triangle support violated at (1, 2)"),
+    "F": (BivarPoly({(1, 2): 1}), "F-triangle support violated at (1, 2) for rank 2"),
+    "M": (BivarPoly({(2, 1): 1}), "M-triangle support violated at (2, 1)"),
+}
+
+
 @pytest.mark.parametrize(
     "transform, support, too_high",
     [
@@ -171,9 +181,23 @@ def test_transform_triangle_commutes(h):
         (m_from_h, "H", BivarPoly({(3, 0): 1})),
         (h_dual_image, "H", BivarPoly({(3, 1): 1})),
         (f_from_h_k1, "H", BivarPoly({(3, 3): 1})),
+        (h_reciprocal_image, "H", BivarPoly({(3, 2): 1})),
+        (bottom_specialization, "H", BivarPoly({(3, 1): 1})),
+        (h_from_f, "F", BivarPoly({(3, 0): 1})),
+        (h_from_f_k1, "F", BivarPoly({(0, 3): 1})),
+        (f_self_dual_image, "F", BivarPoly({(3, 0): 1})),
+        (ceiling_specialization, "H", None),
     ],
 )
 def test_transform_rank_check(transform, support, too_high):
+    """Each transform rejects a triangle off its kind's support and, given
+    a rank, an exponent above it; ceiling_specialization takes no rank."""
+    broken, message = BROKEN_SUPPORT[support]
+    rank = () if too_high is None else (2,)
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        transform(broken, *rank)
+    if too_high is None:
+        return
     with pytest.raises(UsageError, match=f"^{support}-triangle degree exceeds rank$"):
         transform(too_high + BivarPoly.one(), 2)
     transform(too_high, 3)  # degree equal to the rank is allowed

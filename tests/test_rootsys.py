@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -48,6 +49,14 @@ def test_typespec_parse_roundtrip():
     for bad in ["", "H3", "A", "A0", "Bx", "D3", "E9", "F5", "G3", "Q2"]:
         with pytest.raises(UsageError):
             TypeSpec.parse(bad)
+
+
+@pytest.mark.parametrize("text", ["A1_0", "A+3", "A 3", "A\u0663", "G+2"])
+def test_typespec_rank_is_ascii_digits(text):
+    # int() would read each of these as a rank
+    message = f"cannot parse rank in factor {text!r}"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        TypeSpec.parse(text)
 
 
 def test_positive_root_counts_and_coxeter_numbers():
