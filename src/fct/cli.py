@@ -4,7 +4,9 @@ Subcommands: ``triangle`` prints one of the three generating
 polynomials, ``verify`` runs a single named identity, ``grid`` runs a
 whole verification matrix, and ``dump`` emits the raw combinatorial
 objects behind the polynomials.  All machine output (JSON, CSV, LaTeX)
-is byte-deterministic for fixed arguments.
+is byte-deterministic for fixed arguments.  ``triangle`` and ``dump``
+read their producer from one table each, ``TRIANGLES`` and ``DUMPS``: a
+layer function of (rs, k), and for a dump the writer of its result.
 
 Exit codes: 0 verified/success, 1 identity violated, 2 usage error,
 3 internal invariant failure or any other unexpected exception (its
@@ -41,13 +43,6 @@ from importlib import import_module
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .rootsys import TypeSpec, build_root_system
 
-# Triangle letter -> (layer module, function), imported on use.
-TRIANGLES = {
-    "H": ("nonnesting", "h_triangle"),
-    "F": ("cluster", "f_triangle"),
-    "M": ("noncrossing", "m_triangle"),
-}
-
 GRID_COLUMNS = [
     "counts", "h=f", "h=m", "m=f", "y1-nar", "dh", "df", "bij",
     "k1", "dual", "recip", "lattice-nar", "pos", "ceil", "final", "phi",
@@ -78,10 +73,32 @@ def _json_bytes(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# Triangle letter -> (layer module, function of (rs, k)), imported on use.
+TRIANGLES = {
+    "H": ("nonnesting", "h_triangle"),
+    "F": ("cluster", "f_triangle"),
+    "M": ("noncrossing", "m_triangle"),
+}
+
+# Dump name -> (layer module, function of (rs, k), writer of its result),
+# imported on use; the Ehrhart CSV is text already.
+DUMPS = {
+    "nn": ("nonnesting", "chains_json", _json_bytes),
+    "fnumbers": ("cluster", "fnumbers_json", _json_bytes),
+    "nc": ("noncrossing", "nc_json", _json_bytes),
+    "regions": ("arrangement", "regions_json", _json_bytes),
+    "ehrhart": ("ehrhart", "ehrhart_csv", str),
+}
+
+
+def _layer(module: str, function: str):
+    """The function of a layer, whose module is imported on first use."""
+    return getattr(import_module(f"{__package__}.{module}"), function)
+
+
 def cmd_triangle(args) -> int:
     rs = build_root_system(TypeSpec.parse(args.type))
-    module, function = TRIANGLES[args.triangle]
-    poly = getattr(import_module(f"{__package__}.{module}"), function)(rs, args.k)
+    poly = _layer(*TRIANGLES[args.triangle])(rs, args.k)
     if args.json:
         payload = {
             "triangle": args.triangle,
@@ -142,34 +159,8 @@ def cmd_grid(args) -> int:
 
 def cmd_dump(args) -> int:
     rs = build_root_system(TypeSpec.parse(args.type))
-    k = args.k
-    if args.what == "nn":
-        from . import nonnesting
-
-        payload = nonnesting.chains_to_json(nonnesting.enumerate_chains(rs, k))
-        _emit(_json_bytes(payload), args.out)
-    elif args.what == "fnumbers":
-        from . import cluster
-
-        _emit(_json_bytes(cluster.fnumbers_json(rs, k)), args.out)
-    elif args.what == "nc":
-        from . import noncrossing
-
-        _emit(_json_bytes(noncrossing.nc_json(rs, k)), args.out)
-    elif args.what == "regions":
-        from . import arrangement
-
-        _emit(_json_bytes(arrangement.regions_json(rs, k)), args.out)
-    else:
-        from . import ehrhart
-
-        if k < 1:
-            raise UsageError("k must be a positive integer")
-        rows = ehrhart.ehrhart_csv_rows(
-            rs, range(1, k * ehrhart.simplex_model(rs).h + 2)
-        )
-        text = "t,i,N\n" + "".join("%d,%d,%d\n" % row for row in rows)
-        _emit(text, args.out)
+    module, function, write = DUMPS[args.what]
+    _emit(write(_layer(module, function)(rs, args.k)), args.out)
     return 0
 
 
@@ -204,9 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=cmd_grid)
 
     p_dump = sub.add_parser("dump", help="emit raw combinatorial objects")
-    p_dump.add_argument(
-        "what", choices=["nn", "fnumbers", "nc", "regions", "ehrhart"]
-    )
+    p_dump.add_argument("what", choices=list(DUMPS))
     p_dump.add_argument("--type", required=True)
     p_dump.add_argument("-k", type=int, required=True)
     p_dump.add_argument("--out")

@@ -179,5 +179,4 @@ def positive_h_poly(rs: RootSystem, k: int) -> BivarPoly:
 
 
 def fnumbers_json(rs: RootSystem, k: int) -> dict:
-    f = f_triangle(rs, k)
-    return {"f": [[l, m, c] for (l, m), c in sorted(f.coeffs.items())]}
+    return {"f": f_triangle(rs, k).monomial_list()}

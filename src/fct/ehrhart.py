@@ -19,7 +19,7 @@ of zero coordinates, and merges partial points that agree on all three.
 One run at the largest dilation T serves every t <= T: its final
 states already hold c.z, so the points of the t-dilated simplex are the
 lattice points with c.z <= t, and those with c.z = t lie on one more
-wall, the cap.  `count_by_walls`, `n_k_i`, `ehrhart_csv_rows` and the
+wall, the cap.  `count_by_walls`, `n_k_i`, `ehrhart_csv` and the
 `lattice-nar` identity all read their histograms from that one run.
 The run keeps at most (T+1) * det A * (n+1) states, which is bounded
 before it starts.
@@ -190,16 +190,15 @@ def quasi_period(rs: RootSystem) -> int:
     return lcm(simplex_period(rs), h) // h
 
 
-def ehrhart_csv_rows(rs: RootSystem, ts) -> list:
-    """Rows (t, i, N_i) over the dilations ts, an ascending sequence,
-    all read from one `wall_histograms` run at its last entry."""
-    if not ts:
-        return []
-    if ts[0] < 0:
-        raise UsageError("dilation must be nonnegative")
-    histograms = wall_histograms(rs, ts[-1])
-    rows = []
-    for t in ts:
-        for i, v in enumerate(histograms[t]):
-            rows.append((t, i, v))
-    return rows
+def ehrhart_csv(rs: RootSystem, k: int) -> str:
+    """The CSV ``t,i,N``: N points of the t-dilated simplex on i walls,
+    for t = 1..kh+1, all read from one `wall_histograms` run."""
+    if k < 1:
+        raise UsageError("k must be a positive integer")
+    top = k * simplex_model(rs).h + 1
+    histograms = wall_histograms(rs, top)
+    return "t,i,N\n" + "".join(
+        "%d,%d,%d\n" % (t, i, v)
+        for t in range(1, top + 1)
+        for i, v in enumerate(histograms[t])
+    )

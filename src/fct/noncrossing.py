@@ -103,7 +103,7 @@ from operator import mul
 from . import weyl
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, interpolate, require_m_support
-from .rootsys import ENUMERATION_LIMIT, RootSystem, fuss_catalan_number
+from .rootsys import ENUMERATION_LIMIT, RootSystem, fuss_catalan_number, fuss_catalan_sum
 
 # Bound on the bytes of the interval tables, in 4-byte entries: two per
 # comparable pair w <= u of [1, c], FC(W, 2) of them, and two per element
@@ -285,16 +285,18 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
     v_1 <= v_2 <= ... <= v_k below c, and any such multichain yields a
     delta sequence.  The enumeration walks it down from v_k: v_(i-1)
     runs over the pairs w <= v_i, whose quotient is d_i, and d_0 = c v_k^-1
-    is the element whose complement is v_k.  Their exact number, the
-    Fuss-Catalan number, is bounded before any work.
+    is the element whose complement is v_k.  The walk visits every
+    multichain v_j <= ... <= v_k on the way, FC(W, 1) + ... + FC(W, k) of
+    them, and that exact number is bounded before any work.
     """
     if k < 1:
         raise UsageError("k must be a positive integer")
-    count = fuss_catalan_number(rs, k)
-    if count > ENUMERATION_LIMIT:
+    visited = fuss_catalan_sum(rs, k)
+    if visited > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"delta sequence enumeration for {rs.typespec}, k={k} lists {count} "
-            f"sequences, more than the bound {ENUMERATION_LIMIT}"
+            f"delta sequence enumeration for {rs.typespec}, k={k} lists "
+            f"{fuss_catalan_number(rs, k)} sequences and visits {visited} "
+            f"multichains on the way, more than the bound {ENUMERATION_LIMIT}"
         )
     tables = _interval_tables(rs)
     zeroth = [0] * len(tables)  # zeroth[v]: index of c v^-1

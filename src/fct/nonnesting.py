@@ -37,16 +37,15 @@ only to the chains of k - 4 filters (``_purecore._walk``).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 
 from . import kernels
 from .errors import ResourceLimitError, UsageError
-from .poly import BivarPoly, interpolate, require_h_support
+from .poly import BivarPoly, require_h_support
 from .rootsys import (
     ENUMERATION_LIMIT,
     RootSystem,
     filter_mask,
-    fuss_catalan_number,
+    fuss_catalan_sum,
     parabolic_root_embedding,
 )
 
@@ -112,27 +111,14 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
     return tuple(kernels.nn_chains(filters, subs, rs.sum_triples, k, full))
 
 
-def census_chain_count(rs: RootSystem, k: int) -> int:
-    """FC(W, 1) + ... + FC(W, k), the geometric chains of at most k
-    filters, from n + 1 Fuss-Catalan numbers whatever k is.
-
-    FC(W, m) is a product of n factors linear in m, so the sum is a
-    polynomial of degree n + 1 in k; Lagrange's formula reads it off its
-    values at k = 0..n+1.
-    """
-    sums = list(accumulate(
-        (fuss_catalan_number(rs, m) for m in range(1, rs.n + 2)), initial=0
-    ))
-    return interpolate(range(rs.n + 2), [sums], k)[0]
-
-
 def _require_chain_bound(rs: RootSystem, k: int) -> None:
     """A walk to depth k, listing or census, visits every geometric chain
     of at most k filters; their exact number, the sum of the
-    Fuss-Catalan numbers, bounds it before it starts."""
+    Fuss-Catalan numbers (``fuss_catalan_sum``), bounds it before it
+    starts."""
     if k < 1:
         raise UsageError("k must be a positive integer")
-    chains = census_chain_count(rs, k)
+    chains = fuss_catalan_sum(rs, k)
     if chains > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"chain walk for {rs.typespec}, k=1..{k} visits {chains} chains, "
@@ -290,9 +276,11 @@ def indecomposable_histogram(rs: RootSystem, k: int) -> tuple:
     return tuple(out)
 
 
-def chains_to_json(chains) -> list:
-    """One sorted root-index list per filter of each chain; chains share
-    their filters, so each distinct filter's list is built once."""
+def chains_json(rs: RootSystem, k: int) -> list:
+    """The chains of ``enumerate_chains``, one sorted root-index list per
+    filter; chains share their filters, so each distinct filter's list is
+    built once."""
+    chains = enumerate_chains(rs, k)
     masks = {m for chain in chains for m in chain}
     lists = {m: list(_set_bits(m)) for m in masks}
     return [[lists[m] for m in chain] for chain in chains]

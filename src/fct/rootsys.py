@@ -431,7 +431,8 @@ def irreducible_factors(rs: RootSystem) -> tuple:
 
 
 # Bound on the objects one enumeration visits: the geometric chains of a
-# chain walk (every k' <= k), delta sequences.
+# chain walk, the multichains of the delta sequence walk (every k' <= k
+# for both, ``fuss_catalan_sum``).
 ENUMERATION_LIMIT = 5 * 10**6
 
 
@@ -445,3 +446,21 @@ def fuss_catalan_number(rs: RootSystem, k: int) -> int:
     if num % den:
         raise InternalInvariantError("Fuss-Catalan product is not an integer")
     return num // den
+
+
+def fuss_catalan_sum(rs: RootSystem, k: int) -> int:
+    """FC(W, 1) + ... + FC(W, k), from n + 1 Fuss-Catalan numbers
+    whatever k is: the objects a walk to depth k visits, the geometric
+    chains of at most k filters or the multichains below c of at most k
+    elements.
+
+    FC(W, m) is a product of n factors linear in m, so the sum is a
+    polynomial of degree n + 1 in k; Lagrange's formula reads it off its
+    values at k = 0..n+1.
+    """
+    from .poly import interpolate  # fct.cli loads rootsys alone
+
+    sums = [0]
+    for m in range(1, rs.n + 2):
+        sums.append(sums[-1] + fuss_catalan_number(rs, m))
+    return interpolate(range(rs.n + 2), [sums], k)[0]

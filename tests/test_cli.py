@@ -13,8 +13,8 @@ import pytest
 
 import fct
 from fct import (
-    arrangement, cli, cluster, ehrhart, grid, kernels, noncrossing, nonnesting, verify,
-    weyl,
+    arrangement, cli, cluster, ehrhart, grid, kernels, noncrossing, nonnesting, rootsys,
+    verify, weyl,
 )
 from fct.errors import InternalInvariantError, ResourceLimitError
 from fct.poly import BivarPoly
@@ -289,6 +289,42 @@ def test_commands_load_only_their_layers():
     assert set(steps["traced"]) <= set(steps["verify"])
 
 
+# Run in a fresh interpreter: one dump (argv[1]) on A2 k=1, then the fct
+# modules it loaded, the compiled core aside.
+DUMP_LOAD_PROBE = """
+import contextlib, io, sys
+import fct.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    fct.cli.main(["dump", sys.argv[1], "--type", "A2", "-k", "1"])
+print(" ".join(sorted(
+    m[4:] for m in sys.modules if m.startswith("fct.") and m != "fct._fastcore"
+)))
+"""
+
+
+def test_each_dump_loads_only_its_layers():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    what = next(a for a in commands.choices["dump"]._actions if a.dest == "what")
+    assert list(what.choices) == list(cli.DUMPS) == [
+        "nn", "fnumbers", "nc", "regions", "ehrhart",
+    ]
+    common = {"cli", "errors", "rootsys", "_purecore"}
+    layers = {
+        "nn": {"kernels", "nonnesting", "poly"},
+        "fnumbers": {"cluster", "kernels", "poly"},
+        "nc": {"kernels", "noncrossing", "poly", "weyl"},
+        "regions": {"arrangement", "kernels", "nonnesting", "poly"},
+        "ehrhart": {"ehrhart"},
+    }
+    for name, own in layers.items():
+        done = subprocess.run(
+            [sys.executable, "-c", DUMP_LOAD_PROBE, name],
+            env=_fresh_env(), capture_output=True, text=True, check=True,
+        )
+        assert set(done.stdout.split()) == common | own, name
+
+
 def test_verify_choices_are_the_identities_and_grid_columns():
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -365,24 +401,29 @@ def test_recip_past_chain_bound_exits_4(capsys, monkeypatch):
 
 
 def test_census_bound_needs_no_loop_over_k(capsys, monkeypatch):
-    # B3 at k = 10**12: the bound reads at most n + 2 = 5 Fuss-Catalan
-    # numbers, not 10**12 of them
-    calls = []
-    fc = nonnesting.fuss_catalan_number
+    # B3 at k = 10**12: the bound of the chain walk and of the delta
+    # sequence walk reads at most n + 2 = 5 Fuss-Catalan numbers, not
+    # 10**12 of them
+    fc = rootsys.fuss_catalan_number
+    for command, message in [
+        (["triangle", "H"], "k=1..1000000000000 visits"),
+        (["dump", "nc"], "k=1000000000000 lists"),
+    ]:
+        calls = []
 
-    def counting_fc(rs, m):
-        calls.append(m)
-        return fc(rs, m)
+        def counting_fc(rs, m):
+            calls.append(m)
+            return fc(rs, m)
 
-    monkeypatch.setattr(nonnesting, "fuss_catalan_number", counting_fc)
-    monkeypatch.setattr(
-        sys, "argv", ["fct", "triangle", "H", "--type", "B3", "-k", str(10**12)]
-    )
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert exc.value.code == 4
-    assert "k=1..1000000000000 visits" in capsys.readouterr().err
-    assert 1 <= len(calls) <= 5
+        monkeypatch.setattr(rootsys, "fuss_catalan_number", counting_fc)
+        monkeypatch.setattr(
+            sys, "argv", ["fct", *command, "--type", "B3", "-k", str(10**12)]
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 4, command
+        assert message in capsys.readouterr().err, command
+        assert 1 <= len(calls) <= 5, command
 
 
 def test_compatibility_graph_past_pair_bound_exits_4(capsys, monkeypatch):
@@ -476,6 +517,21 @@ def test_dump_nc_past_sequence_bound_exits_4(capsys, monkeypatch):
         cli.entry()
     assert exc.value.code == 4
     assert "48822021 sequences" in capsys.readouterr().err
+
+
+def test_dump_nc_past_multichain_bound_exits_4(capsys, monkeypatch):
+    # B2 at k = 500 has 501 501 delta sequences, within the bound, but
+    # the walk down the multichains visits 83 959 750 of them on the way
+    def no_tables(*args):
+        raise AssertionError("the interval tables were built")
+
+    monkeypatch.setattr(noncrossing, "_interval_tables", no_tables)
+    monkeypatch.setattr(sys, "argv", ["fct", "dump", "nc", "--type", "B2", "-k", "500"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert "501501 sequences and visits 83959750 multichains" in err
 
 
 def test_past_the_recursion_limit_exits_4(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from fct import verify
 from fct.ehrhart import (
     count_by_walls,
-    ehrhart_csv_rows,
+    ehrhart_csv,
     n_k_i,
     quasi_period,
     simplex_model,
@@ -74,9 +74,12 @@ def test_lattice_dp_is_bounded_before_it_starts():
         wall_histograms(rs, 2 * 10**8 + 1)
     with pytest.raises(ResourceLimitError):
         n_k_i(rs, 10**8)
+    with pytest.raises(ResourceLimitError, match="800000008 states"):
+        ehrhart_csv(rs, 10**8)
     with pytest.raises(UsageError):
-        ehrhart_csv_rows(rs, [-1, 0])
-    assert ehrhart_csv_rows(rs, []) == []
+        wall_histograms(rs, -1)
+    with pytest.raises(UsageError):
+        ehrhart_csv(rs, 0)
 
 
 def test_walls_dp_matches_point_enumeration():
@@ -149,8 +152,14 @@ def test_quasipolynomial_fit_predicts_held_out():
 
 
 def test_csv_rows_shape():
-    rows = ehrhart_csv_rows(rsys("A2"), [1, 2, 3])
+    # A2 at k = 1: the dilations 1..h+1 = 1..4, one row per wall count
+    header, *lines = ehrhart_csv(rsys("A2"), 1).splitlines()
+    assert header == "t,i,N"
+    rows = [tuple(map(int, line.split(","))) for line in lines]
     assert all(len(r) == 3 for r in rows)
-    assert [r[0] for r in rows] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
-    body = [r for r in rows if r[0] == 2]
-    assert [r[2] for r in body] == list(count_by_walls(rsys("A2"), 2).counts)
+    assert [r[0] for r in rows] == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+    for t in (2, 4):
+        body = [r for r in rows if r[0] == t]
+        assert [r[1] for r in body] == [0, 1, 2]
+        assert [r[2] for r in body] == list(count_by_walls(rsys("A2"), t).counts)
+    assert [r[2] for r in rows if r[0] == 4] == list(n_k_i(rsys("A2"), 1))

@@ -21,6 +21,7 @@ from fct.rootsys import (
     degrees,
     filter_mask,
     fuss_catalan_number,
+    fuss_catalan_sum,
     irreducible_factors,
     parabolic,
     parabolic_root_embedding,
@@ -191,6 +192,14 @@ def test_fuss_catalan_anchors():
     assert fuss_catalan_number(rsys("A2xB2"), 2) == 12 * fuss_catalan_number(
         rsys("B2"), 2
     )
+
+
+def test_fuss_catalan_sum_is_the_plain_sum():
+    for name in ("A3", "B3", "G2", "D4", "A1xB2"):
+        rs = rsys(name)
+        for k in range(31):
+            plain = sum(fuss_catalan_number(rs, m) for m in range(1, k + 1))
+            assert fuss_catalan_sum(rs, k) == plain, (name, k)
 
 
 def test_irreducible_factors():
