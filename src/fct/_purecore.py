@@ -9,10 +9,11 @@ walk, ``_walk``, and one loop over the filter lattice,
 children in that walk.  The listing descends chain by chain.  The
 census records the state of each chain of k - 2 filters and expands
 each distinct state of its last two levels once, weighted by the chains
-that share it; from k = 5 on it recurses only to the chains of k - 4
-filters, whose loops record those states inline.  The sums within each
-filter and within its complement, which depth 1 reads, come from one
-recurrence over the filters (``squares``).  The compiled core also
+that share it; from k = 4 on the loop that picks I_{k-3} (I_1 at k = 4,
+I_2 at k = 5) records those states inline, so it recurses only to the
+chains of k - 4 filters.  The sums within each filter and within its
+complement, which depth 1 reads, come from one recurrence over the
+filters (``squares``).  The compiled core also
 keeps nn_chains, nn_census (one entry of the census), int_rank and
 weyl_closure, which only the tests and the benchmark's kernel probe
 call; its chain kernels read a subfilter table that the pure ones do
@@ -277,13 +278,14 @@ def _walk(filters, triples, k, full, leaf=None):
     is packed as one int, (key * len(filters) + index of I_1) << 2R | P
     (P < 2^2R).  At k <= 3 each chain of k - 2 filters has a state of its
     own (the key holds I_{k-2} and, at k = 3, that is I_1), so the
-    descent runs to the end there.  From k = 5 on, the loop that picks
-    I_{k-3} records the states of each pick's children itself, so no
-    chain of k - 3 filters is visited.  That is the same walk: within the
-    loop I_1..I_{k-4} stay fixed, so a term that does not read the pick
-    has one value for every pick and is read once, while the terms that
-    read it are read per pick, and each state is the one the visit would
-    record.
+    descent runs to the end there.  From k = 4 on, the loop that picks
+    I_{k-3} (I_1 at k = 4, I_2 at k = 5) records the states of each pick's
+    children itself, so no chain of k - 3 filters is visited.  That is the
+    same walk: within the loop I_1..I_{k-4} stay fixed, so a term that
+    does not read the pick has one value for every pick and is read once,
+    while the terms that read it are read per pick (at k = 4 the pick is
+    I_1, so rows[I_1] and P, the square of h, are read per pick), and each
+    state is the one the visit would record.
 
     Returns (tally, groups, group).  tally[m] maps the key of each group
     of chains of m filters to the number of chains of m - 1 filters whose
@@ -347,8 +349,7 @@ def _walk(filters, triples, k, full, leaf=None):
     states = {}
     shift = 2 * width
     step = nf << shift
-    last = k - 2 if leaf is None and k >= 4 else k
-    inline = k - 3 if leaf is None and k >= 5 else 0  # visit(last) runs inline
+    inline = k - 3 if leaf is None and k >= 4 else 0  # visit(k - 2) runs inline
 
     def visit(m, key):
         # idx[1:m] is a geometric chain; its children are group(key)
@@ -359,21 +360,13 @@ def _walk(filters, triples, k, full, leaf=None):
         # I_1 + I_m is the only term of the children's bounds that involves g
         first = idx[1]
         one = rows[first] if m > 1 else square
-        if m == last:
-            # k = 4: the state is child's key * step + (I_1 << 2R | P), and
-            # P, the pair (2, 2), reads the child itself
-            low = first << shift
-            for g in cands:
-                child = ((part | one[g]) & keep[g]) * nf + g
-                state = child * step + (low | square[g])
-                states[state] = states.get(state, 0) + 1
-            return
         counts = tally[m + 1]
         if m == inline:
-            # k >= 5: this loop picks g = I_{k-3} and records the states
+            # k >= 4: this loop picks g = I_{k-3} and records the states
             # of g's children h as visit(k - 2, child) would.  Only the
             # pairs (2, k - 3) and (3, k - 3), g's square at k = 5 and 6,
-            # and rows[I_2] at k = 5 read g; the rest is read once
+            # and rows[I_2] at k = 5 read g; at k = 4, g is I_1 and P is
+            # h's square.  The rest is read once
             rest = 0
             for i in range(3, (k - 1) // 2 + 1):
                 rest |= rows[idx[i]][idx[k - 1 - i]]
@@ -383,15 +376,18 @@ def _walk(filters, triples, k, full, leaf=None):
             if m > 2:
                 two = rows[idx[2]]
                 three = rows[idx[3]] if m > 3 else square
+            near = one
             for g in cands:
                 child = ((part | one[g]) & keep[g]) * nf + g
                 counts[child] = counts.get(child, 0) + 1
                 if m > 2:
                     p, q = rest | two[g], low | three[g]
-                else:
+                elif m == 2:
                     p, q, two = square[g], low, rows[g]
+                else:
+                    p, q, near, two = 0, g << shift, rows[g], square
                 for h in cands_of(child):
-                    state = (((p | one[h]) & keep[h]) * nf + h) * step + (q | two[h])
+                    state = (((p | near[h]) & keep[h]) * nf + h) * step + (q | two[h])
                     states[state] = states.get(state, 0) + 1
             return
         deeper = m + 1 < k

@@ -53,7 +53,7 @@ def _emit(text: str, out) -> None:
     """Write ``text`` to stdout, or to the file ``out`` whole: it goes to a
     temporary file beside ``out`` that replaces ``out`` only once written,
     so a failed write leaves an existing ``out`` as it was."""
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     import os
@@ -206,6 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "out", None) == "":  # a path variable left unset is not stdout
+        raise UsageError("--out needs a file name")
     return args.func(args)
 
 

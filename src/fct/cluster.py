@@ -87,7 +87,6 @@ def colored_rotation(rs: RootSystem, k: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def compat_masks(rs: RootSystem, k: int) -> tuple:
     """Adjacency bitmasks of the compatibility graph.
 

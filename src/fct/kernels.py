@@ -35,9 +35,9 @@ def clique_census(nbrs, nvert, n_neg):
 
 # One chain walk on every backend.  The census counts each group of
 # children once, so it costs the walk to depth k-1, not the leaves (from
-# k = 4 on, the walk to depth k-2 and one expansion per distinct state
-# there; from k = 5 on the loop that forms the chains of depth k-3 also
-# records those states, with no call per chain): on E7 k=2 the pure
+# k = 4 on, the walk to depth k-3 and one expansion per distinct state:
+# the loop that picks I_{k-3}, I_1 at k = 4 and I_2 at k = 5, records the
+# states of depth k-2 with no call per chain): on E7 k=2 the pure
 # census and listing take 0.37 and 0.35 s, the compiled per-leaf kernels
 # 1.2 and 1.6 s (2-core host).
 nn_chains = _purecore.nn_chains

@@ -276,7 +276,6 @@ def absolute_interval(rs: RootSystem) -> tuple:
     return tuple(weyl.GroupElement(rs, tuple(images[a:a + nref])) for a in rows)
 
 
-@lru_cache(maxsize=None)
 def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
     """All delta sequences, as tuples (d_0, d_1, ..., d_k) of indices
     into the interval tables, via multichains of partial products.
@@ -373,7 +372,6 @@ def _breadth_first_keys(rs: RootSystem, tables: Interval):
         yield bytes((len(word), *word))
 
 
-@lru_cache(maxsize=None)
 def build_nc_poset(rs: RootSystem, k: int) -> NCPoset:
     """The delta sequences in the order of ``NCPoset``.  The slots fix
     the sequence, so no two share a sort key."""
@@ -405,7 +403,6 @@ def _multichain_counts(rs: RootSystem, j: int) -> tuple:
     return tuple(cur)
 
 
-@lru_cache(maxsize=None)
 def _moebius_rows(rs: RootSystem, k: int) -> tuple:
     """Entry x: g(x) of the module docstring, by increasing length.  The
     term v = 1 of its sum is the pair w = 1, q = x, and reads g(x) = 0

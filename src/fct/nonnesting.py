@@ -31,8 +31,9 @@ groups of the last level depend on a chain of k - 2 filters only through
 its state (the group of its children, I_1, and the pair sums of level k
 that do not read I_{k-1}), so the census walk records the state of
 each chain of k - 2 filters and expands each distinct state once; from
-k = 5 on it records them in the loop that picks I_{k-3}, so it recurses
-only to the chains of k - 4 filters (``_purecore._walk``).
+k = 4 on it records them in the loop that picks I_{k-3} (I_1 at k = 4,
+I_2 at k = 5), so it recurses only to the chains of k - 4 filters
+(``_purecore._walk``).
 """
 from __future__ import annotations
 

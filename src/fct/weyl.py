@@ -159,7 +159,6 @@ def absolute_leq(u: GroupElement, v: GroupElement) -> bool:
     return u.length + compose(inverse(u), v).length == v.length
 
 
-@lru_cache(maxsize=None)
 def coxeter_element(rs: RootSystem) -> GroupElement:
     """Product of the simple reflections in index order.  Every Coxeter
     element is this one for some numbering of the diagram's nodes."""

@@ -87,6 +87,20 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"fct: cannot write {target}: No such file or directory\n"
 
 
+def test_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an empty name is refused before any work, not read as stdout
+    monkeypatch.chdir(tmp_path)
+    for command in (["triangle", "H"], ["dump", "nn"]):
+        monkeypatch.setattr(
+            sys, "argv", ["fct", *command, "--type", "A2", "-k", "1", "--out", ""]
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2, command
+        assert capsys.readouterr() == ("", "fct: --out needs a file name\n"), command
+        assert os.listdir(tmp_path) == [], command
+
+
 def test_failed_out_write_keeps_the_old_target(tmp_path, capsys, monkeypatch):
     # the disk fills after a few bytes: the old file must survive whole,
     # and no temporary file may stay behind
@@ -693,8 +707,7 @@ def test_grid_acceptance_quiet(capsys, monkeypatch):
         return census(*args)
 
     monkeypatch.setattr(kernels, "clique_census", counting_census)
-    for fn in (cluster.colored_rotation, cluster.compat_masks,
-               cluster.build_complex, cluster.f_triangle):
+    for fn in (cluster.colored_rotation, cluster.build_complex, cluster.f_triangle):
         fn.cache_clear()
     cells = grid.cells("acceptance")
     assert len(cells) == 22

@@ -120,7 +120,7 @@ def test_compat_masks_need_every_pair_reached(monkeypatch):
         lambda rs, k: tuple(range(vertex_count(rs, k))),
     )
     with pytest.raises(InternalInvariantError):
-        compat_masks.__wrapped__(rsys("A2"), 1)
+        compat_masks(rsys("A2"), 1)
 
 
 def test_negative_cluster_is_a_facet():

@@ -212,11 +212,11 @@ FAMILY_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "A1xB2"]
 def test_family_census_matches_per_leaf_oracle():
     """A walk to any depth K gives, at every k <= K, the histogram of the
     per-leaf statistic over the chains of k filters; nn_census at K is
-    its last entry.  Every depth runs: K <= 3 records no state, K = 4
-    records the states in visit(2), and from K = 5 on the loop that picks
-    I_{K-3} records them inline, picking I_2 at K = 5 and reading the
-    pair (3, K - 3) from K = 6 on.  F4 to depth 8 is the grid's costliest
-    census, and its states group several chains each."""
+    its last entry.  Every depth runs: K <= 3 records no state, and from
+    K = 4 on the loop that picks I_{K-3} records them inline, picking I_1
+    at K = 4 and I_2 at K = 5 and reading the pair (3, K - 3) from K = 6
+    on.  F4 to depth 8 is the grid's costliest census, and its states
+    group several chains each."""
     for name in FAMILY_TYPES + ["F4", "C3", "B2xG2"]:
         rs = rsys(name)
         top = rs.n + 4
