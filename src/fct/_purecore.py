@@ -1,8 +1,10 @@
 """Pure Python compute kernels.
 
-Every request runs these but the clique census, which fct.kernels sends
-to the compiled core (fct._fastcore) when it is built and the graph
-fits; bitmasks are plain integers, so these accept any size.  Chain
+The layers call these where they live.  Only the clique census has a
+compiled twin on a request path: ``fct.kernels``, the compiled core's
+switch beside the kernel names perfbench binds, sends it to
+fct._fastcore when that is built and the graph fits.  Bitmasks are
+plain integers, so these accept any size.  Chain
 listing (``nn_chains``) and the census (``nn_census_family``) are one
 walk, ``_walk``, and one loop over the filter lattice,
 ``filters_between``, lists both all the filters and each group of

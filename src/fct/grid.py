@@ -91,10 +91,11 @@ def row(cell: tuple) -> tuple:
 
 def cost(cell: tuple) -> int:
     """The Fuss-Catalan number of the deepest census the cell runs:
-    recip samples k = 1..n+4 from one census, the rest stop at k."""
+    recip samples k = 1..``verify.recip_depth`` from one census, the
+    rest stop at k."""
     name, k, identities = cell
     rs = build_root_system(TypeSpec.parse(name))
-    return fuss_catalan_number(rs, rs.n + 4 if "recip" in identities else k)
+    return fuss_catalan_number(rs, verify.recip_depth(rs) if "recip" in identities else k)
 
 
 def _worker(tasks, results, cells: list) -> None:

@@ -1,21 +1,18 @@
-"""Kernel dispatch: compiled core when available, pure Python otherwise.
+"""The compiled core's switch, and the kernel names perfbench binds.
 
 The compiled backend (fct._fastcore, built from Cython) serves one
 kernel, the clique census, when it imported successfully, the
 environment variable FCT_BACKEND is not set to exactly "python", and
-the graph has at most 128 vertices.  Every other kernel is the pure one
-on both backends; the test suite compares the two cores directly.  The
-chain walk and the listing of all the filters share one loop over the
-filter lattice, ``filters_between``, and read no subfilter table; the
-compiled chain kernels, which no request calls, still take one.
+the graph has at most 128 vertices; ``cluster`` is the one layer that
+imports this module.  Every other kernel is the pure one on both
+backends, and the layers call it where it lives, in ``_purecore``; the
+test suite compares the two cores directly.
 """
 from __future__ import annotations
 
 import os
 
 from . import _purecore
-
-LimitExceeded = _purecore.LimitExceeded
 
 _fast = None
 if os.environ.get("FCT_BACKEND") != "python":
@@ -33,23 +30,21 @@ def clique_census(nbrs, nvert, n_neg):
     return _purecore.clique_census(nbrs, nvert, n_neg)
 
 
-# One chain walk on every backend.  The census counts each group of
-# children once, so it costs the walk to depth k-1, not the leaves (from
-# k = 4 on, the walk to depth k-3 and one expansion per distinct state:
-# the loop that picks I_{k-3}, I_1 at k = 4 and I_2 at k = 5, records the
-# states of depth k-2 with no call per chain): on E7 k=2 the pure
-# census and listing take 0.37 and 0.35 s, the compiled per-leaf kernels
-# 1.2 and 1.6 s (2-core host).
+# The names perfbench's tracer and kernel probe bind, pure on every
+# backend: the layers call them in ``_purecore``, where the tracer's
+# patch reaches them too.  One chain walk serves every backend.  The
+# census counts each group of children once, so it costs the walk to
+# depth k-1, not the leaves (from k = 4 on, the walk to depth k-3 and one
+# expansion per distinct state: the loop that picks I_{k-3}, I_1 at k = 4
+# and I_2 at k = 5, records the states of depth k-2 with no call per
+# chain): on E7 k=2 the pure census and listing take 0.37 and 0.35 s, the
+# compiled per-leaf kernels 1.2 and 1.6 s (2-core host).  No request
+# calls nn_census, weyl_closure or int_rank (every census is read off
+# ``_purecore.nn_census_family``, and the noncrossing side never
+# generates the group): they serve the tests, perfbench,
+# ``GroupElement.length`` and ``weyl.generate_group``, and
+# tests/test_kernels_compiled.py compares the compiled versions with them.
 nn_chains = _purecore.nn_chains
-nn_census_family = _purecore.nn_census_family
-filters_between = _purecore.filters_between
-upper_masks = _purecore.upper_masks
-
-# No request path calls these (every census is read off
-# nn_census_family, and the noncrossing side never generates the group):
-# they serve the tests, perfbench, ``GroupElement.length`` and
-# ``weyl.generate_group``, and tests/test_kernels_compiled.py compares
-# the compiled versions with them.
 nn_census = _purecore.nn_census
 weyl_closure = _purecore.weyl_closure
 int_rank = _purecore.int_rank

@@ -451,22 +451,23 @@ def sequence_count(rs: RootSystem, k: int) -> int:
     return _multichain_counts(rs, k)[-1]
 
 
-def narayana_number(rs: RootSystem, k: int, i: int) -> int:
-    """Fuss-Narayana count by factorisation counting, no poset needed.
+def narayana_numbers(rs: RootSystem, k: int) -> tuple:
+    """Entry i: the Fuss-Narayana count of the delta sequences of rank i,
+    by factorisation counting, no poset needed.
 
-    Splits off the zeroth part d_0 of length i and counts the additive
-    k-part factorisations of its complement via iterated multichain
-    sums, so it stays polynomial in the interval size even for large k.
+    Each u in [1, c] is the zeroth part d_0 of mc_{k-1}(u^-1 c)
+    sequences, of rank l_T(u) (module docstring), so one pass over the
+    interval adds up the whole row; it stays polynomial in the interval
+    size even for large k.
     """
-    if not 0 <= i <= rs.n:
-        raise UsageError("index out of range")
     if k < 1:
         raise UsageError("k must be a positive integer")
     tables = _interval_tables(rs)
     counts = _multichain_counts(rs, k - 1)
-    return sum(
-        counts[tables.comp[u]] for u in range(len(tables)) if tables.lengths[u] == i
-    )
+    out = [0] * (rs.n + 1)
+    for u, length in enumerate(tables.lengths):
+        out[length] += counts[tables.comp[u]]
+    return tuple(out)
 
 
 def _reflection_words(rs: RootSystem) -> tuple:

@@ -25,7 +25,7 @@ K >= m accepts at depth m are exactly the geometric m-chains, and one
 walk to depth K visits every chain of every k <= K.  So there is one
 census, ``chain_statistics``, whose walk to depth k gives the H-triangle
 at every k' <= k (``h_triangles``), and ``h_triangle`` reads its last
-entry; chain listing runs the same walk (``kernels.nn_chains``).  The
+entry; chain listing runs the same walk (``_purecore.nn_chains``).  The
 census needs only the number of chains per group of children, and the
 groups of the last level depend on a chain of k - 2 filters only through
 its state (the group of its children, I_1, and the pair sums of level k
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import kernels
+from . import _purecore
 from .errors import ResourceLimitError, UsageError
 from .poly import BivarPoly, require_h_support
 from .rootsys import (
@@ -82,10 +82,10 @@ def _set_bits(m: int):
 @lru_cache(maxsize=None)
 def enumerate_filters(rs: RootSystem) -> tuple:
     """All order filters of the root poset, as ascending bitmasks: those
-    between the empty filter and all roots (``kernels.filters_between``)."""
+    between the empty filter and all roots (``_purecore.filters_between``)."""
     n_roots = len(rs.positive_roots)
-    up = kernels.upper_masks(rs.sum_triples, n_roots)
-    return tuple(sorted(kernels.filters_between(0, (1 << n_roots) - 1, up)))
+    up = _purecore.upper_masks(rs.sum_triples, n_roots)
+    return tuple(sorted(_purecore.filters_between(0, (1 << n_roots) - 1, up)))
 
 
 def _chain_data(rs: RootSystem, k: int):
@@ -109,7 +109,7 @@ def enumerate_chains(rs: RootSystem, k: int) -> tuple:
     """
     _require_chain_bound(rs, k)
     filters, subs, full = _chain_data(rs, k)
-    return tuple(kernels.nn_chains(filters, subs, rs.sum_triples, k, full))
+    return tuple(_purecore.nn_chains(filters, subs, rs.sum_triples, k, full))
 
 
 def _require_chain_bound(rs: RootSystem, k: int) -> None:
@@ -137,7 +137,7 @@ def chain_statistics(rs: RootSystem, k: int) -> tuple:
     """
     _require_chain_bound(rs, k)
     filters, _, full = _chain_data(rs, k)
-    return kernels.nn_census_family(filters, rs.sum_triples, k, full, rs.n)
+    return _purecore.nn_census_family(filters, rs.sum_triples, k, full, rs.n)
 
 
 def _decomposition_ranks(rs: RootSystem, levels) -> list:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .errors import InternalInvariantError, UsageError
+from .errors import InternalInvariantError, ResourceLimitError, UsageError
 
 Root = tuple  # integer coefficient vector over the simple roots
 
@@ -92,8 +92,6 @@ class TypeSpec:
             if not _valid_rank(family, rank):
                 raise UsageError(f"invalid type factor {family}{rank}")
             factors.append((family, rank))
-        if not factors:
-            raise UsageError("empty type")
         return cls(tuple(factors))
 
     def __str__(self) -> str:
@@ -374,10 +372,26 @@ def _build_from_cartan(cartan, typespec: TypeSpec) -> RootSystem:
     return rs
 
 
+# Bound on the steps of the reflection closure that lists the positive
+# roots, N n^2 for N positive roots of rank n: A80 (2.1 * 10**7 steps)
+# takes 1.4 s, and B100, at the bound, 6 s (2-core host).
+CLOSURE_LIMIT = 10**8
+
+
 @lru_cache(maxsize=None)
 def build_root_system(typespec: TypeSpec) -> RootSystem:
-    """Construct the root system of a type, one diagonal block per factor."""
+    """Construct the root system of a type, one diagonal block per factor.
+
+    The closure is bounded before it starts: a factor of rank r and
+    Coxeter number h, its largest degree, has r h / 2 positive roots.
+    """
     n = typespec.rank
+    roots = sum(rank * max(degrees(family, rank)) // 2 for family, rank in typespec.factors)
+    if roots * n * n > CLOSURE_LIMIT:
+        raise ResourceLimitError(
+            f"root system {typespec} has {roots} positive roots of rank {n}: its "
+            f"closure takes {roots * n * n} steps, more than the bound {CLOSURE_LIMIT}"
+        )
     cartan = [[0] * n for _ in range(n)]
     offset = 0
     for family, rank in typespec.factors:

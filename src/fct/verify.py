@@ -54,6 +54,11 @@ def _poly_detail(lhs: BivarPoly, rhs: BivarPoly) -> dict | None:
     }
 
 
+def _row(values) -> BivarPoly:
+    """The polynomial sum of values[i] x^i."""
+    return BivarPoly({(i, 0): v for i, v in enumerate(values)})
+
+
 def _first_miss(tag: str, cases) -> dict | None:
     """The detail of the first (label, lhs, rhs) whose sides differ,
     with the label stored under ``tag``."""
@@ -108,6 +113,12 @@ def verify_k1(rs: RootSystem, k: int) -> dict | None:
     return _poly_detail(lhs, nonnesting.h_triangle(rs, k))
 
 
+def recip_depth(rs: RootSystem) -> int:
+    """The depth of recip's one census: n + 1 fit points and three held
+    out (``verify_recip``)."""
+    return rs.n + 4
+
+
 def verify_recip(rs: RootSystem, k: int) -> dict | None:
     """Coefficientwise interpolation in k, then the sign-flipped identity.
 
@@ -119,9 +130,9 @@ def verify_recip(rs: RootSystem, k: int) -> dict | None:
     resource bound before it starts when the chains of k = 1..n+4 are
     too many.
     """
-    n = rs.n
-    samples = dict(enumerate(nonnesting.h_triangles(rs, n + 4), start=1))
-    family, detail = _fit_held_out(samples, range(1, n + 5), n)
+    n, depth = rs.n, recip_depth(rs)
+    samples = dict(enumerate(nonnesting.h_triangles(rs, depth), start=1))
+    family, detail = _fit_held_out(samples, range(1, depth + 1), n)
     return detail or _first_miss("at_k", (
         (kk, h_reciprocal_image(family.predict(-kk), n), samples[kk])
         for kk in range(1, n + 3)
@@ -141,14 +152,10 @@ def verify_dual(rs: RootSystem, k: int) -> dict | None:
 def verify_y1_nar(rs: RootSystem, k: int) -> dict | None:
     """H(x,1) lists the rank-k indecomposable counts, which must match
     the lattice-theoretic numbers from the delta-sequence order."""
-    lhs = nonnesting.h_triangle(rs, k).substitute_y(1)
-    rhs = BivarPoly(
-        {
-            (i, 0): noncrossing.narayana_number(rs, k, i)
-            for i in range(rs.n + 1)
-        }
+    return _poly_detail(
+        _row(nonnesting.indecomposable_histogram(rs, k)),
+        _row(noncrossing.narayana_numbers(rs, k)),
     )
-    return _poly_detail(lhs, rhs)
 
 
 def verify_lattice_nar(rs: RootSystem, k: int) -> dict | None:
@@ -168,15 +175,12 @@ def verify_lattice_nar(rs: RootSystem, k: int) -> dict | None:
     histograms = ehrhart.wall_histograms(rs, ks[-1] * h + 1)
     counts = histograms[k * h + 1]
     nn = nonnesting.indecomposable_histogram(rs, k)
-    nar = tuple(noncrossing.narayana_number(rs, k, i) for i in range(rs.n + 1))
+    nar = noncrossing.narayana_numbers(rs, k)
     if not counts == nn == nar:
         return {"lattice": counts, "chains": nn, "sequences": nar}
     if period not in (1, 2):
         return {"period": period}
-    samples = {
-        kk: BivarPoly({(i, 0): v for i, v in enumerate(histograms[kk * h + 1])})
-        for kk in ks
-    }
+    samples = {kk: _row(histograms[kk * h + 1]) for kk in ks}
     for r in range(period):
         ks_r = [kk for kk in ks if kk % period == r]
         detail = _fit_held_out(samples, ks_r, rs.n)[1]

@@ -24,8 +24,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from operator import mul
 
-from . import kernels
-from ._purecore import null_space
+from . import _purecore
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .rootsys import RootSystem
 
@@ -69,7 +68,7 @@ class GroupElement:
     def length(self) -> int:
         """Absolute length: codimension of the fixed space, the rank of
         the rows w(alpha_j) - alpha_j (the columns of M - I)."""
-        return kernels.int_rank(_moved_rows(self.rs, self.img[: self.rs.n]))
+        return _purecore.int_rank(_moved_rows(self.rs, self.img[: self.rs.n]))
 
 
 def _moved_rows(rs: RootSystem, simple_img) -> list:
@@ -145,8 +144,8 @@ def generate_group(rs: RootSystem) -> tuple:
     if not gens:
         return (identity(rs),)
     try:
-        imgs = kernels.weyl_closure(gens, GROUP_ORDER_LIMIT)
-    except kernels.LimitExceeded:
+        imgs = _purecore.weyl_closure(gens, GROUP_ORDER_LIMIT)
+    except _purecore.LimitExceeded:
         raise ResourceLimitError(
             f"Weyl group of {rs.typespec} exceeds the element bound "
             f"{GROUP_ORDER_LIMIT}"
@@ -178,7 +177,7 @@ def moved_annihilator(rs: RootSystem, simple_img) -> list:
     form, each free column f gives the y with y_f = d and y_p = -row[f]
     at the pivot p of each row (``_purecore.null_space``).
     """
-    return null_space(_moved_rows(rs, simple_img))
+    return _purecore.null_space(_moved_rows(rs, simple_img))
 
 
 def reflection_word(w: GroupElement) -> tuple:

@@ -67,9 +67,7 @@ def test_acceptance_2_narayana_three_ways():
     for name, k in GRID:
         rs = rsys(name)
         hist = nonnesting.indecomposable_histogram(rs, k)
-        nar = tuple(
-            noncrossing.narayana_number(rs, k, i) for i in range(rs.n + 1)
-        )
+        nar = noncrossing.narayana_numbers(rs, k)
         h = h_vector(rs, k)
         assert hist == nar, (name, k, hist, nar)
         assert all(h[rs.n - i] == nar[i] for i in range(rs.n + 1)), (name, k, h, nar)

@@ -259,6 +259,17 @@ def test_dump_ehrhart_past_state_bound_exits_4():
     assert "800000008 states" in done.stderr
 
 
+def test_large_rank_exits_4_before_the_closure():
+    # A400 has 80 200 positive roots; its closure would run for minutes
+    done = subprocess.run(
+        [sys.executable, "-m", "fct.cli", "triangle", "H", "--type", "A400", "-k", "1"],
+        env=_fresh_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "12832000000 steps" in done.stderr
+
+
 # Run in a fresh interpreter: prints the fct modules and the heavy
 # standard library modules loaded after each step, and the modules the
 # perfbench tracer patches (argv[1] is the perfbench directory).
@@ -272,9 +283,10 @@ def loaded():
 steps = {}
 import fct.cli
 steps["import"] = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    fct.cli.main(["triangle", "M", "--type", "B3", "-k", "1"])
-steps["triangle"] = loaded()
+for triangle in "MH":
+    with contextlib.redirect_stdout(io.StringIO()):
+        fct.cli.main(["triangle", triangle, "--type", "B3", "-k", "1"])
+    steps["triangle " + triangle] = loaded()
 import fct.verify
 steps["verify"] = loaded()
 import fct.grid
@@ -296,8 +308,15 @@ def test_commands_load_only_their_layers():
     )
     steps = json.loads(done.stdout)
     assert steps["import"] == ["fct.cli", "fct.errors", "fct.rootsys"]
-    unused = {"fct.arrangement", "fct.cluster", "fct.ehrhart", "fct.nonnesting", "fct.verify"}
-    assert not unused & set(steps["triangle"])
+    # only the clique census, which triangle H and M never run, reads the
+    # compiled core's switch
+    unused = {
+        "fct.arrangement", "fct.cluster", "fct.ehrhart", "fct.verify",
+        "fct.kernels", "fct._fastcore",
+    }
+    assert not (unused | {"fct.nonnesting"}) & set(steps["triangle M"])
+    assert not unused & set(steps["triangle H"])
+    assert "fct.kernels" in steps["verify"]
     # the grid forks and pipes with os, pickle and select alone
     assert steps["grid"] == []
     assert set(steps["traced"]) <= set(steps["verify"])
@@ -325,10 +344,10 @@ def test_each_dump_loads_only_its_layers():
     ]
     common = {"cli", "errors", "rootsys", "_purecore"}
     layers = {
-        "nn": {"kernels", "nonnesting", "poly"},
+        "nn": {"nonnesting", "poly"},
         "fnumbers": {"cluster", "kernels", "poly"},
-        "nc": {"kernels", "noncrossing", "poly", "weyl"},
-        "regions": {"arrangement", "kernels", "nonnesting", "poly"},
+        "nc": {"noncrossing", "poly", "weyl"},
+        "regions": {"arrangement", "nonnesting", "poly"},
         "ehrhart": {"ehrhart"},
     }
     for name, own in layers.items():
@@ -908,6 +927,12 @@ def test_grid_cells_keep_the_identity_domains(monkeypatch):
             recip_cells += recip
             assert grid.cost(cell) == (spec.rank + 4 if recip else k), cell
     assert recip_cells == 16
+    # recip's depth has one home, in verify; F4 k=1, whose recip census
+    # goes to depth 8, is the costliest acceptance cell
+    monkeypatch.setattr(verify, "recip_depth", lambda rs: 40)
+    assert grid.cost(("F4", 1, ("recip",))) == 40
+    monkeypatch.undo()
+    assert max(grid.cells("acceptance"), key=grid.cost)[:2] == ("F4", 1)
 
 
 def test_unexpected_exception_exits_3_with_its_traceback(capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from fct import verify
+from fct import noncrossing, nonnesting, verify
 from fct.ehrhart import (
     count_by_walls,
     ehrhart_csv,
@@ -149,6 +149,30 @@ def test_quasipolynomial_fit_predicts_held_out():
         for k in (1, 2, 3):
             detail = verify.run_identity("lattice-nar", rs, k)
             assert detail is None, (name, k, detail)
+
+
+def test_row_identities_name_the_perturbed_entry(monkeypatch):
+    """Both rows of y1-nar and lattice-nar, H(x, 1) of the chains and the
+    Fuss-Narayana numbers of [1, c]: one entry off, in either row, is
+    the least differing monomial of y1-nar and shows in lattice-nar's
+    counterexample."""
+    rs, k = rsys("B3"), 2
+    row = indecomposable_histogram(rs, k)
+    assert noncrossing.narayana_numbers(rs, k) == row
+    for module, name in [
+        (nonnesting, "indecomposable_histogram"), (noncrossing, "narayana_numbers"),
+    ]:
+        for i in range(rs.n + 1):
+            off = row[:i] + (row[i] + 1,) + row[i + 1:]
+            monkeypatch.setattr(module, name, lambda rs, k: off)
+            chains, sequences = (off, row) if module is nonnesting else (row, off)
+            assert verify.run_identity("y1-nar", rs, k) == {
+                "monomial": [i, 0], "lhs": chains[i], "rhs": sequences[i],
+            }, (name, i)
+            assert verify.run_identity("lattice-nar", rs, k) == {
+                "lattice": row, "chains": chains, "sequences": sequences,
+            }, (name, i)
+        monkeypatch.undo()
 
 
 def test_csv_rows_shape():

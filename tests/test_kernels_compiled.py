@@ -82,6 +82,39 @@ def test_backend_is_compiled_by_default(built):
         assert out.stdout.strip() == backend, (value, out.stderr)
 
 
+# Run in a fresh interpreter with the built core first on fct's path:
+# one command (argv[2:]), then whether it loaded the compiled core.
+CORE_LOAD_PROBE = """
+import contextlib, io, sys
+import fct, fct.cli
+fct.__path__.insert(0, sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    fct.cli.main(sys.argv[2:])
+print("fct._fastcore" in sys.modules)
+"""
+
+
+def test_only_the_clique_census_commands_load_the_core(built):
+    """kernels, the compiled core's switch, is loaded by the commands that
+    may run a clique census, and by them only."""
+    env = {key: value for key, value in os.environ.items() if key != "FCT_BACKEND"}
+    cell = ["--type", "A2", "-k", "1"]
+    for argv, loads in [
+        (["triangle", "H", *cell], False),
+        (["triangle", "M", *cell], False),
+        *((["dump", what, *cell], False) for what in ("nn", "nc", "regions", "ehrhart")),
+        (["triangle", "F", *cell], True),
+        (["dump", "fnumbers", *cell], True),
+        (["verify", "counts", *cell], True),
+        (["grid", "acceptance", "--quiet"], True),
+    ]:
+        out = subprocess.run(
+            [sys.executable, "-c", CORE_LOAD_PROBE, str(built), *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.stdout == f"{loads}\n", (argv, out.stderr)
+
+
 def test_weyl_closure_backends_agree(fast):
     from fct.weyl import simple_reflection
 

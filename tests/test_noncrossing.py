@@ -13,7 +13,7 @@ from fct.noncrossing import (
     build_nc_poset,
     enumerate_delta_sequences,
     m_triangle,
-    narayana_number,
+    narayana_numbers,
     sequence_count,
 )
 from fct.poly import BivarPoly
@@ -230,8 +230,7 @@ def test_narayana_vector_matches_rank_histogram():
         assert sum(vec) == fuss_catalan_number(rs, k)
         hist = masked_nc_poset(rs, k).rank_histogram()
         assert vec == tuple(reversed(hist))
-        for i, v in enumerate(vec):
-            assert narayana_number(rs, k, i) == v
+        assert narayana_numbers(rs, k) == vec
 
 
 def test_m_triangle_anchors():

@@ -1,6 +1,6 @@
 import pytest
 
-from fct import ehrhart, kernels, nonnesting
+from fct import _purecore, ehrhart, nonnesting
 from fct.errors import ResourceLimitError, UsageError
 from fct.nonnesting import (
     _decomposition_ranks,
@@ -151,7 +151,7 @@ def test_h_triangles_resource_bound(monkeypatch):
         raise AssertionError("the census started")
 
     monkeypatch.setattr(nonnesting, "_chain_data", no_work)
-    monkeypatch.setattr(kernels, "nn_census_family", no_work)
+    monkeypatch.setattr(_purecore, "nn_census_family", no_work)
     with pytest.raises(ResourceLimitError, match="166255385 chains"):
         h_triangles(rsys("E6"), 10)
     with pytest.raises(ResourceLimitError, match="23855289 chains"):

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fct import rootsys
 from fct.cluster import build_complex, f_triangle
-from fct.ehrhart import WallIncidenceCount
-from fct.errors import UsageError
-from fct.noncrossing import enumerate_delta_sequences, m_triangle
-from fct.nonnesting import enumerate_chains, h_triangle
+from fct.ehrhart import WallIncidenceCount, n_k_i
+from fct.errors import ResourceLimitError, UsageError
+from fct.noncrossing import enumerate_delta_sequences, m_triangle, narayana_numbers
+from fct.nonnesting import (
+    enumerate_chains,
+    extend_chain,
+    h_triangle,
+    indecomposables,
+    restrict_chain,
+)
 from fct.poly import BivarPoly, KFamily
 from fct.rootsys import (
     RootSystem,
@@ -58,6 +65,36 @@ def test_typespec_rank_is_ascii_digits(text):
     message = f"cannot parse rank in factor {text!r}"
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         TypeSpec.parse(text)
+
+
+def _a2_chain(k):
+    return enumerate_chains(rsys("A2"), k)[-1]
+
+
+# (call, message) of each library usage error that no command reaches
+LIBRARY_USAGE_ERRORS = {
+    "indecomposables-rank-0": (
+        lambda: indecomposables(rsys("A2"), _a2_chain(2), 0), "rank must lie in 1..k"),
+    "indecomposables-rank-k+1": (
+        lambda: indecomposables(rsys("A2"), _a2_chain(2), 3), "rank must lie in 1..k"),
+    "restrict_chain": (
+        lambda: restrict_chain(rsys("A2"), _a2_chain(1), 2), "simple root index 2 out of range"),
+    "extend_chain": (
+        lambda: extend_chain(rsys("A2"), (0,), -1), "simple root index -1 out of range"),
+    "build_complex": (lambda: build_complex(rsys("A2"), 0), "k must be a positive integer"),
+    "n_k_i": (lambda: n_k_i(rsys("A2"), 0), "k must be a positive integer"),
+    "narayana_numbers": (
+        lambda: narayana_numbers(rsys("A2"), 0), "k must be a positive integer"),
+    "parabolic": (lambda: parabolic(rsys("A2"), 2), "simple root index 2 out of range"),
+    "negative-power": (lambda: BivarPoly.one() ** -1, "negative power of a polynomial"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_USAGE_ERRORS))
+def test_library_usage_errors(case):
+    call, message = LIBRARY_USAGE_ERRORS[case]
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_positive_root_counts_and_coxeter_numbers():
@@ -344,3 +381,27 @@ def test_diagram_rules_match_isomorphism_search():
                 root_leq(rs, r, hi)
                 for r in rs.positive_roots if any(r[i] for i in comp)
             )
+
+
+def test_closure_bound_reads_the_type_alone(monkeypatch):
+    """The closure's N n^2 steps are read off the type, before it starts:
+    A200 and A100xA100 exit at once, and the N of the message is the
+    exact number of positive roots."""
+
+    def no_closure(cartan):
+        raise AssertionError("the closure started")
+
+    build = build_root_system.__wrapped__
+    sizes = {name: len(rsys(name).positive_roots)
+             for name in ["A1", "B3", "C4", "D5", "G2", "F4", "E6", "E7", "E8", "A1xB2"]}
+    monkeypatch.setattr(rootsys, "_closure_positive_roots", no_closure)
+    with pytest.raises(ResourceLimitError, match=(
+        "A200 has 20100 positive roots of rank 200: its closure takes 804000000 steps"
+    )):
+        build(TypeSpec.parse("A200"))
+    with pytest.raises(ResourceLimitError, match="10100 positive roots of rank 200"):
+        build(TypeSpec.parse("A100xA100"))
+    monkeypatch.setattr(rootsys, "CLOSURE_LIMIT", 0)
+    for name, size in sizes.items():
+        with pytest.raises(ResourceLimitError, match=f" has {size} positive roots of rank"):
+            build(TypeSpec.parse(name))
