@@ -24,6 +24,9 @@ not need.
 ``gauss_jordan`` is the one integer row elimination; rank, determinant,
 adjugate and kernel are read off it.  The compiled core keeps its own
 rank loop.
+
+``json_rows`` joins the JSON text of the chain and delta sequence dumps
+from the text of each filter or element.
 """
 from __future__ import annotations
 
@@ -421,6 +424,22 @@ def _walk(filters, triples, k, full, leaf=None):
             child = ((part | row[h]) & keep[h]) * nf + h
             counts[child] = counts.get(child, 0) + mult
     return tally, groups, group
+
+
+def json_rows(rows, texts):
+    """The compact JSON text, with a trailing newline, of the list whose
+    entry r is the list of the items ``texts[i]`` for i in row r, each
+    item given as its JSON text; there is at least one row, and no row is
+    empty.  The item texts and the brackets go into one flat list, joined
+    once, so no row gets a string of its own."""
+    pieces = ["["]
+    for row in rows:
+        pieces.append("[")
+        for i in row:
+            pieces += texts[i], ","
+        pieces[-1] = "],"
+    pieces[-1] = "]]\n"
+    return "".join(pieces)
 
 
 def nn_chains(filters, subs, triples, k, full):

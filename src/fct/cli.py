@@ -7,6 +7,10 @@ objects behind the polynomials.  All machine output (JSON, CSV, LaTeX)
 is byte-deterministic for fixed arguments.  ``triangle`` and ``dump``
 read their producer from one table each, ``TRIANGLES`` and ``DUMPS``: a
 layer function of (rs, k), and for a dump the writer of its result.
+The chain and delta sequence dumps and the Ehrhart CSV return their text
+(the JSON dumps the bytes of ``_json_bytes`` of their lists, built once
+per distinct filter or element); the face numbers and regions return
+objects for ``_json_bytes``.
 
 Exit codes: 0 verified/success, 1 identity violated, 2 usage error,
 3 internal invariant failure or any other unexpected exception (its
@@ -16,7 +20,11 @@ stdout early ends the process by SIGPIPE, as it ends ``cat``.
 ``verify`` prints the answer of ``fct.verify.run_identity``: an ok
 line, or the counterexample as one JSON line.
 
-Every command runs in a fresh process, so start-up is part of its cost.
+Every command runs in a fresh process, so start-up and exit are part of
+its cost.  ``entry`` registers ``gc.freeze`` with ``atexit``, so the
+process ends without the shutdown collections walking a heap that the
+OS is about to free; a caller that runs ``entry`` in its own process
+keeps its collector as it was until that process exits.
 This module imports no layer at the top: each command loads the layers
 it runs when it runs, so ``triangle M`` never loads the nonnesting,
 cluster, Ehrhart or arrangement code.  ``verify`` and ``grid`` load
@@ -81,11 +89,11 @@ TRIANGLES = {
 }
 
 # Dump name -> (layer module, function of (rs, k), writer of its result),
-# imported on use; the Ehrhart CSV is text already.
+# imported on use; ``str`` writes a result that is its text already.
 DUMPS = {
-    "nn": ("nonnesting", "chains_json", _json_bytes),
+    "nn": ("nonnesting", "chains_json", str),
     "fnumbers": ("cluster", "fnumbers_json", _json_bytes),
-    "nc": ("noncrossing", "nc_json", _json_bytes),
+    "nc": ("noncrossing", "nc_json", str),
     "regions": ("arrangement", "regions_json", _json_bytes),
     "ehrhart": ("ehrhart", "ehrhart_csv", str),
 }
@@ -212,9 +220,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    import atexit
+    import gc
+
     # a reader that closes stdout early ends fct as it ends cat, with no
     # traceback
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # the heap is freed with the process: the collections of interpreter
+    # shutdown, run after the atexit handlers, need not walk it
+    atexit.register(gc.freeze)
     try:
         code = main()
     except UsageError as exc:

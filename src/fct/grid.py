@@ -10,16 +10,19 @@ phi run at k <= 2 up to rank 3 in ``acceptance`` and rank 4 in
 two E6 cells with their own lists.
 
 ``row`` runs one cell's identities and returns its table row and FAIL
-lines; it prints nothing.  ``run_cells`` freezes the heap (``gc.freeze``)
-and forks one worker per usable CPU, at most one per cell, with a pipe
-down for cell indices and one up for pickled outcomes.  A worker that
+lines; it prints nothing.  ``run_cells`` freezes the heap (``gc.freeze``),
+so no collection in a worker walks what the parent loaded, and forks
+one worker per usable CPU, at most one per cell, with a pipe down for
+cell indices and one up for pickled outcomes.  A worker that
 becomes idle is handed the costliest cell not yet started, so the
 longest cells start first.  Each worker keeps its own caches, filled
 from the layers and root systems loaded before the fork.  The results
 come back in grid order, up to the first cell that raises, so
 ``fct.cli.cmd_grid`` prints exactly what one process running the cells
 in turn would print.  Teardown signals every worker before it reaps
-any, then closes the pipes.
+any, then closes the pipes and unfreezes the heap (``gc.unfreeze``), so
+the caller's collector walks its objects again; a ``fct grid`` process
+skips its shutdown collections through ``fct.cli.entry``'s exit hook.
 
 Only ``grid`` imports this module, so no other command compiles or
 loads it.
@@ -137,7 +140,7 @@ def run_cells(cells: list) -> list:
     # a worker must not inherit buffered output and write it again
     sys.stdout.flush()
     sys.stderr.flush()
-    gc.freeze()  # no later collection, here or in a worker, walks this heap
+    gc.freeze()  # no collection in a worker walks this heap
     workers = {}  # connection (the result pipe) -> (pid, task pipe)
     ends = []  # the parent's pipe descriptors, closed by it and every later worker
     try:
@@ -185,4 +188,5 @@ def run_cells(cells: list) -> list:
             os.waitpid(pid, 0)
         for fd in ends:
             os.close(fd)
+        gc.unfreeze()  # the caller's collector sees its heap again
     return outcomes[: stop + 1]

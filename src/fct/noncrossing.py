@@ -100,7 +100,7 @@ from array import array
 from functools import lru_cache
 from operator import mul
 
-from . import weyl
+from . import _purecore, weyl
 from .errors import InternalInvariantError, ResourceLimitError, UsageError
 from .poly import BivarPoly, interpolate, require_m_support
 from .rootsys import ENUMERATION_LIMIT, RootSystem, fuss_catalan_number, fuss_catalan_sum
@@ -488,8 +488,11 @@ def _reflection_words(rs: RootSystem) -> tuple:
     return tuple(words)
 
 
-def nc_json(rs: RootSystem, k: int) -> list:
-    """Elements as reflection words per part, in poset element order."""
+def nc_json(rs: RootSystem, k: int) -> str:
+    """The JSON text of the delta sequences in poset element order, each
+    part as its element's reflection word, as ``cli`` writes every JSON
+    dump.  Each element's word text is built once
+    (``_purecore.json_rows``)."""
     poset = build_nc_poset(rs, k)  # bounded before the tables are built
-    words = [list(word) for word in _reflection_words(rs)]
-    return [[words[a] for a in seq] for seq in poset.elements]
+    texts = ["[%s]" % ",".join(map(str, word)) for word in _reflection_words(rs)]
+    return _purecore.json_rows(poset.elements, texts)

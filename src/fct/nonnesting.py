@@ -277,11 +277,12 @@ def indecomposable_histogram(rs: RootSystem, k: int) -> tuple:
     return tuple(out)
 
 
-def chains_json(rs: RootSystem, k: int) -> list:
-    """The chains of ``enumerate_chains``, one sorted root-index list per
-    filter; chains share their filters, so each distinct filter's list is
-    built once."""
+def chains_json(rs: RootSystem, k: int) -> str:
+    """The JSON text of the chains of ``enumerate_chains``, one sorted
+    root-index list per filter, as ``cli`` writes every JSON dump.
+    Chains share their filters, so each distinct filter's text is built
+    once (``_purecore.json_rows``)."""
     chains = enumerate_chains(rs, k)
     masks = {m for chain in chains for m in chain}
-    lists = {m: list(_set_bits(m)) for m in masks}
-    return [[lists[m] for m in chain] for chain in chains]
+    texts = {m: "[%s]" % ",".join(map(str, _set_bits(m))) for m in masks}
+    return _purecore.json_rows(chains, texts)

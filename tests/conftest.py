@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fct.rootsys import TypeSpec, build_root_system
 
 SMALL_FACTORS = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "G2": 2}
+FAMILY_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "A1xB2"]
 
 
 @pytest.fixture(autouse=True)

@@ -1093,6 +1093,27 @@ def nc_json_by_elements(rs: RootSystem, k: int) -> list:
     return [[words[part] for part in parts] for parts in seqs]
 
 
+def chain_lists(rs: RootSystem, k: int) -> list:
+    """The list that ``nonnesting.chains_json`` writes as text: each chain
+    of ``enumerate_chains`` as one sorted root-index list per filter,
+    read by testing every root against every filter."""
+    roots = range(len(rs.positive_roots))
+    return [
+        [[r for r in roots if (m >> r) & 1] for m in chain]
+        for chain in nonnesting.enumerate_chains(rs, k)
+    ]
+
+
+def nc_lists(rs: RootSystem, k: int) -> list:
+    """The list that ``noncrossing.nc_json`` writes as text: each delta
+    sequence of ``build_nc_poset``, in element order, as the reflection
+    word of each part."""
+    from fct.noncrossing import _reflection_words, build_nc_poset
+
+    words = [list(word) for word in _reflection_words(rs)]
+    return [[words[a] for a in seq] for seq in build_nc_poset(rs, k).elements]
+
+
 def multichain_counts_by_pairs(rs: RootSystem, j: int) -> tuple:
     """Entry u: number of j-multichains below element u of [1, c], by
     summing over every pair (v, u) of the interval and testing v <= u

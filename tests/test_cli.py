@@ -1,5 +1,6 @@
 import argparse
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -19,6 +20,9 @@ from fct import (
 from fct.errors import InternalInvariantError, ResourceLimitError
 from fct.poly import BivarPoly
 from fct.rootsys import TypeSpec, build_root_system
+
+from conftest import FAMILY_TYPES, rsys
+from oracles import chain_lists, nc_lists
 
 GOLDEN_H_A2_K1 = {
     "triangle": "H",
@@ -74,6 +78,17 @@ def test_triangle_writes_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text()) == GOLDEN_H_A2_K1
+
+
+def test_out_writes_the_stdout_bytes(tmp_path, capsys):
+    # the chain and sequence dumps are written as text, to either target
+    target = tmp_path / "dump.json"
+    for what in ("nn", "nc"):
+        argv = ["dump", what, "--type", "B3", "-k", "2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert run(capsys, [*argv, "--out", str(target)]) == (0, "", ""), what
+        assert target.read_bytes() == out.encode(), what
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -229,6 +244,40 @@ def test_readme_usage_rules_exit_2(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fct: ")
+
+
+# Run in a fresh interpreter: atexit runs its handlers last in, first
+# out, so this check, registered before entry registers its hook, runs
+# after the hook.
+EXIT_PROBE = """
+import atexit, gc, sys
+from fct import cli
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+sys.argv = ["fct", *sys.argv[1:]]
+cli.entry()
+"""
+
+
+def test_fct_exits_without_walking_its_heap():
+    for argv, code in [
+        (["verify", "counts", "--type", "A2", "-k", "1", "--quiet"], 0),
+        (["verify", "counts", "--type", "A2", "-k", "0"], 2),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-c", EXIT_PROBE, *argv],
+            env=_fresh_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (code, "frozen True\n"), argv
+
+
+def test_entry_in_process_leaves_the_collector_alone(capsys, monkeypatch):
+    # the hook freezes the heap only when this process exits
+    monkeypatch.setattr(sys, "argv", ["fct", "verify", "counts", "--type", "A2", "-k", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "counts A2 k=1: ok\n"
+    assert gc.get_freeze_count() == 0
 
 
 def test_module_entry_point():
@@ -662,6 +711,19 @@ def test_dump_nn(capsys):
     assert len(chains) == 5
 
 
+def test_chain_and_sequence_dumps_are_the_json_of_their_lists():
+    # built from one text per filter or element, they must be the bytes
+    # _json_bytes writes for the whole list
+    for name in FAMILY_TYPES + ["B2xG2"]:
+        rs = rsys(name)
+        for k in (1, 2):
+            assert nonnesting.chains_json(rs, k) == cli._json_bytes(chain_lists(rs, k)), (name, k)
+            assert noncrossing.nc_json(rs, k) == cli._json_bytes(nc_lists(rs, k)), (name, k)
+    # the empty filters of a chain and the empty word of the identity
+    assert nonnesting.chains_json(rsys("A1"), 2) == "[[[],[]],[[0],[]],[[0],[0]]]\n"
+    assert noncrossing.nc_json(rsys("A1"), 1) == "[[[0],[]],[[],[0]]]\n"
+
+
 def test_dump_fnumbers(capsys):
     code, out, _ = run(capsys, ["dump", "fnumbers", "--type", "A2", "-k", "2"])
     assert code == 0
@@ -784,6 +846,19 @@ def test_grid_leaves_no_descriptor_open(monkeypatch, plant):
     else:
         assert isinstance(outcomes[-1], ResourceLimitError) == (plant is _b2_k2_raises)
     assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("plant", [None, _b2_k2_raises, _g2_k2_dies])
+def test_grid_leaves_the_callers_heap_unfrozen(capsys, monkeypatch, plant):
+    # the workers fork from a frozen heap; once they are reaped the
+    # caller's collector walks its objects again, however the grid ends
+    if plant is not None:
+        monkeypatch.setitem(verify.IDENTITIES, "h=f", plant)
+    try:
+        assert cli.main(["grid", "acceptance", "--quiet"]) == 0
+    except (ResourceLimitError, InternalInvariantError):
+        assert plant is not None
+    assert gc.get_freeze_count() == 0
 
 
 def test_grid_in_dev_mode_warns_of_nothing():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fct import _purecore, kernels
 from fct.nonnesting import _chain_data
 
-from conftest import rsys
+from conftest import FAMILY_TYPES, rsys
 from oracles import census_per_leaf, is_filter, subfilter_table
 
 
@@ -213,9 +213,6 @@ def k1_subfilter_lists_unused(core):
 
 def test_k1_chain_data_pure_core():
     k1_subfilter_lists_unused(_purecore)
-
-
-FAMILY_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "A1xB2"]
 
 
 def test_family_census_matches_per_leaf_oracle():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fct import _purecore, ehrhart, nonnesting
@@ -188,7 +190,7 @@ def test_chain_levels():
         rs = rsys(name)
         roots = range(len(rs.positive_roots))
         chains = enumerate_chains(rs, k)
-        for ch, row in zip(chains, chains_json(rs, k), strict=True):
+        for ch, row in zip(chains, json.loads(chains_json(rs, k)), strict=True):
             levels = nonnesting.levels(rs, ch)
             for r in roots:
                 expected = max(
