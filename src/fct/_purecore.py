@@ -25,10 +25,13 @@ not need.
 adjugate and kernel are read off it.  The compiled core keeps its own
 rank loop.
 
-``json_rows`` joins the JSON text of the chain and delta sequence dumps
-from the text of each filter or element.
+``json_text`` is the package's one JSON encoding, compact with sorted
+keys, and ``json_rows`` joins the JSON text of the chain and delta
+sequence dumps from the text of each filter or element.
 """
 from __future__ import annotations
+
+import json
 
 
 class LimitExceeded(Exception):
@@ -424,6 +427,12 @@ def _walk(filters, triples, k, full, leaf=None):
             child = ((part | row[h]) & keep[h]) * nf + h
             counts[child] = counts.get(child, 0) + mult
     return tally, groups, group
+
+
+def json_text(obj) -> str:
+    """The compact JSON text of ``obj``, keys sorted: the bytes of every
+    JSON output of ``fct``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def json_rows(rows, texts):

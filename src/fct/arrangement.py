@@ -112,7 +112,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from . import nonnesting
+from . import _purecore, nonnesting
 from .errors import InternalInvariantError
 from .poly import BivarPoly
 from .rootsys import RootSystem
@@ -249,19 +249,22 @@ def ceilings_poly(rs: RootSystem, k: int) -> BivarPoly:
     return BivarPoly(coeffs)
 
 
-def regions_json(rs: RootSystem, k: int) -> list:
+def regions_json(rs: RootSystem, k: int) -> str:
+    """The JSON text of the list of regions, in `regions_of` order: each
+    region's levels, walls, floors, ceilings, whether it is bounded and
+    its number of colour-k ceilings.  Each region's text is made as it
+    comes and the texts are joined once, so no region is held as an
+    object."""
     out = []
     for levels in regions_of(rs, k):
         walls = wall_report(rs, k, levels)
         ceilings = [[r, c] for r, c in walls if c == levels[r] + 1]
-        out.append(
-            {
-                "levels": list(levels),
-                "walls": [list(w) for w in walls],
-                "floors": [[r, c] for r, c in walls if 0 < c == levels[r]],
-                "ceilings": ceilings,
-                "bounded": is_bounded(rs, k, levels),
-                "CL_k": sum(1 for _, c in ceilings if c == k),
-            }
-        )
-    return out
+        out.append(_purecore.json_text({
+            "levels": levels,
+            "walls": walls,
+            "floors": [[r, c] for r, c in walls if 0 < c == levels[r]],
+            "ceilings": ceilings,
+            "bounded": is_bounded(rs, k, levels),
+            "CL_k": sum(1 for _, c in ceilings if c == k),
+        }))
+    return "[%s]\n" % ",".join(out)

@@ -6,11 +6,18 @@ whole verification matrix, and ``dump`` emits the raw combinatorial
 objects behind the polynomials.  All machine output (JSON, CSV, LaTeX)
 is byte-deterministic for fixed arguments.  ``triangle`` and ``dump``
 read their producer from one table each, ``TRIANGLES`` and ``DUMPS``: a
-layer function of (rs, k), and for a dump the writer of its result.
-The chain and delta sequence dumps and the Ehrhart CSV return their text
-(the JSON dumps the bytes of ``_json_bytes`` of their lists, built once
-per distinct filter or element); the face numbers and regions return
-objects for ``_json_bytes``.
+layer function of (rs, k).  Every dump has one contract: its function
+returns the whole text, and ``cmd_dump`` writes what it returns.  Each
+JSON dump is the bytes of ``_json_bytes`` of its list or object, and
+``_json_bytes`` and the layers encode with one function,
+``_purecore.json_text``: the regions dump joins one such text per
+region, and the chain and delta sequence dumps join the text of each
+distinct filter or element (``_purecore.json_rows``).  ``_emit`` writes
+a text in slices of ``EMIT_SLICE`` characters, so the output is never
+encoded into a second copy of its whole size.
+
+A request is checked before any work: the k rule and every resource
+bound are ``fct.errors.require_k`` and ``fct.errors.require_within``.
 
 Exit codes: 0 verified/success, 1 identity violated, 2 usage error,
 3 internal invariant failure or any other unexpected exception (its
@@ -43,7 +50,6 @@ same as one process running the cells in turn.
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 from importlib import import_module
@@ -57,28 +63,39 @@ GRID_COLUMNS = [
 ]
 
 
+# The most characters handed to one write: the text layer encodes each
+# write into a bytes copy, so a large dump never needs a second copy of
+# its whole size.
+EMIT_SLICE = 2**20
+
+
 def _emit(text: str, out) -> None:
     """Write ``text`` to stdout, or to the file ``out`` whole: it goes to a
     temporary file beside ``out`` that replaces ``out`` only once written,
-    so a failed write leaves an existing ``out`` as it was."""
+    so a failed write, for whatever reason, leaves an existing ``out`` as
+    it was and no temporary file behind."""
+    slices = (text[i:i + EMIT_SLICE] for i in range(0, len(text), EMIT_SLICE))
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
         return
     import os
 
     tmp = f"{out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines(slices)
         os.replace(tmp, out)
     except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _json_bytes(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    from ._purecore import json_text
+
+    return json_text(obj) + "\n"
 
 
 # Triangle letter -> (layer module, function of (rs, k)), imported on use.
@@ -88,14 +105,14 @@ TRIANGLES = {
     "M": ("noncrossing", "m_triangle"),
 }
 
-# Dump name -> (layer module, function of (rs, k), writer of its result),
-# imported on use; ``str`` writes a result that is its text already.
+# Dump name -> (layer module, function of (rs, k) that returns the text),
+# imported on use.
 DUMPS = {
-    "nn": ("nonnesting", "chains_json", str),
-    "fnumbers": ("cluster", "fnumbers_json", _json_bytes),
-    "nc": ("noncrossing", "nc_json", str),
-    "regions": ("arrangement", "regions_json", _json_bytes),
-    "ehrhart": ("ehrhart", "ehrhart_csv", str),
+    "nn": ("nonnesting", "chains_json"),
+    "fnumbers": ("cluster", "fnumbers_json"),
+    "nc": ("noncrossing", "nc_json"),
+    "regions": ("arrangement", "regions_json"),
+    "ehrhart": ("ehrhart", "ehrhart_csv"),
 }
 
 
@@ -167,8 +184,7 @@ def cmd_grid(args) -> int:
 
 def cmd_dump(args) -> int:
     rs = build_root_system(TypeSpec.parse(args.type))
-    module, function, write = DUMPS[args.what]
-    _emit(write(_layer(module, function)(rs, args.k)), args.out)
+    _emit(_layer(*DUMPS[args.what])(rs, args.k), args.out)
     return 0
 
 

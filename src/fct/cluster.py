@@ -14,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from . import kernels
-from .errors import InternalInvariantError, ResourceLimitError, UsageError
+from . import _purecore, kernels
+from .errors import InternalInvariantError, UsageError, require_k, require_within
 from .poly import BivarPoly, h_from_f, require_f_support
 from .rootsys import ENUMERATION_LIMIT, RootSystem, support
 
@@ -64,8 +64,7 @@ def colored_rotation(rs: RootSystem, k: int) -> tuple:
     colour; at colour k (and at negative simples) the uncoloured full
     rotation is applied and the image enters at colour 1 when positive.
     """
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     n = rs.n
 
     def lift(u: int) -> int:
@@ -100,11 +99,10 @@ def compat_masks(rs: RootSystem, k: int) -> tuple:
     is built."""
     nv = vertex_count(rs, k)
     pairs = nv * (nv - 1) // 2
-    if pairs > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"compatibility graph for {rs.typespec}, k={k} tests {pairs} "
-            f"vertex pairs, more than the bound {ENUMERATION_LIMIT}"
-        )
+    require_within(
+        pairs, ENUMERATION_LIMIT,
+        f"compatibility graph for {rs.typespec}, k={k} tests {pairs} vertex pairs",
+    )
     rot = colored_rotation(rs, k)
     n = rs.n
     masks = [0] * nv
@@ -150,8 +148,7 @@ class ClusterComplex:
 @lru_cache(maxsize=None)
 def build_complex(rs: RootSystem, k: int) -> ClusterComplex:
     """Census of all faces, grouped by (coloured positives, negatives)."""
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     masks = compat_masks(rs, k)
     counts, max_hist = kernels.clique_census(masks, len(masks), rs.n)
     if set(max_hist) - {rs.n}:
@@ -177,5 +174,6 @@ def positive_h_poly(rs: RootSystem, k: int) -> BivarPoly:
     return h_from_f(positive, rs.n).substitute_y(1)
 
 
-def fnumbers_json(rs: RootSystem, k: int) -> dict:
-    return {"f": f_triangle(rs, k).monomial_list()}
+def fnumbers_json(rs: RootSystem, k: int) -> str:
+    """The JSON text of the face numbers, {"f": [[l, m, count], ...]}."""
+    return _purecore.json_text({"f": f_triangle(rs, k).monomial_list()}) + "\n"

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from ._purecore import adjugate
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError, require_k, require_within
 from .rootsys import ENUMERATION_LIMIT, RootSystem
 
 
@@ -126,11 +126,10 @@ def wall_histograms(rs: RootSystem, top: int) -> tuple:
     n = rs.n
     det = model.det
     bound = (top + 1) * det * (n + 1)
-    if bound > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"lattice point count for {rs.typespec} up to t={top} keeps up to "
-            f"{bound} states, more than the bound {ENUMERATION_LIMIT}"
-        )
+    require_within(
+        bound, ENUMERATION_LIMIT,
+        f"lattice point count for {rs.typespec} up to t={top} keeps up to {bound} states",
+    )
     # (c.z so far, class of adj(A^T) z mod det, zero coordinates) -> partial points
     states = {(0, 0, 0): 1}
     for cj, step in zip(model.c, _residue_steps(model)):
@@ -167,8 +166,7 @@ def count_by_walls(rs: RootSystem, t: int) -> WallIncidenceCount:
 
 def n_k_i(rs: RootSystem, k: int) -> tuple:
     """Wall-incidence counts at the Fuss dilation t = kh+1."""
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     return count_by_walls(rs, k * simplex_model(rs).h + 1).counts
 
 
@@ -193,8 +191,7 @@ def quasi_period(rs: RootSystem) -> int:
 def ehrhart_csv(rs: RootSystem, k: int) -> str:
     """The CSV ``t,i,N``: N points of the t-dilated simplex on i walls,
     for t = 1..kh+1, all read from one `wall_histograms` run."""
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     top = k * simplex_model(rs).h + 1
     histograms = wall_histograms(rs, top)
     return "t,i,N\n" + "".join(

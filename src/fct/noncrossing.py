@@ -101,7 +101,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import _purecore, weyl
-from .errors import InternalInvariantError, ResourceLimitError, UsageError
+from .errors import InternalInvariantError, require_k, require_within
 from .poly import BivarPoly, interpolate, require_m_support
 from .rootsys import ENUMERATION_LIMIT, RootSystem, fuss_catalan_number, fuss_catalan_sum
 
@@ -225,11 +225,9 @@ def _interval_tables(rs: RootSystem) -> Interval:
     docstring).  Exits on ``TABLE_BYTE_LIMIT`` before the walk starts.
     """
     nbytes = table_bytes(rs)
-    if nbytes > TABLE_BYTE_LIMIT:
-        raise ResourceLimitError(
-            f"the tables of [1, c] of {rs.typespec} would take {nbytes} bytes, "
-            f"more than the bound {TABLE_BYTE_LIMIT}"
-        )
+    require_within(
+        nbytes, TABLE_BYTE_LIMIT, f"the tables of [1, c] of {rs.typespec} would take {nbytes} bytes"
+    )
     size = fuss_catalan_number(rs, 1)
     nref = len(rs.positive_roots)
     lengths, images, covers, parent, key = _walk(rs, size)
@@ -288,15 +286,13 @@ def enumerate_delta_sequences(rs: RootSystem, k: int) -> tuple:
     multichain v_j <= ... <= v_k on the way, FC(W, 1) + ... + FC(W, k) of
     them, and that exact number is bounded before any work.
     """
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     visited = fuss_catalan_sum(rs, k)
-    if visited > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"delta sequence enumeration for {rs.typespec}, k={k} lists "
-            f"{fuss_catalan_number(rs, k)} sequences and visits {visited} "
-            f"multichains on the way, more than the bound {ENUMERATION_LIMIT}"
-        )
+    require_within(
+        visited, ENUMERATION_LIMIT,
+        f"delta sequence enumeration for {rs.typespec}, k={k} lists "
+        f"{fuss_catalan_number(rs, k)} sequences and visits {visited} multichains on the way",
+    )
     tables = _interval_tables(rs)
     zeroth = [0] * len(tables)  # zeroth[v]: index of c v^-1
     for w, v in enumerate(tables.comp):
@@ -420,8 +416,7 @@ def _moebius_rows(rs: RootSystem, k: int) -> tuple:
 @lru_cache(maxsize=None)
 def m_triangle(rs: RootSystem, k: int) -> BivarPoly:
     """The Moebius sum, from [1, c] (module docstring); checks M(1, 1) = 1."""
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     tables = _interval_tables(rs)
     lengths = tables.lengths
     mc = _multichain_counts(rs, k - 1)
@@ -446,8 +441,7 @@ def m_triangle(rs: RootSystem, k: int) -> BivarPoly:
 
 def sequence_count(rs: RootSystem, k: int) -> int:
     """Number of delta sequences, mc_k(c), without listing them."""
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     return _multichain_counts(rs, k)[-1]
 
 
@@ -460,8 +454,7 @@ def narayana_numbers(rs: RootSystem, k: int) -> tuple:
     interval adds up the whole row; it stays polynomial in the interval
     size even for large k.
     """
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     tables = _interval_tables(rs)
     counts = _multichain_counts(rs, k - 1)
     out = [0] * (rs.n + 1)

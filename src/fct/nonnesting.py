@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _purecore
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError, require_k, require_within
 from .poly import BivarPoly, require_h_support
 from .rootsys import (
     ENUMERATION_LIMIT,
@@ -117,14 +117,11 @@ def _require_chain_bound(rs: RootSystem, k: int) -> None:
     of at most k filters; their exact number, the sum of the
     Fuss-Catalan numbers (``fuss_catalan_sum``), bounds it before it
     starts."""
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     chains = fuss_catalan_sum(rs, k)
-    if chains > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"chain walk for {rs.typespec}, k=1..{k} visits {chains} chains, "
-            f"more than the bound {ENUMERATION_LIMIT}"
-        )
+    require_within(
+        chains, ENUMERATION_LIMIT, f"chain walk for {rs.typespec}, k=1..{k} visits {chains} chains"
+    )
 
 
 def chain_statistics(rs: RootSystem, k: int) -> tuple:

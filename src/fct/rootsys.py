@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .errors import InternalInvariantError, ResourceLimitError, UsageError
+from .errors import InternalInvariantError, UsageError, require_within
 
 Root = tuple  # integer coefficient vector over the simple roots
 
@@ -387,11 +387,12 @@ def build_root_system(typespec: TypeSpec) -> RootSystem:
     """
     n = typespec.rank
     roots = sum(rank * max(degrees(family, rank)) // 2 for family, rank in typespec.factors)
-    if roots * n * n > CLOSURE_LIMIT:
-        raise ResourceLimitError(
-            f"root system {typespec} has {roots} positive roots of rank {n}: its "
-            f"closure takes {roots * n * n} steps, more than the bound {CLOSURE_LIMIT}"
-        )
+    steps = roots * n * n
+    require_within(
+        steps, CLOSURE_LIMIT,
+        f"root system {typespec} has {roots} positive roots of rank {n}: its closure "
+        f"takes {steps} steps",
+    )
     cartan = [[0] * n for _ in range(n)]
     offset = 0
     for family, rank in typespec.factors:

@@ -13,7 +13,7 @@ coefficients or integer counts.
 from __future__ import annotations
 
 from . import arrangement, cluster, ehrhart, nonnesting, noncrossing
-from .errors import UsageError
+from .errors import UsageError, require_k
 from .poly import (
     BivarPoly,
     KFamily,
@@ -313,8 +313,7 @@ def run_identity(name: str, rs: RootSystem, k: int) -> dict | None:
     """
     if name not in IDENTITIES:
         raise UsageError(f"unknown identity {name!r}")
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    require_k(k)
     if name in K1_ONLY and k != 1:
         raise UsageError(f"{name} is a k=1 statement")
     if name in IRREDUCIBLE_ONLY and len(rs.components) != 1:

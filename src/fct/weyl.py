@@ -22,11 +22,12 @@ lies in Mov(w).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import prod
 from operator import mul
 
 from . import _purecore
-from .errors import InternalInvariantError, ResourceLimitError, UsageError
-from .rootsys import RootSystem
+from .errors import InternalInvariantError, UsageError, require_within
+from .rootsys import RootSystem, degrees
 
 GROUP_ORDER_LIMIT = 10**6
 
@@ -135,21 +136,25 @@ def reflections(rs: RootSystem) -> tuple:
 def generate_group(rs: RootSystem) -> tuple:
     """The whole Weyl group, identity first, in breadth-first order.
 
-    Raises ResourceLimitError when the group has more than
-    ``GROUP_ORDER_LIMIT`` elements (which excludes E7 and E8).  No
-    library path calls it: the tests use it as an oracle, and perfbench's
-    tracer and kernel probe name it.
+    Its order |W| is the product of the degrees, so the group is bounded
+    by ``GROUP_ORDER_LIMIT`` before the closure starts (which excludes
+    E7 and E8), and a closure of any other size is an
+    InternalInvariantError.  No library path calls it: the tests use it
+    as an oracle, and perfbench's tracer and kernel probe name it.
     """
+    order = prod(d for family, rank in rs.typespec.factors for d in degrees(family, rank))
+    require_within(
+        order, GROUP_ORDER_LIMIT, f"Weyl group of {rs.typespec} has {order} elements"
+    )
     gens = tuple(simple_reflection(rs, i).img for i in range(rs.n))
-    if not gens:
-        return (identity(rs),)
     try:
-        imgs = _purecore.weyl_closure(gens, GROUP_ORDER_LIMIT)
+        imgs = _purecore.weyl_closure(gens, order)
     except _purecore.LimitExceeded:
-        raise ResourceLimitError(
-            f"Weyl group of {rs.typespec} exceeds the element bound "
-            f"{GROUP_ORDER_LIMIT}"
-        ) from None
+        imgs = ()
+    if len(imgs) != order:
+        raise InternalInvariantError(
+            f"the simple reflections of {rs.typespec} do not generate {order} elements"
+        )
     return tuple(GroupElement(rs, img) for img in imgs)
 
 

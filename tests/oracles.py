@@ -20,7 +20,9 @@ from fct.arrangement import (
     _normalize,
     _zero_row_ok,
     feasible,
+    is_bounded,
     regions_of,
+    wall_report,
 )
 from fct.errors import InternalInvariantError, UsageError
 from fct.poly import BivarPoly
@@ -1102,6 +1104,24 @@ def chain_lists(rs: RootSystem, k: int) -> list:
         [[r for r in roots if (m >> r) & 1] for m in chain]
         for chain in nonnesting.enumerate_chains(rs, k)
     ]
+
+
+def region_lists(rs: RootSystem, k: int) -> list:
+    """The list that ``arrangement.regions_json`` writes as text: one
+    dict per region of ``regions_of``, its walls split into floors and
+    ceilings by comparing each colour with the root's level."""
+    out = []
+    for levels in regions_of(rs, k):
+        walls = wall_report(rs, k, levels)
+        out.append({
+            "levels": list(levels),
+            "walls": [list(w) for w in walls],
+            "floors": [[r, c] for r, c in walls if c > 0 and c == levels[r]],
+            "ceilings": [[r, c] for r, c in walls if c == levels[r] + 1],
+            "bounded": is_bounded(rs, k, levels),
+            "CL_k": sum(1 for r, c in walls if c == k == levels[r] + 1),
+        })
+    return out
 
 
 def nc_lists(rs: RootSystem, k: int) -> list:

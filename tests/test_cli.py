@@ -2,6 +2,7 @@ import argparse
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from fct.poly import BivarPoly
 from fct.rootsys import TypeSpec, build_root_system
 
 from conftest import FAMILY_TYPES, rsys
-from oracles import chain_lists, nc_lists
+from oracles import chain_lists, nc_lists, region_lists
 
 GOLDEN_H_A2_K1 = {
     "triangle": "H",
@@ -146,6 +147,76 @@ def test_failed_out_write_keeps_the_old_target(tmp_path, capsys, monkeypatch):
     )
     assert target.read_text() == "old bytes\n"
     assert os.listdir(tmp_path) == ["h.txt"]
+
+
+def test_emit_writes_in_slices(tmp_path, monkeypatch):
+    # no write gets more than EMIT_SLICE characters, so the text layer
+    # never encodes a second copy of the whole output
+    text = "abcdefgh" * (5 * cli.EMIT_SLICE // 16)
+    sizes = []
+
+    class Sink(io.StringIO):
+        def write(self, s):
+            sizes.append(len(s))
+            return super().write(s)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    cli._emit(text, None)
+    assert sink.getvalue() == text
+    assert sizes == [cli.EMIT_SLICE, cli.EMIT_SLICE, cli.EMIT_SLICE // 2]
+    target = tmp_path / "big.txt"
+    cli._emit(text, str(target))
+    assert target.read_text() == text
+    cli._emit("", str(target))
+    assert target.read_text() == ""
+
+
+@pytest.mark.parametrize("error, code", [(MemoryError, 4), (KeyboardInterrupt, None)])
+def test_interrupted_out_write_keeps_the_old_target(tmp_path, capsys, monkeypatch, error, code):
+    # a write that fails with anything but OSError (out of memory under a
+    # ulimit, Ctrl-C) leaves the old file whole and no temporary file
+    target = tmp_path / "h.txt"
+    target.write_text("old bytes\n")
+
+    def failing(path, mode="r"):
+        fh = open(path, mode)
+        write = fh.write
+
+        def partial_write(text):
+            write(text[:4])
+            fh.flush()
+            raise error
+
+        fh.write = partial_write
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing, raising=False)
+    monkeypatch.setattr(
+        sys, "argv", ["fct", "dump", "nn", "--type", "A2", "-k", "1", "--out", str(target)]
+    )
+    if code is None:
+        with pytest.raises(error):
+            cli.entry()
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+        assert capsys.readouterr().err == "fct: resource bound exceeded: out of memory\n"
+    assert target.read_text() == "old bytes\n"
+    assert os.listdir(tmp_path) == ["h.txt"]
+
+
+def test_errors_owns_the_k_rule_and_every_bound():
+    # one k check and one bound check, both in fct.errors: no other file
+    # of the package raises either message itself
+    package = Path(fct.__file__).parent
+    for needle in ("raise ResourceLimitError", "k must be a positive integer"):
+        owners = sorted(
+            path.name for path in package.iterdir()
+            if path.suffix in (".py", ".pyx", ".c") and needle in path.read_text()
+        )
+        assert owners == ["errors.py"], needle
 
 
 def test_verify_ok(capsys):
@@ -722,6 +793,23 @@ def test_chain_and_sequence_dumps_are_the_json_of_their_lists():
     # the empty filters of a chain and the empty word of the identity
     assert nonnesting.chains_json(rsys("A1"), 2) == "[[[],[]],[[0],[]],[[0],[0]]]\n"
     assert noncrossing.nc_json(rsys("A1"), 1) == "[[[0],[]],[[],[0]]]\n"
+
+
+def test_region_and_face_number_dumps_are_the_json_of_their_objects():
+    # joined from one text per region, and encoded by the one JSON
+    # function, on every grid cell
+    for name, k, _ in grid.cells("extended"):
+        rs = rsys(name)
+        assert arrangement.regions_json(rs, k) == cli._json_bytes(region_lists(rs, k)), (name, k)
+        assert cluster.fnumbers_json(rs, k) == cli._json_bytes(
+            {"f": cluster.f_triangle(rs, k).monomial_list()}
+        ), (name, k)
+
+
+def test_every_dump_returns_its_text():
+    rs = rsys("A2")
+    for module, function in cli.DUMPS.values():
+        assert isinstance(cli._layer(module, function)(rs, 1), str), function
 
 
 def test_dump_fnumbers(capsys):

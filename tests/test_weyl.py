@@ -39,6 +39,40 @@ def test_group_limit(monkeypatch):
         generate_group.__wrapped__(rsys("A3"))
 
 
+def test_group_is_bounded_by_its_order_before_the_closure(monkeypatch):
+    # |W| is the product of the degrees, so E7 and E8 exit before any
+    # group element is built
+    def no_closure(gens, limit):
+        raise AssertionError("the closure started")
+
+    monkeypatch.setattr(weyl._purecore, "weyl_closure", no_closure)
+    for name, order in (("E7", 2903040), ("E8", 696729600), ("A1xB8", 20643840)):
+        with pytest.raises(ResourceLimitError) as exc:
+            generate_group.__wrapped__(rsys(name))
+        assert str(exc.value) == (
+            f"Weyl group of {name} has {order} elements, more than the bound 1000000"
+        )
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_closure_of_another_size_is_an_invariant_failure(monkeypatch, past):
+    # the closure runs with limit |W|: one element short, or one past it,
+    # which the closure reports by LimitExceeded
+    closure = weyl._purecore.weyl_closure
+    seen = []
+
+    def off_by_one(gens, limit):
+        seen.append(limit)
+        if past:
+            raise weyl._purecore.LimitExceeded
+        return closure(gens, limit)[:-1]
+
+    monkeypatch.setattr(weyl._purecore, "weyl_closure", off_by_one)
+    with pytest.raises(InternalInvariantError, match="do not generate 24 elements"):
+        generate_group.__wrapped__(rsys("A3"))
+    assert seen == [24]
+
+
 def test_compose_inverse_identity():
     for name in ["A2", "B2", "B3"]:
         rs = rsys(name)
